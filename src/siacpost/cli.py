@@ -147,10 +147,13 @@ def cmd_filter(args) -> int:
 
 def cmd_converge(args) -> int:
     from . import harness
-    config = harness.RunConfig(
-        problem=args.problem, d=args.d, filters=tuple(args.filters.split(",")),
-        mesh_sizes=tuple(int(n) for n in args.n_list.split(",")),
-        final_times=(args.t,), blend=not args.no_blend, cfl=args.cfl)
+    try:
+        config = harness.RunConfig(
+            problem=args.problem, d=args.d, filters=tuple(args.filters.split(",")),
+            mesh_sizes=tuple(int(n) for n in args.n_list.split(",")),
+            final_times=(args.t,), blend=not args.no_blend, cfl=args.cfl)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     errors, rates = harness.time_series_experiment(config)
     for r in errors:
         print(f"error  {r.filter:10s} {r.region:8s} {r.norm:4s} N={r.n:<4d} {r.value:.6e}")
@@ -225,7 +228,7 @@ def build_run_config(values: dict, args) -> "RunConfig":
                    if args.blend is None else args.blend),
             blend_rho=int(values.get("blend_rho", 2)),
             cfl=float(values["cfl"]) if "cfl" in values else args.cfl)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
 

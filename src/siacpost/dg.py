@@ -21,7 +21,7 @@ from .spline import bernstein_poly
 
 
 class UnstableBlowupError(RuntimeError):
-    """Solution magnitude exploded; the CFL number is too large."""
+    """Solution magnitude exploded or went non-finite; the CFL number is too large."""
 
 
 @dataclass(frozen=True)
@@ -224,6 +224,13 @@ def default_cfl(d: int) -> float:
     return 0.1 / (2 * d + 1)
 
 
+def _check_bounded(u: np.ndarray) -> None:
+    # NaN compares False, so test for the bound holding rather than failing
+    if not np.abs(u).max() <= 1e10:
+        raise UnstableBlowupError(
+            "coefficients exceeded 1e10 or are not finite; reduce the CFL number")
+
+
 def advance(field: DGField, problem: TestProblem, t_end: float,
             cfl: float | None = None) -> DGField:
     """March the field to t_end with classical RK4 (integer step count)."""
@@ -248,10 +255,9 @@ def advance(field: DGField, problem: TestProblem, t_end: float,
         k4 = dg_rhs(DGField(field.d, field.mesh, u + dt * k3, "legendre", t), t + dt, problem, ws)
         u += (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         t = field.time + (step + 1) * dt
-        if step % 64 == 0 and np.abs(u).max() > 1e10:
-            raise UnstableBlowupError("coefficients exceeded 1e10; reduce the CFL number")
-    if np.abs(u).max() > 1e10:
-        raise UnstableBlowupError("coefficients exceeded 1e10; reduce the CFL number")
+        if step % 64 == 0:
+            _check_bounded(u)
+    _check_bounded(u)
     out.coeffs = u
     out.time = t_end
     return out

@@ -7,6 +7,12 @@ DG output over the full domain.  Boundary and interior errors are never
 merged.  The sampling rule is six points per element: an endpoint-
 inclusive uniform grid for the max norm, Gauss-Legendre points for the
 L2 norm.
+
+Sampling is batched.  A region is split at element boundaries into
+pieces; pieces with the same offset into their element and the same
+width sample the same local fractions, so for each sample node one array
+call evaluates the filtered output on every element of that shape, and
+`region_norms` evaluates all of a region's nodes in one call.
 """
 
 from __future__ import annotations
@@ -27,6 +33,10 @@ FILTER_ALIASES = {
     "symmetric": "symmetric", "sym": "symmetric",
     "srv": "srv", "rlkv": "rlkv", "np0": "np0", "rs": "rs",
 }
+
+
+class RunConfigError(ValueError):
+    """Experiment settings the harness cannot run (a usage error)."""
 
 
 class EmptyRegionError(ValueError):
@@ -52,12 +62,18 @@ class RunConfig:
     cfl: float | None = None
 
     def __post_init__(self):
+        unknown = [f for f in self.filters if f.strip().lower() not in FILTER_ALIASES]
+        if unknown:
+            raise RunConfigError(
+                f"unknown filter {unknown[0]!r}; choose from {sorted(FILTER_ALIASES)}")
         names = tuple(FILTER_ALIASES[f.strip().lower()] for f in self.filters)
         object.__setattr__(self, "filters", names)
         ns = self.mesh_sizes
         for a, b in zip(ns, ns[1:]):
             if b != 2 * a:
-                raise ValueError("mesh sizes must double: rates need matched pairs")
+                raise RunConfigError("mesh sizes must double: rates need matched pairs")
+        if any(not t >= 0 for t in self.final_times):
+            raise RunConfigError("final times must be nonnegative")
         object.__setattr__(self, "final_times", tuple(sorted(self.final_times)))
 
 
@@ -122,36 +138,32 @@ def _sigma_exact(mesh: dg.Mesh, x: float) -> Fraction:
     return Fraction(s).limit_denominator(10 ** 9)
 
 
-def _uniform_sigmas(pieces, per_element: int):
-    out = []
-    for lo, hi in pieces:
-        width = hi - lo
-        for s in range(per_element):
-            out.append(float(lo) + float(width) * s / (per_element - 1))
-    return np.array(out)
+def _gauss_rule(samples_per_element: int):
+    return (_GL6 if samples_per_element == 6
+            else np.polynomial.legendre.leggauss(samples_per_element))
 
 
 def region_norms(approx, exact, mesh: dg.Mesh, region: tuple[float, float],
                  samples_per_element: int = 6) -> tuple[float, float]:
     """(L2, Linf) of approx - exact over the region.
 
-    approx and exact are callables of physical-x arrays.  Linf is the max
-    over the endpoint-inclusive uniform grid; L2 is composite Gauss-
-    Legendre with samples_per_element points per (partial) element.
+    approx and exact are callables of physical-x arrays, each called once
+    per norm with the nodes of every piece.  Linf is the max over the
+    endpoint-inclusive uniform grid; L2 is composite Gauss-Legendre with
+    samples_per_element points per (partial) element.
     """
     pieces = _region_pieces((_sigma_exact(mesh, region[0]), _sigma_exact(mesh, region[1])))
-    xs = mesh.a + _uniform_sigmas(pieces, samples_per_element) * mesh.h
-    linf = float(np.max(np.abs(np.asarray(approx(xs)) - np.asarray(exact(xs)))))
-    gx, gw = (np.polynomial.legendre.leggauss(samples_per_element)
-              if samples_per_element != 6 else _GL6)
-    total = 0.0
-    for lo, hi in pieces:
-        mid = mesh.a + float(lo + hi) / 2 * mesh.h
-        rad = float(hi - lo) / 2 * mesh.h
-        nodes = mid + rad * gx
-        err = np.asarray(approx(nodes)) - np.asarray(exact(nodes))
-        total += rad * float(np.dot(gw, err ** 2))
-    return float(np.sqrt(total)), linf
+    lo = np.array([float(a) for a, _ in pieces])
+    width = np.array([float(b - a) for a, b in pieces])
+    steps = np.arange(samples_per_element)
+    xs = mesh.a + (lo[:, None] + width[:, None] * steps / (samples_per_element - 1)) * mesh.h
+    linf = float(np.max(np.abs(np.asarray(approx(xs.ravel())) - np.asarray(exact(xs.ravel())))))
+    gx, gw = _gauss_rule(samples_per_element)
+    mid = mesh.a + np.array([float(a + b) for a, b in pieces]) / 2 * mesh.h
+    rad = width / 2 * mesh.h
+    nodes = (mid[:, None] + rad[:, None] * gx).ravel()
+    err = (np.asarray(approx(nodes)) - np.asarray(exact(nodes))).reshape(len(pieces), -1)
+    return float(np.sqrt(np.dot(rad, err ** 2 @ gw))), linf
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +201,9 @@ class _FieldContext:
             return Fraction(0), lam
         return Fraction(self.mesh.n) - lam, Fraction(self.mesh.n)
 
-    # --- evaluators ----------------------------------------------------------
-    def symmetric_value(self, sigma_int: int, frac) -> float:
-        return psiac.symmetric_filter_eval_local(self.bern, sigma_int, frac)
+    # --- evaluators: each maps (element array, frac) to a value array --------
+    def symmetric_values(self, elements: np.ndarray, frac) -> np.ndarray:
+        return psiac.symmetric_filter_eval_local(self.bern, elements, frac)
 
     def boundary_evaluator(self, spec: FilterSpec, side: str):
         poly = psiac.filter_boundary(self.bern, spec, side)
@@ -199,47 +211,59 @@ class _FieldContext:
         n = self.mesh.n
         rho = self.config.blend_rho
 
-        def value(sigma_int: int, frac) -> float:
-            sigma = sigma_int + float(frac)
-            x = self.mesh.a + sigma * self.mesh.h
+        def values(elements: np.ndarray, frac) -> np.ndarray:
+            sigma = elements + float(frac)
+            out = poly(self.mesh.a + sigma * self.mesh.h)
+            if not self.config.blend:
+                return out
             if side == "left":
                 z = (sigma - float(lam)) / 2.0
             else:
                 z = (float(n - lam) - sigma) / 2.0
-            if not self.config.blend or z <= 0.0:
-                return float(poly(x))
-            beta = psiac.blend_weight(min(z, 1.0), rho)
-            return float((1 - beta) * poly(x) + beta * self.symmetric_value(sigma_int, frac))
+            strip = z > 0.0
+            if strip.any():
+                beta = psiac.blend_weight(np.minimum(z[strip], 1.0), rho)
+                out[strip] = ((1 - beta) * out[strip]
+                              + beta * self.symmetric_values(elements[strip], frac))
+            return out
 
-        return value
+        return values
 
 
-def _norms_over_region(ctx: _FieldContext, region, value_fn,
+def _norms_over_region(ctx: _FieldContext, region, values_fn,
                        samples_per_element: int) -> tuple[float, float]:
-    """Norms using (element, frac) evaluation so weight caches stay exact."""
-    pieces = _region_pieces(region)
+    """Norms by (element, frac) evaluation, batched over pieces of one shape.
+
+    Pieces with the same offset into their element and the same width
+    share every sample frac, so each sample node is one array call across
+    all elements of that shape.  Uniform fracs stay exact rationals and
+    Gauss fracs floats: the keys of the interior weight cache.
+    """
     mesh = ctx.mesh
+    shapes: dict[tuple[Fraction, Fraction], list[int]] = {}
+    for lo, hi in _region_pieces(region):
+        e = min(int(lo), mesh.n - 1)
+        shapes.setdefault((lo - e, hi - lo), []).append(e)
+
+    def errors(es: np.ndarray, frac) -> np.ndarray:
+        x = mesh.a + (es + float(frac)) * mesh.h
+        return values_fn(es, frac) - ctx.exact_fn(x)
+
+    gx, gw = _gauss_rule(samples_per_element)
     sq_total = 0.0
     linf = 0.0
-    gx, gw = (np.polynomial.legendre.leggauss(samples_per_element)
-              if samples_per_element != 6 else _GL6)
-    for lo, hi in pieces:
-        width = hi - lo
-        e = min(int(lo), mesh.n - 1)
+    for (offset, width), elements in shapes.items():
+        es = np.array(elements)
         # uniform, endpoint-inclusive
         for s in range(samples_per_element):
-            frac = lo - e + width * Fraction(s, samples_per_element - 1)
-            x = mesh.a + (e + float(frac)) * mesh.h
-            err = value_fn(e, frac) - float(ctx.exact_fn(x))
-            linf = max(linf, abs(err))
+            frac = offset + width * Fraction(s, samples_per_element - 1)
+            linf = max(linf, float(np.max(np.abs(errors(es, frac)))))
         # Gauss nodes (floats, identical across translated pieces)
-        flo, fw = float(lo - e), float(width)
+        flo, fw = float(offset), float(width)
         rad = fw / 2 * mesh.h
         for q in range(samples_per_element):
-            frac = flo + fw * (float(gx[q]) + 1.0) / 2.0
-            x = mesh.a + (e + frac) * mesh.h
-            err = value_fn(e, frac) - float(ctx.exact_fn(x))
-            sq_total += rad * float(gw[q]) * err * err
+            err = errors(es, flo + fw * (float(gx[q]) + 1.0) / 2.0)
+            sq_total += rad * float(gw[q]) * float(np.dot(err, err))
     return float(np.sqrt(sq_total)), linf
 
 
@@ -260,15 +284,15 @@ def _filter_records(ctx: _FieldContext, name: str) -> list[ErrorRecord]:
         out.append(ErrorRecord(region="full", norm="Linf", value=linf, **base))
     elif name == "symmetric":
         region = ctx.interior_region()
-        l2, linf = _norms_over_region(ctx, region, ctx.symmetric_value, spe)
+        l2, linf = _norms_over_region(ctx, region, ctx.symmetric_values, spe)
         out.append(ErrorRecord(region="interior", norm="L2", value=l2, **base))
         out.append(ErrorRecord(region="interior", norm="Linf", value=linf, **base))
     else:
         for side in ("left", "right"):
             spec = build_spec(name, cfg.d, side)
-            value_fn = ctx.boundary_evaluator(spec, side)
+            values_fn = ctx.boundary_evaluator(spec, side)
             region = ctx.boundary_region(spec, side)
-            l2, linf = _norms_over_region(ctx, region, value_fn, spe)
+            l2, linf = _norms_over_region(ctx, region, values_fn, spe)
             out.append(ErrorRecord(region=side, norm="L2", value=l2, **base))
             out.append(ErrorRecord(region=side, norm="Linf", value=linf, **base))
     return out

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, ceil, floor
+from functools import cached_property, lru_cache
+from math import comb, ceil, floor, lcm
+from operator import mul
 
 import numpy as np
 
@@ -148,22 +149,36 @@ class QMatrix:
                     acc[m] += u * row[m]
         return RatPoly(acc)
 
+    @cached_property
+    def _integer_columns(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(columns of Q as integer numerators, their one common denominator)."""
+        den = lcm(*(e.denominator for e in self.q.entries))
+        cols = tuple(tuple(e.numerator * (den // e.denominator) for e in self.q.col(m))
+                     for m in range(self.q.cols))
+        return cols, den
+
     def contract(self, coeff_rows: np.ndarray) -> np.ndarray:
         """Float coefficient vector of the output polynomial.
 
-        The contraction itself runs in exact arithmetic (floats are lifted
-        losslessly) so that large-coefficient kernels stay stable; only
-        the final coefficients are rounded.
+        The contraction is exact and runs on integers.  The window floats
+        are lifted losslessly with ``float.as_integer_ratio`` to integers
+        over one power-of-two scale S; Q is held (cached on first use) as
+        integer columns over one common denominator D.  Each output
+        coefficient is then one big-integer dot product divided once by
+        D*S, and int / int rounds correctly, so the result is bit for bit
+        ``contract_exact(...).to_float()`` zero-padded to ``q.cols``.
+        Large-coefficient kernels stay stable; only the final
+        coefficients are rounded.
         """
         flat = np.asarray(coeff_rows, dtype=float).reshape(-1)
-        per = self.dg_degree + 1
-        rows = [[Fraction(v) for v in flat[i * per:(i + 1) * per]]
-                for i in range(self.n_elements)]
-        exact = self.contract_exact(rows)
-        out = np.zeros(self.q.cols)
-        fl = exact.to_float()
-        out[:len(fl)] = fl
-        return out
+        if flat.size != self.q.rows:
+            raise ValueError("coefficient count does not match window")
+        ratios = [v.as_integer_ratio() for v in flat.tolist()]
+        scale = max(q for _, q in ratios)
+        window = [p * (scale // q) for p, q in ratios]
+        cols, den = self._integer_columns
+        den *= scale
+        return np.array([sum(map(mul, window, col)) / den for col in cols])
 
 
 @lru_cache(maxsize=None)
@@ -191,19 +206,6 @@ def endpoint_vector(spec: FilterSpec, dg_degree: int | None = None) -> list[Frac
 
 # ---------------------------------------------------------------------------
 # boundary filtering of DG fields
-
-
-@dataclass(frozen=True)
-class KernelInstance:
-    """A spec bound to a mesh width and side anchor."""
-
-    spec: FilterSpec
-    h: float
-    lam_global: Fraction  # prototype-coordinate lambda (includes a/h offset)
-
-    def knots_at(self, x: float, a: float) -> list[float]:
-        sigma = (x - a) / self.h
-        return [float(t) + sigma - float(self.lam_global) for t in self.spec.knots]
 
 
 @dataclass
@@ -279,15 +281,6 @@ def filter_boundary(field, spec: FilterSpec, side: str | None = None) -> Boundar
         coeffs=coeffs, h=h, anchor=mesh.a + float(lam_g) * h,
         region=(mesh.a + float(s_lo) * h, mesh.a + float(s_hi) * h),
         side=spec.side)
-
-
-def filter_boundary_exact(coeff_rows, spec: FilterSpec, dg_degree: int) -> RatPoly:
-    """Exact-path variant: rational window coefficients in, RatPoly out.
-
-    The polynomial is in xihat = x/h - lambda; callers map variables.
-    """
-    qm = q_matrix(spec, dg_degree)
-    return qm.contract_exact(coeff_rows)
 
 
 def filter_boundary_derivative(field, spec: FilterSpec, side: str | None = None,
@@ -388,16 +381,24 @@ def symmetric_filter_eval(field, x, filter_degree: int | None = None) -> float:
     return symmetric_filter_eval_local(fld, e, frac, d)
 
 
-def symmetric_filter_eval_local(bernstein_field, element: int, frac,
-                                filter_degree: int | None = None) -> float:
-    """Symmetric-filter value at sigma = element + frac (frac is the cache key)."""
+def symmetric_filter_eval_local(bernstein_field, element, frac,
+                                filter_degree: int | None = None):
+    """Symmetric-filter value at sigma = element + frac (frac is the cache key).
+
+    ``element`` is an int, giving a float, or an integer array, giving one
+    value per entry: all share the weights of one frac and are contracted
+    in one sliding-window einsum.
+    """
     d = bernstein_field.d if filter_degree is None else filter_degree
     e0, w = symmetric_filter_weights(d, bernstein_field.d, frac)
-    lo = element + e0
-    block = bernstein_field.coeffs[lo:lo + w.shape[0]]
-    if block.shape[0] != w.shape[0]:
+    coeffs = bernstein_field.coeffs
+    lo = np.asarray(element) + e0
+    width = w.shape[0]
+    if lo.size and (lo.min() < 0 or lo.max() + width > coeffs.shape[0]):
         raise OutsideInteriorRegionError("kernel window leaves the mesh")
-    return float(np.sum(block * w))
+    windows = coeffs[lo[..., None] + np.arange(width)]  # (..., de, ell)
+    values = np.einsum("...kl,kl->...", windows, w)
+    return float(values) if values.ndim == 0 else values
 
 
 # ---------------------------------------------------------------------------

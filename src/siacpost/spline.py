@@ -137,7 +137,6 @@ class PiecewisePolynomial:
         pieces = []
         for a, b in zip(cuts, cuts[1:]):
             mid = (a + b) / 2
-            p = Fraction(0)
             i = self.piece_index(mid)
             q = other.piece_index(mid)
             acc = RatPoly([0])

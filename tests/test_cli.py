@@ -151,6 +151,21 @@ def test_converge_smoke(tmp_path, capsys):
     assert "rate" in out and (tmp_path / "c.csv").exists()
 
 
+def test_converge_unknown_filter_is_usage_error(tmp_path, capsys):
+    rc = main(["converge", "tp1", "--d", "1", "--filters", "npk",
+               "--n-list", "20,40", "--out", str(tmp_path / "c.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "npk" in err and "np0" in err and "symmetric" in err
+
+
+def test_converge_negative_time_is_usage_error(tmp_path, capsys):
+    rc = main(["converge", "tp1", "--d", "1", "--filters", "np0",
+               "--n-list", "20,40", "--t", "-1", "--out", str(tmp_path / "c.csv")])
+    assert rc == 2
+    assert "nonnegative" in capsys.readouterr().err
+
+
 def test_outdir_env(tmp_path, monkeypatch):
     monkeypatch.setenv("SIACPOST_OUTDIR", str(tmp_path / "envout"))
     rc = main(["kernel", "symmetric", "1", "--exact"])

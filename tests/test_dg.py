@@ -108,6 +108,15 @@ def test_blowup_detection():
         dg_solve(tp1, Mesh(0, 1, 40), 1, 3.0, cfl=10.0)
 
 
+@pytest.mark.parametrize("bad", (np.nan, np.inf))
+def test_non_finite_coefficients_raise(bad):
+    tp1 = get_problem("tp1")
+    field = l2_project(tp1.u0, Mesh(0, 1, 20), 2)
+    field.coeffs[7, 1] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(UnstableBlowupError):
+        advance(field, tp1, 0.05)
+
+
 def test_to_bernstein_examples():
     mesh = Mesh(0, 1, 4)
     # Legendre P0 = 1 -> all-ones Bernstein coefficients

@@ -1,11 +1,13 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from siacpost import dg, harness, psiac
 from siacpost.filters import build_spec
 from siacpost.harness import (EmptyRegionError, ErrorRecord, NonpositiveError,
-                              RateRecord, RunConfig, convergence_rate, read_csv,
-                              region_norms, time_series_experiment, write_csv)
+                              RateRecord, RunConfig, RunConfigError, convergence_rate,
+                              read_csv, region_norms, time_series_experiment, write_csv)
 
 
 def flat_mesh(n=10):
@@ -75,6 +77,19 @@ def test_runconfig_normalizes_names():
                     mesh_sizes=(20, 40), final_times=(0.5, 0.0))
     assert cfg.filters == ("dg", "symmetric", "np0")
     assert cfg.final_times == (0.0, 0.5)
+
+
+def test_runconfig_rejects_unknown_filter():
+    with pytest.raises(RunConfigError, match="np0"):
+        RunConfig(problem="tp1", d=1, filters=("npk",), mesh_sizes=(20,),
+                  final_times=(1.0,))
+
+
+@pytest.mark.parametrize("t", (-1.0, float("nan")))
+def test_runconfig_rejects_negative_time(t):
+    with pytest.raises(RunConfigError):
+        RunConfig(problem="tp1", d=1, filters=("dg",), mesh_sizes=(20,),
+                  final_times=(0.5, t))
 
 
 @pytest.fixture(scope="module")
@@ -167,3 +182,132 @@ def test_deterministic_row_ordering(small_run):
     _, (errors, _) = small_run
     keys = [(r.problem, r.d, r.filter, r.region, r.norm, r.n, r.t) for r in errors]
     assert keys == sorted(keys)
+
+
+# ---------------------------------------------------------------------------
+# the batched sampler against the per-point rule it replaced
+
+
+def _pointwise_region_norms(approx, exact, mesh, region, spe):
+    """One approx/exact call per piece for the L2 nodes."""
+    pieces = harness._region_pieces((harness._sigma_exact(mesh, region[0]),
+                                     harness._sigma_exact(mesh, region[1])))
+    xs = np.array([float(lo) + float(hi - lo) * s / (spe - 1)
+                   for lo, hi in pieces for s in range(spe)])
+    xs = mesh.a + xs * mesh.h
+    linf = float(np.max(np.abs(approx(xs) - exact(xs))))
+    gx, gw = np.polynomial.legendre.leggauss(spe)
+    total = 0.0
+    for lo, hi in pieces:
+        mid = mesh.a + float(lo + hi) / 2 * mesh.h
+        rad = float(hi - lo) / 2 * mesh.h
+        nodes = mid + rad * gx
+        err = approx(nodes) - exact(nodes)
+        total += rad * float(np.dot(gw, err ** 2))
+    return float(np.sqrt(total)), linf
+
+
+def _pointwise_value_fn(ctx, name, side):
+    """Scalar (element, frac) evaluator, blend included, one point per call."""
+    def symmetric(e, frac):
+        return psiac.symmetric_filter_eval_local(ctx.bern, e, frac)
+
+    if name == "symmetric":
+        return symmetric
+    spec = build_spec(name, ctx.config.d, side)
+    poly = psiac.filter_boundary(ctx.bern, spec, side)
+    lam, n = spec.lam, ctx.mesh.n
+
+    def value(e, frac):
+        sigma = e + float(frac)
+        x = ctx.mesh.a + sigma * ctx.mesh.h
+        z = (sigma - float(lam)) / 2.0 if side == "left" else (float(n - lam) - sigma) / 2.0
+        if not ctx.config.blend or z <= 0.0:
+            return float(poly(x))
+        beta = psiac.blend_weight(min(z, 1.0), ctx.config.blend_rho)
+        return float((1 - beta) * poly(x) + beta * symmetric(e, frac))
+
+    return value
+
+
+def _pointwise_norms(ctx, region, value_fn, spe):
+    """The per-point sampler: one evaluation per (piece, sample node)."""
+    mesh = ctx.mesh
+    gx, gw = np.polynomial.legendre.leggauss(spe)
+    sq_total, linf = 0.0, 0.0
+    for lo, hi in harness._region_pieces(region):
+        width = hi - lo
+        e = min(int(lo), mesh.n - 1)
+        for s in range(spe):
+            frac = lo - e + width * Fraction(s, spe - 1)
+            x = mesh.a + (e + float(frac)) * mesh.h
+            linf = max(linf, abs(value_fn(e, frac) - float(ctx.exact_fn(x))))
+        flo, fw = float(lo - e), float(width)
+        rad = fw / 2 * mesh.h
+        for q in range(spe):
+            frac = flo + fw * (float(gx[q]) + 1.0) / 2.0
+            x = mesh.a + (e + frac) * mesh.h
+            err = value_fn(e, frac) - float(ctx.exact_fn(x))
+            sq_total += rad * float(gw[q]) * err * err
+    return float(np.sqrt(sq_total)), linf
+
+
+def _pointwise_records(ctx, name):
+    spe = ctx.config.samples_per_element
+    if name == "dg":
+        return {("full",): _pointwise_region_norms(ctx.field.evaluate, ctx.exact_fn,
+                                                   ctx.mesh, (ctx.mesh.a, ctx.mesh.b), spe)}
+    if name == "symmetric":
+        return {("interior",): _pointwise_norms(ctx, ctx.interior_region(),
+                                                _pointwise_value_fn(ctx, name, None), spe)}
+    return {(side,): _pointwise_norms(
+        ctx, ctx.boundary_region(build_spec(name, ctx.config.d, side), side),
+        _pointwise_value_fn(ctx, name, side), spe) for side in ("left", "right")}
+
+
+@pytest.mark.parametrize("d", (2, 3))
+@pytest.mark.parametrize("n", (20, 40))
+def test_batched_sampler_matches_pointwise(d, n):
+    """Every error agrees with the per-point rule within summation-order roundoff."""
+    filters_ = ("dg", "symmetric", "srv", "rlkv", "np0")
+    cfg = RunConfig(problem="tp2", d=d, filters=filters_, mesh_sizes=(n,),
+                    final_times=(0.3,))
+    tp2 = dg.get_problem("tp2")
+    field = dg.dg_solve(tp2, dg.Mesh(tp2.a, tp2.b, n), d, 0.3)
+    ctx = harness._FieldContext(field, tp2, cfg)
+    for name in filters_:
+        want = _pointwise_records(ctx, name)
+        got = harness._filter_records(ctx, name)
+        assert len(got) == 2 * len(want)
+        for rec in got:
+            ref = want[(rec.region,)][0 if rec.norm == "L2" else 1]
+            assert abs(rec.value - ref) <= 1e-15 + 1e-12 * abs(ref), (name, rec)
+
+
+def test_right_strip_blend():
+    """In the right strip the output is (1 - beta) poly + beta symmetric, with
+    beta mirrored: 1 at the strip's interior edge, 0 at the boundary region."""
+    d, n = 2, 24
+    cfg = RunConfig(problem="tp2", d=d, filters=("np0",), mesh_sizes=(n,),
+                    final_times=(0.3,))
+    tp2 = dg.get_problem("tp2")
+    field = dg.dg_solve(tp2, dg.Mesh(tp2.a, tp2.b, n), d, 0.3)
+    ctx = harness._FieldContext(field, tp2, cfg)
+    spec = build_spec("np0", d, "right")
+    values = ctx.boundary_evaluator(spec, "right")
+    poly = psiac.filter_boundary(field, spec)
+    edge = n - spec.lam  # where the boundary region proper starts
+    assert ctx.boundary_region(spec, "right")[0] == edge - 2
+    mesh = field.mesh
+    for t in (Fraction(0), Fraction(1, 7), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
+        sigma = edge - 2 + 2 * t
+        e = min(int(sigma), n - 1)
+        x = mesh.a + float(sigma) * mesh.h
+        got = values(np.array([e]), sigma - e)[0]
+        beta = psiac.blend_weight(float(1 - t), cfg.blend_rho)
+        sym = psiac.symmetric_filter_eval(field, x)
+        assert got == pytest.approx((1 - beta) * poly(x) + beta * sym, abs=1e-13)
+        if t == 0:
+            assert got == pytest.approx(sym, abs=1e-13)
+        if t == 1:
+            assert got == poly(x)

@@ -67,6 +67,39 @@ def test_constant_data_reproduced(spec):
     assert qm.contract_exact(ones) == RatPoly([1])
 
 
+CONTRACT_SPECS = [build_spec(fam, d, side, k=1 if fam == "npk" else None)
+                  for fam in ("srv", "rlkv", "np0", "rs", "npk")
+                  for d in (1, 2, 3, 4) for side in ("left", "right")] + \
+    [build_spec("symmetric", d) for d in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("spec", CONTRACT_SPECS,
+                         ids=lambda s: f"{s.family}-d{s.d}-{s.side}")
+def test_contract_is_exact_contraction_rounded(spec):
+    """The integer contraction rounds exactly like the Fraction one, bit for bit."""
+    qm = q_matrix(spec)
+    rng = np.random.default_rng(spec.r * 10 + spec.d)
+    shape = (qm.n_elements, spec.d + 1)
+    random_window = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+    sparse = random_window.copy()
+    sparse[rng.random(shape) < 0.5] = 0.0
+    windows = [random_window, np.zeros(shape), -np.abs(random_window), sparse,
+               random_window * 1e-200, np.where(sparse != 0, sparse * 1e-200, 3.0)]
+    for window in windows:
+        got = qm.contract(window)
+        lifted = [[F(v) for v in row] for row in window]
+        exact = qm.contract_exact(lifted).to_float()
+        want = np.zeros(qm.q.cols)
+        want[:len(exact)] = exact
+        assert got.tobytes() == want.tobytes()
+
+
+def test_contract_rejects_wrong_window():
+    qm = q_matrix(build_spec("np0", 1, "left"))
+    with pytest.raises(ValueError):
+        qm.contract(np.ones((qm.n_elements - 1, 2)))
+
+
 # ---------------------------------------------------------------------------
 # boundary filtering
 
@@ -164,12 +197,12 @@ def test_filter_boundary_side_override():
     assert np.allclose(via_override(xs), direct(xs), atol=1e-14)
 
 
-def test_kernel_instance_anchor():
+def test_psiac_kernel_anchor():
     spec = build_spec("np0", 1, "left")
-    inst = psiac.KernelInstance(spec=spec, h=0.1, lam_global=spec.knots[-1])
-    knots = inst.knots_at(x=0.05, a=0.0)
-    # at sigma = 1/2 the prototype knots shift to -2..2 + 1/2 - 2
-    assert knots == pytest.approx([t - 1.5 for t in range(-2, 3)])
+    mesh = dg.Mesh(0.0, 1.0, 10)
+    kernel = psiac.psiac_kernel_at(spec, mesh, 0.05)
+    # at sigma = 1/2 the prototype knots -2..2 shift by 1/2 - lam = -3/2
+    assert kernel.breakpoints == pytest.approx([0.1 * (t - 1.5) for t in range(-2, 3)])
 
 
 def test_endpoint_vector_np0_d3():
@@ -203,6 +236,26 @@ def test_symmetric_constant_field():
     field = dg.l2_project(lambda x: np.ones_like(x), mesh, 1)
     for x in (0.2, 0.5, 0.8):
         assert abs(symmetric_filter_eval(field, x) - 1.0) < 1e-13
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_symmetric_eval_local_batched_matches_scalar(d):
+    tp2 = dg.get_problem("tp2")
+    field = dg.to_bernstein(dg.dg_solve(tp2, dg.Mesh(tp2.a, tp2.b, 24), d, 0.3))
+    mu = (3 * d + 1) // 2 + 1
+    elements = np.arange(mu, 24 - mu)
+    for frac in (F(0), F(1, 5), F(1, 2), 0.3, 0.9930446604745877):
+        batched = psiac.symmetric_filter_eval_local(field, elements, frac)
+        scalar = [psiac.symmetric_filter_eval_local(field, int(e), frac) for e in elements]
+        assert all(isinstance(v, float) for v in scalar)
+        assert batched.tolist() == scalar
+
+
+def test_symmetric_eval_local_window_check():
+    field = dg.to_bernstein(dg.l2_project(np.sin, dg.Mesh(0.0, 1.0, 16), 1))
+    for elements in (-10, 0, 15, np.array([1, 8]), np.array([8, 15])):
+        with pytest.raises(OutsideInteriorRegionError):
+            psiac.symmetric_filter_eval_local(field, elements, 0.5)
 
 
 def test_symmetric_outside_region_raises():
