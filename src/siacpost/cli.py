@@ -36,9 +36,32 @@ def _parse_rational(text: str) -> Fraction:
 
 
 def _build_spec(args):
-    from .filters import build_spec
-    return build_spec(args.family, args.d, args.side,
-                      k=getattr(args, "k", None))
+    from .filters import UnsupportedFamilySideError, build_spec
+    try:
+        return build_spec(args.family, args.d, args.side,
+                          k=getattr(args, "k", None))
+    except UnsupportedFamilySideError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _get_problem(name: str):
+    from .dg import get_problem
+    try:
+        return get_problem(name)
+    except KeyError as exc:
+        raise ConfigError(exc.args[0]) from exc
+
+
+def _solve_field(args):
+    """The problem, mesh and DG field that solve and filter write out."""
+    from . import dg
+    problem = _get_problem(args.problem)
+    if args.n < 1:
+        raise ConfigError("--n must be at least 1")
+    if not args.t >= 0:
+        raise ConfigError("--t must be nonnegative")
+    mesh = dg.Mesh(problem.a, problem.b, args.n)
+    return problem, mesh, dg.dg_solve(problem, mesh, args.d, args.t, args.cfl)
 
 
 # ---------------------------------------------------------------------------
@@ -86,10 +109,7 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    from . import dg
-    problem = dg.get_problem(args.problem)
-    mesh = dg.Mesh(problem.a, problem.b, args.n)
-    field = dg.dg_solve(problem, mesh, args.d, args.t, args.cfl)
+    problem, mesh, field = _solve_field(args)
     out = _outdir(args)
     cpath = out / f"solve_{problem.name}_d{args.d}_n{args.n}_coeffs.csv"
     with open(cpath, "w") as fh:
@@ -112,10 +132,8 @@ def cmd_solve(args) -> int:
 def cmd_filter(args) -> int:
     from fractions import Fraction
     from . import dg, psiac
-    problem = dg.get_problem(args.problem)
-    mesh = dg.Mesh(problem.a, problem.b, args.n)
-    field = dg.dg_solve(problem, mesh, args.d, args.t, args.cfl)
     spec = _build_spec(args)
+    problem, mesh, field = _solve_field(args)
     poly = psiac.filter_boundary(field, spec)
     # exact contraction of the (losslessly lifted) window coefficients
     bern = dg.to_bernstein(field)
@@ -147,6 +165,7 @@ def cmd_filter(args) -> int:
 
 def cmd_converge(args) -> int:
     from . import harness
+    _get_problem(args.problem)
     try:
         config = harness.RunConfig(
             problem=args.problem, d=args.d, filters=tuple(args.filters.split(",")),
@@ -237,11 +256,7 @@ def cmd_timeseries(args) -> int:
     from . import harness
     values = parse_config(args.config) if args.config else {}
     config = build_run_config(values, args)
-    try:
-        from .dg import get_problem
-        get_problem(config.problem)
-    except KeyError as exc:
-        raise ConfigError(str(exc)) from exc
+    _get_problem(config.problem)
     errors, rates = harness.time_series_experiment(config)
     out = _outdir(args)
     path = out / f"timeseries_{config.problem}_d{config.d}.csv"
@@ -333,7 +348,7 @@ def main(argv=None) -> int:
         args.side = "interior" if args.family.lower().startswith("sym") else "left"
     try:
         return args.fn(args)
-    except (ConfigError, KeyError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failures

@@ -4,6 +4,16 @@ Solves du/dt + d/dx(kappa(x,t) u) = rho(x,t) on a uniform mesh with
 periodic or Dirichlet-inflow boundary conditions, upwind flux (kappa > 0),
 and classical RK4 in time.  Elements carry Legendre modal coefficients
 internally; filtering converts to the Bernstein element basis.
+
+The parts of the semi-discrete operator that do not depend on u (kappa at
+the quadrature nodes and faces, the projected source, the Dirichlet inflow
+flux) are evaluated as tables over time levels: `advance` builds one table
+per block of RK4 steps, about 16k floats each, and every stage reads its
+own row.  The time levels and the order of operations are those of a
+per-stage evaluation, so the result does not depend on the block size.
+Before stepping, `advance` rejects a CFL number that is not positive or
+exceeds the RK4 stability limit of the upwind operator, and it checks each
+block's kappa table against 0 < kappa <= kappa_max.
 """
 
 from __future__ import annotations
@@ -12,7 +22,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, comb
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -101,9 +111,10 @@ class TestProblem:
     exact: Callable[[np.ndarray, float], np.ndarray]
     kappa_max: float
 
-    def inflow(self, t: float) -> float:
-        """Prescribed value at the inflow end (kappa > 0: the left end)."""
-        return float(self.exact(np.array(self.a), t))
+    def inflow(self, t):
+        """Prescribed value at the inflow end (kappa > 0: the left end) at time(s) t."""
+        t = np.asarray(t, dtype=float)
+        return self.exact(np.full(t.shape, self.a), t)
 
 
 PROBLEMS = {
@@ -177,6 +188,7 @@ class _RhsWorkspace:
         mids = mesh.a + (np.arange(mesh.n) + 0.5) * mesh.h
         self.xq = mids[:, None] + 0.5 * mesh.h * gx[None, :]
         self.p = np.polynomial.legendre.legvander(gx, d)
+        self.p_t = self.p.T
         pd = np.zeros_like(self.p)
         for n in range(1, d + 1):
             c = np.zeros(n + 1)
@@ -188,32 +200,63 @@ class _RhsWorkspace:
         self.mass_inv = (2 * np.arange(d + 1) + 1) / mesh.h
 
 
+class _Coefficients(NamedTuple):
+    """The u-independent parts of the operator, one row per time level."""
+
+    kap_q: np.ndarray      # (levels, n, q) kappa at the quadrature nodes
+    kap_faces: np.ndarray  # (levels, n + 1) kappa at the faces
+    src: np.ndarray        # (levels, n, d + 1) projected source
+    inflow: np.ndarray | None  # (levels,) Dirichlet inflow flux
+
+
+def _coefficient_tables(ws: _RhsWorkspace, problem: TestProblem,
+                        times: np.ndarray) -> _Coefficients:
+    """Evaluate kappa, rho and the inflow once for all time levels `times`.
+
+    The coefficient functions are called once each over a (levels, 1, 1)
+    time array; broadcast_to covers those that ignore t (np.ones_like(x)).
+    """
+    t = times[:, None, None]
+    levels = times.shape
+    kap_q = np.broadcast_to(problem.kappa(ws.xq, t), levels + ws.xq.shape)
+    kap_faces = np.broadcast_to(problem.kappa(ws.faces, t[:, 0]), levels + ws.faces.shape)
+    rho = np.broadcast_to(problem.rho(ws.xq, t), levels + ws.xq.shape)
+    src = (rho * ws.gw) @ ws.p * (ws.mesh.h / 2.0)
+    inflow = None if problem.bc == "periodic" else kap_faces[:, 0] * problem.inflow(times)
+    return _Coefficients(kap_q, kap_faces, src, inflow)
+
+
 def dg_rhs(field: DGField, t: float, problem: TestProblem,
-           workspace: _RhsWorkspace | None = None) -> np.ndarray:
+           workspace: _RhsWorkspace | None = None,
+           coefficients: _Coefficients | None = None, level: int = 0) -> np.ndarray:
     """Time derivative of the Legendre modal coefficients (weak form).
 
     Volume term integrates kappa*u against test-function derivatives;
     interfaces use the upwind flux kappa(x_f, t) * u^- (trace from the
     left, valid for kappa > 0).  Dirichlet inflow takes the prescribed
-    boundary value; periodic wraps the last trace around.
+    boundary value; periodic wraps the last trace around.  The
+    coefficients at t are row `level` of the given tables, or are
+    evaluated here when none are given.
     """
     ws = workspace or _RhsWorkspace(field.mesh, field.d)
+    if coefficients is None:
+        coefficients, level = _coefficient_tables(ws, problem, np.array([t], dtype=float)), 0
     c = field.coeffs
-    u_q = c @ ws.p.T
-    kap = problem.kappa(ws.xq, t)
-    vol = (kap * u_q * ws.gw[None, :]) @ ws.pd  # dxi/dx and h/2 cancel
-    src = (problem.rho(ws.xq, t) * ws.gw[None, :]) @ ws.p * (ws.mesh.h / 2.0)
+    u_q = c @ ws.p_t
+    vol = (coefficients.kap_q[level] * u_q * ws.gw) @ ws.pd  # dxi/dx and h/2 cancel
     u_right = c.sum(axis=1)  # P_n(1) = 1
-    kap_faces = problem.kappa(ws.faces, t)
-    flux_right = kap_faces[1:] * u_right
+    flux_right = coefficients.kap_faces[level, 1:] * u_right
     flux_left = np.empty_like(flux_right)
     flux_left[1:] = flux_right[:-1]
-    if problem.bc == "periodic":
+    if coefficients.inflow is None:
         flux_left[0] = flux_right[-1]
     else:
-        flux_left[0] = kap_faces[0] * problem.inflow(t)
-    rhs = vol - flux_right[:, None] + flux_left[:, None] * ws.par[None, :] + src
-    return rhs * ws.mass_inv[None, :]
+        flux_left[0] = coefficients.inflow[level]
+    vol -= flux_right[:, None]
+    vol += flux_left[:, None] * ws.par
+    vol += coefficients.src[level]
+    vol *= ws.mass_inv
+    return vol
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +267,24 @@ def default_cfl(d: int) -> float:
     return 0.1 / (2 * d + 1)
 
 
+# RK4 stability limits of the periodic upwind operator in units of
+# h / kappa_max, for d = 0..8: the eigenvalue limits (1.3926, 0.4642, 0.2352,
+# 0.1454, 0.1000, 0.0736, 0.0568, 0.0453, 0.0371) rounded down; see Cockburn
+# & Shu, J. Sci. Comput. 16 (2001).  tests/test_dg.py recomputes them.
+RK4_CFL_LIMITS = (1.392, 0.464, 0.235, 0.145, 0.100, 0.073, 0.056, 0.045, 0.037)
+
+# floats per coefficient table: sets how many RK4 steps share one table
+_TABLE_FLOATS = 16384
+
+
+def max_stable_cfl(d: int) -> float:
+    """Largest CFL number `advance` accepts at degree d."""
+    if d < len(RK4_CFL_LIMITS):
+        return RK4_CFL_LIMITS[d]
+    # beyond the table the spectral radius grows like (d + 1)^2
+    return RK4_CFL_LIMITS[-1] * (len(RK4_CFL_LIMITS) / (d + 1)) ** 2
+
+
 def _check_bounded(u: np.ndarray) -> None:
     # NaN compares False, so test for the bound holding rather than failing
     if not np.abs(u).max() <= 1e10:
@@ -231,9 +292,30 @@ def _check_bounded(u: np.ndarray) -> None:
             "coefficients exceeded 1e10 or are not finite; reduce the CFL number")
 
 
+def _check_kappa(tables: _Coefficients, problem: TestProblem) -> None:
+    lo = min(tables.kap_q.min(), tables.kap_faces.min())
+    hi = max(tables.kap_q.max(), tables.kap_faces.max())
+    if not (lo > 0 and hi <= problem.kappa_max):
+        raise ValueError(
+            f"kappa of {problem.name} takes values in [{lo}, {hi}]; the upwind flux "
+            f"and the step size need 0 < kappa <= kappa_max = {problem.kappa_max}")
+
+
 def advance(field: DGField, problem: TestProblem, t_end: float,
             cfl: float | None = None) -> DGField:
-    """March the field to t_end with classical RK4 (integer step count)."""
+    """March the field to t_end with classical RK4 (integer step count).
+
+    Step k starts at t_k = field.time + k*dt; its stages see t_k,
+    t_k + dt/2 (twice) and t_k + dt.  The coefficient tables cover those
+    three levels for a block of steps at a time.
+    """
+    c = cfl if cfl is not None else default_cfl(field.d)
+    if not (np.isfinite(c) and c > 0):
+        raise ValueError(f"CFL number must be positive and finite, got {c}")
+    if c > max_stable_cfl(field.d):
+        raise UnstableBlowupError(
+            f"CFL number {c} exceeds the RK4 stability limit "
+            f"{max_stable_cfl(field.d)} for d={field.d}")
     if t_end < field.time - 1e-14:
         raise ValueError("cannot integrate backwards")
     span = t_end - field.time
@@ -241,22 +323,30 @@ def advance(field: DGField, problem: TestProblem, t_end: float,
     if span <= 0:
         out.time = t_end
         return out
-    c = cfl if cfl is not None else default_cfl(field.d)
     dt_max = c * field.mesh.h / problem.kappa_max
     steps = max(1, ceil(span / dt_max))
     dt = span / steps
     ws = _RhsWorkspace(field.mesh, field.d)
+    block = max(1, _TABLE_FLOATS // (3 * ws.xq.size))
     u = out.coeffs
-    t = field.time
-    for step in range(steps):
-        k1 = dg_rhs(DGField(field.d, field.mesh, u, "legendre", t), t, problem, ws)
-        k2 = dg_rhs(DGField(field.d, field.mesh, u + 0.5 * dt * k1, "legendre", t), t + 0.5 * dt, problem, ws)
-        k3 = dg_rhs(DGField(field.d, field.mesh, u + 0.5 * dt * k2, "legendre", t), t + 0.5 * dt, problem, ws)
-        k4 = dg_rhs(DGField(field.d, field.mesh, u + dt * k3, "legendre", t), t + dt, problem, ws)
-        u += (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = field.time + (step + 1) * dt
-        if step % 64 == 0:
-            _check_bounded(u)
+    stage = out.copy()  # its coeffs are replaced at every stage
+    for start in range(0, steps, block):
+        t_k = field.time + np.arange(start, min(start + block, steps)) * dt
+        times = np.stack((t_k, t_k + 0.5 * dt, t_k + dt), axis=1).ravel()
+        tables = _coefficient_tables(ws, problem, times)
+        _check_kappa(tables, problem)
+        for lv in range(0, len(times), 3):
+            stage.coeffs = u
+            k1 = dg_rhs(stage, times[lv], problem, ws, tables, lv)
+            stage.coeffs = u + 0.5 * dt * k1
+            k2 = dg_rhs(stage, times[lv + 1], problem, ws, tables, lv + 1)
+            stage.coeffs = u + 0.5 * dt * k2
+            k3 = dg_rhs(stage, times[lv + 1], problem, ws, tables, lv + 1)
+            stage.coeffs = u + dt * k3
+            k4 = dg_rhs(stage, times[lv + 2], problem, ws, tables, lv + 2)
+            u += (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            if (start + lv // 3) % 64 == 0:
+                _check_bounded(u)
     _check_bounded(u)
     out.coeffs = u
     out.time = t_end

@@ -171,3 +171,43 @@ def test_outdir_env(tmp_path, monkeypatch):
     rc = main(["kernel", "symmetric", "1", "--exact"])
     assert rc == 0
     assert (tmp_path / "envout" / "kernel_symmetric_d1_interior_coeffs.csv").exists()
+
+
+SOLVE = ["solve", "tp1", "--d", "1"]
+FILTER = ["filter", "tp1", "--family", "np0", "--d", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    SOLVE + ["--n", "10", "--t", "-1"],
+    FILTER + ["--n", "10", "--t", "-1"],
+    SOLVE + ["--n", "0", "--t", "0.1"],
+    FILTER + ["--n", "0", "--t", "0.1"],
+    ["kernel", "bogus", "2", "--exact"],
+    ["filter", "tp1", "--family", "bogus", "--d", "1", "--n", "10", "--t", "0.1"],
+    ["converge", "tp9", "--d", "1"],
+])
+def test_bad_option_is_usage_error(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("cfl", ("50", "-1", "nan"))
+def test_bad_cfl_fails_without_output(cfl, tmp_path, capsys):
+    rc = main(SOLVE + ["--n", "10", "--t", "1", "--cfl", cfl, "--out", str(tmp_path)])
+    assert rc == 1
+    assert "CFL" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_internal_key_error_is_runtime_failure(tmp_path, monkeypatch, capsys):
+    from siacpost import harness
+
+    def broken(config):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(harness, "time_series_experiment", broken)
+    rc = main(["converge", "tp1", "--d", "1", "--filters", "np0",
+               "--n-list", "20,40", "--out", str(tmp_path / "c.csv")])
+    assert rc == 1
+    assert "internal" in capsys.readouterr().err
