@@ -36,11 +36,11 @@ def _parse_rational(text: str) -> Fraction:
 
 
 def _build_spec(args):
-    from .filters import UnsupportedFamilySideError, build_spec
+    from .filters import FilterParameterError, UnsupportedFamilySideError, build_spec
     try:
         return build_spec(args.family, args.d, args.side,
                           k=getattr(args, "k", None))
-    except UnsupportedFamilySideError as exc:
+    except (UnsupportedFamilySideError, FilterParameterError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -56,6 +56,8 @@ def _solve_field(args):
     """The problem, mesh and DG field that solve and filter write out."""
     from . import dg
     problem = _get_problem(args.problem)
+    if args.d < 0:
+        raise ConfigError("--d must be >= 0")
     if args.n < 1:
         raise ConfigError("--n must be at least 1")
     if not args.t >= 0:
@@ -73,6 +75,8 @@ def cmd_kernel(args) -> int:
     from .filters import shifted_coefficient_polynomials, static_coefficients
     from .spline import eval_unit_bspline
     spec = _build_spec(args)
+    if args.dg_degree is not None and args.dg_degree < 0:
+        raise ConfigError("--dg-degree must be >= 0")
     out = _outdir(args)
     tag = f"{spec.family}_d{spec.d}_{spec.side}"
     if args.exact:

@@ -1,14 +1,18 @@
 """Exact rational scalars, dense matrices, and polynomials.
 
 All kernel construction runs on ``fractions.Fraction`` (arbitrary-precision
-rationals).  The text form of a rational is ``str(Fraction)``, i.e. "p/q"
-with "/q" omitted when q == 1, and ``Fraction("p/q")`` parses it back.
-Floating point enters only at explicit ``to_float`` snapshots.
+rationals).  Matrix products and elimination work inside on integers
+over common denominators and return canonical ``Fraction``s.  The text
+form of a rational is ``str(Fraction)``, i.e. "p/q" with "/q" omitted when
+q == 1, and ``Fraction("p/q")`` parses it back.  Floating point enters
+only at explicit ``to_float`` snapshots.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -26,6 +30,12 @@ def rat(value: RationalLike, den: int | None = None) -> Fraction:
     if isinstance(value, float):
         raise TypeError("floats are not exact; pass int, 'p/q' string, or Fraction")
     return Fraction(value)
+
+
+def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(integer numerators, D) with values[i] = numerators[i] / D, D the lcm."""
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 class RatMatrix:
@@ -77,20 +87,14 @@ class RatMatrix:
                          [self[i, j] for j in range(self.cols) for i in range(self.rows)])
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
+        """Exact product: each entry is one integer dot product, divided once."""
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        out = []
-        orows = other.to_rows()
-        for i in range(self.rows):
-            mine = self.row(i)
-            acc = [Fraction(0)] * other.cols
-            for k, a in enumerate(mine):
-                if a:
-                    ork = orows[k]
-                    for j in range(other.cols):
-                        acc[j] += a * ork[j]
-            out.extend(acc)
-        return RatMatrix(self.rows, other.cols, out)
+        rows = [_over_common_denominator(self.row(i)) for i in range(self.rows)]
+        cols = [_over_common_denominator(other.col(j)) for j in range(other.cols)]
+        return RatMatrix(self.rows, other.cols,
+                         [Fraction(sum(map(mul, r, c)), rd * cd)
+                          for r, rd in rows for c, cd in cols])
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, RatMatrix) and self.rows == other.rows
@@ -107,35 +111,64 @@ class RatMatrix:
         return f"RatMatrix({self.rows}x{self.cols}: {body})"
 
 
+def _eliminate(a: RatMatrix, b: RatMatrix | None = None) -> tuple[Fraction, int, list[list[int]]]:
+    """Fraction-free Gauss-Jordan elimination of [A | B] over the integers.
+
+    Each row is first scaled by the lcm of its denominators, which leaves
+    the solution unchanged.  Step k then replaces every other row i by
+    (p_k * row_i - a_ik * row_k) / p_(k-1), with p_k the k-th pivot; by
+    Sylvester's identity the division is exact (Bareiss, Math. Comp. 22,
+    1968).  The pivot is the first nonzero entry of the column, as in
+    exact elimination no magnitude-based choice is needed.  At the end the
+    left block is p_n * I, so A^-1 B is the right block divided by p_n,
+    entry by entry.
+
+    Returns (det A, p_n, right block).  Raises SingularMatrixError when a
+    column has no nonzero pivot.
+    """
+    n = a.rows
+    rows = []
+    scale = 1
+    for i in range(n):
+        row, den = _over_common_denominator(a.row(i) + (b.row(i) if b is not None else []))
+        scale *= den
+        rows.append(row)
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if rows[r][k]), None)
+        if piv is None:
+            raise SingularMatrixError("matrix is singular")
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        pivot_row = rows[k]
+        p = pivot_row[k]
+        tail = pivot_row[k + 1:]
+        for i in range(n):
+            if i != k:
+                row = rows[i]
+                f = row[k]
+                # columns <= k of the other rows are never read again
+                row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], tail)]
+        prev = p
+    return Fraction(sign * prev, scale), prev, [row[n:] for row in rows]
+
+
 def det_exact(a: RatMatrix) -> Fraction:
-    """Determinant by exact elimination (first-nonzero pivot per column)."""
+    """Determinant by fraction-free integer elimination."""
     if a.rows != a.cols:
         raise ValueError("determinant needs a square matrix")
-    n = a.rows
-    m = a.to_rows()
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f:
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    try:
+        det, _, _ = _eliminate(a)
+    except SingularMatrixError:
+        return Fraction(0)
     return det
 
 
 def solve_exact(a: RatMatrix, b: RatMatrix | Sequence[RationalLike]) -> RatMatrix:
-    """Solve A x = b exactly by Gaussian elimination over the rationals.
+    """Solve A x = b exactly by fraction-free elimination over the integers.
 
-    Pivoting picks the first nonzero entry per column (exact arithmetic
-    needs no magnitude-based pivoting; first-nonzero keeps the result
-    deterministic).  Raises SingularMatrixError when det(A) = 0.
+    Raises SingularMatrixError when det(A) = 0.
     """
     if not isinstance(b, RatMatrix):
         b = RatMatrix.column(list(b))
@@ -143,29 +176,8 @@ def solve_exact(a: RatMatrix, b: RatMatrix | Sequence[RationalLike]) -> RatMatri
         raise ValueError("matrix must be square")
     if b.rows != a.rows:
         raise ValueError("right-hand side has wrong length")
-    n = a.rows
-    m = [a.row(i) + b.row(i) for i in range(n)]
-    width = n + b.cols
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise SingularMatrixError("matrix is singular")
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(col + 1, n):
-            f = m[r][col]
-            if f:
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    # back substitution
-    for col in range(n - 1, -1, -1):
-        for r in range(col):
-            f = m[r][col]
-            if f:
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    flat = [m[i][n + j] for i in range(n) for j in range(b.cols)]
-    return RatMatrix(n, b.cols, flat)
+    _, pivot, rhs = _eliminate(a, b)
+    return RatMatrix(a.rows, b.cols, [Fraction(x, pivot) for row in rhs for x in row])
 
 
 def invert_exact(a: RatMatrix) -> RatMatrix:

@@ -25,10 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
 
-from .exact import RatMatrix, RatPoly, det_exact, invert_exact, rat, solve_exact
-from .spline import as_knots, bspline_moment
+from .exact import RatMatrix, RatPoly, SingularMatrixError, det_exact, invert_exact, rat
+from .exact import solve_exact  # noqa: F401  (re-exported)
+from .spline import as_knots, bspline_moments
+from .spline import bspline_moment  # noqa: F401  (re-exported)
 
 FAMILIES = ("symmetric", "rs", "srv", "rlkv", "np0", "npk")
 SIDES = ("left", "right", "interior")
@@ -36,6 +38,10 @@ SIDES = ("left", "right", "interior")
 
 class UnsupportedFamilySideError(ValueError):
     """Family/side combination is not defined."""
+
+
+class FilterParameterError(ValueError):
+    """A filter parameter (DG degree, kernel degree k) is out of range or does not apply."""
 
 
 class SingularReproductionError(ArithmeticError):
@@ -104,16 +110,16 @@ def build_spec(family: str, d: int, side: str = "interior", k: int | None = None
     if sd not in SIDES:
         raise UnsupportedFamilySideError(f"unknown side {side!r}")
     if d < 1:
-        raise ValueError("DG degree must be >= 1")
+        raise FilterParameterError("DG degree must be >= 1")
     if fam == "symmetric" and sd != "interior":
         raise UnsupportedFamilySideError("symmetric filter is interior-only")
     if fam != "symmetric" and sd == "interior":
         raise UnsupportedFamilySideError(f"{fam} is a boundary filter; pick left/right")
     if fam == "npk":
         if k is None or k < 0:
-            raise ValueError("npk needs a kernel degree k >= 0")
+            raise FilterParameterError("npk needs a kernel degree k >= 0")
     elif k is not None:
-        raise ValueError("k applies to the npk family only")
+        raise FilterParameterError("k applies to the npk family only")
 
     if fam in ("symmetric", "rs"):
         r = 2 * d
@@ -186,60 +192,31 @@ def custom_spec(knots, k: int, index_set, side: str = "left",
                       mu=width / 2, lam=width if lam is None else rat(lam))
 
 
+def _moment_matrix(spec: FilterSpec) -> RatMatrix:
+    """M[m][j] = integral of B_j(s) s^m ds, one moment sweep per spline."""
+    cols = [bspline_moments(w, k, spec.r) for w, k in zip(spec.windows, spec.degrees)]
+    return RatMatrix.from_rows([list(row) for row in zip(*cols)])
+
+
 def reproduction_matrix(spec: FilterSpec) -> RatMatrix:
     """Moment-form matching matrix: M[m][j] = integral of B_j(s) s^m ds.
 
     This form is valid for mixed per-spline degrees (rlkv).  Raises
     SingularReproductionError when the spline moments are dependent.
     """
-    m = RatMatrix.from_rows([
-        [bspline_moment(w, k, mm) for w, k in zip(spec.windows, spec.degrees)]
-        for mm in range(spec.r + 1)
-    ])
+    m = _moment_matrix(spec)
     if det_exact(m) == 0:
         raise SingularReproductionError(f"singular reproduction matrix for {spec.family}")
     return m
 
 
-def power_reproduction_matrix(spec: FilterSpec) -> RatMatrix:
-    """Power-sum form: M[delta][j] = sum over |omega| = delta of window^omega.
-
-    Only defined for uniform per-spline degree; equals the moment form
-    scaled row-wise by C(delta + k + 1, delta).
-    """
-    k = spec.uniform_degree
-    if k is None:
-        raise ValueError("power-sum form needs a uniform kernel degree")
-    from .spline import _complete_homogeneous
-    return RatMatrix.from_rows([
-        [_complete_homogeneous(w, delta) for w in spec.windows]
-        for delta in range(spec.r + 1)
-    ])
-
-
-def np0_reproduction_matrix(spec: FilterSpec) -> RatMatrix:
-    """Closed geometric form for k = 0: (t1^{d+1} - t0^{d+1})/(t1 - t0)."""
-    if spec.uniform_degree != 0:
-        raise ValueError("closed form applies to piecewise-constant kernels only")
-    rows = []
-    for delta in range(spec.r + 1):
-        rows.append([(w[1] ** (delta + 1) - w[0] ** (delta + 1)) / (w[1] - w[0])
-                     for w in spec.windows])
-    return RatMatrix.from_rows(rows)
-
-
 def static_coefficients(spec: FilterSpec) -> tuple[Fraction, ...]:
     """Kernel coefficients of the unshifted prototype.
 
-    Solves M c = e0: zeroth moment one, moments 1..r zero.
+    Solves M c = e0 (zeroth moment one, moments 1..r zero): c is c(0),
+    column 0 of the coefficient polynomials.
     """
-    m = reproduction_matrix(spec)
-    e0 = [Fraction(1)] + [Fraction(0)] * spec.r
-    try:
-        x = solve_exact(m, e0)
-    except Exception as exc:  # pragma: no cover - reproduction_matrix checks det
-        raise SingularReproductionError(str(exc)) from exc
-    return tuple(x.col(0))
+    return tuple(shifted_coefficient_polynomials(spec).matrix.col(0))
 
 
 @dataclass(frozen=True)
@@ -264,6 +241,7 @@ class CoefficientPolynomials:
         return max(self.poly(j).degree for j in range(self.spec.r + 1))
 
 
+@lru_cache(maxsize=None)
 def shifted_coefficient_polynomials(spec: FilterSpec) -> CoefficientPolynomials:
     """Exact coefficient polynomials c_j(xi) for the shifted kernel.
 
@@ -271,9 +249,14 @@ def shifted_coefficient_polynomials(spec: FilterSpec) -> CoefficientPolynomials:
     the Pascal matrix L(xi), whose inverse maps e0 to [(-xi)^m], so
     c(xi) = M^-1 [(-xi)^m].  This covers mixed-degree kernels; for a
     uniform degree k it reduces to the familiar closed form
-    M_power^-1 diag((-1)^m C(m+k+1, m)) [xi^m].
+    M_power^-1 diag((-1)^m C(m+k+1, m)) [xi^m].  M is eliminated once,
+    here; a singular M raises SingularReproductionError.
     """
-    minv = invert_exact(reproduction_matrix(spec))
+    try:
+        minv = invert_exact(_moment_matrix(spec))
+    except SingularMatrixError as exc:
+        raise SingularReproductionError(
+            f"singular reproduction matrix for {spec.family}") from exc
     n = spec.r + 1
     scaled = RatMatrix(n, n, [minv[i, j] * (-1) ** j
                               for i in range(n) for j in range(n)])

@@ -68,6 +68,8 @@ class RunConfig:
                 f"unknown filter {unknown[0]!r}; choose from {sorted(FILTER_ALIASES)}")
         names = tuple(FILTER_ALIASES[f.strip().lower()] for f in self.filters)
         object.__setattr__(self, "filters", names)
+        if self.d < 0 or (self.d < 1 and set(names) != {"dg"}):
+            raise RunConfigError("DG degree must be >= 0, and >= 1 for a spline filter")
         ns = self.mesh_sizes
         for a, b in zip(ns, ns[1:]):
             if b != 2 * a:

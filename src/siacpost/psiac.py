@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, ceil, floor, lcm
+from math import comb, ceil, factorial, floor, lcm
 from operator import mul
 
 import numpy as np
@@ -56,20 +56,6 @@ class EmptyOverlapError(ValueError):
 # exact operator assembly
 
 
-def _reflected_splines(spec: FilterSpec) -> list[PiecewisePolynomial]:
-    """Kernel B-splines as seen by the data variable, in local coordinates.
-
-    Local frame: the data window is [0, w], w = t_n - t_0.  Spline j maps
-    to the B-spline over t_n - reverse(W_j).
-    """
-    lam = spec.knots[-1]
-    out = []
-    for w, k in zip(spec.windows, spec.degrees):
-        refl = tuple(lam - t for t in reversed(w))
-        out.append(unit_bspline_piecewise(refl, k))
-    return out
-
-
 @lru_cache(maxsize=None)
 def _local_window_elements(spec: FilterSpec) -> int:
     width = spec.support_width
@@ -79,17 +65,69 @@ def _local_window_elements(spec: FilterSpec) -> int:
 
 
 @lru_cache(maxsize=None)
+def _bernstein_moments(dg_degree: int, top: int) -> tuple[tuple[Fraction, ...], ...]:
+    """beta[i][ell] = integral over [0, 1] of u^i C(d,ell) u^ell (1-u)^(d-ell) du.
+
+    The Beta integral gives C(d,ell) (ell+i)! (d-ell)! / (d+i+1)!.
+    """
+    d = dg_degree
+    return tuple(tuple(Fraction(comb(d, ell) * factorial(ell + i) * factorial(d - ell),
+                                factorial(d + i + 1)) for ell in range(d + 1))
+                 for i in range(top + 1))
+
+
+@lru_cache(maxsize=None)
+def _element_integrals(knots: tuple[Fraction, ...], k: int, dg_degree: int
+                       ) -> tuple[tuple[int, tuple[Fraction, ...]], ...]:
+    """Integrals of B(sigma | knots) against the Bernstein basis of each element.
+
+    Returns (e, (integral over [e, e+1] of B * phi_ell for each ell)) for
+    every element e the support meets.  Each piece is recentred once on
+    each element it meets, as q(u) = sum_i q_i u^i with u = sigma - e.  A
+    piece covering the whole element contributes sum_i q_i beta[i][ell];
+    one covering part of it (off-grid knots) is integrated exactly against
+    the Bernstein monomials over that part.  Only the knots relative to
+    their element matter, so callers pass them translated to start in
+    [0, 1) and splines that are integer translates share one entry.
+    """
+    nb = dg_degree + 1
+    beta = _bernstein_moments(dg_degree, k)
+    bern = [bernstein_poly(dg_degree, ell) for ell in range(nb)]
+    pp = unit_bspline_piecewise(knots, k)
+    bp = pp.breakpoints
+    out: dict[int, list[Fraction]] = {}
+    for piece, a, b in zip(pp.pieces, bp, bp[1:]):
+        for e in range(floor(a), ceil(b)):
+            q = piece.recentered(e).coeffs
+            lo, hi = max(a, e) - e, min(b, e + 1) - e
+            acc = out.setdefault(e, [Fraction(0)] * nb)
+            for ell in range(nb):
+                if lo == 0 and hi == 1:
+                    acc[ell] += sum(c * beta[i][ell] for i, c in enumerate(q))
+                else:
+                    acc[ell] += (RatPoly(q) * bern[ell]).integral(lo, hi)
+    return tuple((e, tuple(v)) for e, v in sorted(out.items()))
+
+
+@lru_cache(maxsize=None)
 def _t_matrix_natural(spec: FilterSpec, dg_degree: int) -> RatMatrix:
-    """T with columns in kernel B-spline order (not the reversed paper order)."""
-    splines = _reflected_splines(spec)
+    """T with columns in kernel B-spline order (not the reversed paper order).
+
+    Local frame: the data window is [0, w], w = t_n - t_0, and spline j
+    is seen by the data variable as the B-spline over t_n - reverse(W_j).
+    """
     n_el = _local_window_elements(spec)
-    rows = []
-    bern = [bernstein_poly(dg_degree, ell) for ell in range(dg_degree + 1)]
-    for e in range(n_el):
-        for ell in range(dg_degree + 1):
-            phi = bern[ell].compose_affine(1, -e)  # phi(sigma) on [e, e+1]
-            rows.append([pp.integrate_against(phi, e, e + 1) for pp in splines])
-    return RatMatrix.from_rows(rows)
+    nb = dg_degree + 1
+    lam = spec.knots[-1]
+    cols = []
+    for w, k in zip(spec.windows, spec.degrees):
+        refl = [lam - t for t in reversed(w)]
+        shift = floor(refl[0])
+        col = [Fraction(0)] * (n_el * nb)
+        for e, vals in _element_integrals(tuple(t - shift for t in refl), k, dg_degree):
+            col[(e + shift) * nb:(e + shift + 1) * nb] = vals
+        cols.append(col)
+    return RatMatrix(n_el * nb, len(cols), [x for row in zip(*cols) for x in row])
 
 
 def t_matrix(spec: FilterSpec, dg_degree: int | None = None) -> RatMatrix:
@@ -104,16 +142,6 @@ def t_matrix(spec: FilterSpec, dg_degree: int | None = None) -> RatMatrix:
     ncol = nat.cols
     return RatMatrix.from_rows([[row[ncol - 1 - j] for j in range(ncol)]
                                 for row in nat.to_rows()])
-
-
-def np0_t_matrix(d: int) -> RatMatrix:
-    """Closed form for the piecewise-constant filter: I_{3d+1} (x) ones/(d+1)."""
-    n = 3 * d + 1
-    rows = []
-    for i in range(n):
-        for _ in range(d + 1):
-            rows.append([Fraction(int(i == j), d + 1) for j in range(n)])
-    return RatMatrix.from_rows(rows)
 
 
 @dataclass(frozen=True)
@@ -196,12 +224,14 @@ def endpoint_vector(spec: FilterSpec, dg_degree: int | None = None) -> list[Frac
 
     This is Q applied to the shift powers at the endpoint (xihat = -lam
     for a left filter, +lam for a right one): one exact rational weight
-    per DG Bernstein coefficient in the window.
+    per DG Bernstein coefficient in the window.  It is computed as
+    T . c(xihat), without forming Q.
     """
-    qm = q_matrix(spec, dg_degree)
+    dg = spec.d if dg_degree is None else dg_degree
     xi = -spec.lam if spec.side != "right" else spec.lam
-    powers = [xi ** m for m in range(qm.q.cols)]
-    return [sum(c * p for c, p in zip(qm.q.row(i), powers)) for i in range(qm.q.rows)]
+    coeff = shifted_coefficient_polynomials(spec).matrix
+    c = coeff @ RatMatrix.column([xi ** m for m in range(coeff.cols)])
+    return (_t_matrix_natural(spec, dg) @ c).col(0)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
-from .exact import RatPoly, rat
+from .exact import RatPoly, _over_common_denominator, rat
 
 
 class DegenerateSupportError(ValueError):
@@ -207,6 +207,24 @@ def bspline_moment(knots, k: int, m: int) -> Fraction:
     return _complete_homogeneous(t, m) / comb(m + k + 1, m)
 
 
+def bspline_moments(knots, k: int, r: int) -> tuple[Fraction, ...]:
+    """Moments 0..r of B(s|t), from one sweep of the sums h_0..h_r.
+
+    The knots are scaled to integers over their common denominator D, so
+    the sweep runs on integers and moment m is h_m / (D^m C(m+k+1, m)).
+    """
+    t = as_knots(knots)
+    _check_window(t, k)
+    if r < 0:
+        raise ValueError("moment exponent must be nonnegative")
+    ints, den = _over_common_denominator(t)
+    h = [1] + [0] * r
+    for p in ints:
+        for i in range(1, r + 1):
+            h[i] += p * h[i - 1]
+    return tuple(Fraction(h[m], den ** m * comb(m + k + 1, m)) for m in range(r + 1))
+
+
 def bernstein_poly(d: int, ell: int) -> RatPoly:
     """Bernstein basis polynomial C(d,ell) u^ell (1-u)^(d-ell) on [0,1]."""
     if not 0 <= ell <= d:
@@ -215,17 +233,3 @@ def bernstein_poly(d: int, ell: int) -> RatPoly:
     coeffs = [Fraction(0)] * ell + [Fraction(c * comb(d - ell, i) * (-1) ** i)
                                     for i in range(d - ell + 1)]
     return RatPoly(coeffs)
-
-
-def bernstein_basis(d: int, i: int, ell: int, x, h=1):
-    """Value of the element Bernstein function on [i*h, (i+1)*h], else 0.
-
-    Normalized so the scaling relation phi(h*x | h*s) = phi(x | s) holds;
-    the integral over its element is h/(d+1).
-    """
-    lo = i * h
-    hi = (i + 1) * h
-    if x < lo or x > hi:
-        return 0
-    u = (x - lo) / h
-    return comb(d, ell) * u ** ell * (1 - u) ** (d - ell)

@@ -185,6 +185,15 @@ FILTER = ["filter", "tp1", "--family", "np0", "--d", "1"]
     ["kernel", "bogus", "2", "--exact"],
     ["filter", "tp1", "--family", "bogus", "--d", "1", "--n", "10", "--t", "0.1"],
     ["converge", "tp9", "--d", "1"],
+    ["kernel", "np0", "0", "--exact"],
+    ["kernel", "npk", "2", "left", "--exact"],
+    ["kernel", "npk", "2", "left", "--exact", "--k", "-1"],
+    ["kernel", "srv", "2", "left", "--exact", "--k", "1"],
+    ["kernel", "srv", "2", "left", "--exact", "--dg-degree", "-1"],
+    ["solve", "tp1", "--d", "-1", "--n", "8", "--t", "0.1"],
+    FILTER[:-1] + ["0", "--n", "8", "--t", "0.1"],
+    ["converge", "tp1", "--d", "0", "--filters", "dg,np0", "--n-list", "8,16"],
+    ["converge", "tp1", "--d", "-1", "--filters", "dg", "--n-list", "8,16"],
 ])
 def test_bad_option_is_usage_error(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == 2

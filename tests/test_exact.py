@@ -6,6 +6,8 @@ import pytest
 from siacpost.exact import (RatMatrix, RatPoly, SingularMatrixError, det_exact,
                             invert_exact, rat, solve_exact)
 
+from oracles import det_reference, matmul_reference, solve_reference
+
 
 def cramer_solve(a: RatMatrix, b):
     """Independent oracle: Cramer's rule with cofactor determinants."""
@@ -138,3 +140,42 @@ def test_ratpoly_calculus():
 def test_matrix_entries_invariant():
     with pytest.raises(ValueError):
         RatMatrix(2, 2, [1, 2, 3])
+
+
+def test_elimination_matches_fraction_reference():
+    """det, inverse, solve and product agree with plain Fraction elimination.
+
+    Sparse random matrices make zero leading entries (row swaps) and
+    singular matrices common; both kinds must occur.
+    """
+    rng = random.Random(20261018)
+    swaps = singular = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        a = RatMatrix(n, n, [F(rng.randint(-9, 9), rng.randint(1, 12))
+                             if rng.random() < 0.55 else F(0) for _ in range(n * n)])
+        b = RatMatrix(n, 2, [F(rng.randint(-20, 20), rng.randint(1, 7)) for _ in range(2 * n)])
+        det = det_exact(a)
+        assert det == det_reference(a)
+        assert a @ b == matmul_reference(a, b)
+        if det == 0:
+            singular += 1
+            with pytest.raises(SingularMatrixError):
+                solve_exact(a, b)
+            with pytest.raises(SingularMatrixError):
+                invert_exact(a)
+            continue
+        swaps += a[0, 0] == 0
+        assert solve_exact(a, b) == solve_reference(a, b)
+        assert invert_exact(a) == solve_reference(a, RatMatrix.identity(n))
+    assert swaps >= 10 and singular >= 10
+
+
+def test_elimination_small_cases():
+    swap = RatMatrix.from_rows([[0, 1], [1, 0]])
+    assert det_exact(swap) == -1
+    assert invert_exact(swap) == swap
+    assert det_exact(RatMatrix.from_rows([[0, 0], [0, 1]])) == 0
+    assert det_exact(RatMatrix(0, 0, [])) == 1
+    big = RatMatrix.from_rows([[F(1, 3), F(10 ** 30, 7)], [F(-2, 9), F(5, 10 ** 20)]])
+    assert invert_exact(big) == solve_reference(big, RatMatrix.identity(2))

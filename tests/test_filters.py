@@ -5,14 +5,40 @@ from math import comb
 import pytest
 
 from siacpost import filters
-from siacpost.exact import RatPoly
-from siacpost.filters import (SingularReproductionError, UnsupportedFamilySideError,
-                              build_spec, custom_spec, np0_reproduction_matrix,
-                              power_reproduction_matrix, reproduction_matrix,
-                              shifted_coefficient_polynomials, static_coefficients)
-from siacpost.spline import bspline_moment, unit_bspline_piecewise
+from siacpost.exact import RatMatrix, RatPoly
+from siacpost.filters import (FilterSpec, SingularReproductionError,
+                              UnsupportedFamilySideError, build_spec, custom_spec,
+                              reproduction_matrix, shifted_coefficient_polynomials,
+                              static_coefficients)
+from siacpost.spline import _complete_homogeneous, bspline_moment, unit_bspline_piecewise
 
 EX27 = custom_spec([-2, -1, 0], 0, (0, 1))
+
+
+def power_reproduction_matrix(spec: FilterSpec) -> RatMatrix:
+    """Power-sum form: M[delta][j] = sum over |omega| = delta of window^omega.
+
+    Only defined for uniform per-spline degree; equals the moment form
+    scaled row-wise by C(delta + k + 1, delta).
+    """
+    k = spec.uniform_degree
+    if k is None:
+        raise ValueError("power-sum form needs a uniform kernel degree")
+    return RatMatrix.from_rows([
+        [_complete_homogeneous(w, delta) for w in spec.windows]
+        for delta in range(spec.r + 1)
+    ])
+
+
+def np0_reproduction_matrix(spec: FilterSpec) -> RatMatrix:
+    """Closed geometric form for k = 0: (t1^{d+1} - t0^{d+1})/(t1 - t0)."""
+    if spec.uniform_degree != 0:
+        raise ValueError("closed form applies to piecewise-constant kernels only")
+    rows = []
+    for delta in range(spec.r + 1):
+        rows.append([(w[1] ** (delta + 1) - w[0] ** (delta + 1)) / (w[1] - w[0])
+                     for w in spec.windows])
+    return RatMatrix.from_rows(rows)
 
 ALL_SPECS = [build_spec("symmetric", d) for d in (1, 2, 3)] + [
     build_spec(fam, d, side)

@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 from siacpost import dg, filters, psiac
-from siacpost.exact import RatPoly
+from siacpost.exact import RatMatrix, RatPoly
 from siacpost.filters import build_spec, custom_spec
 from siacpost.psiac import (MeshTooCoarseError, OutsideInteriorRegionError,
                             blend_transition, blend_weight, endpoint_vector,
                             filter_boundary, filter_boundary_derivative,
-                            np0_t_matrix, q_matrix, reference_convolve,
+                            q_matrix, reference_convolve,
                             symmetric_filter_eval, t_matrix)
 from siacpost.spline import eval_unit_bspline
+
+import oracles
+from oracles import np0_t_matrix
 
 EX27 = custom_spec([-2, -1, 0], 0, (0, 1))
 
@@ -92,6 +95,46 @@ def test_contract_is_exact_contraction_rounded(spec):
         want = np.zeros(qm.q.cols)
         want[:len(exact)] = exact
         assert got.tobytes() == want.tobytes()
+
+
+ORACLE_SPECS = (
+    [build_spec(fam, d, side, k=1 if fam == "npk" else None)
+     for fam in ("rs", "srv", "rlkv", "np0", "npk") for d in (1, 2, 3, 4)
+     for side in ("left", "right")]
+    + [build_spec("symmetric", d) for d in (1, 2, 3, 4)]
+    + [build_spec("npk", d, side, k=k) for k in (0, 2) for d in (1, 2)
+       for side in ("left", "right")]
+    + [EX27,
+       custom_spec([0, F(1, 2), F(3, 2), 2], 0, (0, 1, 2)),
+       custom_spec([0, F(1, 2), F(3, 2), 2], 1, (0, 1), side="right"),
+       custom_spec([0, F(1, 3), 1, F(7, 4), F(5, 2), 3], 1, (0, 1, 2, 3)),
+       custom_spec([0, F(1, 3), 1, F(7, 4), F(5, 2), 3], 2, (0, 1, 2))])
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS,
+                         ids=lambda s: f"{s.family}-d{s.d}-{s.side}-k{s.degrees[-1]}"
+                                       f"-r{s.r}")
+def test_assembly_matches_fraction_reference(spec):
+    """Every exact operator equals its plain Fraction construction exactly.
+
+    The reference builds M one moment at a time, inverts it by Fraction
+    Gauss-Jordan, integrates T entry by entry and forms Q = T C in full.
+    The custom specs have knots off the element grid, so spline pieces
+    cover only part of an element.
+    """
+    coeff = oracles.coefficient_matrix_reference(spec)
+    assert filters.shifted_coefficient_polynomials(spec).matrix == coeff
+    assert filters.static_coefficients(spec) == tuple(coeff.col(0))
+    for dg_degree in (spec.d,) if spec.d > 2 else (0, 1, 2):
+        nat = oracles.t_matrix_natural_reference(spec, dg_degree)
+        ncol = nat.cols
+        assert t_matrix(spec, dg_degree) == RatMatrix.from_rows(
+            [[row[ncol - 1 - j] for j in range(ncol)] for row in nat.to_rows()])
+        q = oracles.matmul_reference(nat, coeff)
+        assert q_matrix(spec, dg_degree).q == q
+        xi = -spec.lam if spec.side != "right" else spec.lam
+        powers = RatMatrix.column([xi ** m for m in range(q.cols)])
+        assert endpoint_vector(spec, dg_degree) == oracles.matmul_reference(q, powers).col(0)
 
 
 def test_contract_rejects_wrong_window():

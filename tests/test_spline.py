@@ -5,8 +5,22 @@ from math import comb
 import pytest
 
 from siacpost.exact import RatPoly
-from siacpost.spline import (DegenerateSupportError, bernstein_basis, bernstein_poly,
-                             bspline_moment, eval_unit_bspline, unit_bspline_piecewise)
+from siacpost.spline import (DegenerateSupportError, bernstein_poly, bspline_moment,
+                             bspline_moments, eval_unit_bspline, unit_bspline_piecewise)
+
+
+def bernstein_basis(d: int, i: int, ell: int, x, h=1):
+    """Value of the element Bernstein function on [i*h, (i+1)*h], else 0.
+
+    Normalized so the scaling relation phi(h*x | h*s) = phi(x | s) holds;
+    the integral over its element is h/(d+1).
+    """
+    lo = i * h
+    hi = (i + 1) * h
+    if x < lo or x > hi:
+        return 0
+    u = (x - lo) / h
+    return comb(d, ell) * u ** ell * (1 - u) ** (d - ell)
 
 
 def test_eval_examples():
@@ -122,3 +136,19 @@ def test_bernstein_poly_matches_basis():
             for u in (0.0, 0.25, 0.7, 1.0):
                 direct = comb(d, ell) * u ** ell * (1 - u) ** (d - ell)
                 assert abs(float(p(u)) - direct) < 1e-14
+
+
+def test_bspline_moments_match_single_moment():
+    """The one-sweep moments 0..r equal r+1 single-moment calls."""
+    rng = random.Random(11)
+    for _ in range(40):
+        k = rng.randint(0, 4)
+        den = rng.randint(1, 6)
+        knots = sorted(F(rng.randint(-20, 20), den) for _ in range(k + 2))
+        if knots[0] == knots[-1]:
+            continue
+        r = rng.randint(0, 9)
+        assert bspline_moments(knots, k, r) == tuple(bspline_moment(knots, k, m)
+                                                     for m in range(r + 1))
+    with pytest.raises(ValueError):
+        bspline_moments([0, 1], 0, -1)
