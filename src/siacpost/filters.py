@@ -28,9 +28,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import RatMatrix, RatPoly, SingularMatrixError, det_exact, invert_exact, rat
-from .exact import solve_exact  # noqa: F401  (re-exported)
 from .spline import as_knots, bspline_moments
-from .spline import bspline_moment  # noqa: F401  (re-exported)
+
+# Unused here, but perfbench/tracer.py patches filters.solve_exact and
+# filters.bspline_moment, so both names must stay importable from this module.
+from .exact import solve_exact  # noqa: F401
+from .spline import bspline_moment  # noqa: F401
 
 FAMILIES = ("symmetric", "rs", "srv", "rlkv", "np0", "npk")
 SIDES = ("left", "right", "interior")

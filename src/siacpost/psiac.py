@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, ceil, factorial, floor, lcm
+from math import comb, ceil, floor, lcm
 from operator import mul
 
 import numpy as np
@@ -65,14 +65,23 @@ def _local_window_elements(spec: FilterSpec) -> int:
 
 
 @lru_cache(maxsize=None)
-def _bernstein_moments(dg_degree: int, top: int) -> tuple[tuple[Fraction, ...], ...]:
-    """beta[i][ell] = integral over [0, 1] of u^i C(d,ell) u^ell (1-u)^(d-ell) du.
+def _bernstein_moments(dg_degree: int, top: int, lo: Fraction, hi: Fraction
+                       ) -> tuple[tuple[Fraction, ...], ...]:
+    """beta[i][ell] = integral over [lo, hi] of u^i phi_ell(u) du, i <= top.
 
-    The Beta integral gives C(d,ell) (ell+i)! (d-ell)! / (d+i+1)!.
+    phi_ell = C(d,ell) u^ell (1-u)^(d-ell) is the element Bernstein basis
+    on [0, 1], and [lo, hi] the part of the element a spline piece covers:
+    [0, 1] unless the knots are off the grid.  The monomial integrals are
+    held as integers over one common denominator, so each entry is one
+    integer dot product.
     """
-    d = dg_degree
-    return tuple(tuple(Fraction(comb(d, ell) * factorial(ell + i) * factorial(d - ell),
-                                factorial(d + i + 1)) for ell in range(d + 1))
+    bern = [[int(b) for b in bernstein_poly(dg_degree, ell).coeffs]
+            for ell in range(dg_degree + 1)]
+    mono = [Fraction(hi ** (p + 1) - lo ** (p + 1), p + 1) for p in range(top + dg_degree + 1)]
+    den = lcm(*(m.denominator for m in mono))
+    mono = [m.numerator * (den // m.denominator) for m in mono]
+    return tuple(tuple(Fraction(sum(b * mono[i + j] for j, b in enumerate(bc)), den)
+                       for bc in bern)
                  for i in range(top + 1))
 
 
@@ -83,29 +92,23 @@ def _element_integrals(knots: tuple[Fraction, ...], k: int, dg_degree: int
 
     Returns (e, (integral over [e, e+1] of B * phi_ell for each ell)) for
     every element e the support meets.  Each piece is recentred once on
-    each element it meets, as q(u) = sum_i q_i u^i with u = sigma - e.  A
-    piece covering the whole element contributes sum_i q_i beta[i][ell];
-    one covering part of it (off-grid knots) is integrated exactly against
-    the Bernstein monomials over that part.  Only the knots relative to
-    their element matter, so callers pass them translated to start in
-    [0, 1) and splines that are integer translates share one entry.
+    each element it meets, as q(u) = sum_i q_i u^i with u = sigma - e, and
+    contributes sum_i q_i beta[i][ell] over the part [lo, hi] of the
+    element it covers.  Only the knots relative to their element matter,
+    so callers pass them translated to start in [0, 1) and splines that
+    are integer translates share one entry.
     """
     nb = dg_degree + 1
-    beta = _bernstein_moments(dg_degree, k)
-    bern = [bernstein_poly(dg_degree, ell) for ell in range(nb)]
     pp = unit_bspline_piecewise(knots, k)
     bp = pp.breakpoints
     out: dict[int, list[Fraction]] = {}
     for piece, a, b in zip(pp.pieces, bp, bp[1:]):
         for e in range(floor(a), ceil(b)):
             q = piece.recentered(e).coeffs
-            lo, hi = max(a, e) - e, min(b, e + 1) - e
+            beta = _bernstein_moments(dg_degree, k, max(a, e) - e, min(b, e + 1) - e)
             acc = out.setdefault(e, [Fraction(0)] * nb)
             for ell in range(nb):
-                if lo == 0 and hi == 1:
-                    acc[ell] += sum(c * beta[i][ell] for i, c in enumerate(q))
-                else:
-                    acc[ell] += (RatPoly(q) * bern[ell]).integral(lo, hi)
+                acc[ell] += sum(c * beta[i][ell] for i, c in enumerate(q))
     return tuple((e, tuple(v)) for e, v in sorted(out.items()))
 
 

@@ -220,3 +220,8 @@ def test_singular_reproduction_detected():
         mu=F(1), lam=F(2))
     with pytest.raises(SingularReproductionError):
         reproduction_matrix(bad)
+    # the builders eliminate M themselves and must map the singular case too
+    with pytest.raises(SingularReproductionError):
+        shifted_coefficient_polynomials(bad)
+    with pytest.raises(SingularReproductionError):
+        static_coefficients(bad)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -135,6 +136,21 @@ def test_assembly_matches_fraction_reference(spec):
         xi = -spec.lam if spec.side != "right" else spec.lam
         powers = RatMatrix.column([xi ** m for m in range(q.cols)])
         assert endpoint_vector(spec, dg_degree) == oracles.matmul_reference(q, powers).col(0)
+
+
+@pytest.mark.parametrize("dg_degree", [0, 1, 2, 4])
+def test_bernstein_moment_table(dg_degree):
+    """Over a whole element the table is the Beta integral; entries stay exact."""
+    top = 5
+    for lo, hi in ((0, 1), (F(0), F(1))):
+        psiac._bernstein_moments.cache_clear()  # int and Fraction bounds share a key
+        beta = psiac._bernstein_moments(dg_degree, top, lo, hi)
+        for i in range(top + 1):
+            for ell in range(dg_degree + 1):
+                assert type(beta[i][ell]) is F
+                assert beta[i][ell] == F(
+                    comb(dg_degree, ell) * factorial(ell + i) * factorial(dg_degree - ell),
+                    factorial(dg_degree + i + 1))
 
 
 def test_contract_rejects_wrong_window():
