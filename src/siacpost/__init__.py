@@ -13,7 +13,7 @@ from .spline import bspline_moment, eval_unit_bspline, unit_bspline_piecewise
 from .dg import DGField, Mesh, dg_solve, get_problem, l2_project, to_bernstein
 from .psiac import (BoundaryPolynomial, blend_transition, filter_boundary,
                     filter_boundary_derivative, q_matrix, reference_convolve,
-                    symmetric_filter_eval, t_matrix)
+                    symmetric_filter_eval)
 from .harness import (ErrorRecord, RateRecord, RunConfig, convergence_rate,
                       region_norms, time_series_experiment, write_csv)
 

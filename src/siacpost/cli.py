@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,12 @@ def _solve_field(args):
         raise ConfigError("--n must be at least 1")
     if not args.t >= 0:
         raise ConfigError("--t must be nonnegative")
+    if args.samples < 0:
+        raise ConfigError("--samples must be >= 0")
+    try:
+        dg.check_cfl(args.cfl, args.d)
+    except (ValueError, dg.UnstableBlowupError) as exc:
+        raise ConfigError(str(exc)) from exc
     mesh = dg.Mesh(problem.a, problem.b, args.n)
     return problem, mesh, dg.dg_solve(problem, mesh, args.d, args.t, args.cfl)
 
@@ -77,6 +84,8 @@ def cmd_kernel(args) -> int:
     spec = _build_spec(args)
     if args.dg_degree is not None and args.dg_degree < 0:
         raise ConfigError("--dg-degree must be >= 0")
+    if args.samples < 0:
+        raise ConfigError("--samples must be >= 0")
     out = _outdir(args)
     tag = f"{spec.family}_d{spec.d}_{spec.side}"
     if args.exact:
@@ -273,7 +282,9 @@ def cmd_timeseries(args) -> int:
 # argument parsing
 
 
+@cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; subcommands name their handler."""
     parser = argparse.ArgumentParser(
         prog="siacpost",
         description="Spline-filter post-processing of 1D DG advection output")
@@ -294,7 +305,7 @@ def make_parser() -> argparse.ArgumentParser:
     pk.add_argument("--xi", default="0", help="shift in mesh units (decimal or p/q)")
     pk.add_argument("--dg-degree", type=int, default=None)
     pk.add_argument("--out", default=None)
-    pk.set_defaults(fn=cmd_kernel)
+    pk.set_defaults(fn="cmd_kernel")
 
     ps = sub.add_parser("solve", help="run the DG solver and dump the field")
     ps.add_argument("problem", help="tp1 | tp2 | tp3")
@@ -304,7 +315,7 @@ def make_parser() -> argparse.ArgumentParser:
     ps.add_argument("--cfl", type=float, default=None)
     ps.add_argument("--samples", type=int, default=6)
     ps.add_argument("--out", default=None)
-    ps.set_defaults(fn=cmd_solve)
+    ps.set_defaults(fn="cmd_solve")
 
     pf = sub.add_parser("filter", help="solve, then boundary-filter one side")
     pf.add_argument("problem")
@@ -317,7 +328,7 @@ def make_parser() -> argparse.ArgumentParser:
     pf.add_argument("--cfl", type=float, default=None)
     pf.add_argument("--samples", type=int, default=6)
     pf.add_argument("--out", default=None)
-    pf.set_defaults(fn=cmd_filter)
+    pf.set_defaults(fn="cmd_filter")
 
     pc = sub.add_parser("converge", help="error/rate table over a mesh sequence")
     pc.add_argument("problem")
@@ -328,7 +339,7 @@ def make_parser() -> argparse.ArgumentParser:
     pc.add_argument("--no-blend", action="store_true")
     pc.add_argument("--cfl", type=float, default=None)
     pc.add_argument("--out", default=None)
-    pc.set_defaults(fn=cmd_converge)
+    pc.set_defaults(fn="cmd_converge")
 
     pt = sub.add_parser("timeseries", help="full final-time series experiment")
     pt.add_argument("config", nargs="?", default=None, help="key = value config file")
@@ -341,7 +352,7 @@ def make_parser() -> argparse.ArgumentParser:
     pt.add_argument("--no-blend", dest="blend", action="store_false")
     pt.add_argument("--cfl", type=float, default=None)
     pt.add_argument("--out", default=None)
-    pt.set_defaults(fn=cmd_timeseries)
+    pt.set_defaults(fn="cmd_timeseries")
     return parser
 
 
@@ -350,8 +361,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "side", None) is None and hasattr(args, "family"):
         args.side = "interior" if args.family.lower().startswith("sym") else "left"
-    try:
-        return args.fn(args)
+    try:  # by name, so that a handler replaced after import is the one called
+        return globals()[args.fn](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

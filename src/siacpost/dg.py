@@ -77,12 +77,6 @@ class DGField:
         out = np.einsum("pl,pl->p", self.coeffs[e.ravel()], vals.reshape(-1, self.d + 1))
         return out.reshape(x.shape) if x.shape else float(out[0])
 
-    def cell_average_integral(self) -> float:
-        """Exact integral of the field over the domain."""
-        if self.basis == "legendre":
-            return float(self.mesh.h * self.coeffs[:, 0].sum())
-        return float(self.mesh.h * self.coeffs.mean(axis=1).sum())
-
 
 def _basis_values(d: int, basis: str, u: np.ndarray) -> np.ndarray:
     """Values of all element basis functions at local coordinates u in [0,1]."""
@@ -285,6 +279,21 @@ def max_stable_cfl(d: int) -> float:
     return RK4_CFL_LIMITS[-1] * (len(RK4_CFL_LIMITS) / (d + 1)) ** 2
 
 
+def check_cfl(cfl: float | None, d: int) -> float:
+    """The CFL number `advance` uses at degree d: cfl, or the default when None.
+
+    Raises ValueError unless it is positive and finite, UnstableBlowupError
+    above the RK4 stability limit `max_stable_cfl(d)`.
+    """
+    c = cfl if cfl is not None else default_cfl(d)
+    if not (np.isfinite(c) and c > 0):
+        raise ValueError(f"CFL number must be positive and finite, got {c}")
+    if c > max_stable_cfl(d):
+        raise UnstableBlowupError(
+            f"CFL number {c} exceeds the RK4 stability limit {max_stable_cfl(d)} for d={d}")
+    return c
+
+
 def _check_bounded(u: np.ndarray) -> None:
     # NaN compares False, so test for the bound holding rather than failing
     if not np.abs(u).max() <= 1e10:
@@ -309,13 +318,7 @@ def advance(field: DGField, problem: TestProblem, t_end: float,
     t_k + dt/2 (twice) and t_k + dt.  The coefficient tables cover those
     three levels for a block of steps at a time.
     """
-    c = cfl if cfl is not None else default_cfl(field.d)
-    if not (np.isfinite(c) and c > 0):
-        raise ValueError(f"CFL number must be positive and finite, got {c}")
-    if c > max_stable_cfl(field.d):
-        raise UnstableBlowupError(
-            f"CFL number {c} exceeds the RK4 stability limit "
-            f"{max_stable_cfl(field.d)} for d={field.d}")
+    c = check_cfl(cfl, field.d)
     if t_end < field.time - 1e-14:
         raise ValueError("cannot integrate backwards")
     span = t_end - field.time
@@ -404,35 +407,3 @@ def to_bernstein(field: DGField) -> DGField:
     l2b, _ = _conversion_matrices(field.d)
     return DGField(d=field.d, mesh=field.mesh, coeffs=field.coeffs @ l2b.T,
                    basis="bernstein", time=field.time)
-
-
-def to_legendre(field: DGField) -> DGField:
-    """Change of element basis to Legendre modal coefficients."""
-    if field.basis == "legendre":
-        return field
-    _, b2l = _conversion_matrices(field.d)
-    return DGField(d=field.d, mesh=field.mesh, coeffs=field.coeffs @ b2l.T,
-                   basis="legendre", time=field.time)
-
-
-def bernstein_coeffs_of_poly(poly: RatPoly, mesh_a: Fraction, h: Fraction,
-                             n: int, d: int) -> list[list[Fraction]]:
-    """Exact Bernstein element coefficients of a global polynomial.
-
-    The polynomial degree must not exceed d.  Used to build exact
-    polynomial fields for reproduction checks.
-    """
-    if poly.degree > d:
-        raise ValueError("polynomial degree exceeds the element degree")
-    rows = []
-    for i in range(n):
-        local = poly.compose_affine(h, mesh_a + i * h)  # p(a + (i+u)h) in u
-        mono = _pad(local.monomial_coeffs(), d + 1)
-        row = []
-        for l in range(d + 1):
-            acc = Fraction(0)
-            for p in range(l + 1):
-                acc += mono[p] * Fraction(comb(l, p), comb(d, p))
-            row.append(acc)
-        rows.append(row)
-    return rows

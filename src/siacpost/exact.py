@@ -69,10 +69,6 @@ class RatMatrix:
         i, j = ij
         return self.entries[i * self.cols + j]
 
-    def __setitem__(self, ij: tuple[int, int], value: RationalLike) -> None:
-        i, j = ij
-        self.entries[i * self.cols + j] = rat(value) if not isinstance(value, Fraction) else value
-
     def row(self, i: int) -> list[Fraction]:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
@@ -81,10 +77,6 @@ class RatMatrix:
 
     def to_rows(self) -> list[list[Fraction]]:
         return [self.row(i) for i in range(self.rows)]
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(self.cols, self.rows,
-                         [self[i, j] for j in range(self.cols) for i in range(self.rows)])
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         """Exact product: each entry is one integer dot product, divided once."""

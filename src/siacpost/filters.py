@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .exact import RatMatrix, RatPoly, SingularMatrixError, det_exact, invert_exact, rat
 from .spline import as_knots, bspline_moments
@@ -83,15 +83,19 @@ class FilterSpec:
             if w[-1] == w[0]:
                 raise ValueError("degenerate B-spline window")
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # specs key the operator caches; hashing their Fractions once keeps lookups cheap
+        return hash((self.family, self.d, self.side, self.degrees, self.windows, self.knots,
+                     self.index_set, self.r, self.mu, self.lam))
+
     @property
     def support_width(self) -> Fraction:
         """Knot-span width t_n - t_0 of the whole kernel, in mesh units."""
         return self.knots[-1] - self.knots[0]
-
-    @property
-    def uniform_degree(self) -> int | None:
-        ks = set(self.degrees)
-        return ks.pop() if len(ks) == 1 else None
 
 
 def _steps(lo: Fraction, n: int) -> list[Fraction]:
@@ -102,8 +106,9 @@ def _consecutive(knots: tuple[Fraction, ...], k: int, count: int):
     return tuple(tuple(knots[j:j + k + 2]) for j in range(count))
 
 
+@lru_cache(maxsize=None)
 def build_spec(family: str, d: int, side: str = "interior", k: int | None = None) -> FilterSpec:
-    """Derive knots, windows, and reproduction degree for a filter family."""
+    """Derive knots, windows, and reproduction degree for a filter family (cached)."""
     fam = family.strip().lower().replace("_", "")
     if fam in ("sym", "symm"):
         fam = "symmetric"
@@ -239,9 +244,6 @@ class CoefficientPolynomials:
     def evaluate(self, xi) -> list:
         """Coefficient vector at a given shift (exact for Fraction xi)."""
         return [self.poly(j)(xi) for j in range(self.spec.r + 1)]
-
-    def max_degree(self) -> int:
-        return max(self.poly(j).degree for j in range(self.spec.r + 1))
 
 
 @lru_cache(maxsize=None)

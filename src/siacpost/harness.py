@@ -8,19 +8,22 @@ merged.  The sampling rule is six points per element: an endpoint-
 inclusive uniform grid for the max norm, Gauss-Legendre points for the
 L2 norm.
 
-Sampling is batched.  A region is split at element boundaries into
-pieces; pieces with the same offset into their element and the same
-width sample the same local fractions, so for each sample node one array
-call evaluates the filtered output on every element of that shape, and
-`region_norms` evaluates all of a region's nodes in one call.
+Each solved field is filtered once into polynomial pieces: the interior
+output of `psiac.filter_interior` (Bernstein coefficients per element or
+half-element) and one `psiac.filter_boundary` polynomial per boundary
+filter and side, joined to the interior output across the blend strip
+by `psiac.blend_transition`.  `region_norms` then samples any of them,
+or the raw field, over a region split at element boundaries, with one
+call of the evaluator per norm on the nodes of every piece.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from fractions import Fraction
-from math import log
+from math import ceil, floor, log
 from typing import Iterable
 
 import numpy as np
@@ -76,6 +79,11 @@ class RunConfig:
                 raise RunConfigError("mesh sizes must double: rates need matched pairs")
         if any(not t >= 0 for t in self.final_times):
             raise RunConfigError("final times must be nonnegative")
+        if self.cfl is not None:
+            try:
+                dg.check_cfl(self.cfl, self.d)
+            except (ValueError, dg.UnstableBlowupError) as exc:
+                raise RunConfigError(str(exc)) from exc
         object.__setattr__(self, "final_times", tuple(sorted(self.final_times)))
 
 
@@ -114,21 +122,20 @@ def convergence_rate(e_coarse: float, e_fine: float) -> float:
 # sampling machinery
 
 
-_GL6 = np.polynomial.legendre.leggauss(6)
+def _region_pieces(region: tuple[Fraction, Fraction]) -> tuple[np.ndarray, np.ndarray]:
+    """Split a sigma-interval at element boundaries: (starts, widths) of its pieces.
 
-
-def _region_pieces(region: tuple[Fraction, Fraction]):
-    """Split a sigma-interval at element boundaries."""
+    Only the first and the last piece can be partial; their widths are
+    computed exactly, then rounded.
+    """
     lo, hi = Fraction(region[0]), Fraction(region[1])
     if not hi > lo:
         raise EmptyRegionError(f"region {region} is empty")
-    pieces = []
-    start = lo
-    while start < hi:
-        nxt = min(Fraction(int(start) + 1), hi)
-        pieces.append((start, nxt))
-        start = nxt
-    return pieces
+    starts = np.concatenate(([float(lo)], np.arange(floor(lo) + 1, ceil(hi), dtype=float)))
+    widths = np.ones_like(starts)
+    widths[0] = float(min(floor(lo) + 1, hi) - lo)
+    widths[-1] = float(hi - max(ceil(hi) - 1, lo))
+    return starts, widths
 
 
 def _sigma_exact(mesh: dg.Mesh, x: float) -> Fraction:
@@ -140,32 +147,30 @@ def _sigma_exact(mesh: dg.Mesh, x: float) -> Fraction:
     return Fraction(s).limit_denominator(10 ** 9)
 
 
-def _gauss_rule(samples_per_element: int):
-    return (_GL6 if samples_per_element == 6
-            else np.polynomial.legendre.leggauss(samples_per_element))
+_gauss_rule = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
 
 
 def region_norms(approx, exact, mesh: dg.Mesh, region: tuple[float, float],
                  samples_per_element: int = 6) -> tuple[float, float]:
     """(L2, Linf) of approx - exact over the region.
 
-    approx and exact are callables of physical-x arrays, each called once
-    per norm with the nodes of every piece.  Linf is the max over the
+    approx and exact are callables of physical-x arrays, each called once,
+    with the nodes of both norms on every piece.  Linf is the max over the
     endpoint-inclusive uniform grid; L2 is composite Gauss-Legendre with
     samples_per_element points per (partial) element.
     """
-    pieces = _region_pieces((_sigma_exact(mesh, region[0]), _sigma_exact(mesh, region[1])))
-    lo = np.array([float(a) for a, _ in pieces])
-    width = np.array([float(b - a) for a, b in pieces])
+    lo, width = _region_pieces((_sigma_exact(mesh, region[0]), _sigma_exact(mesh, region[1])))
     steps = np.arange(samples_per_element)
     xs = mesh.a + (lo[:, None] + width[:, None] * steps / (samples_per_element - 1)) * mesh.h
-    linf = float(np.max(np.abs(np.asarray(approx(xs.ravel())) - np.asarray(exact(xs.ravel())))))
     gx, gw = _gauss_rule(samples_per_element)
-    mid = mesh.a + np.array([float(a + b) for a, b in pieces]) / 2 * mesh.h
+    mid = mesh.a + (2 * lo + width) / 2 * mesh.h
     rad = width / 2 * mesh.h
-    nodes = (mid[:, None] + rad[:, None] * gx).ravel()
-    err = (np.asarray(approx(nodes)) - np.asarray(exact(nodes))).reshape(len(pieces), -1)
-    return float(np.sqrt(np.dot(rad, err ** 2 @ gw))), linf
+    nodes = mid[:, None] + rad[:, None] * gx
+    points = np.concatenate((xs.ravel(), nodes.ravel()))
+    err = np.asarray(approx(points)) - np.asarray(exact(points))
+    linf = float(np.max(np.abs(err[:xs.size])))
+    sq = err[xs.size:].reshape(len(lo), -1) ** 2
+    return float(np.sqrt(np.dot(rad, sq @ gw))), linf
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +178,7 @@ def region_norms(approx, exact, mesh: dg.Mesh, region: tuple[float, float],
 
 
 class _FieldContext:
-    """A solved field at one (N, T), with Bernstein form and spec caches."""
+    """A solved field at one (N, T): its Bernstein form and filtered outputs."""
 
     def __init__(self, field: dg.DGField, problem: dg.TestProblem, config: RunConfig):
         self.field = field
@@ -181,7 +186,6 @@ class _FieldContext:
         self.problem = problem
         self.config = config
         self.mesh = field.mesh
-        self.mu_sym = Fraction(3 * field.d + 1, 2)
 
     def exact_fn(self, xs):
         return self.problem.exact(np.asarray(xs, dtype=float), self.field.time)
@@ -191,7 +195,7 @@ class _FieldContext:
         return 2 if self.config.blend else 0
 
     def interior_region(self):
-        pad = self.mu_sym + self.strip()
+        pad = Fraction(3 * self.field.d + 1, 2) + self.strip()
         lo, hi = pad, Fraction(self.mesh.n) - pad
         if not hi > lo:
             raise psiac.MeshTooCoarseError("no interior region left at this mesh size")
@@ -203,70 +207,24 @@ class _FieldContext:
             return Fraction(0), lam
         return Fraction(self.mesh.n) - lam, Fraction(self.mesh.n)
 
-    # --- evaluators: each maps (element array, frac) to a value array --------
-    def symmetric_values(self, elements: np.ndarray, frac) -> np.ndarray:
-        return psiac.symmetric_filter_eval_local(self.bern, elements, frac)
+    def physical(self, sigma: Fraction) -> float:
+        return self.mesh.a + float(sigma) * self.mesh.h
 
-    def boundary_evaluator(self, spec: FilterSpec, side: str):
+    # --- filtered outputs: callables of physical-x arrays --------------------
+    @cached_property
+    def interior(self) -> psiac.PiecewiseBernstein:
+        return psiac.filter_interior(self.bern)
+
+    def boundary_output(self, spec: FilterSpec, side: str):
+        """The boundary polynomial, blended into the interior output across the strip."""
         poly = psiac.filter_boundary(self.bern, spec, side)
-        lam = spec.lam
-        n = self.mesh.n
-        rho = self.config.blend_rho
-
-        def values(elements: np.ndarray, frac) -> np.ndarray:
-            sigma = elements + float(frac)
-            out = poly(self.mesh.a + sigma * self.mesh.h)
-            if not self.config.blend:
-                return out
-            if side == "left":
-                z = (sigma - float(lam)) / 2.0
-            else:
-                z = (float(n - lam) - sigma) / 2.0
-            strip = z > 0.0
-            if strip.any():
-                beta = psiac.blend_weight(np.minimum(z[strip], 1.0), rho)
-                out[strip] = ((1 - beta) * out[strip]
-                              + beta * self.symmetric_values(elements[strip], frac))
-            return out
-
-        return values
-
-
-def _norms_over_region(ctx: _FieldContext, region, values_fn,
-                       samples_per_element: int) -> tuple[float, float]:
-    """Norms by (element, frac) evaluation, batched over pieces of one shape.
-
-    Pieces with the same offset into their element and the same width
-    share every sample frac, so each sample node is one array call across
-    all elements of that shape.  Uniform fracs stay exact rationals and
-    Gauss fracs floats: the keys of the interior weight cache.
-    """
-    mesh = ctx.mesh
-    shapes: dict[tuple[Fraction, Fraction], list[int]] = {}
-    for lo, hi in _region_pieces(region):
-        e = min(int(lo), mesh.n - 1)
-        shapes.setdefault((lo - e, hi - lo), []).append(e)
-
-    def errors(es: np.ndarray, frac) -> np.ndarray:
-        x = mesh.a + (es + float(frac)) * mesh.h
-        return values_fn(es, frac) - ctx.exact_fn(x)
-
-    gx, gw = _gauss_rule(samples_per_element)
-    sq_total = 0.0
-    linf = 0.0
-    for (offset, width), elements in shapes.items():
-        es = np.array(elements)
-        # uniform, endpoint-inclusive
-        for s in range(samples_per_element):
-            frac = offset + width * Fraction(s, samples_per_element - 1)
-            linf = max(linf, float(np.max(np.abs(errors(es, frac)))))
-        # Gauss nodes (floats, identical across translated pieces)
-        flo, fw = float(offset), float(width)
-        rad = fw / 2 * mesh.h
-        for q in range(samples_per_element):
-            err = errors(es, flo + fw * (float(gx[q]) + 1.0) / 2.0)
-            sq_total += rad * float(gw[q]) * float(np.dot(err, err))
-    return float(np.sqrt(sq_total)), linf
+        if not self.config.blend:
+            return poly
+        step = self.strip() if side == "left" else -self.strip()
+        edge = spec.lam if side == "left" else self.mesh.n - spec.lam
+        return psiac.blend_transition(poly, self.interior,
+                                      (self.physical(edge), self.physical(edge + step)),
+                                      self.config.blend_rho)
 
 
 # ---------------------------------------------------------------------------
@@ -277,26 +235,21 @@ def _filter_records(ctx: _FieldContext, name: str) -> list[ErrorRecord]:
     cfg = ctx.config
     base = dict(problem=cfg.problem, d=cfg.d, filter=name, n=ctx.mesh.n,
                 t=ctx.field.time)
-    spe = cfg.samples_per_element
-    out = []
     if name == "dg":
-        region = (ctx.mesh.a, ctx.mesh.b)
-        l2, linf = region_norms(ctx.field.evaluate, ctx.exact_fn, ctx.mesh, region, spe)
-        out.append(ErrorRecord(region="full", norm="L2", value=l2, **base))
-        out.append(ErrorRecord(region="full", norm="Linf", value=linf, **base))
+        measured = [("full", ctx.field.evaluate, (0, ctx.mesh.n))]
     elif name == "symmetric":
-        region = ctx.interior_region()
-        l2, linf = _norms_over_region(ctx, region, ctx.symmetric_values, spe)
-        out.append(ErrorRecord(region="interior", norm="L2", value=l2, **base))
-        out.append(ErrorRecord(region="interior", norm="Linf", value=linf, **base))
+        measured = [("interior", ctx.interior, ctx.interior_region())]
     else:
-        for side in ("left", "right"):
-            spec = build_spec(name, cfg.d, side)
-            values_fn = ctx.boundary_evaluator(spec, side)
-            region = ctx.boundary_region(spec, side)
-            l2, linf = _norms_over_region(ctx, region, values_fn, spe)
-            out.append(ErrorRecord(region=side, norm="L2", value=l2, **base))
-            out.append(ErrorRecord(region=side, norm="Linf", value=linf, **base))
+        specs = [(side, build_spec(name, cfg.d, side)) for side in ("left", "right")]
+        measured = [(side, ctx.boundary_output(spec, side), ctx.boundary_region(spec, side))
+                    for side, spec in specs]
+    out = []
+    for region, approx, (lo, hi) in measured:
+        l2, linf = region_norms(approx, ctx.exact_fn, ctx.mesh,
+                                (ctx.physical(lo), ctx.physical(hi)),
+                                cfg.samples_per_element)
+        out.append(ErrorRecord(region=region, norm="L2", value=l2, **base))
+        out.append(ErrorRecord(region=region, norm="Linf", value=linf, **base))
     return out
 
 
@@ -356,18 +309,3 @@ def write_csv(records: Iterable[ErrorRecord | RateRecord], path) -> None:
             w.writerow([r.problem, r.d, r.filter, r.region, r.norm, r.n,
                         f"{r.t:.17g}", f"{r.value:.17g}", kind])
 
-
-def read_csv(path) -> list[ErrorRecord | RateRecord]:
-    """Inverse of write_csv (used for round-trip checks)."""
-    out: list[ErrorRecord | RateRecord] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != CSV_HEADER:
-            raise ValueError("unexpected CSV header")
-        for row in reader:
-            cls = RateRecord if row[8] == "rate" else ErrorRecord
-            out.append(cls(problem=row[0], d=int(row[1]), filter=row[2], region=row[3],
-                           norm=row[4], n=int(row[5]), t=float(row[6]),
-                           value=float(row[7])))
-    return out

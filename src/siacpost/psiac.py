@@ -15,9 +15,13 @@ sigma = (x - a)/h, where elements are the unit intervals [e, e+1]):
     exact rational.
   * The filtered output over the boundary region is the single polynomial
     u_I . Q . [xihat^m], xihat = sigma - lam_g = x/h - lambda.
+  * On [mu, N - mu] the symmetric filter's output is one polynomial per
+    element (odd d) or half-element (even d), linear in the 3d+2 elements
+    around it: the interior operator.
 
-Q = T . M^-1 . diag((-1)^m) is assembled exactly once per (spec, DG
-degree); floats appear only when results are contracted with DG data.
+Q = T . M^-1 . diag((-1)^m) and the interior operator are assembled
+exactly once per (filter, DG degree); floats appear only when they are
+applied to DG data.
 """
 
 from __future__ import annotations
@@ -25,15 +29,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, ceil, floor, lcm
+from math import ceil, comb, factorial, floor, lcm
 from operator import mul
 
 import numpy as np
 
-from .exact import RatMatrix, RatPoly, rat
+from .exact import RatMatrix, RatPoly, _over_common_denominator, rat
 from .filters import (FilterSpec, build_spec, shifted_coefficient_polynomials,
                       static_coefficients)
-from .spline import PiecewisePolynomial, bernstein_poly, unit_bspline_piecewise
+from .spline import bernstein_poly, unit_bspline_piecewise
 
 
 class WindowOutOfDomainError(ValueError):
@@ -131,20 +135,6 @@ def _t_matrix_natural(spec: FilterSpec, dg_degree: int) -> RatMatrix:
             col[(e + shift) * nb:(e + shift + 1) * nb] = vals
         cols.append(col)
     return RatMatrix(n_el * nb, len(cols), [x for row in zip(*cols) for x in row])
-
-
-def t_matrix(spec: FilterSpec, dg_degree: int | None = None) -> RatMatrix:
-    """Exact inner-product matrix of element basis against kernel splines.
-
-    Columns follow the reversal convention under which the piecewise-
-    constant filter's T is block diagonal: column j holds the reflected
-    spline of kernel component r - j.
-    """
-    dg = spec.d if dg_degree is None else dg_degree
-    nat = _t_matrix_natural(spec, dg)
-    ncol = nat.cols
-    return RatMatrix.from_rows([[row[ncol - 1 - j] for j in range(ncol)]
-                                for row in nat.to_rows()])
 
 
 @dataclass(frozen=True)
@@ -331,107 +321,209 @@ def filter_boundary_derivative(field, spec: FilterSpec, side: str | None = None,
 # interior (symmetric) filtering
 
 
+def _element_convolutions(d: int, dg_degree: int) -> list[list[list[int]]]:
+    """[k][ell]: d! n! G_ell(k + p) in monomials of p in [0, 1], n = d + dg_degree + 1.
+
+    G_ell(z) = int_0^1 B(z - v) phi_ell(v) dv, with B the degree-d cardinal
+    B-spline on the knots 0..d+1 and phi_ell the element Bernstein basis.
+    From d! B(x) = sum_i (-1)^i C(d+1, i) (x - i)_+^d:
+        d! G_ell(k + p) = int_0^1 A_k(p - v) phi_ell(v) dv
+                          + (-1)^k C(d+1, k) int_0^p (p - v)^d phi_ell(v) dv,
+    A_k(y) = sum_{i<k} (-1)^i C(d+1, i) (k - i + y)^d; n! makes both
+    integrals (sums of Beta integrals) integers.
+    """
+    g, n = dg_degree, d + dg_degree + 1
+    nf = factorial(n)
+    phi = [[int(b) for b in bernstein_poly(g, ell).coeffs] for ell in range(g + 1)]
+    beta = _bernstein_moments(g, d, Fraction(0), Fraction(1))  # int_0^1 v^m phi_ell(v) dv
+    moments = [[int(beta[m][ell] * nf) for m in range(d + 1)] for ell in range(g + 1)]
+    # n! d! c! / (d+c+1)! = n! int_0^p (p-v)^d v^c dv / p^(d+c+1)
+    tails = [nf // factorial(d + c + 1) * factorial(d) * factorial(c) for c in range(g + 1)]
+    out = []
+    for k in range(d + 2):
+        alpha = [sum((-1) ** i * comb(d + 1, i) * comb(d, a) * (k - i) ** (d - a)
+                     for i in range(k)) for a in range(d + 1)]
+        jump = (-1) ** k * comb(d + 1, k)
+        pieces = []
+        for row, mom in zip(phi, moments):
+            poly = [0] * (n + 1)
+            for a, al in enumerate(alpha):
+                for s in range(a + 1):
+                    poly[s] += al * comb(a, s) * (-1) ** (a - s) * mom[a - s]
+            for c, f in enumerate(row):
+                poly[d + c + 1] += jump * f * tails[c]
+            pieces.append(poly)
+        out.append(pieces)
+    return out
+
+
+@dataclass(frozen=True)
+class InteriorOperator:
+    """Exact symmetric-filter operator of kernel degree d on a uniform mesh.
+
+    Element e has `pieces` output pieces (2 for even d, whose knots are
+    half-integers), sigma in [e + q/pieces, e + (q+1)/pieces].  Piece q
+    reads the 3d+2 elements from e + offsets[q]; row i (element-major)
+    of numerators[q], over den, is their contribution to the output's
+    Bernstein coefficients on the piece.
+    """
+
+    d: int
+    dg_degree: int
+    degree: int  # of the output polynomials, d + dg_degree + 1
+    pieces: int
+    offsets: tuple[int, ...]
+    numerators: tuple[tuple[tuple[int, ...], ...], ...]
+    den: int
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """numerators / den as floats, each entry correctly rounded."""
+        return np.array([[[v / self.den for v in row] for row in rows]
+                         for rows in self.numerators])
+
+
 @lru_cache(maxsize=None)
-def _symmetric_kernel_pp(d: int) -> PiecewisePolynomial:
-    """The symmetric kernel as one exact piecewise polynomial (prototype)."""
+def interior_operator(d: int, dg_degree: int) -> InteriorOperator:
+    """Assemble the interior operator exactly, on integers.
+
+    Kernel spline j (knots -mu + j ..) meets window element i of piece q
+    through G at k = 3d + 1 - j - i, at p = (theta + t)/pieces with t in
+    [0, 1] along the piece; each entry is sum_j c_j G[k] in Bernstein form.
+    """
     spec = build_spec("symmetric", d)
-    coeffs = static_coefficients(spec)
-    acc = None
-    for c, w, k in zip(coeffs, spec.windows, spec.degrees):
-        pp = unit_bspline_piecewise(w, k).scaled(c)
-        acc = pp if acc is None else acc + pp
-    return acc
+    cs, dc = _over_common_denominator(static_coefficients(spec))
+    conv = _element_convolutions(d, dg_degree)
+    n = d + dg_degree + 1
+    pieces = 1 if d % 2 else 2
+    # monomial coefficients in t -> n! times the Bernstein coefficients on [0, 1]
+    to_bern = [[comb(kb, i) * factorial(i) * factorial(n - i) if i <= kb else 0
+                for i in range(n + 1)] for kb in range(n + 1)]
+    offsets, numerators = [], []
+    for q in range(pieces):
+        theta = int(pieces * spec.mu + q) % pieces
+        # pieces^n p^i = pieces^(n-i) (theta + t)^i
+        change = [[sum(to_bern[kb][s] * pieces ** (n - i) * comb(i, s) * theta ** (i - s)
+                       for s in range(i + 1)) for i in range(n + 1)] for kb in range(n + 1)]
+        bern = [[[sum(map(mul, row, poly)) for row in change] for poly in piece]
+                for piece in conv]
+        rows = []
+        for i in range(3 * d + 2):
+            terms = [(c, bern[3 * d + 1 - j - i]) for j, c in enumerate(cs)
+                     if 0 <= 3 * d + 1 - j - i <= d + 1]
+            for ell in range(dg_degree + 1):
+                rows.append(tuple(sum(c * b[ell][kb] for c, b in terms) for kb in range(n + 1)))
+        offsets.append(floor(spec.mu + Fraction(q, pieces)) - 3 * d - 1)
+        numerators.append(tuple(rows))
+    den = factorial(d) * factorial(n) ** 2 * pieces ** n * dc
+    return InteriorOperator(d=d, dg_degree=dg_degree, degree=n, pieces=pieces,
+                            offsets=tuple(offsets), numerators=tuple(numerators), den=den)
 
 
-_GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+def _bernstein_values(n: int, t) -> np.ndarray:
+    """Degree-n Bernstein basis at t (any shape), along a new first axis."""
+    t = np.asarray(t, dtype=float)
+    out = np.empty((n + 1,) + t.shape)
+    out[0] = 1.0
+    for k in range(1, n + 1):
+        out[k] = out[k - 1] * t
+    rest = 1 - t
+    for k in range(n - 1, -1, -1):
+        out[k] *= comb(n, k) * rest
+        rest = rest * (1 - t)
+    return out
 
 
-def _gauss(n: int):
-    if n not in _GAUSS_CACHE:
-        _GAUSS_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GAUSS_CACHE[n]
+@dataclass
+class PiecewiseBernstein:
+    """Filtered output on equal consecutive pieces, in Bernstein form.
+
+    coeffs[g] are the Bernstein coefficients on piece g, the physical
+    interval [start + g*width, start + (g+1)*width].
+    """
+
+    coeffs: np.ndarray
+    start: float
+    width: float
+
+    @property
+    def region(self) -> tuple[float, float]:
+        return self.start, self.start + len(self.coeffs) * self.width
+
+    def __call__(self, x):
+        s = (np.asarray(x, dtype=float) - self.start) / self.width
+        count = len(self.coeffs)
+        if s.size and not (s.min() >= -1e-9 and s.max() <= count + 1e-9):
+            raise OutsideInteriorRegionError(f"x outside the filtered region {self.region}")
+        g = np.clip(np.floor(s).astype(int), 0, count - 1)
+        coeffs = self.coeffs[g]
+        basis = _bernstein_values(coeffs.shape[-1] - 1, s - g)
+        values = sum(coeffs[..., k] * b for k, b in enumerate(basis))  # same order at any shape
+        return float(values) if values.ndim == 0 else values
 
 
-@lru_cache(maxsize=None)
+def filter_interior(field, filter_degree: int | None = None) -> PiecewiseBernstein:
+    """Symmetric-filter a DG field on the whole interior [a + mu h, b - mu h].
+
+    Each output piece is one product of its (3d+2)-element data window
+    with the interior operator.  The kernel degree defaults to the field
+    degree.
+    """
+    from .dg import to_bernstein
+    fld = to_bernstein(field)
+    mesh = fld.mesh
+    op = interior_operator(fld.d if filter_degree is None else filter_degree, fld.d)
+    per = op.pieces
+    mu = Fraction(3 * op.d + 1, 2)
+    first, stop = int(per * mu), int(per * (mesh.n - mu))
+    if stop <= first:
+        raise MeshTooCoarseError(f"no interior region left at {mesh.n} elements")
+    g = np.arange(first, stop)
+    q = g % per
+    rows = (g // per + np.array(op.offsets)[q])[:, None] + np.arange(3 * op.d + 2)
+    windows = fld.coeffs[rows].reshape(len(g), -1)
+    coeffs = np.empty((len(g), op.degree + 1))
+    for piece in range(per):
+        coeffs[q == piece] = windows[q == piece] @ op.matrix[piece]
+    width = mesh.h / per
+    return PiecewiseBernstein(coeffs=coeffs, start=mesh.a + first * width, width=width)
+
+
+@lru_cache(maxsize=1024)
 def symmetric_filter_weights(d: int, dg_degree: int, frac) -> tuple[int, np.ndarray]:
     """Contraction weights for one fractional position inside an element.
 
     For evaluation at sigma = e + frac the filtered value is
     sum over (de, ell) of W[de, ell] * bernstein_coeffs[e + e0 + de, ell],
-    where (e0, W) is the return value.  Quadrature is exact for the
-    polynomial integrands, so the weights are exact up to roundoff.
+    where (e0, W) is the return value: the interior operator's piece
+    containing frac (the later one at frac = 1/2 for even d), evaluated there.
     """
-    kernel = _symmetric_kernel_pp(d)
-    f = float(frac)
-    mu = float(kernel.breakpoints[-1])
-    snap = 1e-11  # guards against float fuzz at element-aligned points
-    e0 = floor(f - mu + snap)
-    e1 = ceil(f + mu - snap)
-    kernel_breaks = [f - float(b) for b in kernel.breakpoints]  # descending
-    bern = [[float(c) for c in bernstein_poly(dg_degree, ell).coeffs]
-            for ell in range(dg_degree + 1)]
-    npts = (dg_degree + 2 * d + 2) // 2 + 1
-    gx, gw = _gauss(npts)
-    weights = np.zeros((e1 - e0, dg_degree + 1))
-    for de, e in enumerate(range(e0, e1)):
-        cuts = sorted({max(e, f - mu), min(e + 1, f + mu)}
-                      | {b for b in kernel_breaks if e < b < e + 1 and f - mu < b < f + mu})
-        cuts = [c for c in cuts if e <= c <= e + 1]
-        for lo, hi in zip(cuts, cuts[1:]):
-            if hi <= lo:
-                continue
-            mid, rad = (lo + hi) / 2, (hi - lo) / 2
-            nodes = mid + rad * gx
-            kv = np.array([kernel(f - s) for s in nodes])
-            for ell in range(dg_degree + 1):
-                u = nodes - e
-                bv = np.zeros_like(u)
-                for c in reversed(bern[ell]):
-                    bv = bv * u + c
-                weights[de, ell] += rad * np.dot(gw, kv * bv)
-    return e0, weights
+    op = interior_operator(d, dg_degree)
+    s = float(frac) * op.pieces
+    q = min(int(s), op.pieces - 1)
+    w = op.matrix[q] @ _bernstein_values(op.degree, s - q)
+    return op.offsets[q], w.reshape(-1, dg_degree + 1)
 
 
-def symmetric_filter_eval(field, x, filter_degree: int | None = None) -> float:
-    """Convolve the DG field with the symmetric kernel at one point.
+def symmetric_filter_eval(field, x, filter_degree: int | None = None):
+    """Convolve the DG field with the symmetric kernel at x (a float or an array).
 
-    Only valid for x in [a + mu h, b - mu h]; uses exact piecewise
-    integration of the kernel against the local element polynomials.
-    The kernel degree defaults to the field degree.
+    Only valid for x in [a + mu h, b - mu h]: `filter_interior` evaluated
+    at x.  The kernel degree defaults to the field degree.
     """
-    from .dg import to_bernstein
-    fld = to_bernstein(field)
-    mesh = fld.mesh
-    d = fld.d if filter_degree is None else filter_degree
-    mu = float(Fraction(3 * d + 1, 2))
-    sigma = (x - mesh.a) / mesh.h
-    tol = 1e-12 * max(1.0, mesh.n)
-    if sigma < mu - tol or sigma > mesh.n - mu + tol:
-        raise OutsideInteriorRegionError(
-            f"x={x} outside the interior region [{mesh.a + mu * mesh.h}, {mesh.b - mu * mesh.h}]")
-    e = min(int(floor(sigma)), mesh.n - 1)
-    frac = sigma - e
-    return symmetric_filter_eval_local(fld, e, frac, d)
+    return filter_interior(field, filter_degree)(x)
 
 
 def symmetric_filter_eval_local(bernstein_field, element, frac,
                                 filter_degree: int | None = None):
-    """Symmetric-filter value at sigma = element + frac (frac is the cache key).
+    """Symmetric-filter value at sigma = element + frac.
 
     ``element`` is an int, giving a float, or an integer array, giving one
-    value per entry: all share the weights of one frac and are contracted
-    in one sliding-window einsum.
+    value per entry.
     """
-    d = bernstein_field.d if filter_degree is None else filter_degree
-    e0, w = symmetric_filter_weights(d, bernstein_field.d, frac)
-    coeffs = bernstein_field.coeffs
-    lo = np.asarray(element) + e0
-    width = w.shape[0]
-    if lo.size and (lo.min() < 0 or lo.max() + width > coeffs.shape[0]):
-        raise OutsideInteriorRegionError("kernel window leaves the mesh")
-    windows = coeffs[lo[..., None] + np.arange(width)]  # (..., de, ell)
-    values = np.einsum("...kl,kl->...", windows, w)
-    return float(values) if values.ndim == 0 else values
+    mesh = bernstein_field.mesh
+    sigma = np.asarray(element) + float(frac)
+    return symmetric_filter_eval(bernstein_field, mesh.a + sigma * mesh.h, filter_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -453,32 +545,30 @@ class FloatKernel:
         return self._fn(s)
 
 
-def psiac_kernel_at(spec: FilterSpec, mesh, x: float) -> FloatKernel:
-    """The position-dependent kernel at evaluation point x, physical units."""
-    h = mesh.h
-    _, lam_g, _ = _window_placement(spec, mesh.n)
-    offset = x - float(lam_g) * h - mesh.a  # physical knots are h*t + offset
-    xihat = (x - mesh.a) / h - float(lam_g)
-    coeffs = [float(c) for c in
-              shifted_coefficient_polynomials(spec).evaluate(Fraction(xihat))]
+def _float_kernel(spec: FilterSpec, coeffs, offset: float, h: float) -> FloatKernel:
+    """sum_j c_j B_j((s - offset)/h) / h: the spec's splines with physical knots h*t + offset."""
+    cs = [float(c) for c in coeffs]
     pps = [unit_bspline_piecewise(w, k) for w, k in zip(spec.windows, spec.degrees)]
 
     def fn(s):
         z = (s - offset) / h
-        return sum(c * float(pp(z)) for c, pp in zip(coeffs, pps)) / h
+        return sum(c * float(pp(z)) for c, pp in zip(cs, pps)) / h
 
-    breaks = [offset + h * float(t) for t in spec.knots]
-    return FloatKernel(breaks, fn)
+    return FloatKernel([offset + h * float(t) for t in spec.knots], fn)
+
+
+def psiac_kernel_at(spec: FilterSpec, mesh, x: float) -> FloatKernel:
+    """The position-dependent kernel at evaluation point x, physical units."""
+    _, lam_g, _ = _window_placement(spec, mesh.n)
+    xihat = (x - mesh.a) / mesh.h - float(lam_g)
+    coeffs = shifted_coefficient_polynomials(spec).evaluate(Fraction(xihat))
+    return _float_kernel(spec, coeffs, x - float(lam_g) * mesh.h - mesh.a, mesh.h)
 
 
 def symmetric_kernel_at(d: int, h: float) -> FloatKernel:
     """The interior kernel in the convolution variable (centered at 0)."""
-    pp = _symmetric_kernel_pp(d)
-
-    def fn(t):
-        return float(pp(t / h)) / h
-
-    return FloatKernel([h * float(b) for b in pp.breakpoints], fn)
+    spec = build_spec("symmetric", d)
+    return _float_kernel(spec, static_coefficients(spec), 0.0, h)
 
 
 def reference_convolve(kernel: FloatKernel, field, x: float, quad_points: int = 10) -> float:
@@ -497,7 +587,7 @@ def reference_convolve(kernel: FloatKernel, field, x: float, quad_points: int = 
         if lo < s < hi:
             cuts.add(float(s))
     cuts = sorted(cuts)
-    gx, gw = _gauss(quad_points)
+    gx, gw = np.polynomial.legendre.leggauss(quad_points)
     total = 0.0
     for a, b in zip(cuts, cuts[1:]):
         if b <= a:
@@ -519,33 +609,32 @@ def blend_weight(z, rho: int):
     Degree 2*rho+1 makes the blend Hermite-interpolate *both* sides up to
     order rho (value and first rho derivatives at z = 0 and z = 1).
     """
-    n = 2 * rho + 1
-    z = np.asarray(z, dtype=float)
-    acc = np.zeros_like(z)
-    for i in range(rho + 1, n + 1):
-        acc = acc + comb(n, i) * z ** i * (1 - z) ** (n - i)
+    acc = _bernstein_values(2 * rho + 1, z)[rho + 1:].sum(axis=0)
     return acc if acc.shape else float(acc)
 
 
 def blend_transition(boundary_poly, interior_eval, overlap: tuple[float, float], rho: int):
-    """Evaluator joining boundary-filtered and interior-filtered output.
+    """Evaluator (of a float or an array) joining boundary and interior output.
 
-    Matches the boundary side (value and rho derivatives) at overlap[0]
-    and the interior side likewise at overlap[1].
+    Matches the boundary side (value and rho derivatives) at overlap[0],
+    the end toward the boundary (the larger one on the right), and the
+    interior side likewise at overlap[1]; interior_eval is called only
+    where its weight is positive.
     """
     a1, a2 = overlap
-    if not a2 > a1:
+    if a2 == a1:
         raise EmptyOverlapError("overlap interval is empty")
     if rho < 1:
         raise ValueError("smoothness order rho must be >= 1")
 
     def blended(x):
-        z = (x - a1) / (a2 - a1)
-        z = min(1.0, max(0.0, z))
-        beta = blend_weight(z, rho)
-        left = boundary_poly(x)
-        if beta == 0.0:
-            return float(left)
-        return float((1 - beta) * left + beta * interior_eval(x))
+        x = np.asarray(x, dtype=float)
+        beta = np.asarray(blend_weight(np.clip((x - a1) / (a2 - a1), 0.0, 1.0), rho))
+        out = np.array(boundary_poly(x), dtype=float)
+        mix = beta > 0.0
+        if mix.any():
+            b = beta[mix]
+            out[mix] = (1 - b) * out[mix] + b * interior_eval(x[mix])
+        return out if out.ndim else float(out)
 
     return blended

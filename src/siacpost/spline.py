@@ -115,11 +115,6 @@ class PiecewisePolynomial:
         hi = self.breakpoints[-1] if hi is None else rat(hi)
         return self.integrate_against(RatPoly([1]), lo, hi)
 
-    def moment(self, m: int) -> Fraction:
-        """Exact integral of x^m against this function over its support."""
-        mono = RatPoly([0] * m + [1])
-        return self.integrate_against(mono, self.breakpoints[0], self.breakpoints[-1])
-
     def integrate_against(self, poly: RatPoly, lo, hi) -> Fraction:
         """Exact integral of self * poly over [lo, hi] (clipped to support)."""
         lo, hi = rat(lo), rat(hi)

@@ -204,9 +204,75 @@ def test_bad_option_is_usage_error(argv, tmp_path, capsys):
 @pytest.mark.parametrize("cfl", ("50", "-1", "nan"))
 def test_bad_cfl_fails_without_output(cfl, tmp_path, capsys):
     rc = main(SOLVE + ["--n", "10", "--t", "1", "--cfl", cfl, "--out", str(tmp_path)])
-    assert rc == 1
+    assert rc == 2
     assert "CFL" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "np0", "1", "left", "--samples", "-1"],
+    ["kernel", "np0", "1", "left", "--exact", "--samples", "-1"],
+    SOLVE + ["--n", "8", "--t", "0.1", "--samples", "-2"],
+    FILTER + ["--n", "8", "--t", "0.1", "--samples", "-2"],
+    FILTER + ["--n", "8", "--t", "0.1", "--cfl", "inf"],
+    ["converge", "tp1", "--d", "1", "--filters", "np0", "--n-list", "8,16", "--cfl", "0.5"],
+    ["timeseries", "--problem", "tp1", "--d", "2", "--filters", "dg", "--mesh-sizes", "8",
+     "--times", "0.1", "--cfl", "0"],
+])
+def test_bad_samples_or_cfl_is_usage_error(argv, tmp_path, capsys):
+    """Checked before any solve or write: exit 2 and an empty output directory."""
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.iterdir())
+
+
+def test_config_cfl_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("problem = tp1\nd = 1\nfilters = dg\nmesh_sizes = 8\n"
+                   "final_times = 0.1\ncfl = 0.9\n")
+    assert main(["timeseries", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "CFL" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+KERNEL_CALLS = (["kernel", "rlkv", "2", "right", "--exact"],
+                ["kernel", "np0", "1", "left", "--samples", "9", "--xi", "1/3"])
+
+
+def _written(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_consecutive_calls_match_separate_processes(tmp_path):
+    """One process serving several calls, with a rejected argv between them,
+    writes what one process per call writes."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from siacpost import cli
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    separate = tmp_path / "separate"
+    for argv in KERNEL_CALLS:
+        subprocess.run([sys.executable, "-m", "siacpost.cli", *argv, "--out", str(separate)],
+                       env=env, check=True, capture_output=True, timeout=120)
+    together = tmp_path / "together"
+    assert main(KERNEL_CALLS[0] + ["--out", str(together)]) == 0
+    with pytest.raises(SystemExit):
+        main(["kernel", "np0", "1", "--bogus"])
+    assert main(["kernel", "np0", "1", "left", "--samples", "-1", "--out", str(together)]) == 2
+    assert main(KERNEL_CALLS[1] + ["--out", str(together)]) == 0
+    assert _written(together) == _written(separate)
+
+
+def test_handler_replaced_after_first_call_is_used(tmp_path, monkeypatch):
+    from siacpost import cli
+    assert main(["kernel", "np0", "1", "left", "--exact", "--out", str(tmp_path)]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_kernel", lambda args: seen.append(args.family) or 0)
+    assert main(["kernel", "srv", "2", "left", "--exact", "--out", str(tmp_path)]) == 0
+    assert seen == ["srv"]
+    assert not (tmp_path / "kernel_srv_d2_left_coeffs.csv").exists()
 
 
 def test_internal_key_error_is_runtime_failure(tmp_path, monkeypatch, capsys):

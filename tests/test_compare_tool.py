@@ -32,3 +32,44 @@ def test_kernel_sweep_comparison_reports_a_mutated_tree(tmp_path):
     assert "kernels-cold seed 0: DIFFERENT" in diff.stdout
     changed = [ln.split()[-1] for ln in diff.stdout.splitlines() if "differs:" in ln]
     assert changed and all(name.endswith("_right_endpoint_vector.csv") for name in changed)
+
+
+def _tool():
+    import importlib.util
+    spec = importlib.util.spec_from_file_location("compare_timeseries", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _csv(rows) -> bytes:
+    lines = ["problem,d,filter,region,norm,N,T,value,kind"]
+    lines += [f"tp2,3,{f},{r},L2,{n},0.5,{v!r},{kind}" for f, r, n, v, kind in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_tolerance_mode_reports_differences_and_floor_rows():
+    compare_rows = _tool().compare_rows
+    old = _csv([("np0", "left", 20, 1e-8, "error"), ("np0", "left", 40, 1e-10, "error"),
+                ("np0", "left", 40, 6.64, "rate"),
+                ("symmetric", "interior", 20, 1e-12, "error"),
+                ("symmetric", "interior", 40, 5e-15, "error"),
+                ("symmetric", "interior", 40, 7.6, "rate")])
+    assert compare_rows(old, old, 1e-12, 1e-15) == (True, [
+        "  4 error rows: max |diff| 0, max relative diff 0, 0 outside tolerance",
+        "  0 of 2 rate rows moved by more than 1e-09 (0 floor rows); largest move of another row 0"])
+    new = old.replace(b"5e-15", b"5.3e-15").replace(b"7.6,", b"7.5,").replace(b"6.64,", b"6.65,")
+    ok, lines = compare_rows(old, new, 1e-12, 1e-15)
+    assert ok
+    assert lines[0].startswith("  4 error rows: max |diff| 3e-16, max relative diff 0.06")
+    assert lines[1] == ("  2 of 2 rate rows moved by more than 1e-09 (1 floor rows); "
+                        "largest move of another row 0.01")
+    assert lines[2].startswith("  rate moved: np0 left L2 N=40") and "[floor]" not in lines[2]
+    assert lines[3].startswith("  rate moved: symmetric interior L2 N=40") and lines[3].endswith(
+        "[floor]")
+    ok, lines = compare_rows(old, new, 1e-12, 1e-16)
+    assert not ok
+    assert any(line.startswith("  error row outside tolerance: symmetric interior L2 40")
+               for line in lines)
+    ok, lines = compare_rows(old, old.replace(b"interior,L2,40", b"interior,L2,80"), 1, 1)
+    assert not ok and lines[0].startswith("  rows differ")

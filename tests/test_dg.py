@@ -3,8 +3,7 @@ import pytest
 
 from siacpost import dg
 from siacpost.dg import (DGField, Mesh, TestProblem, UnstableBlowupError, advance,
-                         dg_rhs, dg_solve, get_problem, l2_project, to_bernstein,
-                         to_legendre)
+                         dg_rhs, dg_solve, get_problem, l2_project, to_bernstein)
 
 
 def test_mesh_validation():
@@ -87,7 +86,9 @@ def test_conservation_periodic():
     mesh = Mesh(0, 1, 24)
     f0 = l2_project(tp1.u0, mesh, 1)
     f1 = advance(f0, tp1, 1.0)
-    assert abs(f1.cell_average_integral() - f0.cell_average_integral()) < 1e-10
+    # the first Legendre mode is the cell average
+    total = lambda f: mesh.h * f.coeffs[:, 0].sum()
+    assert abs(total(f1) - total(f0)) < 1e-10
 
 
 def test_convergence_order_tp1_d1():
@@ -134,8 +135,8 @@ def test_basis_round_trip_and_values():
     mesh = Mesh(0, 1, 6)
     f = DGField(d=3, mesh=mesh, coeffs=rng.standard_normal((6, 4)), basis="legendre")
     b = to_bernstein(f)
-    back = to_legendre(b)
-    assert np.abs(back.coeffs - f.coeffs).max() < 1e-13
+    _, b2l = dg._conversion_matrices(3)
+    assert np.abs(b.coeffs @ b2l.T - f.coeffs).max() < 1e-13
     xs = rng.uniform(0, 1, 10)
     assert np.abs(b.evaluate(xs) - f.evaluate(xs)).max() < 1e-12
 

@@ -15,13 +15,19 @@ from siacpost.spline import _complete_homogeneous, bspline_moment, unit_bspline_
 EX27 = custom_spec([-2, -1, 0], 0, (0, 1))
 
 
+def _uniform_degree(spec: FilterSpec) -> int | None:
+    """The kernel degree shared by every spline, or None for mixed degrees."""
+    ks = set(spec.degrees)
+    return ks.pop() if len(ks) == 1 else None
+
+
 def power_reproduction_matrix(spec: FilterSpec) -> RatMatrix:
     """Power-sum form: M[delta][j] = sum over |omega| = delta of window^omega.
 
     Only defined for uniform per-spline degree; equals the moment form
     scaled row-wise by C(delta + k + 1, delta).
     """
-    k = spec.uniform_degree
+    k = _uniform_degree(spec)
     if k is None:
         raise ValueError("power-sum form needs a uniform kernel degree")
     return RatMatrix.from_rows([
@@ -32,7 +38,7 @@ def power_reproduction_matrix(spec: FilterSpec) -> RatMatrix:
 
 def np0_reproduction_matrix(spec: FilterSpec) -> RatMatrix:
     """Closed geometric form for k = 0: (t1^{d+1} - t0^{d+1})/(t1 - t0)."""
-    if spec.uniform_degree != 0:
+    if _uniform_degree(spec) != 0:
         raise ValueError("closed form applies to piecewise-constant kernels only")
     rows = []
     for delta in range(spec.r + 1):
@@ -125,11 +131,11 @@ def test_np0_closed_form_d1():
     assert m == power_reproduction_matrix(s)
 
 
-@pytest.mark.parametrize("spec", [s for s in ALL_SPECS if s.uniform_degree is not None],
+@pytest.mark.parametrize("spec", [s for s in ALL_SPECS if _uniform_degree(s) is not None],
                          ids=lambda s: f"{s.family}-d{s.d}-{s.side}")
 def test_moment_vs_power_paths(spec):
     """Moment form equals power-sum form after row rescaling by C(m+k+1, m)."""
-    k = spec.uniform_degree
+    k = _uniform_degree(spec)
     mom = reproduction_matrix(spec)
     pw = power_reproduction_matrix(spec)
     for m in range(spec.r + 1):
@@ -193,7 +199,8 @@ def test_reproduction_identity(spec):
     """
     c = static_coefficients(spec)
     pps = [unit_bspline_piecewise(w, k) for w, k in zip(spec.windows, spec.degrees)]
-    kernel_moments = [sum(cj * pp.moment(m) for cj, pp in zip(c, pps))
+    kernel_moments = [sum(cj * pp.integrate_against(RatPoly([0] * m + [1]), pp.breakpoints[0],
+                                                  pp.breakpoints[-1]) for cj, pp in zip(c, pps))
                       for m in range(spec.r + 1)]
     for delta in range(spec.r + 1):
         # integral of K(s) (x-s)^delta ds expanded in powers of x

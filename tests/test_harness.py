@@ -1,3 +1,4 @@
+import csv
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ from siacpost import dg, harness, psiac
 from siacpost.filters import build_spec
 from siacpost.harness import (EmptyRegionError, ErrorRecord, NonpositiveError,
                               RateRecord, RunConfig, RunConfigError, convergence_rate,
-                              read_csv, region_norms, time_series_experiment, write_csv)
+                              region_norms, time_series_experiment, write_csv)
 
 
 def flat_mesh(n=10):
@@ -153,6 +154,16 @@ def test_rates_present_and_reasonable():
         assert v > 2.0  # superconvergent already on coarse pair
 
 
+def read_csv(path) -> list[ErrorRecord | RateRecord]:
+    """Inverse of write_csv."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert tuple(rows[0]) == harness.CSV_HEADER
+    return [(RateRecord if row[8] == "rate" else ErrorRecord)(
+                problem=row[0], d=int(row[1]), filter=row[2], region=row[3], norm=row[4],
+                n=int(row[5]), t=float(row[6]), value=float(row[7])) for row in rows[1:]]
+
+
 def test_csv_round_trip(tmp_path):
     recs = [ErrorRecord("tp1", 1, "np0", "left", "L2", 20, 0.5, 1.234e-5),
             RateRecord("tp1", 1, "np0", "left", "L2", 40, 0.5, 2.987654321098765)]
@@ -188,10 +199,20 @@ def test_deterministic_row_ordering(small_run):
 # the batched sampler against the per-point rule it replaced
 
 
+def _fraction_pieces(region):
+    """Split a sigma-interval at element boundaries, as exact (lo, hi) pairs."""
+    lo, hi = Fraction(region[0]), Fraction(region[1])
+    pieces = []
+    while lo < hi:
+        pieces.append((lo, min(Fraction(int(lo) + 1), hi)))
+        lo = pieces[-1][1]
+    return pieces
+
+
 def _pointwise_region_norms(approx, exact, mesh, region, spe):
     """One approx/exact call per piece for the L2 nodes."""
-    pieces = harness._region_pieces((harness._sigma_exact(mesh, region[0]),
-                                     harness._sigma_exact(mesh, region[1])))
+    pieces = _fraction_pieces((harness._sigma_exact(mesh, region[0]),
+                               harness._sigma_exact(mesh, region[1])))
     xs = np.array([float(lo) + float(hi - lo) * s / (spe - 1)
                    for lo, hi in pieces for s in range(spe)])
     xs = mesh.a + xs * mesh.h
@@ -235,7 +256,7 @@ def _pointwise_norms(ctx, region, value_fn, spe):
     mesh = ctx.mesh
     gx, gw = np.polynomial.legendre.leggauss(spe)
     sq_total, linf = 0.0, 0.0
-    for lo, hi in harness._region_pieces(region):
+    for lo, hi in _fraction_pieces(region):
         width = hi - lo
         e = min(int(lo), mesh.n - 1)
         for s in range(spe):
@@ -294,16 +315,15 @@ def test_right_strip_blend():
     field = dg.dg_solve(tp2, dg.Mesh(tp2.a, tp2.b, n), d, 0.3)
     ctx = harness._FieldContext(field, tp2, cfg)
     spec = build_spec("np0", d, "right")
-    values = ctx.boundary_evaluator(spec, "right")
+    values = ctx.boundary_output(spec, "right")
     poly = psiac.filter_boundary(field, spec)
     edge = n - spec.lam  # where the boundary region proper starts
     assert ctx.boundary_region(spec, "right")[0] == edge - 2
     mesh = field.mesh
     for t in (Fraction(0), Fraction(1, 7), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
         sigma = edge - 2 + 2 * t
-        e = min(int(sigma), n - 1)
         x = mesh.a + float(sigma) * mesh.h
-        got = values(np.array([e]), sigma - e)[0]
+        got = values(np.array([x]))[0]
         beta = psiac.blend_weight(float(1 - t), cfg.blend_rho)
         sym = psiac.symmetric_filter_eval(field, x)
         assert got == pytest.approx((1 - beta) * poly(x) + beta * sym, abs=1e-13)
@@ -311,3 +331,42 @@ def test_right_strip_blend():
             assert got == pytest.approx(sym, abs=1e-13)
         if t == 1:
             assert got == poly(x)
+
+
+# ---------------------------------------------------------------------------
+# every boundary family against the brute-force convolution
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+@pytest.mark.parametrize("family", ("srv", "rlkv", "np0", "rs"))
+def test_boundary_output_matches_reference_convolution(family, d):
+    """At a seeded random point of each boundary region and of each blend strip:
+    without blending the output is the reference convolution of the boundary
+    kernel; with blending it is the same at the first point and mixes the
+    boundary and symmetric references with weight beta in the strip."""
+    n = 24
+    tp2 = dg.get_problem("tp2")
+    field = dg.dg_solve(tp2, dg.Mesh(tp2.a, tp2.b, n), d, 0.3)
+    mesh = field.mesh
+    rng = np.random.default_rng(10 * d + len(family))
+    contexts = {blend: harness._FieldContext(field, tp2, RunConfig(
+                    problem="tp2", d=d, filters=(family,), mesh_sizes=(n,),
+                    final_times=(0.3,), blend=blend))
+                for blend in (False, True)}
+    sym = psiac.symmetric_kernel_at(d, mesh.h)
+    for side in ("left", "right"):
+        spec = build_spec(family, d, side)
+        off, on = (contexts[b].boundary_output(spec, side) for b in (False, True))
+        lam = float(spec.lam)
+        u_region, u_strip = rng.random(2)
+        for depth, beta in ((lam * u_region, 0.0),
+                            (lam + 2 * u_strip, psiac.blend_weight(u_strip, 2))):
+            x = mesh.a + (depth if side == "left" else n - depth) * mesh.h
+            ref = psiac.reference_convolve(psiac.psiac_kernel_at(spec, mesh, x), field, x)
+            tol = 1e-10 * max(1.0, abs(ref))
+            assert abs(off(x) - ref) < tol, (side, depth)
+            if beta == 0.0:
+                assert on(x) == off(x)
+            else:
+                want = (1 - beta) * ref + beta * psiac.reference_convolve(sym, field, x)
+                assert abs(on(x) - want) < tol, (side, depth)

@@ -12,11 +12,11 @@ from siacpost.psiac import (MeshTooCoarseError, OutsideInteriorRegionError,
                             blend_transition, blend_weight, endpoint_vector,
                             filter_boundary, filter_boundary_derivative,
                             q_matrix, reference_convolve,
-                            symmetric_filter_eval, t_matrix)
+                            symmetric_filter_eval)
 from siacpost.spline import eval_unit_bspline
 
 import oracles
-from oracles import np0_t_matrix
+from oracles import np0_t_matrix, t_matrix
 
 EX27 = custom_spec([-2, -1, 0], 0, (0, 1))
 
@@ -184,7 +184,7 @@ def test_ex210_derivatives():
 
 
 def exact_poly_field(p: RatPoly, n: int, d: int):
-    rows = dg.bernstein_coeffs_of_poly(p, F(0), F(1, n), n, d)
+    rows = oracles.bernstein_coeffs_of_poly(p, F(0), F(1, n), n, d)
     coeffs = np.array([[float(c) for c in row] for row in rows])
     return rows, dg.DGField(d=d, mesh=dg.Mesh(0.0, 1.0, n), coeffs=coeffs,
                             basis="bernstein")
@@ -281,6 +281,87 @@ def test_endpoint_vector_srv_magnitude():
 
 # ---------------------------------------------------------------------------
 # interior filtering and the convolution oracle
+
+
+def _tp2_field(d, n):
+    tp2 = dg.get_problem("tp2")
+    return dg.dg_solve(tp2, dg.Mesh(tp2.a, tp2.b, n), d, 0.3)
+
+
+@pytest.mark.parametrize("d", (1, 2, 3, 4))
+def test_interior_weights_match_quadrature_oracle(d):
+    """The exact operator at seeded random fractions and at piece ends gives the
+    quadrature weights to roundoff, for the field degree d and a higher one."""
+    fracs = list(np.random.default_rng(10 + d).random(6)) + [0.0, 0.5, 1.0]
+    for dg_degree in (d, 2 * d):
+        for frac in fracs:
+            e0, w = psiac.symmetric_filter_weights(d, dg_degree, frac)
+            r0, ref = oracles.symmetric_weights_reference(d, dg_degree, frac)
+            lo, hi = min(e0, r0), max(e0 + len(w), r0 + len(ref))
+            got, want = np.zeros((2, hi - lo, dg_degree + 1))
+            got[e0 - lo:e0 - lo + len(w)] = w
+            want[r0 - lo:r0 - lo + len(ref)] = ref
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).sum(), (dg_degree, frac)
+
+
+@pytest.mark.parametrize("d", (1, 2, 3, 4))
+def test_interior_operator_reproduces_polynomials_exactly(d):
+    """Exact Bernstein data of a polynomial of degree <= d maps, in rationals, to
+    the Bernstein coefficients of the same polynomial on every output piece."""
+    op = psiac.interior_operator(d, d)
+    width = 3 * d + 2
+    rng = random.Random(d)
+    for degree in range(d + 1):
+        p = RatPoly([F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(degree)] + [F(1)])
+        data = [c for row in oracles.bernstein_coeffs_of_poly(p, F(0), F(1), width, d) for c in row]
+        for q, offset in enumerate(op.offsets):
+            # the window starts at element 0, so the piece lies in element -offset
+            got = [sum(num[k] * u for num, u in zip(op.numerators[q], data)) / op.den
+                   for k in range(op.degree + 1)]
+            want = oracles.bernstein_coeffs_of_poly(p, F(-offset) + F(q, op.pieces),
+                                               F(1, op.pieces), 1, op.degree)[0]
+            assert got == want, (degree, q)
+
+
+@pytest.mark.parametrize("d", (1, 2, 3, 4))
+def test_interior_output_continuous_across_pieces(d):
+    out = psiac.filter_interior(_tp2_field(d, 24))
+    assert len(out.coeffs) == (1 if d % 2 else 2) * (24 - (3 * d + 1))
+    jumps = out.coeffs[1:, 0] - out.coeffs[:-1, -1]  # end values of neighbouring pieces
+    assert np.abs(jumps).max() <= 1e-13 * np.abs(out.coeffs).max()
+
+
+@pytest.mark.parametrize("d", (1, 2, 3, 4))
+def test_interior_output_matches_reference_convolution(d):
+    """filter_interior and symmetric_filter_eval against the convolution oracle at
+    seeded random points, at element ends and at half-element ends, including
+    both ends of the interior region."""
+    n = 3 * d + 8
+    field = _tp2_field(d, n)
+    mesh = field.mesh
+    mu = (3 * d + 1) / 2
+    sigmas = list(mu + (n - 2 * mu) * np.random.default_rng(d).random(3))
+    sigmas += [mu, n - mu, np.ceil(mu), np.ceil(mu) + 1]
+    if d % 2 == 0:
+        sigmas += [np.ceil(mu) + 0.5, n - mu - 1]
+    out = psiac.filter_interior(field)
+    kernel = psiac.symmetric_kernel_at(d, mesh.h)
+    for sigma in sigmas:
+        x = mesh.a + sigma * mesh.h
+        ref = reference_convolve(kernel, field, x)
+        assert abs(out(x) - ref) < 1e-12, sigma
+        assert abs(symmetric_filter_eval(field, x) - ref) < 1e-12, sigma
+
+
+def test_interior_output_outside_region_raises():
+    out = psiac.filter_interior(_tp2_field(2, 16))
+    lo, hi = out.region
+    out(np.array([lo, hi]))
+    for x in (lo - 0.01, hi + 0.01):
+        with pytest.raises(OutsideInteriorRegionError):
+            out(x)
+    with pytest.raises(MeshTooCoarseError):
+        psiac.filter_interior(_tp2_field(2, 7))
 
 
 def test_symmetric_reproduces_quadratic():

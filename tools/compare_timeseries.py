@@ -10,11 +10,24 @@ workload runs `siacpost timeseries` on the generated config, and
 `kernels-cold` runs every `siacpost kernel ... --exact` call of the sweep,
 in its seeded order, in one process per tree.
 Exits 0 when every CSV pair is identical, 1 otherwise.
+
+With --rtol and/or --atol the timeseries CSVs are compared row by row
+instead: every error row must be within atol + rtol * |old value|, and
+the largest absolute and relative differences over error rows are
+reported.  Rate rows that moved by more than 1e-9 are listed, for
+information: a rate is a function of two error rows, and an error e
+that moves by delta moves it by up to delta / (e ln 2), so roundoff in
+small errors moves rates that the error tolerance does not catch.  A
+listed row whose finer- or coarser-mesh error (old tree) is below 1e-13
+is flagged as a floor row: its rate measures roundoff.  Other CSVs (the
+exact kernel CSVs) are still compared byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import subprocess
@@ -46,13 +59,60 @@ def run_tree(src: str, job: dict, config: Path, out: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
 
 
+RATE_TOL = 1e-9    # a rate that moves by more than this is listed
+FLOOR = 1e-13      # errors below this sit on the double-precision floor
+
+
+def _rows(data: bytes) -> dict[tuple, float] | None:
+    """Timeseries CSV rows as {(kind, filter, region, norm, N, T): value}, else None."""
+    rows = list(csv.reader(io.StringIO(data.decode())))
+    if not rows or rows[0][-1] != "kind":
+        return None
+    return {(r[8], r[2], r[3], r[4], int(r[5]), r[6]): float(r[7]) for r in rows[1:]}
+
+
+def compare_rows(old: bytes, new: bytes, rtol: float, atol: float) -> tuple[bool, list[str]]:
+    """Tolerance comparison of two timeseries CSVs: (passed, report lines)."""
+    a, b = _rows(old), _rows(new)
+    if a is None or b is None:
+        return old == new, []
+    if a.keys() != b.keys():
+        return False, ["  rows differ: " + ", ".join(map(str, sorted(a.keys() ^ b.keys())[:5]))]
+    errors = [(key, v, abs(b[key] - v)) for key, v in sorted(a.items()) if key[0] == "error"]
+    outside = [f"  error row outside tolerance: {' '.join(map(str, key[1:]))}: {v!r} -> {b[key]!r}"
+               for key, v, diff in errors if not diff <= atol + rtol * abs(v)]
+    rel = [diff / abs(v) for _, v, diff in errors if v]
+    moved, floor_rows, worst = [], 0, 0.0
+    for key, v in sorted(a.items()):
+        if key[0] != "rate" or not abs(b[key] - v) > RATE_TOL:
+            continue
+        _, name, region, norm, n, t = key
+        floor = any(e is not None and e < FLOOR
+                    for e in (a.get(("error", name, region, norm, m, t)) for m in (n, n // 2)))
+        floor_rows += floor
+        worst = worst if floor else max(worst, abs(b[key] - v))
+        moved.append(f"  rate moved: {name} {region} {norm} N={n} T={t}: {v!r} -> {b[key]!r}"
+                     + (" [floor]" if floor else ""))
+    rates = sum(key[0] == "rate" for key in a)
+    summary = [f"  {len(errors)} error rows: max |diff| {max((e[2] for e in errors), default=0):.3g}, "
+               f"max relative diff {max(rel, default=0):.3g}, {len(outside)} outside tolerance",
+               f"  {len(moved)} of {rates} rate rows moved by more than {RATE_TOL:g} "
+               f"({floor_rows} floor rows); largest move of another row {worst:.3g}"]
+    return not outside, summary + outside + moved
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("old_src")
     ap.add_argument("new_src")
     ap.add_argument("--workload", action="append", choices=sorted(WORKLOADS), required=True)
     ap.add_argument("--seed", type=int, action="append", required=True)
+    ap.add_argument("--rtol", type=float, default=None,
+                    help="compare timeseries CSVs row by row, with this relative tolerance")
+    ap.add_argument("--atol", type=float, default=None,
+                    help="compare timeseries CSVs row by row, with this absolute tolerance")
     args = ap.parse_args()
+    tolerant = args.rtol is not None or args.atol is not None
     same = True
     for name in args.workload:
         for seed in args.seed:
@@ -61,13 +121,25 @@ def main() -> int:
                 job = json.loads(write_job(name, seed, tmp).read_text())
                 old = run_tree(args.old_src, job, tmp / "study.cfg", tmp / "old")
                 new = run_tree(args.new_src, job, tmp / "study.cfg", tmp / "new")
-            ok = bool(old) and old == new
+            ok = bool(old) and old.keys() == new.keys()
+            report = []
+            for path in sorted(set(old) | set(new)):
+                if old.get(path) == new.get(path):
+                    continue
+                if tolerant and path in old and path in new:
+                    within, lines = compare_rows(old[path], new[path],
+                                                 args.rtol or 0.0, args.atol or 0.0)
+                    report += [f"  {'within tolerance' if within else 'differs'}: {path}"] + lines
+                    ok &= within
+                else:
+                    report.append(f"  differs: {path}")
+                    ok = False
             sizes = (sum(map(len, old.values())), sum(map(len, new.values())))
-            print(f"{name} seed {seed}: {'identical' if ok else 'DIFFERENT'} "
+            verdict = "DIFFERENT" if not ok else "identical" if old == new else "within tolerance"
+            print(f"{name} seed {seed}: {verdict} "
                   f"({len(old)} / {len(new)} CSVs, {sizes[0]} / {sizes[1]} bytes)")
-            for csv in sorted(set(old) | set(new)):
-                if old.get(csv) != new.get(csv):
-                    print(f"  differs: {csv}")
+            for line in report:
+                print(line)
             same &= ok
     return 0 if same else 1
 
