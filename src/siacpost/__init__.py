@@ -6,6 +6,7 @@ discontinuous-Galerkin advection solver, and measures boundary errors
 and superconvergence rates.
 """
 
+from .errors import UsageError
 from .exact import RatMatrix, RatPoly, Rational, invert_exact, rat, solve_exact
 from .filters import (FilterSpec, build_spec, custom_spec, reproduction_matrix,
                       shifted_coefficient_polynomials, static_coefficients)

@@ -1,9 +1,13 @@
 """Command-line front end.
 
 Subcommands: kernel, solve, filter, converge, timeseries.  Exit codes:
-0 success, 1 runtime failure, 2 usage/config error.  The default output
-directory comes from $SIACPOST_OUTDIR (falling back to the current
-directory).
+0 success; 2 usage error, when argparse rejects the command line or the
+run raises `siacpost.errors.UsageError`, which every input check raises
+before anything is written (here for CLI-only options and the config
+file, in the library for the values it owns); 1 runtime failure, any
+other exception.  `main` is the one place where an exception becomes an
+exit code.  The default output directory comes from $SIACPOST_OUTDIR
+(falling back to the current directory).
 """
 
 from __future__ import annotations
@@ -17,9 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-
-class ConfigError(ValueError):
-    """Bad configuration file or option value."""
+from .errors import UsageError
 
 
 def _outdir(args) -> Path:
@@ -29,46 +31,20 @@ def _outdir(args) -> Path:
     return p
 
 
-def _parse_rational(text: str) -> Fraction:
+def _parse(convert, text: str, what: str):
+    """convert(text), with a ValueError or ZeroDivisionError reported as a usage error."""
     try:
-        return Fraction(text)
+        return convert(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"not a rational or decimal: {text!r}") from exc
-
-
-def _build_spec(args):
-    from .filters import FilterParameterError, UnsupportedFamilySideError, build_spec
-    try:
-        return build_spec(args.family, args.d, args.side,
-                          k=getattr(args, "k", None))
-    except (UnsupportedFamilySideError, FilterParameterError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _get_problem(name: str):
-    from .dg import get_problem
-    try:
-        return get_problem(name)
-    except KeyError as exc:
-        raise ConfigError(exc.args[0]) from exc
+        raise UsageError(f"bad {what} {text!r}: {exc}") from exc
 
 
 def _solve_field(args):
     """The problem, mesh and DG field that solve and filter write out."""
     from . import dg
-    problem = _get_problem(args.problem)
-    if args.d < 0:
-        raise ConfigError("--d must be >= 0")
-    if args.n < 1:
-        raise ConfigError("--n must be at least 1")
-    if not args.t >= 0:
-        raise ConfigError("--t must be nonnegative")
+    problem = dg.get_problem(args.problem)
     if args.samples < 0:
-        raise ConfigError("--samples must be >= 0")
-    try:
-        dg.check_cfl(args.cfl, args.d)
-    except (ValueError, dg.UnstableBlowupError) as exc:
-        raise ConfigError(str(exc)) from exc
+        raise UsageError("--samples must be >= 0")
     mesh = dg.Mesh(problem.a, problem.b, args.n)
     return problem, mesh, dg.dg_solve(problem, mesh, args.d, args.t, args.cfl)
 
@@ -79,13 +55,15 @@ def _solve_field(args):
 
 def cmd_kernel(args) -> int:
     from . import psiac
-    from .filters import shifted_coefficient_polynomials, static_coefficients
+    from .filters import build_spec, shifted_coefficient_polynomials, static_coefficients
     from .spline import eval_unit_bspline
-    spec = _build_spec(args)
-    if args.dg_degree is not None and args.dg_degree < 0:
-        raise ConfigError("--dg-degree must be >= 0")
+    spec = build_spec(args.family, args.d, args.side, k=args.k)
     if args.samples < 0:
-        raise ConfigError("--samples must be >= 0")
+        raise UsageError("--samples must be >= 0")
+    if not args.exact and not args.samples:
+        raise UsageError("pass --exact and/or --samples N")
+    xi = _parse(Fraction, args.xi, "--xi") if args.samples else None
+    vec = psiac.endpoint_vector(spec, args.dg_degree) if args.exact else None
     out = _outdir(args)
     tag = f"{spec.family}_d{spec.d}_{spec.side}"
     if args.exact:
@@ -95,7 +73,6 @@ def cmd_kernel(args) -> int:
             fh.write("j," + ",".join(f"xi^{m}" for m in range(spec.r + 1)) + "\n")
             for j in range(spec.r + 1):
                 fh.write(f"{j}," + ",".join(str(c) for c in cp.matrix.row(j)) + "\n")
-        vec = psiac.endpoint_vector(spec, args.dg_degree)
         vpath = out / f"kernel_{tag}_endpoint_vector.csv"
         with open(vpath, "w") as fh:
             fh.write("index,value\n")
@@ -103,7 +80,6 @@ def cmd_kernel(args) -> int:
                 fh.write(f"{i},{v}\n")
         print(f"wrote {path} and {vpath}")
     if args.samples:
-        xi = _parse_rational(args.xi)
         coeffs = static_coefficients(spec) if xi == 0 else \
             shifted_coefficient_polynomials(spec).evaluate(xi)
         lo, hi = spec.knots[0] + xi, spec.knots[-1] + xi
@@ -116,8 +92,6 @@ def cmd_kernel(args) -> int:
                           for c, w, k in zip(coeffs, spec.windows, spec.degrees))
                 fh.write(f"{x:.17g},{val:.17g}\n")
         print(f"wrote {path}")
-    if not args.exact and not args.samples:
-        raise ConfigError("pass --exact and/or --samples N")
     return 0
 
 
@@ -143,9 +117,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_filter(args) -> int:
-    from fractions import Fraction
     from . import dg, psiac
-    spec = _build_spec(args)
+    from .filters import build_spec
+    spec = build_spec(args.family, args.d, args.side, k=args.k)
     problem, mesh, field = _solve_field(args)
     poly = psiac.filter_boundary(field, spec)
     # exact contraction of the (losslessly lifted) window coefficients
@@ -178,14 +152,10 @@ def cmd_filter(args) -> int:
 
 def cmd_converge(args) -> int:
     from . import harness
-    _get_problem(args.problem)
-    try:
-        config = harness.RunConfig(
-            problem=args.problem, d=args.d, filters=tuple(args.filters.split(",")),
-            mesh_sizes=tuple(int(n) for n in args.n_list.split(",")),
-            final_times=(args.t,), blend=not args.no_blend, cfl=args.cfl)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    config = harness.RunConfig(
+        problem=args.problem, d=args.d, filters=tuple(args.filters.split(",")),
+        mesh_sizes=_parse(_ints, args.n_list, "--n-list"),
+        final_times=(args.t,), blend=not args.no_blend, cfl=args.cfl)
     errors, rates = harness.time_series_experiment(config)
     for r in errors:
         print(f"error  {r.filter:10s} {r.region:8s} {r.norm:4s} N={r.n:<4d} {r.value:.6e}")
@@ -214,19 +184,23 @@ def parse_config(path: str | Path):
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
+        raise UsageError(f"cannot read config: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key = value")
+            raise UsageError(f"line {lineno}: expected key = value")
         key, _, val = line.partition("=")
         key = key.strip().lower()
         if key not in CONFIG_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            raise UsageError(f"line {lineno}: unknown key {key!r}")
         values[key] = val.strip()
     return values
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(n) for n in text.split(","))
 
 
 def _times_from(text: str) -> tuple[float, ...]:
@@ -247,29 +221,25 @@ def build_run_config(values: dict, args) -> "RunConfig":
     missing = [n for n, v in (("problem", problem), ("d", d), ("filters", filters_),
                               ("mesh_sizes", meshes), ("final_times", times)) if v is None]
     if missing:
-        raise ConfigError(f"missing required settings: {', '.join(missing)}")
-    try:
-        blend_text = values.get("blend", "true")
-        cfg = RunConfig(
-            problem=str(problem), d=int(d),
-            filters=tuple(f for f in str(filters_).split(",") if f.strip()),
-            mesh_sizes=tuple(int(n) for n in str(meshes).split(",")),
-            final_times=_times_from(str(times)),
-            samples_per_element=int(values.get("samples_per_element", 6)),
-            blend=(blend_text.strip().lower() in ("1", "true", "yes", "on")
-                   if args.blend is None else args.blend),
-            blend_rho=int(values.get("blend_rho", 2)),
-            cfl=float(values["cfl"]) if "cfl" in values else args.cfl)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg
+        raise UsageError(f"missing required settings: {', '.join(missing)}")
+    blend_text = values.get("blend", "true")
+    return RunConfig(
+        problem=str(problem), d=_parse(int, d, "d"),
+        filters=tuple(f for f in str(filters_).split(",") if f.strip()),
+        mesh_sizes=_parse(_ints, str(meshes), "mesh_sizes"),
+        final_times=_parse(_times_from, str(times), "final_times"),
+        samples_per_element=_parse(int, values.get("samples_per_element", "6"),
+                                   "samples_per_element"),
+        blend=(blend_text.strip().lower() in ("1", "true", "yes", "on")
+               if args.blend is None else args.blend),
+        blend_rho=_parse(int, values.get("blend_rho", "2"), "blend_rho"),
+        cfl=_parse(float, values["cfl"], "cfl") if "cfl" in values else args.cfl)
 
 
 def cmd_timeseries(args) -> int:
     from . import harness
     values = parse_config(args.config) if args.config else {}
     config = build_run_config(values, args)
-    _get_problem(config.problem)
     errors, rates = harness.time_series_experiment(config)
     out = _outdir(args)
     path = out / f"timeseries_{config.problem}_d{config.d}.csv"
@@ -363,7 +333,7 @@ def main(argv=None) -> int:
         args.side = "interior" if args.family.lower().startswith("sym") else "left"
     try:  # by name, so that a handler replaced after import is the one called
         return globals()[args.fn](args)
-    except ConfigError as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failures

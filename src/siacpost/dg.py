@@ -26,12 +26,22 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .errors import UsageError
 from .exact import RatMatrix, RatPoly, invert_exact
 from .spline import bernstein_poly
 
 
 class UnstableBlowupError(RuntimeError):
     """Solution magnitude exploded or went non-finite; the CFL number is too large."""
+
+
+class CflLimitError(UnstableBlowupError, UsageError):
+    """The requested CFL number is above the RK4 stability limit."""
+
+
+class UnknownProblemError(UsageError, KeyError):
+    """No test problem has that name; a KeyError that prints its message unquoted."""
+    __str__ = UsageError.__str__
 
 
 @dataclass(frozen=True)
@@ -44,7 +54,7 @@ class Mesh:
 
     def __post_init__(self):
         if self.n < 1 or not self.b > self.a:
-            raise ValueError("need b > a and at least one element")
+            raise UsageError("need b > a and at least one element")
 
     @property
     def h(self) -> float:
@@ -142,7 +152,7 @@ PROBLEMS = {
 def get_problem(name: str) -> TestProblem:
     key = name.strip().lower()
     if key not in PROBLEMS:
-        raise KeyError(f"unknown problem {name!r}; choose from {sorted(PROBLEMS)}")
+        raise UnknownProblemError(f"unknown problem {name!r}; choose from {sorted(PROBLEMS)}")
     return PROBLEMS[key]
 
 
@@ -156,6 +166,8 @@ def l2_project(u0: Callable, mesh: Mesh, d: int) -> DGField:
     Gauss-Legendre with d+2 points per element: exact for polynomial data
     up to degree d (and beyond).
     """
+    if d < 0:
+        raise UsageError(f"DG degree must be >= 0, got {d}")
     gx, gw = np.polynomial.legendre.leggauss(d + 2)
     mids = mesh.a + (np.arange(mesh.n) + 0.5) * mesh.h
     x = mids[:, None] + 0.5 * mesh.h * gx[None, :]
@@ -282,14 +294,15 @@ def max_stable_cfl(d: int) -> float:
 def check_cfl(cfl: float | None, d: int) -> float:
     """The CFL number `advance` uses at degree d: cfl, or the default when None.
 
-    Raises ValueError unless it is positive and finite, UnstableBlowupError
-    above the RK4 stability limit `max_stable_cfl(d)`.
+    Raises UsageError unless it is positive and finite, and CflLimitError
+    (a UsageError and an UnstableBlowupError) above the RK4 stability limit
+    `max_stable_cfl(d)`.
     """
     c = cfl if cfl is not None else default_cfl(d)
     if not (np.isfinite(c) and c > 0):
-        raise ValueError(f"CFL number must be positive and finite, got {c}")
+        raise UsageError(f"CFL number must be positive and finite, got {c}")
     if c > max_stable_cfl(d):
-        raise UnstableBlowupError(
+        raise CflLimitError(
             f"CFL number {c} exceeds the RK4 stability limit {max_stable_cfl(d)} for d={d}")
     return c
 
@@ -359,8 +372,8 @@ def advance(field: DGField, problem: TestProblem, t_end: float,
 def dg_solve(problem: TestProblem, mesh: Mesh, d: int, t_end: float,
              cfl: float | None = None) -> DGField:
     """Project the initial condition and march to the final time."""
-    if t_end < 0:
-        raise ValueError("final time must be nonnegative")
+    if not (np.isfinite(t_end) and t_end >= 0):
+        raise UsageError(f"final time must be nonnegative and finite, got {t_end}")
     if not (np.isclose(mesh.a, problem.a) and np.isclose(mesh.b, problem.b)):
         raise ValueError("mesh does not match the problem domain")
     field = l2_project(problem.u0, mesh, d)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
+from .errors import UsageError
 from .exact import RatMatrix, RatPoly, SingularMatrixError, det_exact, invert_exact, rat
 from .spline import as_knots, bspline_moments
 
@@ -39,11 +40,11 @@ FAMILIES = ("symmetric", "rs", "srv", "rlkv", "np0", "npk")
 SIDES = ("left", "right", "interior")
 
 
-class UnsupportedFamilySideError(ValueError):
+class UnsupportedFamilySideError(UsageError):
     """Family/side combination is not defined."""
 
 
-class FilterParameterError(ValueError):
+class FilterParameterError(UsageError):
     """A filter parameter (DG degree, kernel degree k) is out of range or does not apply."""
 
 

@@ -29,6 +29,7 @@ from typing import Iterable
 import numpy as np
 
 from . import dg, psiac
+from .errors import UsageError
 from .filters import FilterSpec, build_spec
 
 FILTER_ALIASES = {
@@ -38,7 +39,7 @@ FILTER_ALIASES = {
 }
 
 
-class RunConfigError(ValueError):
+class RunConfigError(UsageError):
     """Experiment settings the harness cannot run (a usage error)."""
 
 
@@ -65,6 +66,7 @@ class RunConfig:
     cfl: float | None = None
 
     def __post_init__(self):
+        dg.get_problem(self.problem)
         unknown = [f for f in self.filters if f.strip().lower() not in FILTER_ALIASES]
         if unknown:
             raise RunConfigError(
@@ -74,16 +76,19 @@ class RunConfig:
         if self.d < 0 or (self.d < 1 and set(names) != {"dg"}):
             raise RunConfigError("DG degree must be >= 0, and >= 1 for a spline filter")
         ns = self.mesh_sizes
+        if any(n < 1 for n in ns):
+            raise RunConfigError("mesh sizes must be at least 1")
         for a, b in zip(ns, ns[1:]):
             if b != 2 * a:
                 raise RunConfigError("mesh sizes must double: rates need matched pairs")
-        if any(not t >= 0 for t in self.final_times):
-            raise RunConfigError("final times must be nonnegative")
+        if not all(np.isfinite(t) and t >= 0 for t in self.final_times):
+            raise RunConfigError("final times must be nonnegative and finite")
+        if self.samples_per_element < 2:
+            raise RunConfigError("samples_per_element must be at least 2")
+        if self.blend_rho < 1:
+            raise RunConfigError("blend_rho must be at least 1")
         if self.cfl is not None:
-            try:
-                dg.check_cfl(self.cfl, self.d)
-            except (ValueError, dg.UnstableBlowupError) as exc:
-                raise RunConfigError(str(exc)) from exc
+            dg.check_cfl(self.cfl, self.d)
         object.__setattr__(self, "final_times", tuple(sorted(self.final_times)))
 
 

@@ -34,6 +34,7 @@ from operator import mul
 
 import numpy as np
 
+from .errors import UsageError
 from .exact import RatMatrix, RatPoly, _over_common_denominator, rat
 from .filters import (FilterSpec, build_spec, shifted_coefficient_polynomials,
                       static_coefficients)
@@ -44,7 +45,7 @@ class WindowOutOfDomainError(ValueError):
     """Kernel data window does not fit inside the data domain."""
 
 
-class MeshTooCoarseError(WindowOutOfDomainError):
+class MeshTooCoarseError(WindowOutOfDomainError, UsageError):
     """Mesh has fewer elements than the kernel window spans."""
 
 
@@ -123,6 +124,8 @@ def _t_matrix_natural(spec: FilterSpec, dg_degree: int) -> RatMatrix:
     Local frame: the data window is [0, w], w = t_n - t_0, and spline j
     is seen by the data variable as the B-spline over t_n - reverse(W_j).
     """
+    if dg_degree < 0:
+        raise UsageError(f"DG degree must be >= 0, got {dg_degree}")
     n_el = _local_window_elements(spec)
     nb = dg_degree + 1
     lam = spec.knots[-1]
@@ -151,55 +154,46 @@ class QMatrix:
     q: RatMatrix
     n_elements: int
 
+    @cached_property
+    def _integer_columns(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(columns of Q as integer numerators, their one common denominator)."""
+        nums, den = _over_common_denominator(self.q.entries)
+        return tuple(tuple(nums[m::self.q.cols]) for m in range(self.q.cols)), den
+
+    def _contract_integers(self, window: list[int], scale: int) -> tuple[list[int], int]:
+        """(numerators, denominator) of the output for window / scale: integer dot products."""
+        if len(window) != self.q.rows:
+            raise ValueError("coefficient count does not match window")
+        cols, den = self._integer_columns
+        return [sum(map(mul, window, col)) for col in cols], den * scale
+
     def contract_exact(self, coeff_rows) -> RatPoly:
         """Output polynomial (exact) for rational window coefficients.
 
         coeff_rows: per-element sequences of dg_degree+1 Bernstein
         coefficients, elements ordered left to right across the window.
         """
-        flat = [rat(c) if not isinstance(c, Fraction) else c
-                for row in coeff_rows for c in row]
-        if len(flat) != self.q.rows:
-            raise ValueError("coefficient count does not match window")
-        cols = self.q.cols
-        acc = [Fraction(0)] * cols
-        for u, i in zip(flat, range(self.q.rows)):
-            if u:
-                row = self.q.row(i)
-                for m in range(cols):
-                    acc[m] += u * row[m]
-        return RatPoly(acc)
-
-    @cached_property
-    def _integer_columns(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(columns of Q as integer numerators, their one common denominator)."""
-        den = lcm(*(e.denominator for e in self.q.entries))
-        cols = tuple(tuple(e.numerator * (den // e.denominator) for e in self.q.col(m))
-                     for m in range(self.q.cols))
-        return cols, den
+        window, scale = _over_common_denominator([rat(c) for row in coeff_rows for c in row])
+        nums, den = self._contract_integers(window, scale)
+        return RatPoly([Fraction(v, den) for v in nums])
 
     def contract(self, coeff_rows: np.ndarray) -> np.ndarray:
         """Float coefficient vector of the output polynomial.
 
-        The contraction is exact and runs on integers.  The window floats
-        are lifted losslessly with ``float.as_integer_ratio`` to integers
-        over one power-of-two scale S; Q is held (cached on first use) as
-        integer columns over one common denominator D.  Each output
-        coefficient is then one big-integer dot product divided once by
-        D*S, and int / int rounds correctly, so the result is bit for bit
-        ``contract_exact(...).to_float()`` zero-padded to ``q.cols``.
-        Large-coefficient kernels stay stable; only the final
+        The contraction is exact and runs on integers, as in
+        ``contract_exact``.  The window floats are lifted losslessly with
+        ``float.as_integer_ratio`` to integers over one power-of-two scale;
+        each output coefficient is one integer dot product divided once by
+        its denominator, and int / int rounds correctly, so the result is
+        bit for bit ``contract_exact(...).to_float()`` zero-padded to
+        ``q.cols``.  Large-coefficient kernels stay stable; only the final
         coefficients are rounded.
         """
-        flat = np.asarray(coeff_rows, dtype=float).reshape(-1)
-        if flat.size != self.q.rows:
-            raise ValueError("coefficient count does not match window")
+        flat = np.asarray(coeff_rows, dtype=float).ravel()
         ratios = [v.as_integer_ratio() for v in flat.tolist()]
         scale = max(q for _, q in ratios)
-        window = [p * (scale // q) for p, q in ratios]
-        cols, den = self._integer_columns
-        den *= scale
-        return np.array([sum(map(mul, window, col)) / den for col in cols])
+        nums, den = self._contract_integers([p * (scale // q) for p, q in ratios], scale)
+        return np.array([v / den for v in nums])
 
 
 @lru_cache(maxsize=None)

@@ -4,8 +4,8 @@ These are the straightforward forms of what the library computes by
 faster kernels: Fraction Gauss-Jordan elimination, the moment matrix built
 one moment at a time, T integrated entry by entry through
 ``PiecewisePolynomial.integrate_against``, the closed-form T of the
-piecewise-constant filter, and the interior filter weights by Gauss
-quadrature.  They are kept deliberately plain; the library must agree
+piecewise-constant filter, the boundary contraction entry by entry, and
+the interior filter weights by Gauss quadrature.  They are kept deliberately plain; the library must agree
 with the exact ones exactly, and with the quadrature to roundoff.
 """
 
@@ -121,6 +121,24 @@ def np0_t_matrix(d: int) -> RatMatrix:
         for _ in range(d + 1):
             rows.append([Fraction(int(i == j), d + 1) for j in range(n)])
     return RatMatrix.from_rows(rows)
+
+
+def contract_reference(q: RatMatrix, coeff_rows) -> RatPoly:
+    """Output polynomial of a boundary operator Q by Fraction multiply-adds.
+
+    coeff_rows: per-element Bernstein coefficients across the window,
+    element-major like the rows of Q.
+    """
+    flat = [Fraction(c) for row in coeff_rows for c in row]
+    if len(flat) != q.rows:
+        raise ValueError("coefficient count does not match window")
+    acc = [Fraction(0)] * q.cols
+    for i, u in enumerate(flat):
+        if u:
+            row = q.row(i)
+            for m in range(q.cols):
+                acc[m] += u * row[m]
+    return RatPoly(acc)
 
 
 def symmetric_weights_reference(d: int, dg_degree: int, frac: float) -> tuple[int, np.ndarray]:

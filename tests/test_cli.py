@@ -175,6 +175,11 @@ def test_outdir_env(tmp_path, monkeypatch):
 
 SOLVE = ["solve", "tp1", "--d", "1"]
 FILTER = ["filter", "tp1", "--family", "np0", "--d", "1"]
+TINY_CONFIG = "problem = tp1\nd = 1\nfilters = dg,np0\nmesh_sizes = 8,16\nfinal_times = 0.1\n"
+
+
+class Config(str):
+    """A config-file argument: the test writes TINY_CONFIG plus this text to a file."""
 
 
 @pytest.mark.parametrize("argv", [
@@ -194,11 +199,56 @@ FILTER = ["filter", "tp1", "--family", "np0", "--d", "1"]
     FILTER[:-1] + ["0", "--n", "8", "--t", "0.1"],
     ["converge", "tp1", "--d", "0", "--filters", "dg,np0", "--n-list", "8,16"],
     ["converge", "tp1", "--d", "-1", "--filters", "dg", "--n-list", "8,16"],
+    ["converge", "tp1", "--d", "1", "--n-list", "0"],
+    ["converge", "tp1", "--d", "1", "--n-list", "-4"],
+    SOLVE + ["--n", "8", "--t", "inf"],
+    ["converge", "tp1", "--d", "1", "--n-list", "8,16", "--t", "inf"],
+    ["timeseries", Config("samples_per_element = 0\n")],
+    ["timeseries", Config("samples_per_element = 1\n")],
+    ["timeseries", Config("blend_rho = 0\n")],
+    ["filter", "tp1", "--family", "np0", "--d", "3", "--n", "5", "--t", "0.1"],
+    ["converge", "tp1", "--d", "3", "--n-list", "4,8", "--filters", "symmetric"],
 ])
 def test_bad_option_is_usage_error(argv, tmp_path, capsys):
-    assert main(argv + ["--out", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    out.mkdir()
+    cfg = tmp_path / "run.cfg"
+    for arg in argv:
+        if isinstance(arg, Config):
+            cfg.write_text(TINY_CONFIG + arg)
+    argv = [str(cfg) if isinstance(arg, Config) else arg for arg in argv]
+    assert main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
-    assert not list(tmp_path.iterdir())
+    assert not list(out.iterdir())
+
+
+def test_usage_exceptions_share_one_base():
+    import numpy as np
+    from siacpost import UsageError, dg, filters, harness, psiac
+    for cls in (filters.UnsupportedFamilySideError, filters.FilterParameterError,
+                harness.RunConfigError, psiac.MeshTooCoarseError, dg.CflLimitError,
+                dg.UnknownProblemError):
+        assert issubclass(cls, UsageError), cls
+    assert issubclass(psiac.MeshTooCoarseError, psiac.WindowOutOfDomainError)
+    with pytest.raises(dg.UnstableBlowupError) as limit:
+        dg.check_cfl(1.01 * dg.max_stable_cfl(2), 2)
+    assert isinstance(limit.value, UsageError)
+    with pytest.raises(KeyError) as unknown:
+        dg.get_problem("tp9")
+    assert isinstance(unknown.value, UsageError)
+    assert str(unknown.value).startswith("unknown problem 'tp9'")
+    spec = filters.build_spec("np0", 1, "left")
+    mesh = dg.Mesh(0.0, 1.0, 4)
+    for call in (lambda: dg.Mesh(0.0, 1.0, 0),
+                 lambda: dg.check_cfl(0.0, 1),
+                 lambda: dg.check_cfl(float("nan"), 1),
+                 lambda: dg.l2_project(np.sin, mesh, -1),
+                 lambda: dg.dg_solve(dg.get_problem("tp1"), mesh, 1, float("inf")),
+                 lambda: dg.dg_solve(dg.get_problem("tp1"), mesh, 1, -1.0),
+                 lambda: psiac.endpoint_vector(spec, -1),
+                 lambda: psiac.q_matrix(spec, -1)):
+        with pytest.raises(UsageError):
+            call()
 
 
 @pytest.mark.parametrize("cfl", ("50", "-1", "nan"))

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from siacpost import dg, harness, psiac
+from siacpost import UsageError, dg, harness, psiac
 from siacpost.filters import build_spec
 from siacpost.harness import (EmptyRegionError, ErrorRecord, NonpositiveError,
                               RateRecord, RunConfig, RunConfigError, convergence_rate,
@@ -91,6 +91,18 @@ def test_runconfig_rejects_negative_time(t):
     with pytest.raises(RunConfigError):
         RunConfig(problem="tp1", d=1, filters=("dg",), mesh_sizes=(20,),
                   final_times=(0.5, t))
+
+
+@pytest.mark.parametrize("change", [
+    dict(problem="tp9"), dict(mesh_sizes=(0,)), dict(mesh_sizes=(-4,)),
+    dict(final_times=(float("inf"),)), dict(samples_per_element=0),
+    dict(samples_per_element=1), dict(blend_rho=0), dict(cfl=10.0),
+], ids=str)
+def test_runconfig_rejects_bad_settings(change):
+    settings = dict(problem="tp1", d=1, filters=("dg", "np0"), mesh_sizes=(20,),
+                    final_times=(0.5,)) | change
+    with pytest.raises(UsageError):
+        RunConfig(**settings)
 
 
 @pytest.fixture(scope="module")

@@ -80,7 +80,8 @@ CONTRACT_SPECS = [build_spec(fam, d, side, k=1 if fam == "npk" else None)
 @pytest.mark.parametrize("spec", CONTRACT_SPECS,
                          ids=lambda s: f"{s.family}-d{s.d}-{s.side}")
 def test_contract_is_exact_contraction_rounded(spec):
-    """The integer contraction rounds exactly like the Fraction one, bit for bit."""
+    """Both integer contractions match the Fraction reference: exactly, and
+    rounded bit for bit."""
     qm = q_matrix(spec)
     rng = np.random.default_rng(spec.r * 10 + spec.d)
     shape = (qm.n_elements, spec.d + 1)
@@ -92,10 +93,15 @@ def test_contract_is_exact_contraction_rounded(spec):
     for window in windows:
         got = qm.contract(window)
         lifted = [[F(v) for v in row] for row in window]
-        exact = qm.contract_exact(lifted).to_float()
+        reference = oracles.contract_reference(qm.q, lifted)
+        assert qm.contract_exact(lifted) == reference
+        exact = reference.to_float()
         want = np.zeros(qm.q.cols)
         want[:len(exact)] = exact
         assert got.tobytes() == want.tobytes()
+    rational = [[F(int(rng.integers(-9, 10)), int(rng.integers(1, 12))) for _ in row]
+              for row in random_window]
+    assert qm.contract_exact(rational) == oracles.contract_reference(qm.q, rational)
 
 
 ORACLE_SPECS = (
