@@ -121,12 +121,10 @@ def cmd_filter(args) -> int:
     from .filters import build_spec
     spec = build_spec(args.family, args.d, args.side, k=args.k)
     problem, mesh, field = _solve_field(args)
-    poly = psiac.filter_boundary(field, spec)
-    # exact contraction of the (losslessly lifted) window coefficients
     bern = dg.to_bernstein(field)
-    qm = psiac.q_matrix(spec, args.d)
-    window = bern.coeffs[:qm.n_elements] if spec.side != "right" \
-        else bern.coeffs[-qm.n_elements:]
+    poly = psiac.filter_boundary(bern, spec)
+    # exact contraction of the (losslessly lifted) window coefficients
+    qm, window = psiac.boundary_window(bern, spec)
     exact = qm.contract_exact([[Fraction(v) for v in row] for row in window])
     out = _outdir(args)
     tag = f"{problem.name}_{spec.family}_d{args.d}_n{args.n}_{spec.side}"
@@ -203,6 +201,14 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(n) for n in text.split(","))
 
 
+def _switch(text: str) -> bool:
+    """An on/off config value: 1/0, true/false, yes/no or on/off, in any case."""
+    key = text.strip().lower()
+    if key not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError("expected 1/0, true/false, yes/no or on/off")
+    return key in ("1", "true", "yes", "on")
+
+
 def _times_from(text: str) -> tuple[float, ...]:
     if text.startswith("linspace:"):
         _, lo, hi, count = text.split(":")
@@ -222,7 +228,7 @@ def build_run_config(values: dict, args) -> "RunConfig":
                               ("mesh_sizes", meshes), ("final_times", times)) if v is None]
     if missing:
         raise UsageError(f"missing required settings: {', '.join(missing)}")
-    blend_text = values.get("blend", "true")
+    blend = _parse(_switch, values.get("blend", "true"), "blend")
     return RunConfig(
         problem=str(problem), d=_parse(int, d, "d"),
         filters=tuple(f for f in str(filters_).split(",") if f.strip()),
@@ -230,8 +236,7 @@ def build_run_config(values: dict, args) -> "RunConfig":
         final_times=_parse(_times_from, str(times), "final_times"),
         samples_per_element=_parse(int, values.get("samples_per_element", "6"),
                                    "samples_per_element"),
-        blend=(blend_text.strip().lower() in ("1", "true", "yes", "on")
-               if args.blend is None else args.blend),
+        blend=blend if args.blend is None else args.blend,
         blend_rho=_parse(int, values.get("blend_rho", "2"), "blend_rho"),
         cfl=_parse(float, values["cfl"], "cfl") if "cfl" in values else args.cfl)
 

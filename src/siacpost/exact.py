@@ -75,9 +75,6 @@ class RatMatrix:
     def col(self, j: int) -> list[Fraction]:
         return self.entries[j::self.cols]
 
-    def to_rows(self) -> list[list[Fraction]]:
-        return [self.row(i) for i in range(self.rows)]
-
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         """Exact product: each entry is one integer dot product, divided once."""
         if self.cols != other.rows:
@@ -178,21 +175,20 @@ def invert_exact(a: RatMatrix) -> RatMatrix:
 
 
 class RatPoly:
-    """Polynomial with rational coefficients, ascending powers of (x - center).
+    """Polynomial with rational coefficients, ascending powers of x.
 
     Trailing zero coefficients are trimmed; the zero polynomial is [0].
     """
 
-    __slots__ = ("coeffs", "center")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[RationalLike], center: RationalLike = 0):
+    def __init__(self, coeffs: Iterable[RationalLike]):
         cs = [rat(c) if not isinstance(c, Fraction) else c for c in coeffs]
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         if not cs:
             cs = [Fraction(0)]
         self.coeffs = tuple(cs)
-        self.center = rat(center) if not isinstance(center, Fraction) else center
 
     @property
     def degree(self) -> int:
@@ -201,91 +197,58 @@ class RatPoly:
     def __call__(self, x):
         """Horner evaluation; works for Fraction, int, and float arguments."""
         acc = self.coeffs[-1]
-        z = x - self.center
         for c in reversed(self.coeffs[:-1]):
-            acc = acc * z + c
+            acc = acc * x + c
         return acc
 
-    def recentered(self, new_center: RationalLike) -> "RatPoly":
-        """Exact re-expansion about a different center."""
-        nc = rat(new_center) if not isinstance(new_center, Fraction) else new_center
-        shift = nc - self.center  # (x - c_old) = (x - c_new) + shift
-        out = [Fraction(0)]
+    def recentered(self, center: RationalLike) -> "RatPoly":
+        """The coefficients about x = center: q with q(u) = p(u + center), exactly."""
+        lin = RatPoly([center, 1])
+        out = RatPoly([0])
         for c in reversed(self.coeffs):
-            out = _poly_mul_linear(out, shift)
-            out[0] += c
-        return RatPoly(out, nc)
-
-    def compose_affine(self, scale: RationalLike, offset: RationalLike) -> "RatPoly":
-        """Return q with q(x) = p(scale*x + offset), centered at 0."""
-        s = rat(scale) if not isinstance(scale, Fraction) else scale
-        t = rat(offset) if not isinstance(offset, Fraction) else offset
-        # argument minus center as a linear poly in x
-        lin = [t - self.center, s]
-        out = [Fraction(0)]
-        for c in reversed(self.coeffs):
-            out = _poly_mul(out, lin)
-            out[0] += c
-        return RatPoly(out, 0)
-
-    def _aligned(self, other: "RatPoly") -> "RatPoly":
-        return other if other.center == self.center else other.recentered(self.center)
+            out = out * lin + c
+        return out
 
     def __add__(self, other):
-        if not isinstance(other, RatPoly):
-            other = RatPoly([other], self.center)
-        o = self._aligned(other)
-        n = max(len(self.coeffs), len(o.coeffs))
+        o = other.coeffs if isinstance(other, RatPoly) else (rat(other),)
+        n = max(len(self.coeffs), len(o))
         a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(o.coeffs) + [Fraction(0)] * (n - len(o.coeffs))
-        return RatPoly([x + y for x, y in zip(a, b)], self.center)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, RatPoly) else RatPoly([-rat(other)], self.center))
-
-    def __neg__(self):
-        return RatPoly([-c for c in self.coeffs], self.center)
+        b = list(o) + [Fraction(0)] * (n - len(o))
+        return RatPoly([x + y for x, y in zip(a, b)])
 
     def __mul__(self, other):
         if isinstance(other, RatPoly):
-            o = self._aligned(other)
-            return RatPoly(_poly_mul(list(self.coeffs), list(o.coeffs)), self.center)
+            return RatPoly(_poly_mul(list(self.coeffs), list(other.coeffs)))
         f = rat(other) if not isinstance(other, Fraction) else other
-        return RatPoly([c * f for c in self.coeffs], self.center)
+        return RatPoly([c * f for c in self.coeffs])
 
     __rmul__ = __mul__
 
     def derivative(self) -> "RatPoly":
         if len(self.coeffs) == 1:
-            return RatPoly([0], self.center)
-        return RatPoly([i * c for i, c in enumerate(self.coeffs)][1:], self.center)
+            return RatPoly([0])
+        return RatPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def antiderivative(self) -> "RatPoly":
-        return RatPoly([Fraction(0)] + [c / (i + 1) for i, c in enumerate(self.coeffs)],
-                       self.center)
+        return RatPoly([Fraction(0)] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
 
     def integral(self, lo: RationalLike, hi: RationalLike) -> Fraction:
         f = self.antiderivative()
         return f(rat(hi)) - f(rat(lo))
 
-    def monomial_coeffs(self) -> tuple[Fraction, ...]:
-        """Coefficients about center 0."""
-        return self.recentered(0).coeffs if self.center != 0 else self.coeffs
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatPoly):
             return NotImplemented
-        return self.monomial_coeffs() == other.monomial_coeffs()
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.monomial_coeffs())
+        return hash(self.coeffs)
 
     def to_float(self) -> list[float]:
         return [float(c) for c in self.coeffs]
 
     def __repr__(self) -> str:
-        var = "x" if self.center == 0 else f"(x-{self.center})"
-        terms = " + ".join(f"{c}*{var}^{i}" for i, c in enumerate(self.coeffs) if c != 0)
+        terms = " + ".join(f"{c}*x^{i}" for i, c in enumerate(self.coeffs) if c != 0)
         return f"RatPoly({terms or '0'})"
 
 
@@ -296,13 +259,4 @@ def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
             for j, y in enumerate(b):
                 if y:
                     out[i + j] += x * y
-    return out
-
-
-def _poly_mul_linear(a: list[Fraction], shift: Fraction) -> list[Fraction]:
-    # multiply by (x + shift)
-    out = [Fraction(0)] * (len(a) + 1)
-    for i, c in enumerate(a):
-        out[i] += c * shift
-        out[i + 1] += c
     return out

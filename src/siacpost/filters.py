@@ -28,12 +28,12 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .errors import UsageError
-from .exact import RatMatrix, RatPoly, SingularMatrixError, det_exact, invert_exact, rat
+from .exact import RatMatrix, RatPoly, SingularMatrixError, invert_exact, rat
 from .spline import as_knots, bspline_moments
 
-# Unused here, but perfbench/tracer.py patches filters.solve_exact and
-# filters.bspline_moment, so both names must stay importable from this module.
-from .exact import solve_exact  # noqa: F401
+# Unused here, but perfbench/tracer.py patches filters.det_exact, filters.solve_exact
+# and filters.bspline_moment, so the names must stay importable from this module.
+from .exact import det_exact, solve_exact  # noqa: F401
 from .spline import bspline_moment  # noqa: F401
 
 FAMILIES = ("symmetric", "rs", "srv", "rlkv", "np0", "npk")
@@ -211,12 +211,11 @@ def reproduction_matrix(spec: FilterSpec) -> RatMatrix:
     """Moment-form matching matrix: M[m][j] = integral of B_j(s) s^m ds.
 
     This form is valid for mixed per-spline degrees (rlkv).  Raises
-    SingularReproductionError when the spline moments are dependent.
+    SingularReproductionError when the spline moments are dependent, as
+    found by the cached elimination of `shifted_coefficient_polynomials`.
     """
-    m = _moment_matrix(spec)
-    if det_exact(m) == 0:
-        raise SingularReproductionError(f"singular reproduction matrix for {spec.family}")
-    return m
+    shifted_coefficient_polynomials(spec)
+    return _moment_matrix(spec)
 
 
 def static_coefficients(spec: FilterSpec) -> tuple[Fraction, ...]:

@@ -222,7 +222,7 @@ class _FieldContext:
 
     def boundary_output(self, spec: FilterSpec, side: str):
         """The boundary polynomial, blended into the interior output across the strip."""
-        poly = psiac.filter_boundary(self.bern, spec, side)
+        poly = psiac.filter_boundary(self.bern, spec)
         if not self.config.blend:
             return poly
         step = self.strip() if side == "left" else -self.strip()

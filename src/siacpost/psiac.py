@@ -277,37 +277,37 @@ def _window_placement(spec: FilterSpec, n_elements: int):
     return 0, spec.knots[-1], (Fraction(0), lam)
 
 
-def filter_boundary(field, spec: FilterSpec, side: str | None = None) -> BoundaryPolynomial:
-    """Filter a DG field near one domain end into a BoundaryPolynomial.
+def boundary_window(field, spec: FilterSpec) -> tuple[QMatrix, np.ndarray]:
+    """Q of the spec at the field's degree, and the Bernstein coefficient rows it reads.
 
-    ``side`` defaults to the spec's own side.  The field is converted to
-    the Bernstein element basis if needed.
+    The rows are those of the first or last Q.n_elements elements, by the spec's side.
     """
     from .dg import to_bernstein
-    if side is not None and side != spec.side:
-        spec = build_spec(spec.family, spec.d, side,
-                          k=None if spec.family != "npk" else spec.degrees[0])
     fld = to_bernstein(field)
-    mesh = fld.mesh
-    first, lam_g, (s_lo, s_hi) = _window_placement(spec, mesh.n)
+    first, _, _ = _window_placement(spec, fld.mesh.n)
     qm = q_matrix(spec, fld.d)
-    window = fld.coeffs[first:first + qm.n_elements]
-    coeffs = qm.contract(window)
+    return qm, fld.coeffs[first:first + qm.n_elements]
+
+
+def filter_boundary(field, spec: FilterSpec) -> BoundaryPolynomial:
+    """Filter a DG field near the spec's domain end into a BoundaryPolynomial."""
+    qm, window = boundary_window(field, spec)
+    mesh = field.mesh
+    _, lam_g, (s_lo, s_hi) = _window_placement(spec, mesh.n)
     h = mesh.h
     return BoundaryPolynomial(
-        coeffs=coeffs, h=h, anchor=mesh.a + float(lam_g) * h,
+        coeffs=qm.contract(window), h=h, anchor=mesh.a + float(lam_g) * h,
         region=(mesh.a + float(s_lo) * h, mesh.a + float(s_hi) * h),
         side=spec.side)
 
 
-def filter_boundary_derivative(field, spec: FilterSpec, side: str | None = None,
-                               order: int = 1) -> BoundaryPolynomial:
+def filter_boundary_derivative(field, spec: FilterSpec, order: int = 1) -> BoundaryPolynomial:
     """Derivative of the filtered polynomial, via the explicit coefficients."""
     if order < 0:
         raise ValueError("derivative order must be >= 0")
     if order > spec.r:
         raise ValueError("derivative order exceeds the polynomial degree")
-    poly = filter_boundary(field, spec, side)
+    poly = filter_boundary(field, spec)
     return poly.derivative(order) if order else poly
 
 
@@ -528,7 +528,8 @@ class FloatKernel:
     """A sampled-exactly convolution kernel: piecewise polynomial, float eval.
 
     ``breakpoints`` bound its support; between them the function is a
-    polynomial, which composite Gauss quadrature integrates exactly.
+    polynomial, which composite Gauss quadrature integrates exactly.  It
+    is called on a float or on an array of them.
     """
 
     def __init__(self, breakpoints, fn):
@@ -539,14 +540,41 @@ class FloatKernel:
         return self._fn(s)
 
 
+@lru_cache(maxsize=None)
+def _float_spline(window: tuple[Fraction, ...], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(breakpoints, pieces) of B(z | window) as floats, converted once per spline.
+
+    Row i holds piece i's coefficients, top first, zero-padded to degree k;
+    a last zero row stands for z off the support.
+    """
+    pp = unit_bspline_piecewise(window, k)
+    rows = [[0.0] * (k + 1 - len(p.coeffs)) + [float(c) for c in reversed(p.coeffs)]
+            for p in pp.pieces] + [[0.0] * (k + 1)]
+    return np.array([float(b) for b in pp.breakpoints]), np.array(rows)
+
+
 def _float_kernel(spec: FilterSpec, coeffs, offset: float, h: float) -> FloatKernel:
-    """sum_j c_j B_j((s - offset)/h) / h: the spec's splines with physical knots h*t + offset."""
+    """sum_j c_j B_j((s - offset)/h) / h: the spec's splines with physical knots h*t + offset.
+
+    A piece is evaluated by Horner's rule from its top coefficient, as
+    `RatPoly` evaluates at a float, so the values are those of the exact
+    pieces wherever the breakpoints are floats (half-integer knots are).
+    """
     cs = [float(c) for c in coeffs]
-    pps = [unit_bspline_piecewise(w, k) for w, k in zip(spec.windows, spec.degrees)]
+    tables = [_float_spline(w, k) for w, k in zip(spec.windows, spec.degrees)]
 
     def fn(s):
-        z = (s - offset) / h
-        return sum(c * float(pp(z)) for c, pp in zip(cs, pps)) / h
+        z = (np.asarray(s, dtype=float) - offset) / h
+        total = 0
+        for c, (bp, rows) in zip(cs, tables):
+            i = np.clip(np.searchsorted(bp, z, side="right") - 1, 0, len(bp) - 2)
+            table = rows[np.where((z >= bp[0]) & (z <= bp[-1]), i, len(bp) - 1)]
+            acc = table[..., 0]
+            for col in range(1, table.shape[-1]):
+                acc = acc * z + table[..., col]
+            total = total + c * acc
+        out = total / h
+        return out if out.ndim else float(out)
 
     return FloatKernel([offset + h * float(t) for t in spec.knots], fn)
 
@@ -582,14 +610,13 @@ def reference_convolve(kernel: FloatKernel, field, x: float, quad_points: int = 
             cuts.add(float(s))
     cuts = sorted(cuts)
     gx, gw = np.polynomial.legendre.leggauss(quad_points)
+    mid = np.array([(a + b) / 2 for a, b in zip(cuts, cuts[1:])])
+    rad = np.array([(b - a) / 2 for a, b in zip(cuts, cuts[1:])])
+    nodes = mid[:, None] + rad[:, None] * gx
+    vals = kernel(nodes) * field.evaluate(x - nodes)
     total = 0.0
-    for a, b in zip(cuts, cuts[1:]):
-        if b <= a:
-            continue
-        mid, rad = (a + b) / 2, (b - a) / 2
-        nodes = mid + rad * gx
-        vals = np.array([kernel(s) for s in nodes]) * field.evaluate(x - nodes)
-        total += rad * np.dot(gw, vals)
+    for r, v in zip(rad.tolist(), vals):
+        total += r * np.dot(gw, v)
     return float(total)
 
 

@@ -77,7 +77,7 @@ class PiecewisePolynomial:
     """Exact piecewise polynomial: one RatPoly per breakpoint interval.
 
     Value is 0 outside [breakpoints[0], breakpoints[-1]].  Pieces are
-    polynomials in the global variable (center 0).
+    polynomials in the global variable.
     """
 
     __slots__ = ("breakpoints", "pieces")
@@ -110,11 +110,6 @@ class PiecewisePolynomial:
         i = self.piece_index(x)
         return 0 if i is None else self.pieces[i](x)
 
-    def integral(self, lo=None, hi=None) -> Fraction:
-        lo = self.breakpoints[0] if lo is None else rat(lo)
-        hi = self.breakpoints[-1] if hi is None else rat(hi)
-        return self.integrate_against(RatPoly([1]), lo, hi)
-
     def integrate_against(self, poly: RatPoly, lo, hi) -> Fraction:
         """Exact integral of self * poly over [lo, hi] (clipped to support)."""
         lo, hi = rat(lo), rat(hi)
@@ -126,25 +121,6 @@ class PiecewisePolynomial:
             if b > a:
                 total += (piece * poly).integral(a, b)
         return total
-
-    def __add__(self, other: "PiecewisePolynomial") -> "PiecewisePolynomial":
-        cuts = sorted(set(self.breakpoints) | set(other.breakpoints))
-        pieces = []
-        for a, b in zip(cuts, cuts[1:]):
-            mid = (a + b) / 2
-            i = self.piece_index(mid)
-            q = other.piece_index(mid)
-            acc = RatPoly([0])
-            if i is not None:
-                acc = acc + self.pieces[i]
-            if q is not None:
-                acc = acc + other.pieces[q]
-            pieces.append(acc)
-        return PiecewisePolynomial(cuts, pieces)
-
-    def scaled(self, factor) -> "PiecewisePolynomial":
-        f = rat(factor) if not isinstance(factor, Fraction) else factor
-        return PiecewisePolynomial(self.breakpoints, [p * f for p in self.pieces])
 
 
 def unit_bspline_piecewise(knots, k: int) -> PiecewisePolynomial:
@@ -184,24 +160,6 @@ def unit_bspline_piecewise(knots, k: int) -> PiecewisePolynomial:
     return PiecewisePolynomial(distinct, [p * scale for p in cur[0]])
 
 
-def _complete_homogeneous(values: Sequence[Fraction], m: int) -> Fraction:
-    """Sum of all degree-m monomials in the given values (h_m)."""
-    h = [Fraction(1)] + [Fraction(0)] * m
-    for v in values:
-        for i in range(1, m + 1):
-            h[i] += v * h[i - 1]
-    return h[m]
-
-
-def bspline_moment(knots, k: int, m: int) -> Fraction:
-    """Exact moment: integral of B(s|t) s^m ds = h_m(t) / C(m+k+1, m)."""
-    t = as_knots(knots)
-    _check_window(t, k)
-    if m < 0:
-        raise ValueError("moment exponent must be nonnegative")
-    return _complete_homogeneous(t, m) / comb(m + k + 1, m)
-
-
 def bspline_moments(knots, k: int, r: int) -> tuple[Fraction, ...]:
     """Moments 0..r of B(s|t), from one sweep of the sums h_0..h_r.
 
@@ -218,6 +176,11 @@ def bspline_moments(knots, k: int, r: int) -> tuple[Fraction, ...]:
         for i in range(1, r + 1):
             h[i] += p * h[i - 1]
     return tuple(Fraction(h[m], den ** m * comb(m + k + 1, m)) for m in range(r + 1))
+
+
+def bspline_moment(knots, k: int, m: int) -> Fraction:
+    """Exact moment: integral of B(s|t) s^m ds = h_m(t) / C(m+k+1, m)."""
+    return bspline_moments(knots, k, m)[m]
 
 
 def bernstein_poly(d: int, ell: int) -> RatPoly:

@@ -2,10 +2,13 @@
 
 These are the straightforward forms of what the library computes by
 faster kernels: Fraction Gauss-Jordan elimination, the moment matrix built
-one moment at a time, T integrated entry by entry through
-``PiecewisePolynomial.integrate_against``, the closed-form T of the
-piecewise-constant filter, the boundary contraction entry by entry, and
-the interior filter weights by Gauss quadrature.  They are kept deliberately plain; the library must agree
+one moment at a time from complete homogeneous sums, T integrated entry by
+entry through ``PiecewisePolynomial.integrate_against``, the closed-form T
+of the piecewise-constant filter, the boundary contraction entry by entry,
+the Legendre-Bernstein conversion by exact inversion of monomial
+matrices, the reference kernel evaluated spline by spline through
+``PiecewisePolynomial`` and integrated one interval at a time, and the
+interior filter weights by Gauss quadrature.  They are kept deliberately plain; the library must agree
 with the exact ones exactly, and with the quadrature to roundoff.
 """
 
@@ -16,10 +19,39 @@ from math import ceil, comb, floor
 
 import numpy as np
 
-from siacpost.exact import RatMatrix, RatPoly, SingularMatrixError
+from siacpost.exact import RatMatrix, RatPoly, SingularMatrixError, invert_exact
 from siacpost.filters import FilterSpec, build_spec, static_coefficients
-from siacpost.psiac import _t_matrix_natural
-from siacpost.spline import bernstein_poly, bspline_moment, unit_bspline_piecewise
+from siacpost.psiac import FloatKernel, _t_matrix_natural
+from siacpost.spline import (PiecewisePolynomial, as_knots, bernstein_poly,
+                             unit_bspline_piecewise)
+
+
+def matrix_rows(a: RatMatrix) -> list[list[Fraction]]:
+    """The entries of a matrix as a list of rows."""
+    return [a.row(i) for i in range(a.rows)]
+
+
+def compose_affine(p: RatPoly, scale, offset) -> RatPoly:
+    """q with q(x) = p(scale*x + offset)."""
+    lin = RatPoly([offset, scale])
+    out = RatPoly([0])
+    for c in reversed(p.coeffs):
+        out = out * lin + c
+    return out
+
+
+def complete_homogeneous(values, m: int) -> Fraction:
+    """Sum of all degree-m monomials in the given values (h_m)."""
+    h = [Fraction(1)] + [Fraction(0)] * m
+    for v in values:
+        for i in range(1, m + 1):
+            h[i] += v * h[i - 1]
+    return h[m]
+
+
+def moment_reference(knots, k: int, m: int) -> Fraction:
+    """Integral of B(s|t) s^m ds = h_m(t) / C(m+k+1, m), one moment on its own."""
+    return complete_homogeneous(as_knots(knots), m) / comb(m + k + 1, m)
 
 
 def matmul_reference(a: RatMatrix, b: RatMatrix) -> RatMatrix:
@@ -32,7 +64,7 @@ def matmul_reference(a: RatMatrix, b: RatMatrix) -> RatMatrix:
 def det_reference(a: RatMatrix) -> Fraction:
     """Determinant by Fraction elimination (first-nonzero pivot per column)."""
     n = a.rows
-    m = a.to_rows()
+    m = matrix_rows(a)
     det = Fraction(1)
     for col in range(n):
         piv = next((r for r in range(col, n) if m[r][col] != 0), None)
@@ -75,9 +107,9 @@ def solve_reference(a: RatMatrix, b: RatMatrix) -> RatMatrix:
 
 
 def moment_matrix_reference(spec: FilterSpec) -> RatMatrix:
-    """M[m][j] = integral of B_j(s) s^m ds, one bspline_moment call per entry."""
+    """M[m][j] = integral of B_j(s) s^m ds, one moment_reference call per entry."""
     return RatMatrix.from_rows([
-        [bspline_moment(w, k, mm) for w, k in zip(spec.windows, spec.degrees)]
+        [moment_reference(w, k, mm) for w, k in zip(spec.windows, spec.degrees)]
         for mm in range(spec.r + 1)
     ])
 
@@ -98,7 +130,7 @@ def t_matrix_natural_reference(spec: FilterSpec, dg_degree: int) -> RatMatrix:
     rows = []
     for e in range(int(spec.support_width)):
         for ell in range(dg_degree + 1):
-            phi = bern[ell].compose_affine(1, -e)  # phi(sigma) on [e, e+1]
+            phi = compose_affine(bern[ell], 1, -e)  # phi(sigma) on [e, e+1]
             rows.append([pp.integrate_against(phi, e, e + 1) for pp in splines])
     return RatMatrix.from_rows(rows)
 
@@ -110,7 +142,7 @@ def t_matrix(spec: FilterSpec, dg_degree: int | None = None) -> RatMatrix:
     order under which the piecewise-constant filter's T is block diagonal.
     """
     nat = _t_matrix_natural(spec, spec.d if dg_degree is None else dg_degree)
-    return RatMatrix.from_rows([row[::-1] for row in nat.to_rows()])
+    return RatMatrix.from_rows([row[::-1] for row in matrix_rows(nat)])
 
 
 def np0_t_matrix(d: int) -> RatMatrix:
@@ -151,10 +183,8 @@ def symmetric_weights_reference(d: int, dg_degree: int, frac: float) -> tuple[in
     kernel meets over less than 1e-11 are left out.
     """
     spec = build_spec("symmetric", d)
-    kernel = None
-    for c, w, k in zip(static_coefficients(spec), spec.windows, spec.degrees):
-        pp = unit_bspline_piecewise(w, k).scaled(c)
-        kernel = pp if kernel is None else kernel + pp
+    kernel = _piecewise_sum([(c, unit_bspline_piecewise(w, k)) for c, w, k in
+                             zip(static_coefficients(spec), spec.windows, spec.degrees)])
     f = float(frac)
     mu = float(kernel.breakpoints[-1])
     snap = 1e-11
@@ -194,8 +224,80 @@ def bernstein_coeffs_of_poly(poly: RatPoly, mesh_a: Fraction, h: Fraction,
         raise ValueError("polynomial degree exceeds the element degree")
     rows = []
     for i in range(n):
-        mono = list(poly.compose_affine(h, mesh_a + i * h).monomial_coeffs())  # p(a + (i+u)h)
+        mono = list(compose_affine(poly, h, mesh_a + i * h).coeffs)  # p(a + (i+u)h)
         mono += [Fraction(0)] * (d + 1 - len(mono))
         rows.append([sum((mono[p] * Fraction(comb(l, p), comb(d, p)) for p in range(l + 1)),
                          Fraction(0)) for l in range(d + 1)])
     return rows
+
+
+def _piecewise_sum(terms) -> PiecewisePolynomial:
+    """sum of c * pp over (c, pp) terms, exactly, on the union of the breakpoints."""
+    cuts = sorted({b for _, pp in terms for b in pp.breakpoints})
+    pieces = []
+    for a, b in zip(cuts, cuts[1:]):
+        acc = RatPoly([0])
+        for c, pp in terms:
+            i = pp.piece_index((a + b) / 2)
+            if i is not None:
+                acc = acc + pp.pieces[i] * c
+        pieces.append(acc)
+    return PiecewisePolynomial(cuts, pieces)
+
+
+def _legendre_shifted_polys(d: int) -> list[RatPoly]:
+    """P_n(2u - 1) as exact polynomials in u on [0, 1], by the three-term recursion."""
+    polys = [RatPoly([1]), RatPoly([-1, 2])]
+    for n in range(1, d):
+        polys.append((RatPoly([-1, 2]) * polys[n] * (2 * n + 1)
+                      + polys[n - 1] * (-n)) * Fraction(1, n + 1))
+    return polys[:d + 1]
+
+
+def legendre_bernstein_reference(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Legendre -> Bernstein, Bernstein -> Legendre) as float arrays, by exact inversion.
+
+    Columns of the two monomial matrices are the shifted Legendre and the
+    Bernstein polynomials of degree d; each conversion is one inverse times
+    the other.
+    """
+    def monomials(polys):
+        return RatMatrix.from_rows([[p.coeffs[i] if i < len(p.coeffs) else 0 for p in polys]
+                                    for i in range(d + 1)])
+
+    leg = monomials(_legendre_shifted_polys(d))
+    bern = monomials([bernstein_poly(d, ell) for ell in range(d + 1)])
+    l2b = invert_exact(bern) @ leg
+    b2l = invert_exact(leg) @ bern
+    return np.array(l2b.to_float()), np.array(b2l.to_float())
+
+
+def float_kernel_reference(spec: FilterSpec, coeffs, offset: float, h: float) -> FloatKernel:
+    """sum_j c_j B_j((s - offset)/h) / h, point by point through each spline's exact pieces."""
+    cs = [float(c) for c in coeffs]
+    pps = [unit_bspline_piecewise(w, k) for w, k in zip(spec.windows, spec.degrees)]
+
+    def fn(s):
+        z = (s - offset) / h
+        return sum(c * float(pp(z)) for c, pp in zip(cs, pps)) / h
+
+    return FloatKernel([offset + h * float(t) for t in spec.knots],
+                       lambda s: np.reshape([fn(v) for v in np.ravel(s)], np.shape(s)))
+
+
+def convolve_reference(kernel: FloatKernel, field, x: float, quad_points: int = 10) -> float:
+    """(u * kernel)(x) by composite Gauss quadrature, one cut interval at a time.
+
+    The cuts are those of ``psiac.reference_convolve``: the kernel's
+    breakpoints and the mesh breakpoints of u(x - s) inside its support.
+    """
+    lo, hi = kernel.breakpoints[0], kernel.breakpoints[-1]
+    cuts = sorted(set(kernel.breakpoints) | {float(x - b) for b in field.mesh.breakpoints()
+                                             if lo < x - b < hi})
+    gx, gw = np.polynomial.legendre.leggauss(quad_points)
+    total = 0.0
+    for a, b in zip(cuts, cuts[1:]):
+        mid, rad = (a + b) / 2, (b - a) / 2
+        nodes = mid + rad * gx
+        total += rad * np.dot(gw, kernel(nodes) * field.evaluate(x - nodes))
+    return float(total)

@@ -206,6 +206,8 @@ class Config(str):
     ["timeseries", Config("samples_per_element = 0\n")],
     ["timeseries", Config("samples_per_element = 1\n")],
     ["timeseries", Config("blend_rho = 0\n")],
+    ["timeseries", Config("blend = maybe\n")],
+    ["timeseries", Config("blend = maybe\n"), "--no-blend"],
     ["filter", "tp1", "--family", "np0", "--d", "3", "--n", "5", "--t", "0.1"],
     ["converge", "tp1", "--d", "3", "--n-list", "4,8", "--filters", "symmetric"],
 ])

@@ -4,6 +4,9 @@ import pytest
 from siacpost import dg
 from siacpost.dg import (DGField, Mesh, TestProblem, UnstableBlowupError, advance,
                          dg_rhs, dg_solve, get_problem, l2_project, to_bernstein)
+from siacpost.errors import UsageError
+
+from oracles import legendre_bernstein_reference
 
 
 def test_mesh_validation():
@@ -135,10 +138,17 @@ def test_basis_round_trip_and_values():
     mesh = Mesh(0, 1, 6)
     f = DGField(d=3, mesh=mesh, coeffs=rng.standard_normal((6, 4)), basis="legendre")
     b = to_bernstein(f)
-    _, b2l = dg._conversion_matrices(3)
+    _, b2l = legendre_bernstein_reference(3)
     assert np.abs(b.coeffs @ b2l.T - f.coeffs).max() < 1e-13
     xs = rng.uniform(0, 1, 10)
     assert np.abs(b.evaluate(xs) - f.evaluate(xs)).max() < 1e-12
+
+
+def test_legendre_to_bernstein_closed_form():
+    """Farouki's integer closed form equals the conversion by exact inversion, bit for bit."""
+    for d in range(11):
+        l2b, _ = legendre_bernstein_reference(d)
+        assert np.array_equal(dg._legendre_to_bernstein(d), l2b)
 
 
 def test_dirichlet_inflow_value():
@@ -277,6 +287,16 @@ def test_nonpositive_or_non_finite_cfl_rejected(cfl):
     field = l2_project(tp1.u0, Mesh(0, 1, 10), 1)
     with pytest.raises(ValueError, match="CFL"):
         advance(field, tp1, 1.0, cfl=cfl)
+
+
+@pytest.mark.parametrize("t_end", (np.inf, -np.inf, np.nan, 0.25))
+def test_bad_final_time_rejected_before_stepping(t_end, monkeypatch):
+    """A non-finite final time, or one before the field's time, is a usage error."""
+    tp1 = get_problem("tp1")
+    field = advance(l2_project(tp1.u0, Mesh(0, 1, 10), 1), tp1, 0.5)
+    monkeypatch.setattr(dg, "dg_rhs", lambda *a, **k: pytest.fail("stepped"))
+    with pytest.raises(UsageError, match="final time"):
+        advance(field, tp1, t_end)
 
 
 @pytest.mark.parametrize("d", (1, 2, 3, 4))

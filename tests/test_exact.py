@@ -6,7 +6,8 @@ import pytest
 from siacpost.exact import (RatMatrix, RatPoly, SingularMatrixError, det_exact,
                             invert_exact, rat, solve_exact)
 
-from oracles import det_reference, matmul_reference, solve_reference
+from oracles import (compose_affine, det_reference, matmul_reference, matrix_rows,
+                     solve_reference)
 
 
 def cramer_solve(a: RatMatrix, b):
@@ -22,7 +23,7 @@ def cramer_solve(a: RatMatrix, b):
             total += (-1) ** j * rows[0][j] * det(minor)
         return total
 
-    rows = a.to_rows()
+    rows = matrix_rows(a)
     d = det(rows)
     out = []
     for i in range(a.rows):
@@ -122,10 +123,11 @@ def test_ratpoly_trim_and_zero():
 
 def test_ratpoly_recenter_and_compose():
     p = RatPoly([1, -2, 3])  # 1 - 2x + 3x^2
-    q = p.recentered(F(1, 2))
+    q = p.recentered(F(1, 2))  # p about x = 1/2: q(u) = p(u + 1/2)
+    assert q == RatPoly([F(3, 4), 1, 3])
     for x in (F(0), F(1, 3), F(-2), F(7, 5)):
-        assert q(x) == p(x)
-    r = p.compose_affine(F(2), F(-1))  # p(2x - 1)
+        assert q(x - F(1, 2)) == p(x)
+    r = compose_affine(p, F(2), F(-1))  # p(2x - 1)
     for x in (F(0), F(1, 2), F(3)):
         assert r(x) == p(2 * x - 1)
 

@@ -248,7 +248,7 @@ def _pointwise_value_fn(ctx, name, side):
     if name == "symmetric":
         return symmetric
     spec = build_spec(name, ctx.config.d, side)
-    poly = psiac.filter_boundary(ctx.bern, spec, side)
+    poly = psiac.filter_boundary(ctx.bern, spec)
     lam, n = spec.lam, ctx.mesh.n
 
     def value(e, frac):

@@ -136,7 +136,7 @@ def test_assembly_matches_fraction_reference(spec):
         nat = oracles.t_matrix_natural_reference(spec, dg_degree)
         ncol = nat.cols
         assert t_matrix(spec, dg_degree) == RatMatrix.from_rows(
-            [[row[ncol - 1 - j] for j in range(ncol)] for row in nat.to_rows()])
+            [[row[ncol - 1 - j] for j in range(ncol)] for row in oracles.matrix_rows(nat)])
         q = oracles.matmul_reference(nat, coeff)
         assert q_matrix(spec, dg_degree).q == q
         xi = -spec.lam if spec.side != "right" else spec.lam
@@ -214,7 +214,7 @@ def test_pipeline_reproduction(spec):
     else:
         window, lam_g = rows[-qm.n_elements:], F(n) + spec.knots[0]
     got = qm.contract_exact(window)
-    assert got == p.compose_affine(h, h * lam_g)
+    assert got == oracles.compose_affine(p, h, h * lam_g)
     # float path
     poly = filter_boundary(field, spec)
     xs = np.linspace(poly.region[0], poly.region[1], 25)
@@ -247,19 +247,6 @@ def test_mirror_symmetry():
         al, ar = pl.physical_coefficients(), pr.physical_coefficients()
         signs = np.array([(-1.0) ** k for k in range(len(al))])
         assert np.allclose(ar, signs * al, atol=1e-9 * np.abs(al).max())
-
-
-def test_filter_boundary_side_override():
-    rng = np.random.default_rng(3)
-    mesh = dg.Mesh(0.0, 1.0, 10)
-    fld = dg.DGField(d=1, mesh=mesh, coeffs=rng.standard_normal((10, 2)),
-                     basis="bernstein")
-    left_spec = build_spec("np0", 1, "left")
-    via_override = filter_boundary(fld, left_spec, side="right")
-    direct = filter_boundary(fld, build_spec("np0", 1, "right"))
-    assert via_override.side == "right"
-    xs = np.linspace(direct.region[0], direct.region[1], 5)
-    assert np.allclose(via_override(xs), direct(xs), atol=1e-14)
 
 
 def test_psiac_kernel_anchor():
@@ -415,7 +402,7 @@ def test_interior_convolution_two_indicators():
     0.5 B(x|2:4) + 0.5 B(x|3:5) on [2,5]."""
     field = two_indicator_field()
     kernel = psiac.FloatKernel([-1.0, 0.0, 1.0],
-                               lambda s: 0.5 if -1 <= s <= 1 else 0.0)
+                               lambda s: np.where(np.abs(s) <= 1, 0.5, 0.0))
     for x in (2.0, 2.5, 3.0, 3.9, 4.5, 5.0):
         got = reference_convolve(kernel, field, x)
         want = 0.5 * float(eval_unit_bspline([2, 3, 4], 1, x)) + \
@@ -443,6 +430,37 @@ def test_reference_matches_symmetric_eval():
     for x in (0.3, 0.45, 0.62):
         ref = reference_convolve(kernel, field, x)
         assert abs(ref - symmetric_filter_eval(field, x)) < 1e-12
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_float_kernel_bit_identical_to_exact_pieces(d, monkeypatch):
+    """The float spline tables give the exact pieces' values at float points, bit
+    for bit: at and between the knots, off the support, and through
+    reference_convolve for every boundary family, both sides, and the
+    symmetric kernel."""
+    field = _tp2_field(d, 24)
+    mesh = field.mesh
+    specs = [build_spec(fam, d, side, k=1 if fam == "npk" else None)
+             for fam in ("srv", "rlkv", "np0", "rs", "npk") for side in ("left", "right")]
+    sym = build_spec("symmetric", d)
+    for spec in specs + [sym]:
+        c = filters.static_coefficients(spec)
+        lo, hi = float(spec.knots[0]), float(spec.knots[-1])
+        s = np.concatenate(([lo - 1.0, hi + 0.5], np.linspace(lo, hi, 8 * int(hi - lo) + 1),
+                            np.random.default_rng(d).uniform(lo, hi, 50)))
+        got = psiac._float_kernel(spec, c, 0.0, 1.0)(s)
+        assert got.tobytes() == oracles.float_kernel_reference(spec, c, 0.0, 1.0)(s).tobytes()
+
+    mids = [(spec, sum(filter_boundary(field, spec).region) / 2) for spec in specs]
+    sym_kernel = psiac.symmetric_kernel_at(d, mesh.h)
+    got = [reference_convolve(psiac.psiac_kernel_at(spec, mesh, x), field, x) for spec, x in mids]
+    got += [reference_convolve(sym_kernel, field, x) for x in (2.9, 3.3)]
+    monkeypatch.setattr(psiac, "_float_kernel", oracles.float_kernel_reference)
+    sym_kernel = psiac.symmetric_kernel_at(d, mesh.h)
+    want = [oracles.convolve_reference(psiac.psiac_kernel_at(spec, mesh, x), field, x)
+            for spec, x in mids]
+    want += [oracles.convolve_reference(sym_kernel, field, x) for x in (2.9, 3.3)]
+    assert got == want
 
 
 def test_polynomial_output_property():

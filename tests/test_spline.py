@@ -8,6 +8,8 @@ from siacpost.exact import RatPoly
 from siacpost.spline import (DegenerateSupportError, bernstein_poly, bspline_moment,
                              bspline_moments, eval_unit_bspline, unit_bspline_piecewise)
 
+from oracles import moment_reference
+
 
 def bernstein_basis(d: int, i: int, ell: int, x, h=1):
     """Value of the element Bernstein function on [i*h, (i+1)*h], else 0.
@@ -56,7 +58,7 @@ def test_piecewise_examples():
     quad = unit_bspline_piecewise([0, 1, 2, 3], 2)
     assert len(quad.pieces) == 3
     assert all(p.degree == 2 for p in quad.pieces)
-    assert quad.integral() == 1
+    assert quad.integrate_against(RatPoly([1]), 0, 3) == 1
 
 
 def test_piecewise_matches_pointwise():
@@ -110,7 +112,8 @@ def test_partition_of_unity_clamped():
 def test_unit_integral_invariant():
     for knots, k in (((-1, 0, 1), 1), ((0, 1, 2, 3), 2), ((0, 0, 0, 1), 2)):
         assert bspline_moment(knots, k, 0) == 1
-        assert unit_bspline_piecewise(knots, k).integral() == 1
+        assert unit_bspline_piecewise(knots, k).integrate_against(RatPoly([1]), knots[0],
+                                                                  knots[-1]) == 1
 
 
 def test_bernstein_values():
@@ -140,7 +143,7 @@ def test_bernstein_poly_matches_basis():
 
 
 def test_bspline_moments_match_single_moment():
-    """The one-sweep moments 0..r equal r+1 single-moment calls."""
+    """The one-sweep moments 0..r equal r+1 single moments, each summed on its own."""
     rng = random.Random(11)
     for _ in range(40):
         k = rng.randint(0, 4)
@@ -149,7 +152,8 @@ def test_bspline_moments_match_single_moment():
         if knots[0] == knots[-1]:
             continue
         r = rng.randint(0, 9)
-        assert bspline_moments(knots, k, r) == tuple(bspline_moment(knots, k, m)
+        assert bspline_moments(knots, k, r) == tuple(moment_reference(knots, k, m)
                                                      for m in range(r + 1))
+        assert bspline_moment(knots, k, r) == moment_reference(knots, k, r)
     with pytest.raises(ValueError):
         bspline_moments([0, 1], 0, -1)
