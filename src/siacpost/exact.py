@@ -92,9 +92,6 @@ class RatMatrix:
     def __hash__(self):
         return hash((self.rows, self.cols, tuple(self.entries)))
 
-    def to_float(self) -> list[list[float]]:
-        return [[float(e) for e in self.row(i)] for i in range(self.rows)]
-
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(e) for e in self.row(i)) for i in range(self.rows))
         return f"RatMatrix({self.rows}x{self.cols}: {body})"

@@ -12,16 +12,20 @@ Each solved field is filtered once into polynomial pieces: the interior
 output of `psiac.filter_interior` (Bernstein coefficients per element or
 half-element) and one `psiac.filter_boundary` polynomial per boundary
 filter and side, joined to the interior output across the blend strip
-by `psiac.blend_transition`.  `region_norms` then samples any of them,
-or the raw field, over a region split at element boundaries, with one
-call of the evaluator per norm on the nodes of every piece.
+by `psiac.blend_transition`.  Each region is the `region` of the output
+measured on it, so the measured side is always the filtered side: a
+boundary region grows by the strip (two elements) on its inner side,
+the interior [mu, N - mu] shrinks by it at both ends.  `region_norms`
+then samples an output, or the raw field, over its region split at
+element boundaries, with one call of the evaluator on the nodes of both
+norms.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, lru_cache
 from fractions import Fraction
 from math import ceil, floor, log
 from typing import Iterable
@@ -30,7 +34,7 @@ import numpy as np
 
 from . import dg, psiac
 from .errors import UsageError
-from .filters import FilterSpec, build_spec
+from .filters import build_spec
 
 FILTER_ALIASES = {
     "dg-raw": "dg", "dgraw": "dg", "raw": "dg", "dg": "dg",
@@ -66,13 +70,16 @@ class RunConfig:
     cfl: float | None = None
 
     def __post_init__(self):
-        dg.get_problem(self.problem)
+        object.__setattr__(self, "problem", dg.get_problem(self.problem).name)
         unknown = [f for f in self.filters if f.strip().lower() not in FILTER_ALIASES]
         if unknown:
             raise RunConfigError(
                 f"unknown filter {unknown[0]!r}; choose from {sorted(FILTER_ALIASES)}")
         names = tuple(FILTER_ALIASES[f.strip().lower()] for f in self.filters)
         object.__setattr__(self, "filters", names)
+        for what, items in (("filters", names), ("final times", self.final_times)):
+            if not items or len(set(items)) < len(items):
+                raise RunConfigError(f"{what} must be a nonempty list without repeats")
         if self.d < 0 or (self.d < 1 and set(names) != {"dg"}):
             raise RunConfigError("DG degree must be >= 0, and >= 1 for a spline filter")
         ns = self.mesh_sizes
@@ -179,83 +186,40 @@ def region_norms(approx, exact, mesh: dg.Mesh, region: tuple[float, float],
 
 
 # ---------------------------------------------------------------------------
-# per-filter evaluators over one solved field
-
-
-class _FieldContext:
-    """A solved field at one (N, T): its Bernstein form and filtered outputs."""
-
-    def __init__(self, field: dg.DGField, problem: dg.TestProblem, config: RunConfig):
-        self.field = field
-        self.bern = dg.to_bernstein(field)
-        self.problem = problem
-        self.config = config
-        self.mesh = field.mesh
-
-    def exact_fn(self, xs):
-        return self.problem.exact(np.asarray(xs, dtype=float), self.field.time)
-
-    # --- region geometry (sigma units) -------------------------------------
-    def strip(self) -> int:
-        return 2 if self.config.blend else 0
-
-    def interior_region(self):
-        pad = Fraction(3 * self.field.d + 1, 2) + self.strip()
-        lo, hi = pad, Fraction(self.mesh.n) - pad
-        if not hi > lo:
-            raise psiac.MeshTooCoarseError("no interior region left at this mesh size")
-        return lo, hi
-
-    def boundary_region(self, spec: FilterSpec, side: str):
-        lam = spec.lam + self.strip()
-        if side == "left":
-            return Fraction(0), lam
-        return Fraction(self.mesh.n) - lam, Fraction(self.mesh.n)
-
-    def physical(self, sigma: Fraction) -> float:
-        return self.mesh.a + float(sigma) * self.mesh.h
-
-    # --- filtered outputs: callables of physical-x arrays --------------------
-    @cached_property
-    def interior(self) -> psiac.PiecewiseBernstein:
-        return psiac.filter_interior(self.bern)
-
-    def boundary_output(self, spec: FilterSpec, side: str):
-        """The boundary polynomial, blended into the interior output across the strip."""
-        poly = psiac.filter_boundary(self.bern, spec)
-        if not self.config.blend:
-            return poly
-        step = self.strip() if side == "left" else -self.strip()
-        edge = spec.lam if side == "left" else self.mesh.n - spec.lam
-        return psiac.blend_transition(poly, self.interior,
-                                      (self.physical(edge), self.physical(edge + step)),
-                                      self.config.blend_rho)
-
-
-# ---------------------------------------------------------------------------
 # the experiment driver
 
 
-def _filter_records(ctx: _FieldContext, name: str) -> list[ErrorRecord]:
-    cfg = ctx.config
-    base = dict(problem=cfg.problem, d=cfg.d, filter=name, n=ctx.mesh.n,
-                t=ctx.field.time)
-    if name == "dg":
-        measured = [("full", ctx.field.evaluate, (0, ctx.mesh.n))]
-    elif name == "symmetric":
-        measured = [("interior", ctx.interior, ctx.interior_region())]
-    else:
-        specs = [(side, build_spec(name, cfg.d, side)) for side in ("left", "right")]
-        measured = [(side, ctx.boundary_output(spec, side), ctx.boundary_region(spec, side))
-                    for side, spec in specs]
-    out = []
-    for region, approx, (lo, hi) in measured:
-        l2, linf = region_norms(approx, ctx.exact_fn, ctx.mesh,
-                                (ctx.physical(lo), ctx.physical(hi)),
-                                cfg.samples_per_element)
-        out.append(ErrorRecord(region=region, norm="L2", value=l2, **base))
-        out.append(ErrorRecord(region=region, norm="Linf", value=linf, **base))
-    return out
+def _field_outputs(field: dg.DGField, config: RunConfig):
+    """(filter, region name, evaluator, measured region) for each filter and region.
+
+    Regions follow the module docstring; the interior is built only when used.
+    """
+    mesh, strip = field.mesh, 2 if config.blend else 0
+    bern = dg.to_bernstein(field)
+    interior = cache(lambda: psiac.filter_interior(bern))
+    sigma = lambda region: tuple(_sigma_exact(mesh, x) for x in region)
+    physical = lambda s: mesh.a + float(s) * mesh.h
+    for name in config.filters:
+        if name == "dg":
+            yield name, "full", field.evaluate, (physical(0), physical(mesh.n))
+        elif name == "symmetric":
+            lo, hi = sigma(interior().region)
+            if not hi - lo > 2 * strip:
+                raise psiac.MeshTooCoarseError("no interior region left at this mesh size")
+            yield name, "interior", interior(), (physical(lo + strip), physical(hi - strip))
+        else:
+            for side in ("left", "right"):
+                spec = build_spec(name, config.d, side)
+                poly = psiac.filter_boundary(bern, spec)
+                lo, hi = sigma(poly.region)
+                if spec.side == "left":
+                    region, overlap = (lo, hi + strip), (hi, hi + strip)
+                else:
+                    region, overlap = (lo - strip, hi), (lo, lo - strip)
+                if config.blend:
+                    poly = psiac.blend_transition(poly, interior(), tuple(map(physical, overlap)),
+                                                  config.blend_rho)
+                yield name, spec.side, poly, tuple(map(physical, region))
 
 
 def time_series_experiment(config: RunConfig) -> tuple[list[ErrorRecord], list[RateRecord]]:
@@ -272,9 +236,12 @@ def time_series_experiment(config: RunConfig) -> tuple[list[ErrorRecord], list[R
         field = dg.l2_project(problem.u0, mesh, config.d)
         for t_end in config.final_times:
             field = dg.advance(field, problem, t_end, config.cfl)
-            ctx = _FieldContext(field, problem, config)
-            for name in config.filters:
-                errors.extend(_filter_records(ctx, name))
+            exact = lambda xs: problem.exact(xs, field.time)
+            for name, region, approx, span in _field_outputs(field, config):
+                norms = region_norms(approx, exact, mesh, span, config.samples_per_element)
+                errors += [ErrorRecord(problem=config.problem, d=config.d, filter=name,
+                                       region=region, norm=norm, n=n, t=field.time, value=v)
+                           for norm, v in zip(("L2", "Linf"), norms)]
     rates: list[RateRecord] = []
     by_key: dict[tuple, dict[int, ErrorRecord]] = {}
     for rec in errors:

@@ -237,11 +237,6 @@ class BoundaryPolynomial:
     h: float
     anchor: float
     region: tuple[float, float]
-    side: str
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     def __call__(self, x):
         z = (np.asarray(x, dtype=float) - self.anchor) / self.h
@@ -256,8 +251,7 @@ class BoundaryPolynomial:
             cs = np.array([m * cs[m] for m in range(1, len(cs))]) / self.h
             if len(cs) == 0:
                 cs = np.zeros(1)
-        return BoundaryPolynomial(coeffs=cs, h=self.h, anchor=self.anchor,
-                                  region=self.region, side=self.side)
+        return BoundaryPolynomial(coeffs=cs, h=self.h, anchor=self.anchor, region=self.region)
 
     def physical_coefficients(self) -> np.ndarray:
         """Coefficients a_k of sum a_k (x - anchor)^k."""
@@ -297,8 +291,7 @@ def filter_boundary(field, spec: FilterSpec) -> BoundaryPolynomial:
     h = mesh.h
     return BoundaryPolynomial(
         coeffs=qm.contract(window), h=h, anchor=mesh.a + float(lam_g) * h,
-        region=(mesh.a + float(s_lo) * h, mesh.a + float(s_hi) * h),
-        side=spec.side)
+        region=(mesh.a + float(s_lo) * h, mesh.a + float(s_hi) * h))
 
 
 def filter_boundary_derivative(field, spec: FilterSpec, order: int = 1) -> BoundaryPolynomial:
@@ -593,8 +586,8 @@ def symmetric_kernel_at(d: int, h: float) -> FloatKernel:
     return _float_kernel(spec, static_coefficients(spec), 0.0, h)
 
 
-def reference_convolve(kernel: FloatKernel, field, x: float, quad_points: int = 10) -> float:
-    """Brute-force (u * kernel)(x) by composite Gauss quadrature.
+def reference_convolve(kernel: FloatKernel, field, x: float) -> float:
+    """Brute-force (u * kernel)(x) by 10-point composite Gauss quadrature.
 
     Subdivides at kernel breakpoints and at mesh breakpoints of u(x - s);
     used only as a test oracle.
@@ -609,7 +602,7 @@ def reference_convolve(kernel: FloatKernel, field, x: float, quad_points: int = 
         if lo < s < hi:
             cuts.add(float(s))
     cuts = sorted(cuts)
-    gx, gw = np.polynomial.legendre.leggauss(quad_points)
+    gx, gw = np.polynomial.legendre.leggauss(10)
     mid = np.array([(a + b) / 2 for a, b in zip(cuts, cuts[1:])])
     rad = np.array([(b - a) / 2 for a, b in zip(cuts, cuts[1:])])
     nodes = mid[:, None] + rad[:, None] * gx

@@ -269,7 +269,8 @@ def legendre_bernstein_reference(d: int) -> tuple[np.ndarray, np.ndarray]:
     bern = monomials([bernstein_poly(d, ell) for ell in range(d + 1)])
     l2b = invert_exact(bern) @ leg
     b2l = invert_exact(leg) @ bern
-    return np.array(l2b.to_float()), np.array(b2l.to_float())
+    return tuple(np.array([float(e) for e in m.entries]).reshape(m.rows, m.cols)
+                 for m in (l2b, b2l))
 
 
 def float_kernel_reference(spec: FilterSpec, coeffs, offset: float, h: float) -> FloatKernel:

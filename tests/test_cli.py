@@ -105,14 +105,22 @@ def test_timeseries_config(tmp_path):
     assert len(out) > 1
 
 
-def test_timeseries_empty_filters(tmp_path):
+def test_timeseries_empty_filters(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("problem = tp1\nd = 1\nfilters =\n"
                    "mesh_sizes = 20\nfinal_times = 0.0\n")
-    rc = main(["timeseries", str(cfg), "--out", str(tmp_path)])
-    assert rc == 0
-    out = (tmp_path / "timeseries_tp1_d1.csv").read_text().strip().splitlines()
-    assert len(out) == 1  # header only
+    rc = main(["timeseries", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2  # no header-only CSV
+    assert "nonempty" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_timeseries_dg_only_on_mesh_without_interior(tmp_path):
+    """d = 3 leaves no interior [mu, N - mu] at N = 4 or 8: the raw DG rows need none."""
+    assert main(["timeseries", "--problem", "tp1", "--d", "3", "--mesh-sizes", "4,8",
+                 "--filters", "dg", "--times", "0.1", "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "timeseries_tp1_d3.csv").read_text().splitlines()[1:]
+    assert len(rows) == 6  # L2 and Linf at two meshes, one rate each
 
 
 def test_timeseries_bad_config(tmp_path, capsys):
@@ -175,6 +183,7 @@ def test_outdir_env(tmp_path, monkeypatch):
 
 SOLVE = ["solve", "tp1", "--d", "1"]
 FILTER = ["filter", "tp1", "--family", "np0", "--d", "1"]
+TIMESERIES = ["timeseries", "--problem", "tp1", "--d", "1", "--mesh-sizes", "8,16"]
 TINY_CONFIG = "problem = tp1\nd = 1\nfilters = dg,np0\nmesh_sizes = 8,16\nfinal_times = 0.1\n"
 
 
@@ -210,6 +219,10 @@ class Config(str):
     ["timeseries", Config("blend = maybe\n"), "--no-blend"],
     ["filter", "tp1", "--family", "np0", "--d", "3", "--n", "5", "--t", "0.1"],
     ["converge", "tp1", "--d", "3", "--n-list", "4,8", "--filters", "symmetric"],
+    TIMESERIES + ["--filters", "dg", "--times", "linspace:0:1:0"],
+    TIMESERIES + ["--filters", ",", "--times", "0.1"],
+    TIMESERIES + ["--filters", "dg,raw", "--times", "0.1"],
+    TIMESERIES + ["--filters", "dg", "--times", "0.1,0.2,0.1"],
 ])
 def test_bad_option_is_usage_error(argv, tmp_path, capsys):
     out = tmp_path / "out"

@@ -74,8 +74,9 @@ def test_runconfig_validates_doubling():
 
 
 def test_runconfig_normalizes_names():
-    cfg = RunConfig(problem="tp1", d=1, filters=("DG-raw", "Symmetric", "NP0"),
+    cfg = RunConfig(problem=" TP1", d=1, filters=("DG-raw", "Symmetric", "NP0"),
                     mesh_sizes=(20, 40), final_times=(0.5, 0.0))
+    assert cfg.problem == "tp1"
     assert cfg.filters == ("dg", "symmetric", "np0")
     assert cfg.final_times == (0.0, 0.5)
 
@@ -97,6 +98,8 @@ def test_runconfig_rejects_negative_time(t):
     dict(problem="tp9"), dict(mesh_sizes=(0,)), dict(mesh_sizes=(-4,)),
     dict(final_times=(float("inf"),)), dict(samples_per_element=0),
     dict(samples_per_element=1), dict(blend_rho=0), dict(cfl=10.0),
+    dict(filters=()), dict(final_times=()), dict(filters=("dg", "raw")),
+    dict(filters=("np0", " NP0")), dict(final_times=(0.5, 0.25, 0.5)),
 ], ids=str)
 def test_runconfig_rejects_bad_settings(change):
     settings = dict(problem="tp1", d=1, filters=("dg", "np0"), mesh_sizes=(20,),
@@ -134,25 +137,44 @@ def test_record_region_discipline(small_run):
     assert by_filter["np0"] == {"left", "right"}
 
 
-def test_region_partition_covers_domain(small_run):
-    cfg, _ = small_run
-    tp1 = dg.get_problem("tp1")
-    field = dg.l2_project(tp1.u0, dg.Mesh(0.0, 1.0, 20), 1)
-    ctx = harness._FieldContext(field, tp1, cfg)
-    spec = build_spec("np0", 1, "left")
-    left = ctx.boundary_region(spec, "left")
-    right = ctx.boundary_region(spec, "right")
-    interior = ctx.interior_region()
-    assert left[0] == 0 and right[1] == 20
-    # the blend strips are counted with the boundary regions; together the
-    # three regions tile the domain exactly
-    assert left[1] == interior[0] and interior[1] == right[0]
-    # without blending the strips vanish and the boundary regions shrink by 2h
-    cfg_nb = RunConfig(problem="tp1", d=1, filters=("np0",), mesh_sizes=(20,),
-                       final_times=(0.0,), blend=False)
-    ctx_nb = harness._FieldContext(field, tp1, cfg_nb)
-    assert ctx_nb.boundary_region(spec, "left")[1] == left[1] - 2
-    assert ctx_nb.interior_region()[0] == interior[0] - 2
+def field_outputs(field, cfg):
+    """{(filter, region): (evaluator, measured region in exact sigma)} of one field."""
+    return {(name, region): (approx, tuple(harness._sigma_exact(field.mesh, x) for x in span))
+            for name, region, approx, span in harness._field_outputs(field, cfg)}
+
+
+@pytest.mark.parametrize("blend", (True, False), ids=("blend", "noblend"))
+@pytest.mark.parametrize("d", (1, 2, 3))
+@pytest.mark.parametrize("family", ("srv", "rlkv", "np0", "rs"))
+def test_region_partition_covers_domain(family, d, blend, monkeypatch):
+    """Each region is the old closed form, written out here, for the spec of its own side:
+    [0, lam + s], [N - lam - s, N] and [mu + s, N - mu - s], s the blend strip,
+    with blend overlaps (lam, lam + 2) and (N - lam, N - lam - 2)."""
+    n, s = 40, 2 if blend else 0
+    overlaps = []
+
+    def recording_blend(poly, interior, overlap, rho):
+        overlaps.append(overlap)
+        return blend_transition(poly, interior, overlap, rho)
+
+    blend_transition = psiac.blend_transition
+    monkeypatch.setattr(psiac, "blend_transition", recording_blend)
+    tp2 = dg.get_problem("tp2")
+    mesh = dg.Mesh(tp2.a, tp2.b, n)
+    field = dg.l2_project(tp2.u0, mesh, d)
+    cfg = RunConfig(problem="tp2", d=d, filters=("dg", "symmetric", family),
+                    mesh_sizes=(n,), final_times=(0.0,), blend=blend)
+    regions = {key: span for key, (_, span) in field_outputs(field, cfg).items()}
+    lam_left = build_spec(family, d, "left").lam
+    lam_right = build_spec(family, d, "right").lam
+    mu = Fraction(3 * d + 1, 2)
+    assert regions == {("dg", "full"): (0, n),
+                       ("symmetric", "interior"): (mu + s, n - mu - s),
+                       (family, "left"): (0, lam_left + s),
+                       (family, "right"): (n - lam_right - s, n)}
+    sigma = [tuple(harness._sigma_exact(mesh, x) for x in overlap) for overlap in overlaps]
+    assert sigma == ([(lam_left, lam_left + 2), (n - lam_right, n - lam_right - 2)]
+                     if blend else [])
 
 
 def test_rates_present_and_reasonable():
@@ -240,32 +262,34 @@ def _pointwise_region_norms(approx, exact, mesh, region, spe):
     return float(np.sqrt(total)), linf
 
 
-def _pointwise_value_fn(ctx, name, side):
+def _pointwise_value_fn(field, cfg, name, side):
     """Scalar (element, frac) evaluator, blend included, one point per call."""
+    bern, mesh = dg.to_bernstein(field), field.mesh
+
     def symmetric(e, frac):
-        return psiac.symmetric_filter_eval_local(ctx.bern, e, frac)
+        return psiac.symmetric_filter_eval_local(bern, e, frac)
 
     if name == "symmetric":
         return symmetric
-    spec = build_spec(name, ctx.config.d, side)
-    poly = psiac.filter_boundary(ctx.bern, spec)
-    lam, n = spec.lam, ctx.mesh.n
+    spec = build_spec(name, cfg.d, side)
+    poly = psiac.filter_boundary(bern, spec)
+    lam, n = spec.lam, mesh.n
 
     def value(e, frac):
         sigma = e + float(frac)
-        x = ctx.mesh.a + sigma * ctx.mesh.h
+        x = mesh.a + sigma * mesh.h
         z = (sigma - float(lam)) / 2.0 if side == "left" else (float(n - lam) - sigma) / 2.0
-        if not ctx.config.blend or z <= 0.0:
+        if not cfg.blend or z <= 0.0:
             return float(poly(x))
-        beta = psiac.blend_weight(min(z, 1.0), ctx.config.blend_rho)
+        beta = psiac.blend_weight(min(z, 1.0), cfg.blend_rho)
         return float((1 - beta) * poly(x) + beta * symmetric(e, frac))
 
     return value
 
 
-def _pointwise_norms(ctx, region, value_fn, spe):
+def _pointwise_norms(field, exact, region, value_fn, spe):
     """The per-point sampler: one evaluation per (piece, sample node)."""
-    mesh = ctx.mesh
+    mesh = field.mesh
     gx, gw = np.polynomial.legendre.leggauss(spe)
     sq_total, linf = 0.0, 0.0
     for lo, hi in _fraction_pieces(region):
@@ -274,28 +298,32 @@ def _pointwise_norms(ctx, region, value_fn, spe):
         for s in range(spe):
             frac = lo - e + width * Fraction(s, spe - 1)
             x = mesh.a + (e + float(frac)) * mesh.h
-            linf = max(linf, abs(value_fn(e, frac) - float(ctx.exact_fn(x))))
+            linf = max(linf, abs(value_fn(e, frac) - float(exact(x))))
         flo, fw = float(lo - e), float(width)
         rad = fw / 2 * mesh.h
         for q in range(spe):
             frac = flo + fw * (float(gx[q]) + 1.0) / 2.0
             x = mesh.a + (e + frac) * mesh.h
-            err = value_fn(e, frac) - float(ctx.exact_fn(x))
+            err = value_fn(e, frac) - float(exact(x))
             sq_total += rad * float(gw[q]) * err * err
     return float(np.sqrt(sq_total)), linf
 
 
-def _pointwise_records(ctx, name):
-    spe = ctx.config.samples_per_element
+def _pointwise_records(field, cfg, exact, name):
+    """{region: (L2, Linf)}, each region derived here from lam, mu and the strip."""
+    spe, n, strip = cfg.samples_per_element, field.mesh.n, 2 if cfg.blend else 0
     if name == "dg":
-        return {("full",): _pointwise_region_norms(ctx.field.evaluate, ctx.exact_fn,
-                                                   ctx.mesh, (ctx.mesh.a, ctx.mesh.b), spe)}
+        return {"full": _pointwise_region_norms(field.evaluate, exact, field.mesh,
+                                                (field.mesh.a, field.mesh.b), spe)}
     if name == "symmetric":
-        return {("interior",): _pointwise_norms(ctx, ctx.interior_region(),
-                                                _pointwise_value_fn(ctx, name, None), spe)}
-    return {(side,): _pointwise_norms(
-        ctx, ctx.boundary_region(build_spec(name, ctx.config.d, side), side),
-        _pointwise_value_fn(ctx, name, side), spe) for side in ("left", "right")}
+        pad = Fraction(3 * cfg.d + 1, 2) + strip
+        return {"interior": _pointwise_norms(field, exact, (pad, n - pad),
+                                             _pointwise_value_fn(field, cfg, name, None), spe)}
+    lam = {side: build_spec(name, cfg.d, side).lam + strip for side in ("left", "right")}
+    regions = {"left": (Fraction(0), lam["left"]), "right": (n - lam["right"], Fraction(n))}
+    return {side: _pointwise_norms(field, exact, regions[side],
+                                   _pointwise_value_fn(field, cfg, name, side), spe)
+            for side in ("left", "right")}
 
 
 @pytest.mark.parametrize("d", (2, 3))
@@ -307,14 +335,14 @@ def test_batched_sampler_matches_pointwise(d, n):
                     final_times=(0.3,))
     tp2 = dg.get_problem("tp2")
     field = dg.dg_solve(tp2, dg.Mesh(tp2.a, tp2.b, n), d, 0.3)
-    ctx = harness._FieldContext(field, tp2, cfg)
-    for name in filters_:
-        want = _pointwise_records(ctx, name)
-        got = harness._filter_records(ctx, name)
-        assert len(got) == 2 * len(want)
-        for rec in got:
-            ref = want[(rec.region,)][0 if rec.norm == "L2" else 1]
-            assert abs(rec.value - ref) <= 1e-15 + 1e-12 * abs(ref), (name, rec)
+    exact = lambda x: tp2.exact(np.asarray(x, dtype=float), field.time)
+    want = {(name, region): norms for name in filters_
+            for region, norms in _pointwise_records(field, cfg, exact, name).items()}
+    errors, _ = time_series_experiment(cfg)
+    assert len(errors) == 2 * len(want)
+    for rec in errors:
+        ref = want[(rec.filter, rec.region)][0 if rec.norm == "L2" else 1]
+        assert abs(rec.value - ref) <= 1e-15 + 1e-12 * abs(ref), rec
 
 
 def test_right_strip_blend():
@@ -325,12 +353,11 @@ def test_right_strip_blend():
                     final_times=(0.3,))
     tp2 = dg.get_problem("tp2")
     field = dg.dg_solve(tp2, dg.Mesh(tp2.a, tp2.b, n), d, 0.3)
-    ctx = harness._FieldContext(field, tp2, cfg)
+    values, region = field_outputs(field, cfg)[("np0", "right")]
     spec = build_spec("np0", d, "right")
-    values = ctx.boundary_output(spec, "right")
     poly = psiac.filter_boundary(field, spec)
     edge = n - spec.lam  # where the boundary region proper starts
-    assert ctx.boundary_region(spec, "right")[0] == edge - 2
+    assert region[0] == edge - 2
     mesh = field.mesh
     for t in (Fraction(0), Fraction(1, 7), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
         sigma = edge - 2 + 2 * t
@@ -361,14 +388,14 @@ def test_boundary_output_matches_reference_convolution(family, d):
     field = dg.dg_solve(tp2, dg.Mesh(tp2.a, tp2.b, n), d, 0.3)
     mesh = field.mesh
     rng = np.random.default_rng(10 * d + len(family))
-    contexts = {blend: harness._FieldContext(field, tp2, RunConfig(
-                    problem="tp2", d=d, filters=(family,), mesh_sizes=(n,),
-                    final_times=(0.3,), blend=blend))
-                for blend in (False, True)}
+    outputs = {blend: field_outputs(field, RunConfig(
+                   problem="tp2", d=d, filters=(family,), mesh_sizes=(n,),
+                   final_times=(0.3,), blend=blend))
+               for blend in (False, True)}
     sym = psiac.symmetric_kernel_at(d, mesh.h)
     for side in ("left", "right"):
         spec = build_spec(family, d, side)
-        off, on = (contexts[b].boundary_output(spec, side) for b in (False, True))
+        off, on = (outputs[b][(family, side)][0] for b in (False, True))
         lam = float(spec.lam)
         u_region, u_strip = rng.random(2)
         for depth, beta in ((lam * u_region, 0.0),
