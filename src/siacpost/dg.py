@@ -5,23 +5,32 @@ periodic or Dirichlet-inflow boundary conditions, upwind flux (kappa > 0),
 and classical RK4 in time.  Elements carry Legendre modal coefficients
 internally; filtering converts to the Bernstein element basis.
 
-The parts of the semi-discrete operator that do not depend on u (kappa at
-the quadrature nodes and faces, the projected source, the Dirichlet inflow
-flux) are evaluated as tables over time levels: `advance` builds one table
-per block of RK4 steps, about 16k floats each, and every stage reads its
-own row.  The time levels and the order of operations are those of a
-per-stage evaluation, so the result does not depend on the block size.
+`advance` picks one of two RK4 steppers from the problem itself:
+
+- kappa and rho are this module's `_unit_speed` and `_no_source` (tp1,
+  tp2): a step is u <- u + (R - I) u, R - I = sum_k (dt A)^k / k! over
+  k = 1..4, A the upwind operator.  h A has integer Legendre blocks, so
+  R - I has five block diagonals, rational in nu = dt / h; a Dirichlet
+  step also adds three inflow terms on elements 0-3.  Each entry is an
+  integer over one common denominator, split into floats hi + lo (Dekker,
+  Numer. Math. 18, 1971): a step is one gather, two matmuls and an add,
+  and rounds no worse than the stages of `dg_rhs`.
+- any other problem (tp3, custom ones): stages through `dg_rhs`, with what
+  does not depend on u (kappa at the quadrature nodes and faces, the
+  projected source, the inflow flux) tabulated once per block of steps,
+  in the order of a per-stage evaluation.
+
 Before stepping, `advance` rejects a final time that is not finite or lies
 before the field's time and a CFL number that is not positive or exceeds
-the RK4 stability limit of the upwind operator, and it checks each block's
-kappa table against 0 < kappa <= kappa_max.
+the RK4 stability limit, and it checks kappa against 0 < kappa <= kappa_max.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from math import ceil, comb
+from fractions import Fraction
+from math import ceil, comb, factorial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -121,19 +130,27 @@ class TestProblem:
         return self.exact(np.full(t.shape, self.a), t)
 
 
+def _unit_speed(x, t):  # kappa = 1
+    return np.ones_like(x)
+
+
+def _no_source(x, t):  # rho = 0
+    return np.zeros_like(x)
+
+
 PROBLEMS = {
     "tp1": TestProblem(
         name="tp1", a=0.0, b=1.0,
-        kappa=lambda x, t: np.ones_like(x),
-        rho=lambda x, t: np.zeros_like(x),
+        kappa=_unit_speed,
+        rho=_no_source,
         u0=lambda x: np.sin(2 * np.pi * x),
         bc="periodic",
         exact=lambda x, t: np.sin(2 * np.pi * (x - t)),
         kappa_max=1.0),
     "tp2": TestProblem(
         name="tp2", a=0.0, b=2 * np.pi,
-        kappa=lambda x, t: np.ones_like(x),
-        rho=lambda x, t: np.zeros_like(x),
+        kappa=_unit_speed,
+        rho=_no_source,
         u0=np.sin,
         bc="dirichlet",
         exact=lambda x, t: np.sin(x - t),
@@ -314,13 +331,109 @@ def _check_bounded(u: np.ndarray) -> None:
             "coefficients exceeded 1e10 or are not finite; reduce the CFL number")
 
 
-def _check_kappa(tables: _Coefficients, problem: TestProblem) -> None:
-    lo = min(tables.kap_q.min(), tables.kap_faces.min())
-    hi = max(tables.kap_q.max(), tables.kap_faces.max())
+def _check_kappa(problem: TestProblem, lo: float, hi: float) -> None:
     if not (lo > 0 and hi <= problem.kappa_max):
         raise ValueError(
             f"kappa of {problem.name} takes values in [{lo}, {hi}]; the upwind flux "
             f"and the step size need 0 < kappa <= kappa_max = {problem.kappa_max}")
+
+
+def _time_blocks(t0: float, dt: float, steps: int, block: int):
+    """(first step, levels) per block of steps; step k has levels t_k, t_k + dt/2, t_k + dt."""
+    for start in range(0, steps, block):
+        t_k = t0 + np.arange(start, min(start + block, steps)) * dt
+        yield start, np.stack((t_k, t_k + 0.5 * dt, t_k + dt), axis=1).ravel()
+
+
+def _tabulated_steps(field: DGField, problem: TestProblem, dt: float, steps: int):
+    """RK4 stages through `dg_rhs` with per-block coefficient tables; yields (step, u)."""
+    ws = _RhsWorkspace(field.mesh, field.d)
+    u = field.coeffs
+    stage = field.copy()  # its coeffs are replaced at every stage
+    for start, times in _time_blocks(field.time, dt, steps,
+                                     max(1, _TABLE_FLOATS // (3 * ws.xq.size))):
+        tables = _coefficient_tables(ws, problem, times)
+        _check_kappa(problem, min(tables.kap_q.min(), tables.kap_faces.min()),
+                     max(tables.kap_q.max(), tables.kap_faces.max()))
+        for lv in range(0, len(times), 3):
+            stage.coeffs = u
+            k1 = dg_rhs(stage, times[lv], problem, ws, tables, lv)
+            stage.coeffs = u + 0.5 * dt * k1
+            k2 = dg_rhs(stage, times[lv + 1], problem, ws, tables, lv + 1)
+            stage.coeffs = u + 0.5 * dt * k2
+            k3 = dg_rhs(stage, times[lv + 1], problem, ws, tables, lv + 1)
+            stage.coeffs = u + dt * k3
+            k4 = dg_rhs(stage, times[lv + 2], problem, ws, tables, lv + 2)
+            u += (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            yield start + lv // 3, u
+
+
+@lru_cache(maxsize=None)
+def _upwind_powers(d: int) -> np.ndarray:
+    """M[k, j], k, j = 0..4: the block on block sub-diagonal j of (h A)^k, in integers.
+
+    h A has the diagonal block (2n + 1)(V[l, n] - 1), V[l, n] = int P_l P_n'
+    = 2 if n > l and n + l is odd, else 0, and the sub-diagonal block
+    (2n + 1)(-1)^n (Hesthaven & Warburton, Nodal DG Methods, 2008, ch. 4).
+    """
+    n, l = np.indices((d + 1, d + 1))
+    m = np.zeros((5, 5, d + 1, d + 1), dtype=np.int64)
+    m[0, 0] = np.eye(d + 1)
+    for k in range(1, 5):
+        m[k] = (2 * n + 1) * (2 * ((n > l) & ((n + l) % 2 == 1)) - 1) @ m[k - 1]
+        m[k, 1:] += (2 * n + 1) * (-1) ** n @ m[k - 1, :-1]
+    return m
+
+
+def _increment_operator(d: int, nu: Fraction) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks and inflow terms of an RK4 step at nu = dt / h, each entry as floats hi, lo.
+
+    Row j*m + l, column n of the blocks is entry (n, l) of
+    B_j = sum_k nu^k / k! M[k, j], k = 1..4, so a step is u_i += sum_j B_j u_(i-j).
+    A Dirichlet step also adds g(t_k) c1 + g(t_k + dt/2) c2 + g(t_k + dt) c4,
+    6 c1 = (I + a + a^2/2 + a^3/4) b, 6 c2 = (4I + 2a + a^2/2) b, 6 c4 = b,
+    with a = dt A and b = nu (2n + 1)(-1)^n on element 0.
+    """
+    m, p, q = d + 1, nu.numerator, nu.denominator
+    powers = _upwind_powers(d).astype(object)
+    blocks = sum(24 // factorial(k) * p ** k * q ** (4 - k) * powers[k] for k in range(1, 5))
+    b = (2 * np.arange(m) + 1) * (-1) ** np.arange(m)
+    inflow = [sum(w * p ** (k + 1) * q ** (3 - k) * (powers[k, :4] @ b) for k, w in enumerate(ws))
+              for ws in ((4, 4, 2, 1), (16, 8, 2), (4,))]
+    den = 24 * q ** 4  # of every entry above
+
+    def hi_lo(nums):
+        nums = nums.ravel().tolist()
+        his = [x / den for x in nums]  # int / int rounds correctly
+        return np.array([his, [(x * hq - hp * den) / (den * hq) for x, (hp, hq) in
+                               zip(nums, map(float.as_integer_ratio, his))]])
+
+    return (hi_lo(blocks.transpose(0, 2, 1)).reshape(2, 5 * m, m),
+            hi_lo(np.array(inflow)).reshape(2, 3, 4 * m))
+
+
+def _increment_steps(field: DGField, problem: TestProblem, dt: float, steps: int):
+    """RK4 of a unit-speed, source-free problem, one exact increment per step; yields (step, u)."""
+    _check_kappa(problem, 1.0, 1.0)
+    n, m, periodic = field.mesh.n, field.d + 1, problem.bc == "periodic"
+    (hi, lo), inflow = _increment_operator(field.d, Fraction(dt) / Fraction(field.mesh.h))
+    pad = 0 if periodic else 4  # zero rows: the missing upwind neighbours of an inflow
+    padded = np.zeros((n + pad, m))
+    u = padded[:n]
+    u[:] = field.coeffs
+    windows = (np.arange(n)[:, None] - np.arange(5)) % (n + pad)
+    for start, times in _time_blocks(field.time, dt, steps, _TABLE_FLOATS // (4 * m)):
+        if not periodic:
+            g = problem.inflow(times).reshape(-1, 3)
+            corrections = (g @ inflow[0] + g @ inflow[1]).reshape(len(g), 4, m)[:, :n]
+        for k in range(len(times) // 3):
+            window = padded[windows].reshape(n, 5 * m)
+            increment = window @ hi
+            increment += window @ lo
+            if not periodic:
+                increment[:4] += corrections[k]
+            u += increment
+            yield start + k, u
 
 
 def advance(field: DGField, problem: TestProblem, t_end: float,
@@ -328,8 +441,8 @@ def advance(field: DGField, problem: TestProblem, t_end: float,
     """March the field to t_end with classical RK4 (integer step count).
 
     Step k starts at t_k = field.time + k*dt; its stages see t_k,
-    t_k + dt/2 (twice) and t_k + dt.  The coefficient tables cover those
-    three levels for a block of steps at a time.
+    t_k + dt/2 (twice) and t_k + dt.  Unit-speed, source-free problems
+    (tp1, tp2) take the exact increment stepper, all others `dg_rhs`.
     """
     if not (np.isfinite(t_end) and t_end >= field.time - 1e-14):
         raise UsageError(f"final time must be finite and not before {field.time}, got {t_end}")
@@ -341,28 +454,11 @@ def advance(field: DGField, problem: TestProblem, t_end: float,
         return out
     dt_max = c * field.mesh.h / problem.kappa_max
     steps = max(1, ceil(span / dt_max))
-    dt = span / steps
-    ws = _RhsWorkspace(field.mesh, field.d)
-    block = max(1, _TABLE_FLOATS // (3 * ws.xq.size))
-    u = out.coeffs
-    stage = out.copy()  # its coeffs are replaced at every stage
-    for start in range(0, steps, block):
-        t_k = field.time + np.arange(start, min(start + block, steps)) * dt
-        times = np.stack((t_k, t_k + 0.5 * dt, t_k + dt), axis=1).ravel()
-        tables = _coefficient_tables(ws, problem, times)
-        _check_kappa(tables, problem)
-        for lv in range(0, len(times), 3):
-            stage.coeffs = u
-            k1 = dg_rhs(stage, times[lv], problem, ws, tables, lv)
-            stage.coeffs = u + 0.5 * dt * k1
-            k2 = dg_rhs(stage, times[lv + 1], problem, ws, tables, lv + 1)
-            stage.coeffs = u + 0.5 * dt * k2
-            k3 = dg_rhs(stage, times[lv + 1], problem, ws, tables, lv + 1)
-            stage.coeffs = u + dt * k3
-            k4 = dg_rhs(stage, times[lv + 2], problem, ws, tables, lv + 2)
-            u += (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if (start + lv // 3) % 64 == 0:
-                _check_bounded(u)
+    exact = problem.kappa is _unit_speed and problem.rho is _no_source
+    stepper = _increment_steps if exact else _tabulated_steps
+    for k, u in stepper(out, problem, span / steps, steps):
+        if k % 64 == 0:
+            _check_bounded(u)
     _check_bounded(u)
     out.coeffs = u
     out.time = t_end

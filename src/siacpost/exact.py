@@ -4,8 +4,8 @@ All kernel construction runs on ``fractions.Fraction`` (arbitrary-precision
 rationals).  Matrix products and elimination work inside on integers
 over common denominators and return canonical ``Fraction``s.  The text
 form of a rational is ``str(Fraction)``, i.e. "p/q" with "/q" omitted when
-q == 1, and ``Fraction("p/q")`` parses it back.  Floating point enters
-only at explicit ``to_float`` snapshots.
+q == 1, and ``Fraction("p/q")`` parses it back.  Nothing here rounds to
+floating point; callers convert the entries they need.
 """
 
 from __future__ import annotations
@@ -240,9 +240,6 @@ class RatPoly:
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def to_float(self) -> list[float]:
-        return [float(c) for c in self.coeffs]
 
     def __repr__(self) -> str:
         terms = " + ".join(f"{c}*x^{i}" for i, c in enumerate(self.coeffs) if c != 0)

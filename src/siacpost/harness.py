@@ -217,6 +217,11 @@ def _field_outputs(field: dg.DGField, config: RunConfig):
                 else:
                     region, overlap = (lo - strip, hi), (lo, lo - strip)
                 if config.blend:
+                    (ilo, ihi), (slo, shi) = sigma(interior().region), sorted(overlap)
+                    if not ilo <= slo <= shi <= ihi:
+                        raise psiac.MeshTooCoarseError(
+                            f"the {name} blend strip [{slo}, {shi}] (in elements) leaves the "
+                            f"interior output [{ilo}, {ihi}] at this mesh size")
                     poly = psiac.blend_transition(poly, interior(), tuple(map(physical, overlap)),
                                                   config.blend_rho)
                 yield name, spec.side, poly, tuple(map(physical, region))

@@ -185,9 +185,9 @@ class QMatrix:
         ``float.as_integer_ratio`` to integers over one power-of-two scale;
         each output coefficient is one integer dot product divided once by
         its denominator, and int / int rounds correctly, so the result is
-        bit for bit ``contract_exact(...).to_float()`` zero-padded to
-        ``q.cols``.  Large-coefficient kernels stay stable; only the final
-        coefficients are rounded.
+        bit for bit the float of each coefficient of ``contract_exact``,
+        zero-padded to ``q.cols``.  Large-coefficient kernels stay stable;
+        only the final coefficients are rounded.
         """
         flat = np.asarray(coeff_rows, dtype=float).ravel()
         ratios = [v.as_integer_ratio() for v in flat.tolist()]

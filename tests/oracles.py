@@ -7,9 +7,12 @@ entry through ``PiecewisePolynomial.integrate_against``, the closed-form T
 of the piecewise-constant filter, the boundary contraction entry by entry,
 the Legendre-Bernstein conversion by exact inversion of monomial
 matrices, the reference kernel evaluated spline by spline through
-``PiecewisePolynomial`` and integrated one interval at a time, and the
-interior filter weights by Gauss quadrature.  They are kept deliberately plain; the library must agree
-with the exact ones exactly, and with the quadrature to roundoff.
+``PiecewisePolynomial`` and integrated one interval at a time, the
+interior filter weights by Gauss quadrature, and RK4 of unit-speed upwind
+DG stage by stage in 128-bit fixed point.  They are kept deliberately
+plain; the library must agree with the exact ones exactly, with the
+quadrature to roundoff, and with the fixed-point stepper at least as
+closely as the float per-stage stepper does.
 """
 
 from __future__ import annotations
@@ -302,3 +305,61 @@ def convolve_reference(kernel: FloatKernel, field, x: float, quad_points: int = 
         nodes = mid + rad * gx
         total += rad * np.dot(gw, kernel(nodes) * field.evaluate(x - nodes))
     return float(total)
+
+
+FIXED_POINT = 2 ** 128
+
+
+def upwind_blocks_reference(d: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Diagonal and sub-diagonal blocks of h A, A the unit-speed upwind DG operator.
+
+    Row n is the weak form against P_n times the inverse mass (2n + 1):
+    the volume term int P_l P_n' (2 when n > l and n + l is odd, else 0)
+    minus the outflow P_l(1) = 1 on the diagonal, and the inflow
+    P_n(-1) P_l(1) = (-1)^n from the upwind element below it.
+    """
+    volume = lambda l, n: 2 if n > l and (n + l) % 2 else 0
+    diag = [[(2 * n + 1) * (volume(l, n) - 1) for l in range(d + 1)] for n in range(d + 1)]
+    sub = [[(2 * n + 1) * (-1) ** n for _ in range(d + 1)] for n in range(d + 1)]
+    return diag, sub
+
+
+def rk4_fixed_point(coeffs, nu: Fraction, steps: int, inflow=None) -> list[list[int]]:
+    """Classical RK4 of u' = A u (+ Dirichlet inflow), on integers scaled by FIXED_POINT.
+
+    coeffs are the float Legendre coefficients (n, d + 1), nu = dt / h
+    exactly.  inflow is None for a periodic mesh, else one (g(t_k),
+    g(t_k + dt/2), g(t_k + dt)) float triple per step, which enters as a
+    ghost element below element 0 holding the constant g.  Each stage
+    rounds once to 2^-128.
+    """
+    n, m = len(coeffs), len(coeffs[0])
+    diag, sub = upwind_blocks_reference(m - 1)
+    fixed = lambda x: round(Fraction(x) * FIXED_POINT)
+    u = [[fixed(c) for c in row] for row in coeffs]
+
+    def dt_a(v, g):
+        out = []
+        for i in range(n):
+            below = [fixed(g)] + [0] * (m - 1) if i == 0 and g is not None else v[i - 1]
+            out.append([nu.numerator * (sum(a * x for a, x in zip(diag[r], v[i]))
+                                        + sum(a * x for a, x in zip(sub[r], below)))
+                        // nu.denominator for r in range(m)])
+        return out
+
+    plus = lambda v, k, div: [[x + y // div for x, y in zip(r, s)] for r, s in zip(v, k)]
+    for step in range(steps):
+        g0, gh, g1 = inflow[step] if inflow is not None else (None, None, None)
+        k1 = dt_a(u, g0)
+        k2 = dt_a(plus(u, k1, 2), gh)
+        k3 = dt_a(plus(u, k2, 2), gh)
+        k4 = dt_a(plus(u, k3, 1), g1)
+        u = [[x + (a + 2 * b + 2 * c + e) // 6 for x, a, b, c, e in zip(*rows)]
+             for rows in zip(u, k1, k2, k3, k4)]
+    return u
+
+
+def fixed_point_error(coeffs, reference: list[list[int]]) -> float:
+    """Largest |coefficient - reference / FIXED_POINT|, computed exactly and rounded once."""
+    return float(max(abs(Fraction(c) - Fraction(r, FIXED_POINT))
+                     for row, ref in zip(coeffs, reference) for c, r in zip(row, ref)))

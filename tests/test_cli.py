@@ -223,6 +223,9 @@ class Config(str):
     TIMESERIES + ["--filters", ",", "--times", "0.1"],
     TIMESERIES + ["--filters", "dg,raw", "--times", "0.1"],
     TIMESERIES + ["--filters", "dg", "--times", "0.1,0.2,0.1"],
+    # the np0 blend strip [5, 7] reaches past the interior output [5, 6]
+    ["timeseries", "--problem", "tp1", "--d", "3", "--filters", "np0", "--mesh-sizes", "11",
+     "--times", "0.1"],
 ])
 def test_bad_option_is_usage_error(argv, tmp_path, capsys):
     out = tmp_path / "out"

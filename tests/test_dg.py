@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from siacpost.dg import (DGField, Mesh, TestProblem, UnstableBlowupError, advanc
                          dg_rhs, dg_solve, get_problem, l2_project, to_bernstein)
 from siacpost.errors import UsageError
 
+import oracles
 from oracles import legendre_bernstein_reference
 
 
@@ -220,9 +223,14 @@ def _advance_per_stage(field, problem, t_end):
     return out
 
 
-@pytest.mark.parametrize("name", ("tp1", "tp2", "tp3"))
+@pytest.mark.parametrize("name", ("tp3",))
 @pytest.mark.parametrize("d", (1, 2, 3))
 def test_advance_matches_per_stage_stepper(name, d):
+    """The tabulated stepper rounds as the per-stage one does.
+
+    tp1 and tp2 take the exact increment path, which rounds differently;
+    test_increment_stepper_accuracy checks it.
+    """
     problem = get_problem(name)
     mesh = Mesh(problem.a, problem.b, 96)
     field = l2_project(problem.u0, mesh, d)
@@ -249,6 +257,61 @@ def test_rhs_matches_per_stage_formula(name):
         for t in (0.0, 0.7, 2.1):
             assert np.array_equal(dg_rhs(field, t, problem),
                                   _rhs_per_stage(field, t, problem, ws))
+
+
+# ---------------------------------------------------------------------------
+# the exact increment stepper of tp1 and tp2, against the fixed-point RK4
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_upwind_blocks_match_dg_rhs(d):
+    """The oracle's integer blocks are dg_rhs of unit vectors times h, to roundoff.
+
+    dg_rhs integrates by Gauss quadrature, whose float nodes and weights
+    miss int P_3' = 2 by 8.4e-15 (d >= 3): up to 38 eps of the largest
+    entry, here at d = 3 and 5.
+    """
+    tp1 = get_problem("tp1")
+    mesh = Mesh(0.0, 1.0, 3)
+    diag, sub = oracles.upwind_blocks_reference(d)
+    for l in range(d + 1):
+        unit = np.zeros((3, d + 1))
+        unit[1, l] = 1.0
+        got = dg_rhs(DGField(d, mesh, unit), 0.0, tp1) * mesh.h
+        want = np.array([np.zeros(d + 1), np.array(diag)[:, l], np.array(sub)[:, l]])
+        assert np.abs(got - want).max() <= 64 * np.finfo(float).eps * np.abs(want).max()
+
+
+@pytest.mark.parametrize("name", ("tp1", "tp2"))
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_increment_stepper_accuracy(name, d, monkeypatch):
+    """The increment path is as close to exact RK4 as the per-stage float stepper.
+
+    Both are compared over 200 steps on 24 elements with the fixed-point
+    RK4 of the same operator, nu = dt / h exactly, and the same float
+    inflow values; the increment path must not call dg_rhs.  At d <= 2
+    both errors are a few ulps and their ratio scatters about 1; at d = 3
+    the increment path is about 5x closer, as it does not inherit the
+    quadrature rounding of dg_rhs (test_upwind_blocks_match_dg_rhs).
+    """
+    problem = get_problem(name)
+    mesh = Mesh(problem.a, problem.b, 24)
+    field = l2_project(problem.u0, mesh, d)
+    field.time = 0.3
+    steps = 200
+    dt_max = dg.default_cfl(d) * mesh.h / problem.kappa_max
+    t_end = 0.3 + (steps - 0.5) * dt_max
+    dt = (t_end - 0.3) / steps
+    t_k = 0.3 + np.arange(steps) * dt
+    inflow = (problem.inflow(np.stack((t_k, t_k + 0.5 * dt, t_k + dt), axis=1)).tolist()
+              if problem.bc == "dirichlet" else None)
+    exact = oracles.rk4_fixed_point(field.coeffs.tolist(), Fraction(dt) / Fraction(mesh.h),
+                                    steps, inflow)
+    per_stage = oracles.fixed_point_error(_advance_per_stage(field, problem, t_end).coeffs, exact)
+    monkeypatch.setattr(dg, "dg_rhs", lambda *a, **k: pytest.fail("took the tabulated path"))
+    increment = oracles.fixed_point_error(advance(field, problem, t_end).coeffs, exact)
+    assert per_stage < 1e-14  # the oracle is RK4 of the same operator
+    assert increment <= 1.5 * per_stage
 
 
 # ---------------------------------------------------------------------------
@@ -289,23 +352,38 @@ def test_nonpositive_or_non_finite_cfl_rejected(cfl):
         advance(field, tp1, 1.0, cfl=cfl)
 
 
-@pytest.mark.parametrize("t_end", (np.inf, -np.inf, np.nan, 0.25))
-def test_bad_final_time_rejected_before_stepping(t_end, monkeypatch):
+def _on_both_steppers(values):
+    """(problem, value) cases: tp1 takes the increment path, tp3 the tabulated one.
+
+    The tp1 cases keep the bare value as their id.
+    """
+    return ([pytest.param("tp1", v, id=str(v)) for v in values]
+            + [pytest.param("tp3", v, id=f"tp3-{v}") for v in values])
+
+
+def _field_that_must_not_step(name, d, monkeypatch):
+    problem = get_problem(name)
+    field = l2_project(problem.u0, Mesh(problem.a, problem.b, 10), d)
+    stepped = lambda *a, **k: pytest.fail("stepped")
+    monkeypatch.setattr(dg, "dg_rhs", stepped)
+    monkeypatch.setattr(dg, "_increment_steps", stepped)
+    return problem, field
+
+
+@pytest.mark.parametrize("name, t_end", _on_both_steppers((np.inf, -np.inf, np.nan, 0.25)))
+def test_bad_final_time_rejected_before_stepping(name, t_end, monkeypatch):
     """A non-finite final time, or one before the field's time, is a usage error."""
-    tp1 = get_problem("tp1")
-    field = advance(l2_project(tp1.u0, Mesh(0, 1, 10), 1), tp1, 0.5)
-    monkeypatch.setattr(dg, "dg_rhs", lambda *a, **k: pytest.fail("stepped"))
+    problem, field = _field_that_must_not_step(name, 1, monkeypatch)
+    field.time = 0.5
     with pytest.raises(UsageError, match="final time"):
-        advance(field, tp1, t_end)
+        advance(field, problem, t_end)
 
 
-@pytest.mark.parametrize("d", (1, 2, 3, 4))
-def test_cfl_above_limit_raises_before_stepping(d, monkeypatch):
-    tp1 = get_problem("tp1")
-    field = l2_project(tp1.u0, Mesh(0, 1, 10), d)
-    monkeypatch.setattr(dg, "dg_rhs", lambda *a, **k: pytest.fail("stepped"))
+@pytest.mark.parametrize("name, d", _on_both_steppers((1, 2, 3, 4)))
+def test_cfl_above_limit_raises_before_stepping(name, d, monkeypatch):
+    problem, field = _field_that_must_not_step(name, d, monkeypatch)
     with pytest.raises(UnstableBlowupError, match="stability limit"):
-        advance(field, tp1, 1.0, cfl=1.01 * dg.max_stable_cfl(d))
+        advance(field, problem, 1.0, cfl=1.01 * dg.max_stable_cfl(d))
 
 
 def test_cfl_at_limit_is_stable():

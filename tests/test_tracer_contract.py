@@ -24,7 +24,10 @@ from siacpost import cli
 out = ["--out", sys.argv[2]]
 rcs = [cli.main(["timeseries", "--problem", "tp2", "--d", "2", "--mesh-sizes", "20,40",
                  "--filters", "dg,symmetric,srv,rlkv,np0", "--times", "0.1"] + out),
-       cli.main(["kernel", "np0", "2", "left", "--exact"] + out)]
+       cli.main(["kernel", "np0", "2", "left", "--exact"] + out),
+       # tp2 steps without dg_rhs; tp3 keeps the dg_rhs wrapper's metrics nonzero
+       cli.main(["timeseries", "--problem", "tp3", "--d", "1", "--mesh-sizes", "12",
+                 "--filters", "dg", "--times", "0.1"] + out)]
 print(json.dumps({"rcs": rcs, "layers": tracer.layer_metrics()}))
 """
 
@@ -40,7 +43,7 @@ def test_tracer_installs_and_reports_every_layer_metric(tmp_path):
         capture_output=True, text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["rcs"] == [0, 0]
+    assert result["rcs"] == [0, 0, 0]
     layers = result["layers"]
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert {m["name"] for m in declared} - set(layers) == ADDED_BY_RUNNER
