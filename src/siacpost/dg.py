@@ -16,9 +16,17 @@ internally; filtering converts to the Bernstein element basis.
   Numer. Math. 18, 1971): a step is one gather, two matmuls and an add,
   and rounds no worse than the stages of `dg_rhs`.
 - any other problem (tp3, custom ones): stages through `dg_rhs`, with what
-  does not depend on u (kappa at the quadrature nodes and faces, the
-  projected source, the inflow flux) tabulated once per block of steps,
-  in the order of a per-stage evaluation.
+  does not depend on u tabulated once per block of steps: `kap` (levels,
+  n, q + 2) holds [kappa at the upwind face (the last face when
+  periodic) | kappa gw at the q nodes | kappa at the outflow face], `src`
+  the projected source times the inverse mass, with a Dirichlet inflow
+  flux kappa(a) g(t) (-1)^n folded into element 0.  A stage is one fused
+  weak form: the stage input sits below a row for element 0's upwind
+  neighbour (the last element, or zeros for an inflow), one matmul by
+  [P^T | 1] gives every row's node values and right trace, a fixed
+  strided view reads them as rows [upwind trace | node values | own
+  trace], and that view times `kap`, times [(-1)^n; P_n'; -1] diag(mass
+  inverse), plus `src` is du/dt.
 
 Before stepping, `advance` rejects a final time that is not finite or lies
 before the field's time and a CFL number that is not positive or exceeds
@@ -138,6 +146,16 @@ def _no_source(x, t):  # rho = 0
     return np.zeros_like(x)
 
 
+# tp3's 2 + sin(x + t) and cos(x - t) + sin(2x) by angle addition: a coefficient
+# table then takes sin and cos over the nodes and over the times apart
+def _tp3_kappa(x, t):
+    return 2.0 + (np.sin(x) * np.cos(t) + np.cos(x) * np.sin(t))
+
+
+def _tp3_rho(x, t):
+    return (np.cos(x) * np.cos(t) + np.sin(x) * np.sin(t)) + np.sin(2 * x)
+
+
 PROBLEMS = {
     "tp1": TestProblem(
         name="tp1", a=0.0, b=1.0,
@@ -157,8 +175,8 @@ PROBLEMS = {
         kappa_max=1.0),
     "tp3": TestProblem(
         name="tp3", a=0.0, b=2 * np.pi,
-        kappa=lambda x, t: 2.0 + np.sin(x + t),
-        rho=lambda x, t: np.cos(x - t) + np.sin(2 * x),
+        kappa=_tp3_kappa,
+        rho=_tp3_rho,
         u0=np.sin,
         bc="periodic",
         exact=lambda x, t: np.sin(x - t),
@@ -200,36 +218,38 @@ def l2_project(u0: Callable, mesh: Mesh, d: int) -> DGField:
 
 
 class _RhsWorkspace:
-    """Precomputed quadrature and basis tables for one (mesh, d)."""
+    """Quadrature tables, fused weak-form matrices and stage buffers for one (mesh, d, bc)."""
 
-    def __init__(self, mesh: Mesh, d: int):
-        self.mesh = mesh
-        self.d = d
+    def __init__(self, mesh: Mesh, d: int, periodic: bool):
+        self.periodic = periodic
         q = max(2 * d + 2, d + 4)
-        gx, gw = np.polynomial.legendre.leggauss(q)
-        self.gw = gw
+        gx, self.gw = np.polynomial.legendre.leggauss(q)
         mids = mesh.a + (np.arange(mesh.n) + 0.5) * mesh.h
         self.xq = mids[:, None] + 0.5 * mesh.h * gx[None, :]
-        self.p = np.polynomial.legendre.legvander(gx, d)
-        self.p_t = self.p.T
-        pd = np.zeros_like(self.p)
-        for n in range(1, d + 1):
-            c = np.zeros(n + 1)
-            c[n] = 1.0
-            pd[:, n] = np.polynomial.legendre.legval(gx, np.polynomial.legendre.legder(c))
-        self.pd = pd  # dP_n/dxi at quad nodes
-        self.par = (-1.0) ** np.arange(d + 1)  # P_n(-1)
         self.faces = mesh.breakpoints()
-        self.mass_inv = (2 * np.arange(d + 1) + 1) / mesh.h
+        p = np.polynomial.legendre.legvander(gx, d)
+        pd = np.polynomial.legendre.legval(gx, np.polynomial.legendre.legder(np.eye(d + 1))).T
+        mass_inv = (2 * np.arange(d + 1) + 1) / mesh.h
+        self.project = self.gw[:, None] * p * (np.arange(d + 1) + 0.5)  # h/2 and 1/h cancel
+        self.to_nodes = np.hstack((p.T, np.ones((d + 1, 1))))  # P_n(1) = 1
+        # rows: P_n(-1) against the inflow, P_n' (dxi/dx and h/2 cancel), -P_n(1)
+        self.weak = np.vstack(((-1.0) ** np.arange(d + 1), pd, -np.ones(d + 1))) * mass_inv
+        self.rows = np.zeros((mesh.n + 1, d + 1))  # row 0: element 0's upwind neighbour
+        self.u = self.rows[1:]  # the stage input
+        self.nodes = np.empty((mesh.n + 1, q + 1))  # node values and right trace per row
+        # view row i: [right trace of element i-1 | node values of element i | its right trace]
+        self.view = np.lib.stride_tricks.as_strided(
+            self.nodes.reshape(-1)[q:], (mesh.n, q + 2), self.nodes.strides, writeable=False)
+        self.terms = np.empty((mesh.n, q + 2))
 
 
 class _Coefficients(NamedTuple):
     """The u-independent parts of the operator, one row per time level."""
 
-    kap_q: np.ndarray      # (levels, n, q) kappa at the quadrature nodes
-    kap_faces: np.ndarray  # (levels, n + 1) kappa at the faces
-    src: np.ndarray        # (levels, n, d + 1) projected source
-    inflow: np.ndarray | None  # (levels,) Dirichlet inflow flux
+    kap: np.ndarray  # (levels, n, q + 2) kappa at the upwind face, kappa*gw at the nodes,
+    #                  kappa at the outflow face: the layout of _RhsWorkspace.view
+    src: np.ndarray  # (levels, n, d + 1) projected source and inflow flux, times mass_inv
+    kappa_range: tuple[float, float]
 
 
 def _coefficient_tables(ws: _RhsWorkspace, problem: TestProblem,
@@ -238,15 +258,22 @@ def _coefficient_tables(ws: _RhsWorkspace, problem: TestProblem,
 
     The coefficient functions are called once each over a (levels, 1, 1)
     time array; broadcast_to covers those that ignore t (np.ones_like(x)).
+    Element 0's upwind face is the last face when periodic; a Dirichlet
+    inflow flux kappa(a) g(t) enters element 0's source instead.
     """
     t = times[:, None, None]
     levels = times.shape
     kap_q = np.broadcast_to(problem.kappa(ws.xq, t), levels + ws.xq.shape)
     kap_faces = np.broadcast_to(problem.kappa(ws.faces, t[:, 0]), levels + ws.faces.shape)
     rho = np.broadcast_to(problem.rho(ws.xq, t), levels + ws.xq.shape)
-    src = (rho * ws.gw) @ ws.p * (ws.mesh.h / 2.0)
-    inflow = None if problem.bc == "periodic" else kap_faces[:, 0] * problem.inflow(times)
-    return _Coefficients(kap_q, kap_faces, src, inflow)
+    kap = np.concatenate((kap_faces[:, :-1, None], kap_q * ws.gw, kap_faces[:, 1:, None]), axis=2)
+    src = rho @ ws.project
+    if ws.periodic:
+        kap[:, 0, 0] = kap_faces[:, -1]
+    else:
+        src[:, 0] += (kap_faces[:, 0] * problem.inflow(times))[:, None] * ws.weak[0]
+    return _Coefficients(kap, src, (min(kap_q.min(), kap_faces.min()),
+                                    max(kap_q.max(), kap_faces.max())))
 
 
 def dg_rhs(field: DGField, t: float, problem: TestProblem,
@@ -259,27 +286,21 @@ def dg_rhs(field: DGField, t: float, problem: TestProblem,
     left, valid for kappa > 0).  Dirichlet inflow takes the prescribed
     boundary value; periodic wraps the last trace around.  The
     coefficients at t are row `level` of the given tables, or are
-    evaluated here when none are given.
+    evaluated here when none are given.  A field whose coeffs are the
+    workspace's `u` is read in place.
     """
-    ws = workspace or _RhsWorkspace(field.mesh, field.d)
+    ws = workspace or _RhsWorkspace(field.mesh, field.d, problem.bc == "periodic")
     if coefficients is None:
         coefficients, level = _coefficient_tables(ws, problem, np.array([t], dtype=float)), 0
-    c = field.coeffs
-    u_q = c @ ws.p_t
-    vol = (coefficients.kap_q[level] * u_q * ws.gw) @ ws.pd  # dxi/dx and h/2 cancel
-    u_right = c.sum(axis=1)  # P_n(1) = 1
-    flux_right = coefficients.kap_faces[level, 1:] * u_right
-    flux_left = np.empty_like(flux_right)
-    flux_left[1:] = flux_right[:-1]
-    if coefficients.inflow is None:
-        flux_left[0] = flux_right[-1]
-    else:
-        flux_left[0] = coefficients.inflow[level]
-    vol -= flux_right[:, None]
-    vol += flux_left[:, None] * ws.par
-    vol += coefficients.src[level]
-    vol *= ws.mass_inv
-    return vol
+    if field.coeffs is not ws.u:
+        ws.u[:] = field.coeffs
+    if ws.periodic:
+        ws.rows[0] = ws.rows[-1]
+    np.matmul(ws.rows, ws.to_nodes, out=ws.nodes)
+    np.multiply(ws.view, coefficients.kap[level], out=ws.terms)
+    out = ws.terms @ ws.weak
+    out += coefficients.src[level]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -346,23 +367,25 @@ def _time_blocks(t0: float, dt: float, steps: int, block: int):
 
 
 def _tabulated_steps(field: DGField, problem: TestProblem, dt: float, steps: int):
-    """RK4 stages through `dg_rhs` with per-block coefficient tables; yields (step, u)."""
-    ws = _RhsWorkspace(field.mesh, field.d)
+    """RK4 stages through `dg_rhs` with per-block coefficient tables; yields (step, u).
+
+    Each stage input is written straight into the workspace's stage rows.
+    """
+    ws = _RhsWorkspace(field.mesh, field.d, problem.bc == "periodic")
     u = field.coeffs
-    stage = field.copy()  # its coeffs are replaced at every stage
+    stage = replace(field, coeffs=ws.u)
     for start, times in _time_blocks(field.time, dt, steps,
                                      max(1, _TABLE_FLOATS // (3 * ws.xq.size))):
         tables = _coefficient_tables(ws, problem, times)
-        _check_kappa(problem, min(tables.kap_q.min(), tables.kap_faces.min()),
-                     max(tables.kap_q.max(), tables.kap_faces.max()))
+        _check_kappa(problem, *tables.kappa_range)
         for lv in range(0, len(times), 3):
-            stage.coeffs = u
+            ws.u[:] = u
             k1 = dg_rhs(stage, times[lv], problem, ws, tables, lv)
-            stage.coeffs = u + 0.5 * dt * k1
+            np.add(u, 0.5 * dt * k1, out=ws.u)
             k2 = dg_rhs(stage, times[lv + 1], problem, ws, tables, lv + 1)
-            stage.coeffs = u + 0.5 * dt * k2
+            np.add(u, 0.5 * dt * k2, out=ws.u)
             k3 = dg_rhs(stage, times[lv + 1], problem, ws, tables, lv + 1)
-            stage.coeffs = u + dt * k3
+            np.add(u, dt * k3, out=ws.u)
             k4 = dg_rhs(stage, times[lv + 2], problem, ws, tables, lv + 2)
             u += (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             yield start + lv // 3, u

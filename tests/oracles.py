@@ -8,17 +8,20 @@ of the piecewise-constant filter, the boundary contraction entry by entry,
 the Legendre-Bernstein conversion by exact inversion of monomial
 matrices, the reference kernel evaluated spline by spline through
 ``PiecewisePolynomial`` and integrated one interval at a time, the
-interior filter weights by Gauss quadrature, and RK4 of unit-speed upwind
-DG stage by stage in 128-bit fixed point.  They are kept deliberately
+interior filter weights by Gauss quadrature, and RK4 of upwind DG stage by
+stage in 128-bit fixed point: unit speed, and tp3's variable speed and
+source with sines by integer Taylor series.  They are kept deliberately
 plain; the library must agree with the exact ones exactly, with the
-quadrature to roundoff, and with the fixed-point stepper at least as
+quadrature to roundoff, and with the fixed-point steppers about as
 closely as the float per-stage stepper does.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, comb, floor
+from operator import mul
 
 import numpy as np
 
@@ -363,3 +366,110 @@ def fixed_point_error(coeffs, reference: list[list[int]]) -> float:
     """Largest |coefficient - reference / FIXED_POINT|, computed exactly and rounded once."""
     return float(max(abs(Fraction(c) - Fraction(r, FIXED_POINT))
                      for row, ref in zip(coeffs, reference) for c, r in zip(row, ref)))
+
+
+def sin_cos_fixed(x: Fraction) -> tuple[int, int]:
+    """(sin x, cos x) scaled by FIXED_POINT and rounded, |x| < 4 pi, by Taylor series on integers.
+
+    The terms x^k / k! are summed with 64 guard bits until they vanish.
+    At |x| < 4 pi the largest term is below 2^15, so the guard bits
+    absorb the cancellation and no argument reduction is needed.
+    """
+    one = FIXED_POINT << 64
+    xs = round(abs(x) * one)
+    sums = [0, 0, 0, 0]  # of the terms by k mod 4
+    term, k = one, 0
+    while term:
+        sums[k % 4] += term
+        k += 1
+        term = term * xs // (one * k)
+    sin, cos = ((a - b + (1 << 63)) >> 64 for a, b in ((sums[1], sums[3]), (sums[0], sums[2])))
+    return (sin if x >= 0 else -sin), cos
+
+
+def _legendre_exact(x: Fraction, d: int) -> tuple[list[Fraction], list[Fraction]]:
+    """P_l(x) and P_l'(x), l = 0..d, exactly, by the three-term recursions."""
+    p, dp = [Fraction(1), x], [Fraction(0), Fraction(1)]
+    for l in range(1, d):
+        p.append(((2 * l + 1) * x * p[l] - l * p[l - 1]) / (l + 1))
+        dp.append(dp[l - 1] + (2 * l + 1) * p[l])
+    return p[:d + 1], dp[:d + 1]
+
+
+def rk4_tp3_fixed_point(coeffs, h: float, nodes, faces, gx, gw, dt: float, times,
+                        periodic: bool) -> list[list[int]]:
+    """Classical RK4 of upwind DG for tp3's equation, on integers scaled by FIXED_POINT.
+
+    u_t + (kappa u)_x = rho with kappa = 2 + sin(x + t), rho = cos(x - t)
+    + sin(2x) and, when not periodic, the inflow g(t) = sin(faces[0] - t).
+    coeffs are the float Legendre coefficients (n, d + 1).  The element
+    width h, the quadrature points nodes (n, q), the faces (n + 1), the
+    Gauss nodes gx and weights gw, dt and the per-step time levels
+    (t_k, t_k + dt/2, t_k + dt) are the floats of the scheme, each lifted
+    exactly.  On element i, with nu = dt / h and u^- the trace from the
+    left,
+
+        dt u_l' = nu (2l + 1) [sum_j gw_j kappa u P_l'(gx_j) - kappa u^-(x_(i+1))
+                              + (-1)^l kappa u^-(x_i)] + dt (2l + 1) / 2 sum_j gw_j rho P_l(gx_j),
+
+    where u^-(x_0) is the last element's right trace (periodic) or g.
+    kappa, rho and g are evaluated to 2^-128 by angle addition from
+    `sin_cos_fixed` of each point and each time; each stage rounds its
+    products to 2^-128.
+    """
+    s = FIXED_POINT
+    fixed = lambda x: round(Fraction(x) * s)
+    n, m = len(coeffs), len(coeffs[0])
+    legendre = [_legendre_exact(Fraction(float(x)), m - 1) for x in gx]
+    pv = [[fixed(v) for v in p] for p, _ in legendre]              # [j][l] P_l(gx_j)
+    dv = [[fixed(dp[l]) for _, dp in legendre] for l in range(m)]  # [l][j] P_l'(gx_j)
+    wp = [[fixed(Fraction(float(w)) * p[l]) for w, (p, _) in zip(gw, legendre)]
+          for l in range(m)]                                       # [l][j] gw_j P_l(gx_j)
+    wq = [fixed(float(w)) for w in gw]
+    nu, dt = Fraction(dt) / Fraction(h), Fraction(dt)
+    flux = [((2 * l + 1) * nu.numerator, nu.denominator * s) for l in range(m)]
+    source = [((2 * l + 1) * dt.numerator, 2 * dt.denominator * s) for l in range(m)]
+    at_nodes = [[sin_cos_fixed(Fraction(float(x))) for x in row] for row in nodes]
+    sin_2x = [[sin_cos_fixed(2 * Fraction(float(x)))[0] for x in row] for row in nodes]
+    at_faces = [sin_cos_fixed(Fraction(float(x))) for x in faces]
+
+    @lru_cache(maxsize=None)
+    def level(t: float):
+        """kappa gw at the nodes, kappa at the faces and dt times the source, at time t."""
+        st, ct = sin_cos_fixed(Fraction(t))
+        kappa = lambda sx, cx: 2 * s + (sx * ct + cx * st) // s  # 2 + sin(x + t)
+        kw = [[kappa(*sc) * w // s for sc, w in zip(row, wq)] for row in at_nodes]
+        kf = [kappa(*sc) for sc in at_faces]
+        rho = [[(cx * ct + sx * st) // s + sin2 for (sx, cx), sin2 in zip(row, sin2_row)]
+               for row, sin2_row in zip(at_nodes, sin_2x)]
+        src = [[num * sum(map(mul, row, wp_l)) // den for wp_l, (num, den) in zip(wp, source)]
+               for row in rho]
+        if not periodic:  # (-1)^l kappa(x_0) g(t) enters element 0
+            sa, ca = at_faces[0]
+            g = (sa * ct - ca * st) // s  # sin(x_0 - t)
+            src[0] = [x + (-1) ** l * num * kf[0] * g // den
+                      for l, (x, (num, den)) in enumerate(zip(src[0], flux))]
+        return kw, kf, src
+
+    def dt_rhs(v, t):
+        kw, kf, src = level(t)
+        right = [k * sum(row) for k, row in zip(kf[1:], v)]
+        left = [right[-1] if periodic else 0] + right[:-1]
+        out = []
+        for row, kw_row, src_row, fr, fl in zip(v, kw, src, right, left):
+            w = [k * sum(map(mul, row, pj)) // s2 for k, pj in zip(kw_row, pv)]
+            out.append([num * (sum(map(mul, w, dv_l)) - fr + sign * fl) // den + x
+                        for dv_l, sign, (num, den), x in zip(dv, signs, flux, src_row)])
+        return out
+
+    s2, signs = s * s, [(-1) ** l for l in range(m)]
+    plus = lambda v, k, div: [[x + y // div for x, y in zip(r, q)] for r, q in zip(v, k)]
+    u = [[fixed(c) for c in row] for row in coeffs]
+    for t0, th, t1 in times:
+        k1 = dt_rhs(u, t0)
+        k2 = dt_rhs(plus(u, k1, 2), th)
+        k3 = dt_rhs(plus(u, k2, 2), th)
+        k4 = dt_rhs(plus(u, k3, 1), t1)
+        u = [[x + (a + 2 * b + 2 * c + e) // 6 for x, a, b, c, e in zip(*rows)]
+             for rows in zip(u, k1, k2, k3, k4)]
+    return u
