@@ -1,0 +1,40 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "bench_record.py"
+
+
+def _result(path: Path, wall: float, items: float, src_lines: int) -> Path:
+    """A result.json as perfbench/run.py writes it, cut to what the collector reads."""
+    path.write_text(json.dumps({
+        "result": {"correct": True, "attempted": 12, "failed": 0, "metrics": {
+            "wall_s": {"value": wall, "unit": "s"},
+            "items_per_s": {"value": items, "unit": "1/s"}}},
+        "provenance": {"git_revision": "abc", "src_lines": src_lines},
+        "job": {"workload": "tp3-d2-long", "seed": 0}}))
+    return path
+
+
+def test_pairs_are_counted_by_each_metric_direction(tmp_path):
+    """Medians and quartiles per side; the change wins a pair when better, ties win nothing."""
+    parents = [_result(tmp_path / f"p{i}.json", w, 10.0, 2558)
+               for i, w in enumerate((0.70, 0.72, 0.68))]
+    changes = [_result(tmp_path / f"c{i}.json", w, i, 2680)
+               for i, w in enumerate((0.35, 0.80, 0.34))]
+    out = tmp_path / "BENCH_x.json"
+    proc = subprocess.run([sys.executable, str(TOOL), str(out), "--parent", *map(str, parents),
+                           "--change", *map(str, changes)], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    bench = json.loads(out.read_text())
+    wall = bench["workloads"]["tp3-d2-long seed 0"]["wall_s"]
+    assert wall["unit"] == "s" and wall["pairs"] == 3 and wall["won"] == 2
+    assert wall["parent"]["median"] == 0.70 and wall["change"]["median"] == 0.35
+    assert wall["change"]["q1"] <= 0.35 <= wall["change"]["q3"]
+    items = bench["workloads"]["tp3-d2-long seed 0"]["items_per_s"]
+    assert items["won"] == 0  # higher is better: 0, 1, 2 against 10
+    assert bench["src_lines"] == {"parent": 2558, "change": 2680}
+    assert bench["provenance"]["change"]["git_revision"] == "abc"

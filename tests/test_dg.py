@@ -246,43 +246,116 @@ def _advance_per_stage(field, problem, t_end):
     return out
 
 
+def _oracle_case(problem, d, n, steps):
+    """A field at t = 0.3, the dt that takes `advance` to t_end in `steps` steps, the references.
+
+    The references are the fixed-point RK4 of tp3's scheme over those
+    steps (the same float nodes, weights, faces, dt and time levels) and
+    the per-stage float stepper's error against it.
+    """
+    mesh = Mesh(problem.a, problem.b, n)
+    field = l2_project(problem.u0, mesh, d)
+    field.time = 0.3
+    dt_max = dg.default_cfl(d) * mesh.h / problem.kappa_max
+    t_end = 0.3 + (steps - 0.5) * dt_max
+    dt = (t_end - 0.3) / steps
+    tables = _scheme_tables(mesh, d)
+    t_k = 0.3 + np.arange(steps) * dt
+    exact = oracles.rk4_tp3_fixed_point(
+        field.coeffs.tolist(), mesh.h, tables.xq.tolist(), tables.faces.tolist(),
+        tables.gx.tolist(), tables.gw.tolist(), dt,
+        np.stack((t_k, t_k + 0.5 * dt, t_k + dt), axis=1).tolist(), problem.bc == "periodic")
+    per_stage = oracles.fixed_point_error(_advance_per_stage(field, problem, t_end).coeffs, exact)
+    return SimpleNamespace(field=field, dt=dt, t_end=t_end, exact=exact, per_stage=per_stage,
+                           dt_max=dt_max, nodes=tables.xq.size)
+
+
+def _stepped(stepper, field, problem, dt, steps):
+    """The coefficients after `steps` RK4 steps of one stepper, from a copy of the field."""
+    for _, u in stepper(field.copy(), problem, dt, steps):
+        pass
+    return u
+
+
 @pytest.mark.parametrize("name", ("tp3", "tp3-dirichlet"))
 @pytest.mark.parametrize("d", (1, 2, 3))
 def test_tabulated_stepper_accuracy(name, d):
     """The tabulated stepper is as close to exact RK4 of tp3's scheme as the per-stage one.
 
     Both run 100 steps on 24 elements, over several coefficient blocks,
-    and are compared with the fixed-point RK4 of the same scheme: the
-    same float nodes, weights, faces, dt and time levels.  Both errors
-    are a few ulps; the tabulated path's fused stage rounds in another
-    order, so their ratio scatters about 1.
+    and are compared with the fixed-point RK4 of the same scheme.  Both
+    errors are a few ulps; the tabulated path's fused stage rounds in
+    another order, so their ratio scatters about 1.  The tabulated
+    stepper is called directly, as `advance` steps periodic tp3 by the
+    harmonic operator.  `advance` itself matches the per-stage stepper
+    over one step and keeps the field over none.
     """
     problem = _problem(name)
-    mesh = Mesh(problem.a, problem.b, 24)
-    field = l2_project(problem.u0, mesh, d)
-    field.time = 0.3
-    steps = 100
-    dt_max = dg.default_cfl(d) * mesh.h / problem.kappa_max
-    t_end = 0.3 + (steps - 0.5) * dt_max
-    dt = (t_end - 0.3) / steps
-    tables = _scheme_tables(mesh, d)
-    assert steps > 2 * dg._TABLE_FLOATS // (3 * tables.xq.size)  # crosses two block edges
-    t_k = 0.3 + np.arange(steps) * dt
-    exact = oracles.rk4_tp3_fixed_point(
-        field.coeffs.tolist(), mesh.h, tables.xq.tolist(), tables.faces.tolist(),
-        tables.gx.tolist(), tables.gw.tolist(), dt,
-        np.stack((t_k, t_k + 0.5 * dt, t_k + dt), axis=1).tolist(), problem.bc == "periodic")
-    got = advance(field, problem, t_end)
-    per_stage = oracles.fixed_point_error(_advance_per_stage(field, problem, t_end).coeffs, exact)
-    tabulated = oracles.fixed_point_error(got.coeffs, exact)
-    assert got.time == t_end
-    assert per_stage < 1e-14  # the oracle is RK4 of the same scheme
+    case = _oracle_case(problem, d, 24, 100)
+    assert 100 > 2 * dg._TABLE_FLOATS // (3 * case.nodes)  # crosses two block edges
+    tabulated = oracles.fixed_point_error(
+        _stepped(dg._tabulated_steps, case.field, problem, case.dt, 100), case.exact)
+    assert case.per_stage < 1e-14  # the oracle is RK4 of the same scheme
     assert tabulated < 1e-14
-    assert tabulated <= 2 * per_stage
-    for t_end in (0.3 + 0.5 * dt_max, 0.3, 0.3 - 1e-15):  # one step, none, none
+    assert tabulated <= 2 * case.per_stage
+    field = case.field
+    for t_end in (0.3 + 0.5 * case.dt_max, 0.3, 0.3 - 1e-15):  # one step, none, none
         got, want = advance(field, problem, t_end), _advance_per_stage(field, problem, t_end)
         assert np.abs(got.coeffs - want.coeffs).max() <= 4 * np.finfo(float).eps
         assert got.time == want.time == t_end
+
+
+@pytest.mark.parametrize("d, n, steps", ((1, 24, 100), (2, 24, 100), (3, 24, 100),
+                                         (3, 12, 1500)))
+def test_harmonic_stepper_accuracy(d, n, steps, monkeypatch):
+    """Periodic tp3 steps by the harmonic operator, as close to exact RK4 as the per-stage stepper.
+
+    The operator is composed from the scheme's float Gauss rule, node
+    offsets and dt, so it is the fixed-point oracle's scheme up to where
+    the nodes and faces round; the errors are a few ulps and their ratio
+    scatters about 1, also over 1,500 steps.  `advance` must reach
+    neither dg_rhs nor the tabulated stepper.
+    """
+    problem = get_problem("tp3")
+    case = _oracle_case(problem, d, n, steps)
+    assert steps > 2 * dg._TABLE_FLOATS // (18 * n)  # crosses two block edges
+    fail = lambda *a, **k: pytest.fail("took the tabulated path")
+    monkeypatch.setattr(dg, "dg_rhs", fail)
+    monkeypatch.setattr(dg, "_tabulated_steps", fail)
+    got = advance(case.field, problem, case.t_end)
+    harmonic = oracles.fixed_point_error(got.coeffs, case.exact)
+    assert got.time == case.t_end
+    assert case.per_stage < 1e-14
+    assert harmonic < 1e-14
+    assert harmonic <= 2 * case.per_stage
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_harmonic_stepper_wraps_short_meshes(n):
+    """On 1-4 elements the five-element window wraps onto itself; as the tabulated path does."""
+    tp3 = get_problem("tp3")
+    for d in (0, 1, 2):
+        field = l2_project(tp3.u0, Mesh(0.0, 2 * np.pi, n), d)
+        dt = dg.default_cfl(d) * field.mesh.h / tp3.kappa_max
+        harmonic, tabulated = (_stepped(stepper, field, tp3, dt, 100)
+                               for stepper in (dg._harmonic_steps, dg._tabulated_steps))
+        assert np.abs(harmonic - tabulated).max() <= 1e-14
+
+
+@pytest.mark.parametrize("name", ("tp3-dirichlet", "custom", "tp3-length-pi"))
+def test_other_problems_take_the_tabulated_path(name, monkeypatch):
+    """Only periodic tp3 on a mesh of length 2 pi takes the harmonic path."""
+    tp3 = get_problem("tp3")
+    problem = {"tp3-dirichlet": _problem("tp3-dirichlet"),
+               "custom": replace(tp3, kappa=lambda x, t: tp3.kappa(x, t)),
+               "tp3-length-pi": replace(tp3, b=np.pi)}[name]
+    field = l2_project(problem.u0, Mesh(problem.a, problem.b, 8), 1)
+    monkeypatch.setattr(dg, "_harmonic_steps",
+                        lambda *a, **k: pytest.fail("took the harmonic path"))
+    tabulated, calls = dg._tabulated_steps, []
+    monkeypatch.setattr(dg, "_tabulated_steps", lambda *a: calls.append(a) or tabulated(*a))
+    advance(field, problem, 0.01)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", ("tp1", "tp2", "tp3", "tp3-dirichlet"))
@@ -416,25 +489,26 @@ def test_nonpositive_or_non_finite_cfl_rejected(cfl):
         advance(field, tp1, 1.0, cfl=cfl)
 
 
-def _on_both_steppers(values):
-    """(problem, value) cases: tp1 takes the increment path, tp3 the tabulated one.
+def _on_every_stepper(values):
+    """(problem, value) cases: tp1, tp3 and tp3-dirichlet take each of the three paths.
 
     The tp1 cases keep the bare value as their id.
     """
     return ([pytest.param("tp1", v, id=str(v)) for v in values]
-            + [pytest.param("tp3", v, id=f"tp3-{v}") for v in values])
+            + [pytest.param(name, v, id=f"{name}-{v}") for name in ("tp3", "tp3-dirichlet")
+               for v in values])
 
 
 def _field_that_must_not_step(name, d, monkeypatch):
-    problem = get_problem(name)
+    problem = _problem(name)
     field = l2_project(problem.u0, Mesh(problem.a, problem.b, 10), d)
     stepped = lambda *a, **k: pytest.fail("stepped")
-    monkeypatch.setattr(dg, "dg_rhs", stepped)
-    monkeypatch.setattr(dg, "_increment_steps", stepped)
+    for stepper in ("dg_rhs", "_increment_steps", "_harmonic_steps", "_tabulated_steps"):
+        monkeypatch.setattr(dg, stepper, stepped)
     return problem, field
 
 
-@pytest.mark.parametrize("name, t_end", _on_both_steppers((np.inf, -np.inf, np.nan, 0.25)))
+@pytest.mark.parametrize("name, t_end", _on_every_stepper((np.inf, -np.inf, np.nan, 0.25)))
 def test_bad_final_time_rejected_before_stepping(name, t_end, monkeypatch):
     """A non-finite final time, or one before the field's time, is a usage error."""
     problem, field = _field_that_must_not_step(name, 1, monkeypatch)
@@ -443,7 +517,7 @@ def test_bad_final_time_rejected_before_stepping(name, t_end, monkeypatch):
         advance(field, problem, t_end)
 
 
-@pytest.mark.parametrize("name, d", _on_both_steppers((1, 2, 3, 4)))
+@pytest.mark.parametrize("name, d", _on_every_stepper((1, 2, 3, 4)))
 def test_cfl_above_limit_raises_before_stepping(name, d, monkeypatch):
     problem, field = _field_that_must_not_step(name, d, monkeypatch)
     with pytest.raises(UnstableBlowupError, match="stability limit"):

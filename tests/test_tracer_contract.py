@@ -20,14 +20,17 @@ sys.path.insert(0, sys.argv[1])
 from tracer import Tracer
 tracer = Tracer()
 tracer.install()
-from siacpost import cli
+from dataclasses import replace
+from siacpost import cli, dg
 out = ["--out", sys.argv[2]]
 rcs = [cli.main(["timeseries", "--problem", "tp2", "--d", "2", "--mesh-sizes", "20,40",
                  "--filters", "dg,symmetric,srv,rlkv,np0", "--times", "0.1"] + out),
        cli.main(["kernel", "np0", "2", "left", "--exact"] + out),
-       # tp2 steps without dg_rhs; tp3 keeps the dg_rhs wrapper's metrics nonzero
        cli.main(["timeseries", "--problem", "tp3", "--d", "1", "--mesh-sizes", "12",
                  "--filters", "dg", "--times", "0.1"] + out)]
+# no CLI problem steps through dg_rhs; Dirichlet tp3 keeps its wrapper's metrics nonzero
+tp3 = replace(dg.get_problem("tp3"), bc="dirichlet")
+dg.advance(dg.l2_project(tp3.u0, dg.Mesh(tp3.a, tp3.b, 12), 1), tp3, 0.01)
 print(json.dumps({"rcs": rcs, "layers": tracer.layer_metrics()}))
 """
 

@@ -1,0 +1,64 @@
+"""Record paired benchmark runs of a parent and a change as one BENCH_<label>.json.
+
+    python3 tools/bench_record.py BENCH_label.json --parent P1.json [P2.json ...] \
+        --change C1.json [C2.json ...]
+
+Each file is the result.json of one `perfbench/run.py` run; the i-th
+parent and change runs form pair i and must share workload and seed.
+Per workload and seed, and per metric of the runs: each side's median
+and quartiles over its runs, the number of pairs and how many the change
+won (better by the direction in BENCHMARK.json; ties win nothing).  Each
+side's `src/` line count and provenance come from its first run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def spread(values: list[float]) -> dict[str, float]:
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def record(parents: list[dict], changes: list[dict]) -> dict:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    lower = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"] + spec["per_layer"]}
+    groups: dict[str, list[tuple[dict, dict]]] = {}
+    for old, new in zip(parents, changes, strict=True):
+        key = f"{old['job']['workload']} seed {old['job']['seed']}"
+        if key != f"{new['job']['workload']} seed {new['job']['seed']}":
+            raise SystemExit(f"pair {len(groups)}: {key} against another workload or seed")
+        groups.setdefault(key, []).append((old["result"]["metrics"], new["result"]["metrics"]))
+    workloads = {}
+    for key, pairs in groups.items():
+        workloads[key] = {}
+        for name, first in pairs[0][1].items():
+            old, new = ([p[side][name]["value"] for p in pairs] for side in (0, 1))
+            won = sum(b < a if lower[name] else b > a for a, b in zip(old, new))
+            workloads[key][name] = {"unit": first["unit"], "parent": spread(old),
+                                    "change": spread(new), "pairs": len(pairs), "won": won}
+    sides = {"parent": parents[0]["provenance"], "change": changes[0]["provenance"]}
+    return {"workloads": workloads, "src_lines": {k: v["src_lines"] for k, v in sides.items()},
+            "provenance": sides}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("out", type=Path)
+    ap.add_argument("--parent", nargs="+", type=Path, required=True)
+    ap.add_argument("--change", nargs="+", type=Path, required=True)
+    args = ap.parse_args(argv)
+    load = lambda paths: [json.loads(p.read_text()) for p in paths]
+    args.out.write_text(json.dumps(record(load(args.parent), load(args.change)), indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
