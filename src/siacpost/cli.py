@@ -62,7 +62,14 @@ def cmd_kernel(args) -> int:
         raise UsageError("--samples must be >= 0")
     if not args.exact and not args.samples:
         raise UsageError("pass --exact and/or --samples N")
-    xi = _parse(Fraction, args.xi, "--xi") if args.samples else None
+    if args.samples:
+        xi = _parse(Fraction, args.xi, "--xi")
+        coeffs = static_coefficients(spec) if xi == 0 else \
+            shifted_coefficient_polynomials(spec).evaluate(xi)
+        try:  # the samples are taken in floats
+            lo, hi, *weights = map(float, (spec.knots[0] + xi, spec.knots[-1] + xi, *coeffs))
+        except OverflowError:
+            raise UsageError(f"bad --xi {args.xi!r}: the shifted kernel overflows a float") from None
     vec = psiac.endpoint_vector(spec, args.dg_degree) if args.exact else None
     out = _outdir(args)
     tag = f"{spec.family}_d{spec.d}_{spec.side}"
@@ -80,16 +87,13 @@ def cmd_kernel(args) -> int:
                 fh.write(f"{i},{v}\n")
         print(f"wrote {path} and {vpath}")
     if args.samples:
-        coeffs = static_coefficients(spec) if xi == 0 else \
-            shifted_coefficient_polynomials(spec).evaluate(xi)
-        lo, hi = spec.knots[0] + xi, spec.knots[-1] + xi
-        xs = np.linspace(float(lo), float(hi), args.samples)
+        xs = np.linspace(lo, hi, args.samples)
         path = out / f"kernel_{tag}_samples.csv"
         with open(path, "w") as fh:
             fh.write("x,value\n")
             for x in xs:
-                val = sum(float(c) * float(eval_unit_bspline([t + xi for t in w], k, float(x)))
-                          for c, w, k in zip(coeffs, spec.windows, spec.degrees))
+                val = sum(c * float(eval_unit_bspline([t + xi for t in w], k, float(x)))
+                          for c, w, k in zip(weights, spec.windows, spec.degrees))
                 fh.write(f"{x:.17g},{val:.17g}\n")
         print(f"wrote {path}")
     return 0

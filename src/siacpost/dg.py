@@ -34,18 +34,8 @@ internally; filtering converts to the Bernstein element basis.
   matmul of a strided window view, one batched contraction with the
   step's phase row and two adds; the phase and source rows are tabulated
   per block of steps by angle addition.
-- any other problem (Dirichlet tp3, custom ones): stages through
-  `dg_rhs`, with what does not depend on u tabulated once per block of
-  steps: `kap` (levels, n, q + 2) holds [kappa at the upwind face (the
-  last face when periodic) | kappa gw at the q nodes | kappa at the
-  outflow face], `src` the projected source times the inverse mass, with
-  a Dirichlet inflow flux kappa(a) g(t) (-1)^n folded into element 0.  A
-  stage is one fused weak form: the stage input sits below a row for
-  element 0's upwind neighbour (the last element, or zeros for an
-  inflow), one matmul by [P^T | 1] gives every row's node values and
-  right trace, a fixed strided view reads them as rows [upwind trace |
-  node values | own trace], and that view times `kap`, times [(-1)^n;
-  P_n'; -1] diag(mass inverse), plus `src` is du/dt.
+- any other problem (Dirichlet tp3, custom ones): four calls of the
+  plain weak form `dg_rhs` per step, kappa checked at each step's levels.
 
 Before stepping, `advance` rejects a final time that is not finite or lies
 before the field's time and a CFL number that is not positive or exceeds
@@ -58,7 +48,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from fractions import Fraction
 from math import ceil, comb, factorial
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -165,8 +155,8 @@ def _no_source(x, t):  # rho = 0
     return np.zeros_like(x)
 
 
-# tp3's 2 + sin(x + t) and cos(x - t) + sin(2x) by angle addition: a coefficient
-# table then takes sin and cos over the nodes and over the times apart
+# tp3's 2 + sin(x + t) and cos(x - t) + sin(2x) by angle addition, as the
+# fixed-point oracle evaluates them; the closed form would round x +- t first
 def _tp3_kappa(x, t):
     return 2.0 + (np.sin(x) * np.cos(t) + np.cos(x) * np.sin(t))
 
@@ -236,90 +226,41 @@ def l2_project(u0: Callable, mesh: Mesh, d: int) -> DGField:
 # semi-discrete operator
 
 
-class _RhsWorkspace:
-    """Quadrature tables, fused weak-form matrices and stage buffers for one (mesh, d, bc)."""
-
-    def __init__(self, mesh: Mesh, d: int, periodic: bool):
-        self.periodic = periodic
-        q = max(2 * d + 2, d + 4)
-        gx, self.gw = np.polynomial.legendre.leggauss(q)
-        mids = mesh.a + (np.arange(mesh.n) + 0.5) * mesh.h
-        self.xq = mids[:, None] + 0.5 * mesh.h * gx[None, :]
-        self.faces = mesh.breakpoints()
-        p = np.polynomial.legendre.legvander(gx, d)
-        pd = np.polynomial.legendre.legval(gx, np.polynomial.legendre.legder(np.eye(d + 1))).T
-        mass_inv = (2 * np.arange(d + 1) + 1) / mesh.h
-        self.project = self.gw[:, None] * p * (np.arange(d + 1) + 0.5)  # h/2 and 1/h cancel
-        self.to_nodes = np.hstack((p.T, np.ones((d + 1, 1))))  # P_n(1) = 1
-        # rows: P_n(-1) against the inflow, P_n' (dxi/dx and h/2 cancel), -P_n(1)
-        self.weak = np.vstack(((-1.0) ** np.arange(d + 1), pd, -np.ones(d + 1))) * mass_inv
-        self.rows = np.zeros((mesh.n + 1, d + 1))  # row 0: element 0's upwind neighbour
-        self.u = self.rows[1:]  # the stage input
-        self.nodes = np.empty((mesh.n + 1, q + 1))  # node values and right trace per row
-        # view row i: [right trace of element i-1 | node values of element i | its right trace]
-        self.view = np.lib.stride_tricks.as_strided(
-            self.nodes.reshape(-1)[q:], (mesh.n, q + 2), self.nodes.strides, writeable=False)
-        self.terms = np.empty((mesh.n, q + 2))
+@lru_cache(maxsize=None)
+def _gauss_rule(d: int) -> tuple[np.ndarray, ...]:
+    """The scheme's Gauss nodes and weights and P_n, P_n' at the nodes (q, d + 1)."""
+    gx, gw = np.polynomial.legendre.leggauss(max(2 * d + 2, d + 4))
+    p = np.polynomial.legendre.legvander(gx, d)
+    pd = np.polynomial.legendre.legval(gx, np.polynomial.legendre.legder(np.eye(d + 1))).T
+    return gx, gw, p, pd
 
 
-class _Coefficients(NamedTuple):
-    """The u-independent parts of the operator, one row per time level."""
-
-    kap: np.ndarray  # (levels, n, q + 2) kappa at the upwind face, kappa*gw at the nodes,
-    #                  kappa at the outflow face: the layout of _RhsWorkspace.view
-    src: np.ndarray  # (levels, n, d + 1) projected source and inflow flux, times mass_inv
-    kappa_range: tuple[float, float]
+def _nodes(mesh: Mesh, d: int) -> np.ndarray:
+    """The Gauss nodes of every element, (n, q)."""
+    mids = mesh.a + (np.arange(mesh.n) + 0.5) * mesh.h
+    return mids[:, None] + 0.5 * mesh.h * _gauss_rule(d)[0][None, :]
 
 
-def _coefficient_tables(ws: _RhsWorkspace, problem: TestProblem,
-                        times: np.ndarray) -> _Coefficients:
-    """Evaluate kappa, rho and the inflow once for all time levels `times`.
-
-    The coefficient functions are called once each over a (levels, 1, 1)
-    time array; broadcast_to covers those that ignore t (np.ones_like(x)).
-    Element 0's upwind face is the last face when periodic; a Dirichlet
-    inflow flux kappa(a) g(t) enters element 0's source instead.
-    """
-    t = times[:, None, None]
-    levels = times.shape
-    kap_q = np.broadcast_to(problem.kappa(ws.xq, t), levels + ws.xq.shape)
-    kap_faces = np.broadcast_to(problem.kappa(ws.faces, t[:, 0]), levels + ws.faces.shape)
-    rho = np.broadcast_to(problem.rho(ws.xq, t), levels + ws.xq.shape)
-    kap = np.concatenate((kap_faces[:, :-1, None], kap_q * ws.gw, kap_faces[:, 1:, None]), axis=2)
-    src = rho @ ws.project
-    if ws.periodic:
-        kap[:, 0, 0] = kap_faces[:, -1]
-    else:
-        src[:, 0] += (kap_faces[:, 0] * problem.inflow(times))[:, None] * ws.weak[0]
-    return _Coefficients(kap, src, (min(kap_q.min(), kap_faces.min()),
-                                    max(kap_q.max(), kap_faces.max())))
-
-
-def dg_rhs(field: DGField, t: float, problem: TestProblem,
-           workspace: _RhsWorkspace | None = None,
-           coefficients: _Coefficients | None = None, level: int = 0) -> np.ndarray:
+def dg_rhs(field: DGField, t: float, problem: TestProblem) -> np.ndarray:
     """Time derivative of the Legendre modal coefficients (weak form).
 
     Volume term integrates kappa*u against test-function derivatives;
     interfaces use the upwind flux kappa(x_f, t) * u^- (trace from the
     left, valid for kappa > 0).  Dirichlet inflow takes the prescribed
-    boundary value; periodic wraps the last trace around.  The
-    coefficients at t are row `level` of the given tables, or are
-    evaluated here when none are given.  A field whose coeffs are the
-    workspace's `u` is read in place.
+    boundary value; periodic wraps the last trace around.
     """
-    ws = workspace or _RhsWorkspace(field.mesh, field.d, problem.bc == "periodic")
-    if coefficients is None:
-        coefficients, level = _coefficient_tables(ws, problem, np.array([t], dtype=float)), 0
-    if field.coeffs is not ws.u:
-        ws.u[:] = field.coeffs
-    if ws.periodic:
-        ws.rows[0] = ws.rows[-1]
-    np.matmul(ws.rows, ws.to_nodes, out=ws.nodes)
-    np.multiply(ws.view, coefficients.kap[level], out=ws.terms)
-    out = ws.terms @ ws.weak
-    out += coefficients.src[level]
-    return out
+    mesh, c = field.mesh, field.coeffs
+    _, gw, p, pd = _gauss_rule(field.d)
+    xq = _nodes(mesh, field.d)
+    volume = (problem.kappa(xq, t) * (c @ p.T) * gw) @ pd  # dxi/dx and h/2 cancel
+    source = (problem.rho(xq, t) * gw) @ p * (0.5 * mesh.h)
+    kap_faces = problem.kappa(mesh.breakpoints(), t)
+    outflow = kap_faces[1:] * c.sum(axis=1)  # P_n(1) = 1
+    inflow = np.empty_like(outflow)
+    inflow[1:] = outflow[:-1]
+    inflow[0] = outflow[-1] if problem.bc == "periodic" else kap_faces[0] * problem.inflow(t)
+    rhs = volume - outflow[:, None] + inflow[:, None] * (-1.0) ** np.arange(field.d + 1) + source
+    return rhs * ((2 * np.arange(field.d + 1) + 1) / mesh.h)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +314,7 @@ def _check_bounded(u: np.ndarray) -> None:
 
 def _check_kappa(problem: TestProblem, lo: float, hi: float) -> None:
     if not (lo > 0 and hi <= problem.kappa_max):
-        raise ValueError(
+        raise UsageError(
             f"kappa of {problem.name} takes values in [{lo}, {hi}]; the upwind flux "
             f"and the step size need 0 < kappa <= kappa_max = {problem.kappa_max}")
 
@@ -385,29 +326,26 @@ def _time_blocks(t0: float, dt: float, steps: int, block: int):
         yield start, np.stack((t_k, t_k + 0.5 * dt, t_k + dt), axis=1).ravel()
 
 
-def _tabulated_steps(field: DGField, problem: TestProblem, dt: float, steps: int):
-    """RK4 stages through `dg_rhs` with per-block coefficient tables; yields (step, u).
+def _rhs_steps(field: DGField, problem: TestProblem, dt: float, steps: int):
+    """RK4 stages through the module-global `dg_rhs`; yields (step, u).
 
-    Each stage input is written straight into the workspace's stage rows.
+    Before each step, kappa is checked at the nodes and the faces at the
+    step's three time levels t_k, t_k + dt/2 and t_k + dt.
     """
-    ws = _RhsWorkspace(field.mesh, field.d, problem.bc == "periodic")
+    xq, faces = _nodes(field.mesh, field.d), field.mesh.breakpoints()
     u = field.coeffs
-    stage = replace(field, coeffs=ws.u)
-    for start, times in _time_blocks(field.time, dt, steps,
-                                     max(1, _TABLE_FLOATS // (3 * ws.xq.size))):
-        tables = _coefficient_tables(ws, problem, times)
-        _check_kappa(problem, *tables.kappa_range)
-        for lv in range(0, len(times), 3):
-            ws.u[:] = u
-            k1 = dg_rhs(stage, times[lv], problem, ws, tables, lv)
-            np.add(u, 0.5 * dt * k1, out=ws.u)
-            k2 = dg_rhs(stage, times[lv + 1], problem, ws, tables, lv + 1)
-            np.add(u, 0.5 * dt * k2, out=ws.u)
-            k3 = dg_rhs(stage, times[lv + 1], problem, ws, tables, lv + 1)
-            np.add(u, dt * k3, out=ws.u)
-            k4 = dg_rhs(stage, times[lv + 2], problem, ws, tables, lv + 2)
-            u += (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            yield start + lv // 3, u
+    stage = lambda c: replace(field, coeffs=c)
+    for k in range(steps):
+        levels = field.time + k * dt + np.array([0.0, 0.5 * dt, dt])
+        kappa = np.concatenate((problem.kappa(xq, levels[:, None, None]),
+                                problem.kappa(faces, levels[:, None])), axis=None)
+        _check_kappa(problem, kappa.min(), kappa.max())
+        k1 = dg_rhs(stage(u), levels[0], problem)
+        k2 = dg_rhs(stage(u + 0.5 * dt * k1), levels[1], problem)
+        k3 = dg_rhs(stage(u + 0.5 * dt * k2), levels[1], problem)
+        k4 = dg_rhs(stage(u + dt * k3), levels[2], problem)
+        u += (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        yield k, u
 
 
 @lru_cache(maxsize=None)
@@ -525,7 +463,7 @@ def _harmonic_tables(d: int, h: float):
     phase of an element's upwind neighbour.
     """
     m = d + 1
-    gx, gw = np.polynomial.legendre.leggauss(max(2 * d + 2, d + 4))
+    gx, gw = _gauss_rule(d)[:2]
     p, dp = (np.array(v, dtype=object) for v in zip(*(_legendre_fixed(x, d) for x in gx.tolist())))
     w, odd = _lift(gw), np.array([2 * l + 1 for l in range(m)], dtype=object)
     terms = (dp[:, :, None] * p[:, None, :]) >> 128  # [q, l, n] P_l'(gx_q) P_n(gx_q)
@@ -701,7 +639,7 @@ def _stepper(problem: TestProblem, mesh: Mesh):
     if (problem.bc == "periodic" and problem.kappa is _tp3_kappa and problem.rho is _tp3_rho
             and np.isclose(mesh.b - mesh.a, 2 * np.pi, rtol=1e-15, atol=0)):
         return _harmonic_steps
-    return _tabulated_steps
+    return _rhs_steps
 
 
 def advance(field: DGField, problem: TestProblem, t_end: float,
@@ -736,7 +674,7 @@ def dg_solve(problem: TestProblem, mesh: Mesh, d: int, t_end: float,
              cfl: float | None = None) -> DGField:
     """Project the initial condition and march to the final time."""
     if not (np.isclose(mesh.a, problem.a) and np.isclose(mesh.b, problem.b)):
-        raise ValueError("mesh does not match the problem domain")
+        raise UsageError("mesh does not match the problem domain")
     field = l2_project(problem.u0, mesh, d)
     return advance(field, problem, t_end, cfl)
 

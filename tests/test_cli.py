@@ -241,6 +241,8 @@ def test_bad_option_is_usage_error(argv, tmp_path, capsys):
 
 
 def test_usage_exceptions_share_one_base():
+    from dataclasses import replace
+
     import numpy as np
     from siacpost import UsageError, dg, filters, harness, psiac
     for cls in (filters.UnsupportedFamilySideError, filters.FilterParameterError,
@@ -263,6 +265,9 @@ def test_usage_exceptions_share_one_base():
                  lambda: dg.l2_project(np.sin, mesh, -1),
                  lambda: dg.dg_solve(dg.get_problem("tp1"), mesh, 1, float("inf")),
                  lambda: dg.dg_solve(dg.get_problem("tp1"), mesh, 1, -1.0),
+                 lambda: dg.dg_solve(dg.get_problem("tp1"), dg.Mesh(0.0, 2.0, 4), 1, 0.1),
+                 lambda: dg.advance(dg.l2_project(np.sin, mesh, 1), replace(
+                     dg.get_problem("tp1"), kappa=lambda x, t: -np.ones_like(x)), 0.1),
                  lambda: psiac.endpoint_vector(spec, -1),
                  lambda: psiac.q_matrix(spec, -1)):
         with pytest.raises(UsageError):
@@ -286,6 +291,8 @@ def test_bad_cfl_fails_without_output(cfl, tmp_path, capsys):
     ["converge", "tp1", "--d", "1", "--filters", "np0", "--n-list", "8,16", "--cfl", "0.5"],
     ["timeseries", "--problem", "tp1", "--d", "2", "--filters", "dg", "--mesh-sizes", "8",
      "--times", "0.1", "--cfl", "0"],
+    ["kernel", "np0", "1", "left", "--samples", "5", "--xi", "1e400"],
+    ["kernel", "np0", "1", "left", "--exact", "--samples", "5", "--xi=-1e300"],
 ])
 def test_bad_samples_or_cfl_is_usage_error(argv, tmp_path, capsys):
     """Checked before any solve or write: exit 2 and an empty output directory."""

@@ -267,7 +267,7 @@ def _oracle_case(problem, d, n, steps):
         np.stack((t_k, t_k + 0.5 * dt, t_k + dt), axis=1).tolist(), problem.bc == "periodic")
     per_stage = oracles.fixed_point_error(_advance_per_stage(field, problem, t_end).coeffs, exact)
     return SimpleNamespace(field=field, dt=dt, t_end=t_end, exact=exact, per_stage=per_stage,
-                           dt_max=dt_max, nodes=tables.xq.size)
+                           dt_max=dt_max)
 
 
 def _stepped(stepper, field, problem, dt, steps):
@@ -280,24 +280,22 @@ def _stepped(stepper, field, problem, dt, steps):
 @pytest.mark.parametrize("name", ("tp3", "tp3-dirichlet"))
 @pytest.mark.parametrize("d", (1, 2, 3))
 def test_tabulated_stepper_accuracy(name, d):
-    """The tabulated stepper is as close to exact RK4 of tp3's scheme as the per-stage one.
+    """The dg_rhs stepper is as close to exact RK4 of tp3's scheme as the per-stage one.
 
-    Both run 100 steps on 24 elements, over several coefficient blocks,
-    and are compared with the fixed-point RK4 of the same scheme.  Both
-    errors are a few ulps; the tabulated path's fused stage rounds in
-    another order, so their ratio scatters about 1.  The tabulated
-    stepper is called directly, as `advance` steps periodic tp3 by the
-    harmonic operator.  `advance` itself matches the per-stage stepper
-    over one step and keeps the field over none.
+    Both run 100 steps on 24 elements and are compared with the
+    fixed-point RK4 of the same scheme.  Both errors are a few ulps and
+    their ratio scatters about 1.  The dg_rhs stepper is called directly,
+    as `advance` steps periodic tp3 by the harmonic operator.  `advance`
+    itself matches the per-stage stepper over one step and keeps the
+    field over none.
     """
     problem = _problem(name)
     case = _oracle_case(problem, d, 24, 100)
-    assert 100 > 2 * dg._TABLE_FLOATS // (3 * case.nodes)  # crosses two block edges
-    tabulated = oracles.fixed_point_error(
-        _stepped(dg._tabulated_steps, case.field, problem, case.dt, 100), case.exact)
+    stepped = oracles.fixed_point_error(
+        _stepped(dg._rhs_steps, case.field, problem, case.dt, 100), case.exact)
     assert case.per_stage < 1e-14  # the oracle is RK4 of the same scheme
-    assert tabulated < 1e-14
-    assert tabulated <= 2 * case.per_stage
+    assert stepped < 1e-14
+    assert stepped <= 2 * case.per_stage
     field = case.field
     for t_end in (0.3 + 0.5 * case.dt_max, 0.3, 0.3 - 1e-15):  # one step, none, none
         got, want = advance(field, problem, t_end), _advance_per_stage(field, problem, t_end)
@@ -314,14 +312,14 @@ def test_harmonic_stepper_accuracy(d, n, steps, monkeypatch):
     offsets and dt, so it is the fixed-point oracle's scheme up to where
     the nodes and faces round; the errors are a few ulps and their ratio
     scatters about 1, also over 1,500 steps.  `advance` must reach
-    neither dg_rhs nor the tabulated stepper.
+    neither dg_rhs nor its stepper.
     """
     problem = get_problem("tp3")
     case = _oracle_case(problem, d, n, steps)
     assert steps > 2 * dg._TABLE_FLOATS // (18 * n)  # crosses two block edges
-    fail = lambda *a, **k: pytest.fail("took the tabulated path")
+    fail = lambda *a, **k: pytest.fail("took the dg_rhs path")
     monkeypatch.setattr(dg, "dg_rhs", fail)
-    monkeypatch.setattr(dg, "_tabulated_steps", fail)
+    monkeypatch.setattr(dg, "_rhs_steps", fail)
     got = advance(case.field, problem, case.t_end)
     harmonic = oracles.fixed_point_error(got.coeffs, case.exact)
     assert got.time == case.t_end
@@ -332,14 +330,14 @@ def test_harmonic_stepper_accuracy(d, n, steps, monkeypatch):
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
 def test_harmonic_stepper_wraps_short_meshes(n):
-    """On 1-4 elements the five-element window wraps onto itself; as the tabulated path does."""
+    """On 1-4 elements the five-element window wraps onto itself; as the dg_rhs path does."""
     tp3 = get_problem("tp3")
     for d in (0, 1, 2):
         field = l2_project(tp3.u0, Mesh(0.0, 2 * np.pi, n), d)
         dt = dg.default_cfl(d) * field.mesh.h / tp3.kappa_max
-        harmonic, tabulated = (_stepped(stepper, field, tp3, dt, 100)
-                               for stepper in (dg._harmonic_steps, dg._tabulated_steps))
-        assert np.abs(harmonic - tabulated).max() <= 1e-14
+        harmonic, stepped = (_stepped(stepper, field, tp3, dt, 100)
+                             for stepper in (dg._harmonic_steps, dg._rhs_steps))
+        assert np.abs(harmonic - stepped).max() <= 1e-14
 
 
 @pytest.mark.parametrize("name", ("tp3-dirichlet", "custom", "tp3-length-pi"))
@@ -352,15 +350,33 @@ def test_other_problems_take_the_tabulated_path(name, monkeypatch):
     field = l2_project(problem.u0, Mesh(problem.a, problem.b, 8), 1)
     monkeypatch.setattr(dg, "_harmonic_steps",
                         lambda *a, **k: pytest.fail("took the harmonic path"))
-    tabulated, calls = dg._tabulated_steps, []
-    monkeypatch.setattr(dg, "_tabulated_steps", lambda *a: calls.append(a) or tabulated(*a))
+    rhs_steps, calls = dg._rhs_steps, []
+    monkeypatch.setattr(dg, "_rhs_steps", lambda *a: calls.append(a) or rhs_steps(*a))
     advance(field, problem, 0.01)
     assert len(calls) == 1
 
 
+def test_rhs_path_calls_dg_rhs_four_times_per_step(monkeypatch):
+    """Dirichlet tp3 stages through dg.dg_rhs, looked up in the module globals, four per step.
+
+    The benchmark tracer wraps that name and reports dg.rk4_steps as its calls // 4.
+    """
+    problem = _problem("tp3-dirichlet")
+    field = l2_project(problem.u0, Mesh(problem.a, problem.b, 12), 1)
+    t_end = 0.05
+    steps = int(np.ceil(t_end / (dg.default_cfl(1) * field.mesh.h / problem.kappa_max)))
+    dt = t_end / steps
+    rhs, times = dg.dg_rhs, []
+    monkeypatch.setattr(dg, "dg_rhs", lambda *a: times.append(a[1]) or rhs(*a))
+    advance(field, problem, t_end)
+    assert steps > 1
+    assert len(times) == 4 * steps
+    assert times[:4] == pytest.approx([0.0, 0.5 * dt, 0.5 * dt, dt], abs=1e-15)
+
+
 @pytest.mark.parametrize("name", ("tp1", "tp2", "tp3", "tp3-dirichlet"))
 def test_rhs_within_roundoff_of_per_stage_formula(name):
-    """The fused weak form sums in another order than the per-stage formula: 64 eps of the largest entry."""
+    """dg_rhs sums in another order than the per-stage formula: 64 eps of the largest entry."""
     problem = _problem(name)
     rng = np.random.default_rng(3)
     for d in (1, 2, 3):
@@ -445,7 +461,7 @@ def test_increment_stepper_accuracy(name, d, monkeypatch):
     exact = oracles.rk4_fixed_point(field.coeffs.tolist(), Fraction(dt) / Fraction(mesh.h),
                                     steps, inflow)
     per_stage = oracles.fixed_point_error(_advance_per_stage(field, problem, t_end).coeffs, exact)
-    monkeypatch.setattr(dg, "dg_rhs", lambda *a, **k: pytest.fail("took the tabulated path"))
+    monkeypatch.setattr(dg, "dg_rhs", lambda *a, **k: pytest.fail("took the dg_rhs path"))
     increment = oracles.fixed_point_error(advance(field, problem, t_end).coeffs, exact)
     assert per_stage < 1e-14  # the oracle is RK4 of the same operator
     assert increment <= 1.5 * per_stage
@@ -503,7 +519,7 @@ def _field_that_must_not_step(name, d, monkeypatch):
     problem = _problem(name)
     field = l2_project(problem.u0, Mesh(problem.a, problem.b, 10), d)
     stepped = lambda *a, **k: pytest.fail("stepped")
-    for stepper in ("dg_rhs", "_increment_steps", "_harmonic_steps", "_tabulated_steps"):
+    for stepper in ("dg_rhs", "_increment_steps", "_harmonic_steps", "_rhs_steps"):
         monkeypatch.setattr(dg, stepper, stepped)
     return problem, field
 
@@ -559,3 +575,15 @@ def test_kappa_above_kappa_max_rejected():
         advance(field, prob, 0.5)
     ok = _problem_with_kappa(prob.kappa, kappa_max=1.5)
     advance(field, ok, 0.5)
+
+
+def test_kappa_nonpositive_only_at_the_last_stage_level_rejected():
+    """kappa is checked at t_k + dt of the final step, a level only its fourth stage reads."""
+    field = l2_project(np.sin, Mesh(0, 1, 10), 1)
+    t_end = 0.1
+    steps = int(np.ceil(t_end / (dg.default_cfl(1) * field.mesh.h)))
+    cutoff = lambda c: _problem_with_kappa(lambda x, t: np.where(t < c, 1.0, 0.0) + 0 * x)
+    dt = t_end / steps  # the levels before the last are at most t_end - dt / 2
+    advance(field, cutoff(t_end + 0.25 * dt), t_end)
+    with pytest.raises(UsageError, match="kappa"):
+        advance(field, cutoff(t_end - 0.25 * dt), t_end)
