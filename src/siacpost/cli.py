@@ -14,13 +14,16 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
+from dataclasses import MISSING, fields
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
 import numpy as np
 
+from . import dg, filters, harness, psiac
 from .errors import UsageError
 
 
@@ -41,7 +44,6 @@ def _parse(convert, text: str, what: str):
 
 def _solve_field(args):
     """The problem, mesh and DG field that solve and filter write out."""
-    from . import dg
     problem = dg.get_problem(args.problem)
     if args.samples < 0:
         raise UsageError("--samples must be >= 0")
@@ -54,7 +56,6 @@ def _solve_field(args):
 
 
 def cmd_kernel(args) -> int:
-    from . import psiac
     from .filters import build_spec, shifted_coefficient_polynomials, static_coefficients
     from .spline import eval_unit_bspline
     spec = build_spec(args.family, args.d, args.side, k=args.k)
@@ -121,7 +122,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_filter(args) -> int:
-    from . import dg, psiac
     from .filters import build_spec
     spec = build_spec(args.family, args.d, args.side, k=args.k)
     problem, mesh, field = _solve_field(args)
@@ -153,12 +153,7 @@ def cmd_filter(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    from . import harness
-    config = harness.RunConfig(
-        problem=args.problem, d=args.d, filters=tuple(args.filters.split(",")),
-        mesh_sizes=_parse(_ints, args.n_list, "--n-list"),
-        final_times=(args.t,), blend=not args.no_blend, cfl=args.cfl)
-    errors, rates = harness.time_series_experiment(config)
+    errors, rates = harness.time_series_experiment(build_run_config({}, args))
     for r in errors:
         print(f"error  {r.filter:10s} {r.region:8s} {r.norm:4s} N={r.n:<4d} {r.value:.6e}")
     for r in rates:
@@ -173,8 +168,7 @@ def cmd_converge(args) -> int:
     return 0
 
 
-CONFIG_KEYS = ("problem", "d", "filters", "mesh_sizes", "final_times",
-               "samples_per_element", "blend", "blend_rho", "cfl")
+CONFIG_KEYS = tuple(field.name for field in fields(harness.RunConfig))
 
 
 def parse_config(path: str | Path):
@@ -197,6 +191,8 @@ def parse_config(path: str | Path):
         key = key.strip().lower()
         if key not in CONFIG_KEYS:
             raise UsageError(f"line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise UsageError(f"line {lineno}: repeated key {key!r}")
         values[key] = val.strip()
     return values
 
@@ -220,33 +216,31 @@ def _times_from(text: str) -> tuple[float, ...]:
     return tuple(float(t) for t in text.split(","))
 
 
-def build_run_config(values: dict, args) -> "RunConfig":
-    from .harness import RunConfig
-    get = lambda key, flag=None: (flag if flag not in (None, "") else values.get(key))
-    problem = get("problem", args.problem)
-    d = get("d", args.d)
-    filters_ = get("filters", args.filters)
-    meshes = get("mesh_sizes", args.mesh_sizes)
-    times = get("final_times", args.times)
-    missing = [n for n, v in (("problem", problem), ("d", d), ("filters", filters_),
-                              ("mesh_sizes", meshes), ("final_times", times)) if v is None]
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(name for name in text.split(",") if name.strip())
+
+
+# how each RunConfig field is read from its config-file or flag text
+_READ = {"problem": str, "d": int, "filters": _names, "mesh_sizes": _ints,
+         "final_times": _times_from, "blend": _switch, "cfl": float}
+
+
+def build_run_config(values: dict, args) -> harness.RunConfig:
+    """The run of config-file values and run flags: all are checked, a given flag wins."""
+    flags = dict(problem=args.problem, d=args.d, filters=args.filters,
+                 mesh_sizes=args.mesh_sizes, final_times=args.times, blend=args.blend,
+                 cfl=args.cfl)
+    given = {key: str(flag) for key, flag in flags.items() if flag is not None}
+    settings = {key: _parse(_READ[key], text, key)
+                for source in (values, given) for key, text in source.items()}
+    missing = [field.name for field in fields(harness.RunConfig)
+               if field.name not in settings and field.default is MISSING]
     if missing:
         raise UsageError(f"missing required settings: {', '.join(missing)}")
-    blend = _parse(_switch, values.get("blend", "true"), "blend")
-    return RunConfig(
-        problem=str(problem), d=_parse(int, d, "d"),
-        filters=tuple(f for f in str(filters_).split(",") if f.strip()),
-        mesh_sizes=_parse(_ints, str(meshes), "mesh_sizes"),
-        final_times=_parse(_times_from, str(times), "final_times"),
-        samples_per_element=_parse(int, values.get("samples_per_element", "6"),
-                                   "samples_per_element"),
-        blend=blend if args.blend is None else args.blend,
-        blend_rho=_parse(int, values.get("blend_rho", "2"), "blend_rho"),
-        cfl=_parse(float, values["cfl"], "cfl") if "cfl" in values else args.cfl)
+    return harness.RunConfig(**settings)
 
 
 def cmd_timeseries(args) -> int:
-    from . import harness
     values = parse_config(args.config) if args.config else {}
     config = build_run_config(values, args)
     errors, rates = harness.time_series_experiment(config)
@@ -313,9 +307,9 @@ def make_parser() -> argparse.ArgumentParser:
     pc.add_argument("problem")
     pc.add_argument("--d", type=int, required=True)
     pc.add_argument("--filters", default="dg,symmetric,np0")
-    pc.add_argument("--n-list", default="20,40,80")
-    pc.add_argument("--t", type=float, default=1.0)
-    pc.add_argument("--no-blend", action="store_true")
+    pc.add_argument("--n-list", dest="mesh_sizes", default="20,40,80")
+    pc.add_argument("--t", dest="times", type=float, default=1.0)
+    pc.add_argument("--no-blend", dest="blend", action="store_false", default=None)
     pc.add_argument("--cfl", type=float, default=None)
     pc.add_argument("--out", default=None)
     pc.set_defaults(fn="cmd_converge")
@@ -337,9 +331,13 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = make_parser()
-    args = parser.parse_args(argv)
+    words = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(1, len(words))):  # a negative shift is --xi's value, not an option
+        if words[i - 1] == "--xi" and re.match(r"-\.?\d", words[i]):
+            words[i - 1:i + 1] = [f"--xi={words[i]}"]
+    args = parser.parse_args(words)
     if getattr(args, "side", None) is None and hasattr(args, "family"):
-        args.side = "interior" if args.family.lower().startswith("sym") else "left"
+        args.side = "interior" if filters.family_name(args.family) == "symmetric" else "left"
     try:  # by name, so that a handler replaced after import is the one called
         return globals()[args.fn](args)
     except UsageError as exc:

@@ -38,6 +38,9 @@ from .spline import bspline_moment  # noqa: F401
 
 FAMILIES = ("symmetric", "rs", "srv", "rlkv", "np0", "npk")
 SIDES = ("left", "right", "interior")
+# (r / d, k / d) of the families whose r + 1 splines of one degree k sit on the
+# r + k + 2 integer-step knots from -mu, mu = (r + k + 1)/2
+UNIFORM = {"symmetric": (2, 1), "rs": (2, 1), "srv": (4, 1), "np0": (3, 0)}
 
 
 class UnsupportedFamilySideError(UsageError):
@@ -107,12 +110,16 @@ def _consecutive(knots: tuple[Fraction, ...], k: int, count: int):
     return tuple(tuple(knots[j:j + k + 2]) for j in range(count))
 
 
+def family_name(family: str) -> str:
+    """The family a spelling names: any case, '_' ignored, sym or symm for symmetric."""
+    fam = family.strip().lower().replace("_", "")
+    return "symmetric" if fam in ("sym", "symm") else fam
+
+
 @lru_cache(maxsize=None)
 def build_spec(family: str, d: int, side: str = "interior", k: int | None = None) -> FilterSpec:
     """Derive knots, windows, and reproduction degree for a filter family (cached)."""
-    fam = family.strip().lower().replace("_", "")
-    if fam in ("sym", "symm"):
-        fam = "symmetric"
+    fam = family_name(family)
     sd = side.strip().lower()
     if fam not in FAMILIES:
         raise UnsupportedFamilySideError(f"unknown family {family!r}")
@@ -130,24 +137,12 @@ def build_spec(family: str, d: int, side: str = "interior", k: int | None = None
     elif k is not None:
         raise FilterParameterError("k applies to the npk family only")
 
-    if fam in ("symmetric", "rs"):
-        r = 2 * d
-        mu = Fraction(3 * d + 1, 2)
-        knots = tuple(_steps(-mu, 3 * d + 2))
-        windows = _consecutive(knots, d, r + 1)
-        degrees = (d,) * (r + 1)
-    elif fam == "srv":
-        r = 4 * d
-        mu = Fraction(5 * d + 1, 2)
-        knots = tuple(_steps(-mu, 5 * d + 2))
-        windows = _consecutive(knots, d, r + 1)
-        degrees = (d,) * (r + 1)
-    elif fam == "np0":
-        r = 3 * d
-        mu = Fraction(3 * d + 1, 2)
-        knots = tuple(_steps(-mu, 3 * d + 2))
-        windows = _consecutive(knots, 0, r + 1)
-        degrees = (0,) * (r + 1)
+    if fam in UNIFORM:
+        r, deg = (m * d for m in UNIFORM[fam])
+        mu = Fraction(r + deg + 1, 2)
+        knots = tuple(_steps(-mu, r + deg + 2))
+        windows = _consecutive(knots, deg, r + 1)
+        degrees = (deg,) * (r + 1)
     elif fam == "npk":
         r = 3 * d + k
         mu = Fraction(3 * d + 1, 2)
@@ -179,7 +174,7 @@ def build_spec(family: str, d: int, side: str = "interior", k: int | None = None
 
 
 def _check_symmetry(spec: FilterSpec) -> None:
-    if spec.family in ("symmetric", "rs", "srv", "np0"):
+    if spec.family in UNIFORM:
         ks = spec.knots
         assert all(a + b == 0 for a, b in zip(ks, reversed(ks))), "prototype not symmetric"
 

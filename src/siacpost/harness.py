@@ -4,21 +4,21 @@ Errors are measured where each filter applies: boundary filters on their
 boundary regions (inclusive of the blend strip when blending is on), the
 symmetric filter on the interior (exclusive of the strips), and the raw
 DG output over the full domain.  Boundary and interior errors are never
-merged.  The sampling rule is six points per element: an endpoint-
-inclusive uniform grid for the max norm, Gauss-Legendre points for the
-L2 norm.
+merged.  The sampling rule is SAMPLES_PER_ELEMENT = 6 points per element:
+an endpoint-inclusive uniform grid for the max norm, Gauss-Legendre
+points for the L2 norm.
 
 Each solved field is filtered once into polynomial pieces: the interior
 output of `psiac.filter_interior` (Bernstein coefficients per element or
 half-element) and one `psiac.filter_boundary` polynomial per boundary
 filter and side, joined to the interior output across the blend strip
-by `psiac.blend_transition`.  Each region is the `region` of the output
-measured on it, so the measured side is always the filtered side: a
-boundary region grows by the strip (two elements) on its inner side,
-the interior [mu, N - mu] shrinks by it at both ends.  `region_norms`
-then samples an output, or the raw field, over its region split at
-element boundaries, with one call of the evaluator on the nodes of both
-norms.
+by `psiac.blend_transition` of order BLEND_RHO = 2.  Each region is the
+`region` of the output measured on it, so the measured side is always
+the filtered side: a boundary region grows by the strip (two elements)
+on its inner side, the interior [mu, N - mu] shrinks by it at both ends.
+`region_norms` then samples an output, or the raw field, over its region
+split at element boundaries, with one call of the evaluator on the nodes
+of both norms.
 """
 
 from __future__ import annotations
@@ -34,13 +34,12 @@ import numpy as np
 
 from . import dg, psiac
 from .errors import UsageError
-from .filters import build_spec
+from .filters import build_spec, family_name
 
-FILTER_ALIASES = {
-    "dg-raw": "dg", "dgraw": "dg", "raw": "dg", "dg": "dg",
-    "symmetric": "symmetric", "sym": "symmetric",
-    "srv": "srv", "rlkv": "rlkv", "np0": "np0", "rs": "rs",
-}
+SAMPLES_PER_ELEMENT = 6  # sample points per element, for each norm
+BLEND_RHO = 2  # order of the transition blend
+DG_ALIASES = {"dg-raw": "dg", "dgraw": "dg", "raw": "dg"}
+FILTER_NAMES = ("dg", "symmetric", "srv", "rlkv", "np0", "rs")  # not npk: it needs a degree k
 
 
 class RunConfigError(UsageError):
@@ -64,18 +63,16 @@ class RunConfig:
     filters: tuple[str, ...]
     mesh_sizes: tuple[int, ...]
     final_times: tuple[float, ...]
-    samples_per_element: int = 6
     blend: bool = True
-    blend_rho: int = 2
     cfl: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "problem", dg.get_problem(self.problem).name)
-        unknown = [f for f in self.filters if f.strip().lower() not in FILTER_ALIASES]
+        names = tuple(DG_ALIASES.get(name, name) for name in map(family_name, self.filters))
+        unknown = [f for f, name in zip(self.filters, names) if name not in FILTER_NAMES]
         if unknown:
             raise RunConfigError(
-                f"unknown filter {unknown[0]!r}; choose from {sorted(FILTER_ALIASES)}")
-        names = tuple(FILTER_ALIASES[f.strip().lower()] for f in self.filters)
+                f"unknown filter {unknown[0]!r}; choose from {sorted(FILTER_NAMES)}")
         object.__setattr__(self, "filters", names)
         for what, items in (("filters", names), ("final times", self.final_times)):
             if not items or len(set(items)) < len(items):
@@ -90,10 +87,6 @@ class RunConfig:
                 raise RunConfigError("mesh sizes must double: rates need matched pairs")
         if not all(np.isfinite(t) and t >= 0 for t in self.final_times):
             raise RunConfigError("final times must be nonnegative and finite")
-        if self.samples_per_element < 2:
-            raise RunConfigError("samples_per_element must be at least 2")
-        if self.blend_rho < 1:
-            raise RunConfigError("blend_rho must be at least 1")
         if self.cfl is not None:
             dg.check_cfl(self.cfl, self.d)
         object.__setattr__(self, "final_times", tuple(sorted(self.final_times)))
@@ -162,19 +155,18 @@ def _sigma_exact(mesh: dg.Mesh, x: float) -> Fraction:
 _gauss_rule = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
 
 
-def region_norms(approx, exact, mesh: dg.Mesh, region: tuple[float, float],
-                 samples_per_element: int = 6) -> tuple[float, float]:
+def region_norms(approx, exact, mesh: dg.Mesh, region: tuple[float, float]) -> tuple[float, float]:
     """(L2, Linf) of approx - exact over the region.
 
     approx and exact are callables of physical-x arrays, each called once,
     with the nodes of both norms on every piece.  Linf is the max over the
     endpoint-inclusive uniform grid; L2 is composite Gauss-Legendre with
-    samples_per_element points per (partial) element.
+    SAMPLES_PER_ELEMENT points per (partial) element.
     """
     lo, width = _region_pieces((_sigma_exact(mesh, region[0]), _sigma_exact(mesh, region[1])))
-    steps = np.arange(samples_per_element)
-    xs = mesh.a + (lo[:, None] + width[:, None] * steps / (samples_per_element - 1)) * mesh.h
-    gx, gw = _gauss_rule(samples_per_element)
+    steps = np.arange(SAMPLES_PER_ELEMENT)
+    xs = mesh.a + (lo[:, None] + width[:, None] * steps / (SAMPLES_PER_ELEMENT - 1)) * mesh.h
+    gx, gw = _gauss_rule(SAMPLES_PER_ELEMENT)
     mid = mesh.a + (2 * lo + width) / 2 * mesh.h
     rad = width / 2 * mesh.h
     nodes = mid[:, None] + rad[:, None] * gx
@@ -223,7 +215,7 @@ def _field_outputs(field: dg.DGField, config: RunConfig):
                             f"the {name} blend strip [{slo}, {shi}] (in elements) leaves the "
                             f"interior output [{ilo}, {ihi}] at this mesh size")
                     poly = psiac.blend_transition(poly, interior(), tuple(map(physical, overlap)),
-                                                  config.blend_rho)
+                                                  BLEND_RHO)
                 yield name, spec.side, poly, tuple(map(physical, region))
 
 
@@ -243,7 +235,7 @@ def time_series_experiment(config: RunConfig) -> tuple[list[ErrorRecord], list[R
             field = dg.advance(field, problem, t_end, config.cfl)
             exact = lambda xs: problem.exact(xs, field.time)
             for name, region, approx, span in _field_outputs(field, config):
-                norms = region_norms(approx, exact, mesh, span, config.samples_per_element)
+                norms = region_norms(approx, exact, mesh, span)
                 errors += [ErrorRecord(problem=config.problem, d=config.d, filter=name,
                                        region=region, norm=norm, n=n, t=field.time, value=v)
                            for norm, v in zip(("L2", "Linf"), norms)]

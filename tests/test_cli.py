@@ -41,6 +41,12 @@ def test_kernel_exact_symmetric(tmp_path, capsys):
     assert rows[3].split(",")[1] == "-1/12"
 
 
+@pytest.mark.parametrize("family", ("symm", "S_Y_M"))
+def test_kernel_symmetric_spellings_default_to_interior(family, tmp_path):
+    assert main(["kernel", family, "1", "--exact", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "kernel_symmetric_d1_interior_coeffs.csv").exists()
+
+
 def test_kernel_np0_denominators(tmp_path):
     rc = main(["kernel", "np0", "3", "left", "--exact", "--out", str(tmp_path)])
     assert rc == 0
@@ -70,6 +76,17 @@ def test_kernel_samples(tmp_path):
     assert rc == 0
     lines = (tmp_path / "kernel_np0_d1_left_samples.csv").read_text().strip().splitlines()
     assert lines[0] == "x,value" and len(lines) == 34
+
+
+@pytest.mark.parametrize("xi", ("-1/3", "-1e-3"))
+def test_kernel_negative_xi(xi, tmp_path):
+    """A negative shift after --xi is its value, as with --xi=XI."""
+    argv = ["kernel", "np0", "1", "left", "--samples", "3"]
+    assert main(argv + ["--xi", xi, "--out", str(tmp_path / "apart")]) == 0
+    assert main(argv + [f"--xi={xi}", "--out", str(tmp_path / "joined")]) == 0
+    assert _written(tmp_path / "apart") == _written(tmp_path / "joined")
+    lines = (tmp_path / "apart" / "kernel_np0_d1_left_samples.csv").read_text().splitlines()
+    assert float(lines[1].split(",")[0]) == -2 + float(F(xi))
 
 
 def test_kernel_needs_mode(tmp_path):
@@ -143,6 +160,22 @@ def test_timeseries_flag_overrides(tmp_path):
     assert "np0" in text and ",dg," not in text
 
 
+def test_config_repeated_key_names_its_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_CONFIG + "d = 2\n")
+    assert main(["timeseries", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "line 6: repeated key 'd'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_keys_are_runconfig_fields():
+    from dataclasses import fields
+
+    from siacpost import cli, harness
+    assert cli.CONFIG_KEYS == tuple(f.name for f in fields(harness.RunConfig))
+    assert set(cli.CONFIG_KEYS) == {key for _, key, _ in OVERRIDES}
+
+
 def test_config_linspace_times():
     import numpy as np
     from siacpost.cli import _times_from
@@ -212,9 +245,8 @@ class Config(str):
     ["converge", "tp1", "--d", "1", "--n-list", "-4"],
     SOLVE + ["--n", "8", "--t", "inf"],
     ["converge", "tp1", "--d", "1", "--n-list", "8,16", "--t", "inf"],
-    ["timeseries", Config("samples_per_element = 0\n")],
-    ["timeseries", Config("samples_per_element = 1\n")],
-    ["timeseries", Config("blend_rho = 0\n")],
+    ["timeseries", Config("samples_per_element = 6\n")],  # not a setting
+    TIMESERIES + ["--filters", "npk", "--times", "0.1"],
     ["timeseries", Config("blend = maybe\n")],
     ["timeseries", Config("blend = maybe\n"), "--no-blend"],
     ["filter", "tp1", "--family", "np0", "--d", "3", "--n", "5", "--t", "0.1"],
@@ -223,6 +255,7 @@ class Config(str):
     TIMESERIES + ["--filters", ",", "--times", "0.1"],
     TIMESERIES + ["--filters", "dg,raw", "--times", "0.1"],
     TIMESERIES + ["--filters", "dg", "--times", "0.1,0.2,0.1"],
+    TIMESERIES + ["--filters", "srv,S_R_V", "--times", "0.1"],
     # the np0 blend strip [5, 7] reaches past the interior output [5, 6]
     ["timeseries", "--problem", "tp1", "--d", "3", "--filters", "np0", "--mesh-sizes", "11",
      "--times", "0.1"],
@@ -238,6 +271,56 @@ def test_bad_option_is_usage_error(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not list(out.iterdir())
+
+
+FULL_CONFIG = TINY_CONFIG + "blend = true\ncfl = 0.01\n"
+OVERRIDES = [  # (flag, RunConfig field, the field's value under the flag)
+    (["--problem", "tp2"], "problem", "tp2"),
+    (["--d", "2"], "d", 2),
+    (["--filters", "symm"], "filters", ("symmetric",)),
+    (["--mesh-sizes", "16,32"], "mesh_sizes", (16, 32)),
+    (["--times", "0.2,0.3"], "final_times", (0.2, 0.3)),
+    (["--no-blend"], "blend", False),
+    (["--cfl", "0.2"], "cfl", 0.2),
+]
+
+
+def _run_configs(monkeypatch, *argvs):
+    """The RunConfig each command line hands to the harness."""
+    from siacpost import harness
+    seen = []
+    monkeypatch.setattr(harness, "time_series_experiment",
+                        lambda config: seen.append(config) or ([], []))
+    for argv in argvs:
+        assert main(argv) == 0
+    return seen
+
+
+@pytest.mark.parametrize("flag, key, value", OVERRIDES, ids=[key for _, key, _ in OVERRIDES])
+def test_flag_overrides_config(flag, key, value, tmp_path, monkeypatch):
+    from dataclasses import replace
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(FULL_CONFIG)
+    base = ["timeseries", str(cfg), "--out", str(tmp_path)]
+    plain, flagged = _run_configs(monkeypatch, base, base + flag)
+    assert plain.cfl == 0.01 and getattr(plain, key) != value
+    assert flagged == replace(plain, **{key: value})
+
+
+@pytest.mark.parametrize("converge, timeseries", [
+    (["tp1", "--d", "1"],
+     ["--problem", "tp1", "--d", "1", "--filters", "dg,symmetric,np0",
+      "--mesh-sizes", "20,40,80", "--times", "1.0"]),
+    (["tp2", "--d", "2", "--filters", "symm,S_R_V", "--n-list", "8,16", "--t", "0.25",
+      "--no-blend", "--cfl", "0.1"],
+     ["--problem", "tp2", "--d", "2", "--filters", "symmetric,srv", "--mesh-sizes", "8,16",
+      "--times", "0.25", "--no-blend", "--cfl", "0.1"]),
+], ids=("defaults", "flags"))
+def test_converge_and_timeseries_build_one_config(converge, timeseries, tmp_path,
+                                                  monkeypatch):
+    a, b = _run_configs(monkeypatch, ["converge", *converge],
+                        ["timeseries", *timeseries, "--out", str(tmp_path)])
+    assert a == b
 
 
 def test_usage_exceptions_share_one_base():

@@ -74,10 +74,10 @@ def test_runconfig_validates_doubling():
 
 
 def test_runconfig_normalizes_names():
-    cfg = RunConfig(problem=" TP1", d=1, filters=("DG-raw", "Symmetric", "NP0"),
+    cfg = RunConfig(problem=" TP1", d=1, filters=("DG-raw", "symm", "S_R_V", "NP0"),
                     mesh_sizes=(20, 40), final_times=(0.5, 0.0))
     assert cfg.problem == "tp1"
-    assert cfg.filters == ("dg", "symmetric", "np0")
+    assert cfg.filters == ("dg", "symmetric", "srv", "np0")
     assert cfg.final_times == (0.0, 0.5)
 
 
@@ -96,10 +96,10 @@ def test_runconfig_rejects_negative_time(t):
 
 @pytest.mark.parametrize("change", [
     dict(problem="tp9"), dict(mesh_sizes=(0,)), dict(mesh_sizes=(-4,)),
-    dict(final_times=(float("inf"),)), dict(samples_per_element=0),
-    dict(samples_per_element=1), dict(blend_rho=0), dict(cfl=10.0),
+    dict(final_times=(float("inf"),)), dict(cfl=10.0),
     dict(filters=()), dict(final_times=()), dict(filters=("dg", "raw")),
-    dict(filters=("np0", " NP0")), dict(final_times=(0.5, 0.25, 0.5)),
+    dict(filters=("np0", " NP0")), dict(filters=("srv", "S_R_V")),
+    dict(final_times=(0.5, 0.25, 0.5)),
 ], ids=str)
 def test_runconfig_rejects_bad_settings(change):
     settings = dict(problem="tp1", d=1, filters=("dg", "np0"), mesh_sizes=(20,),
@@ -281,7 +281,7 @@ def _pointwise_value_fn(field, cfg, name, side):
         z = (sigma - float(lam)) / 2.0 if side == "left" else (float(n - lam) - sigma) / 2.0
         if not cfg.blend or z <= 0.0:
             return float(poly(x))
-        beta = psiac.blend_weight(min(z, 1.0), cfg.blend_rho)
+        beta = psiac.blend_weight(min(z, 1.0), harness.BLEND_RHO)
         return float((1 - beta) * poly(x) + beta * symmetric(e, frac))
 
     return value
@@ -311,7 +311,7 @@ def _pointwise_norms(field, exact, region, value_fn, spe):
 
 def _pointwise_records(field, cfg, exact, name):
     """{region: (L2, Linf)}, each region derived here from lam, mu and the strip."""
-    spe, n, strip = cfg.samples_per_element, field.mesh.n, 2 if cfg.blend else 0
+    spe, n, strip = harness.SAMPLES_PER_ELEMENT, field.mesh.n, 2 if cfg.blend else 0
     if name == "dg":
         return {"full": _pointwise_region_norms(field.evaluate, exact, field.mesh,
                                                 (field.mesh.a, field.mesh.b), spe)}
@@ -363,7 +363,7 @@ def test_right_strip_blend():
         sigma = edge - 2 + 2 * t
         x = mesh.a + float(sigma) * mesh.h
         got = values(np.array([x]))[0]
-        beta = psiac.blend_weight(float(1 - t), cfg.blend_rho)
+        beta = psiac.blend_weight(float(1 - t), harness.BLEND_RHO)
         sym = psiac.symmetric_filter_eval(field, x)
         assert got == pytest.approx((1 - beta) * poly(x) + beta * sym, abs=1e-13)
         if t == 0:
@@ -399,7 +399,7 @@ def test_boundary_output_matches_reference_convolution(family, d):
         lam = float(spec.lam)
         u_region, u_strip = rng.random(2)
         for depth, beta in ((lam * u_region, 0.0),
-                            (lam + 2 * u_strip, psiac.blend_weight(u_strip, 2))):
+                            (lam + 2 * u_strip, psiac.blend_weight(u_strip, harness.BLEND_RHO))):
             x = mesh.a + (depth if side == "left" else n - depth) * mesh.h
             ref = psiac.reference_convolve(psiac.psiac_kernel_at(spec, mesh, x), field, x)
             tol = 1e-10 * max(1.0, abs(ref))
