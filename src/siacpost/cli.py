@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dg, filters, harness, psiac
+from . import dg, filters, harness, psiac, spline
 from .errors import UsageError
 
 
@@ -42,6 +42,15 @@ def _parse(convert, text: str, what: str):
         raise UsageError(f"bad {what} {text!r}: {exc}") from exc
 
 
+def _write(path: Path, header: str, rows) -> None:
+    """One CLI CSV: a float (numpy's too) at 17 significant digits, anything else by str."""
+    cell = lambda v: f"{v:.17g}" if isinstance(v, float) else str(v)
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(cell, row)) + "\n")
+
+
 def _solve_field(args):
     """The problem, mesh and DG field that solve and filter write out."""
     problem = dg.get_problem(args.problem)
@@ -56,46 +65,36 @@ def _solve_field(args):
 
 
 def cmd_kernel(args) -> int:
-    from .filters import build_spec, shifted_coefficient_polynomials, static_coefficients
-    from .spline import eval_unit_bspline
+    from .filters import build_spec, shifted_coefficient_polynomials
     spec = build_spec(args.family, args.d, args.side, k=args.k)
     if args.samples < 0:
         raise UsageError("--samples must be >= 0")
     if not args.exact and not args.samples:
         raise UsageError("pass --exact and/or --samples N")
+    cp = shifted_coefficient_polynomials(spec)
     if args.samples:
         xi = _parse(Fraction, args.xi, "--xi")
-        coeffs = static_coefficients(spec) if xi == 0 else \
-            shifted_coefficient_polynomials(spec).evaluate(xi)
         try:  # the samples are taken in floats
-            lo, hi, *weights = map(float, (spec.knots[0] + xi, spec.knots[-1] + xi, *coeffs))
+            lo, hi, *weights = map(float, (spec.knots[0] + xi, spec.knots[-1] + xi,
+                                           *cp.evaluate(xi)))
         except OverflowError:
             raise UsageError(f"bad --xi {args.xi!r}: the shifted kernel overflows a float") from None
     vec = psiac.endpoint_vector(spec, args.dg_degree) if args.exact else None
     out = _outdir(args)
     tag = f"{spec.family}_d{spec.d}_{spec.side}"
     if args.exact:
-        cp = shifted_coefficient_polynomials(spec)
         path = out / f"kernel_{tag}_coeffs.csv"
-        with open(path, "w") as fh:
-            fh.write("j," + ",".join(f"xi^{m}" for m in range(spec.r + 1)) + "\n")
-            for j in range(spec.r + 1):
-                fh.write(f"{j}," + ",".join(str(c) for c in cp.matrix.row(j)) + "\n")
+        _write(path, "j," + ",".join(f"xi^{m}" for m in range(spec.r + 1)),
+               ([j, *cp.matrix.row(j)] for j in range(spec.r + 1)))
         vpath = out / f"kernel_{tag}_endpoint_vector.csv"
-        with open(vpath, "w") as fh:
-            fh.write("index,value\n")
-            for i, v in enumerate(vec):
-                fh.write(f"{i},{v}\n")
+        _write(vpath, "index,value", enumerate(vec))
         print(f"wrote {path} and {vpath}")
     if args.samples:
-        xs = np.linspace(lo, hi, args.samples)
+        rows = ((x, sum(c * float(spline.eval_unit_bspline([t + xi for t in w], k, float(x)))
+                        for c, w, k in zip(weights, spec.windows, spec.degrees)))
+                for x in np.linspace(lo, hi, args.samples))
         path = out / f"kernel_{tag}_samples.csv"
-        with open(path, "w") as fh:
-            fh.write("x,value\n")
-            for x in xs:
-                val = sum(c * float(eval_unit_bspline([t + xi for t in w], k, float(x)))
-                          for c, w, k in zip(weights, spec.windows, spec.degrees))
-                fh.write(f"{x:.17g},{val:.17g}\n")
+        _write(path, "x,value", rows)
         print(f"wrote {path}")
     return 0
 
@@ -104,19 +103,12 @@ def cmd_solve(args) -> int:
     problem, mesh, field = _solve_field(args)
     out = _outdir(args)
     cpath = out / f"solve_{problem.name}_d{args.d}_n{args.n}_coeffs.csv"
-    with open(cpath, "w") as fh:
-        fh.write("element,basis_index,coefficient\n")
-        for i in range(mesh.n):
-            for l in range(args.d + 1):
-                fh.write(f"{i},{l},{field.coeffs[i, l]:.17g}\n")
+    _write(cpath, "element,basis_index,coefficient",
+           ((i, l, field.coeffs[i, l]) for i in range(mesh.n) for l in range(args.d + 1)))
     xs = np.linspace(problem.a, problem.b, args.samples * mesh.n + 1)
-    vals = field.evaluate(xs)
-    exact = problem.exact(xs, args.t)
+    samples = zip(xs, field.evaluate(xs), problem.exact(xs, args.t))
     spath = out / f"solve_{problem.name}_d{args.d}_n{args.n}_samples.csv"
-    with open(spath, "w") as fh:
-        fh.write("x,u,exact,error\n")
-        for x, u, e in zip(xs, vals, exact):
-            fh.write(f"{x:.17g},{u:.17g},{e:.17g},{u - e:.17g}\n")
+    _write(spath, "x,u,exact,error", ((x, u, e, u - e) for x, u, e in samples))
     print(f"wrote {cpath} and {spath}")
     return 0
 
@@ -133,37 +125,30 @@ def cmd_filter(args) -> int:
     out = _outdir(args)
     tag = f"{problem.name}_{spec.family}_d{args.d}_n{args.n}_{spec.side}"
     ppath = out / f"filter_{tag}_poly.csv"
-    with open(ppath, "w") as fh:
-        fh.write("power,coefficient_scaled,coefficient_physical,coefficient_exact\n")
-        phys = poly.physical_coefficients()
-        exact_cs = list(exact.coeffs) + [Fraction(0)] * (len(poly.coeffs) - len(exact.coeffs))
-        for m, (c, a, q) in enumerate(zip(poly.coeffs, phys, exact_cs)):
-            fh.write(f"{m},{c:.17g},{a:.17g},{q}\n")
-    xs = np.linspace(poly.region[0], poly.region[1], args.samples * max(1, int(round(
-        (poly.region[1] - poly.region[0]) / mesh.h))) + 1)
-    vals = poly(xs)
-    exact = problem.exact(xs, args.t)
+    exact_cs = list(exact.coeffs) + [Fraction(0)] * (len(poly.coeffs) - len(exact.coeffs))
+    _write(ppath, "power,coefficient_scaled,coefficient_physical,coefficient_exact",
+           zip(range(len(exact_cs)), poly.coeffs, poly.physical_coefficients(), exact_cs))
+    lo, hi = poly.region
+    xs = np.linspace(lo, hi, args.samples * max(1, round((hi - lo) / mesh.h)) + 1)
+    samples = zip(xs, poly(xs), problem.exact(xs, args.t))
     spath = out / f"filter_{tag}_samples.csv"
-    with open(spath, "w") as fh:
-        fh.write("x,value,exact_solution,abs_error\n")
-        for x, v, e in zip(xs, vals, exact):
-            fh.write(f"{x:.17g},{v:.17g},{e:.17g},{abs(v - e):.17g}\n")
+    _write(spath, "x,value,exact_solution,abs_error",
+           ((x, v, e, abs(v - e)) for x, v, e in samples))
     print(f"wrote {ppath} and {spath}")
     return 0
 
 
 def cmd_converge(args) -> int:
     errors, rates = harness.time_series_experiment(build_run_config({}, args))
-    for r in errors:
-        print(f"error  {r.filter:10s} {r.region:8s} {r.norm:4s} N={r.n:<4d} {r.value:.6e}")
-    for r in rates:
-        print(f"rate   {r.filter:10s} {r.region:8s} {r.norm:4s} N={r.n:<4d} {r.value:.3f}")
+    for r in [*errors, *rates]:
+        value = f"{r.value:.6e}" if r.kind == "error" else f"{r.value:.3f}"
+        print(f"{r.kind:6s} {r.filter:10s} {r.region:8s} {r.norm:4s} N={r.n:<4d} {value}")
     if args.out:
         path = Path(args.out)
         if path.is_dir() or args.out.endswith(os.sep):
             path.mkdir(parents=True, exist_ok=True)
             path = path / "converge.csv"
-        harness.write_csv(list(errors) + list(rates), path)
+        harness.write_csv([*errors, *rates], path)
         print(f"wrote {path}")
     return 0
 
@@ -227,9 +212,7 @@ _READ = {"problem": str, "d": int, "filters": _names, "mesh_sizes": _ints,
 
 def build_run_config(values: dict, args) -> harness.RunConfig:
     """The run of config-file values and run flags: all are checked, a given flag wins."""
-    flags = dict(problem=args.problem, d=args.d, filters=args.filters,
-                 mesh_sizes=args.mesh_sizes, final_times=args.times, blend=args.blend,
-                 cfl=args.cfl)
+    flags = {key: getattr(args, key) for key in CONFIG_KEYS}
     given = {key: str(flag) for key, flag in flags.items() if flag is not None}
     settings = {key: _parse(_READ[key], text, key)
                 for source in (values, given) for key, text in source.items()}
@@ -246,7 +229,7 @@ def cmd_timeseries(args) -> int:
     errors, rates = harness.time_series_experiment(config)
     out = _outdir(args)
     path = out / f"timeseries_{config.problem}_d{config.d}.csv"
-    harness.write_csv(list(errors) + list(rates), path)
+    harness.write_csv([*errors, *rates], path)
     print(f"wrote {path} ({len(errors)} error rows, {len(rates)} rate rows)")
     return 0
 
@@ -280,27 +263,24 @@ def make_parser() -> argparse.ArgumentParser:
     pk.add_argument("--out", default=None)
     pk.set_defaults(fn="cmd_kernel")
 
+    def add_run(p):
+        p.add_argument("problem", help="tp1 | tp2 | tp3")
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--t", type=float, required=True)
+        p.add_argument("--cfl", type=float, default=None)
+        p.add_argument("--samples", type=int, default=6)
+        p.add_argument("--out", default=None)
+
     ps = sub.add_parser("solve", help="run the DG solver and dump the field")
-    ps.add_argument("problem", help="tp1 | tp2 | tp3")
-    ps.add_argument("--d", type=int, required=True)
-    ps.add_argument("--n", type=int, required=True)
-    ps.add_argument("--t", type=float, required=True)
-    ps.add_argument("--cfl", type=float, default=None)
-    ps.add_argument("--samples", type=int, default=6)
-    ps.add_argument("--out", default=None)
+    add_run(ps)
     ps.set_defaults(fn="cmd_solve")
 
     pf = sub.add_parser("filter", help="solve, then boundary-filter one side")
-    pf.add_argument("problem")
+    add_run(pf)
     pf.add_argument("--family", required=True)
     pf.add_argument("--side", default="left")
-    pf.add_argument("--d", type=int, required=True)
-    pf.add_argument("--n", type=int, required=True)
-    pf.add_argument("--t", type=float, required=True)
     pf.add_argument("--k", type=int, default=None)
-    pf.add_argument("--cfl", type=float, default=None)
-    pf.add_argument("--samples", type=int, default=6)
-    pf.add_argument("--out", default=None)
     pf.set_defaults(fn="cmd_filter")
 
     pc = sub.add_parser("converge", help="error/rate table over a mesh sequence")
@@ -308,7 +288,7 @@ def make_parser() -> argparse.ArgumentParser:
     pc.add_argument("--d", type=int, required=True)
     pc.add_argument("--filters", default="dg,symmetric,np0")
     pc.add_argument("--n-list", dest="mesh_sizes", default="20,40,80")
-    pc.add_argument("--t", dest="times", type=float, default=1.0)
+    pc.add_argument("--t", dest="final_times", type=float, default=1.0)
     pc.add_argument("--no-blend", dest="blend", action="store_false", default=None)
     pc.add_argument("--cfl", type=float, default=None)
     pc.add_argument("--out", default=None)
@@ -320,7 +300,7 @@ def make_parser() -> argparse.ArgumentParser:
     pt.add_argument("--d", type=int, default=None)
     pt.add_argument("--filters", default=None)
     pt.add_argument("--mesh-sizes", dest="mesh_sizes", default=None)
-    pt.add_argument("--times", default=None, help="comma list or linspace:lo:hi:n")
+    pt.add_argument("--times", dest="final_times", help="comma list or linspace:lo:hi:n")
     pt.add_argument("--blend", dest="blend", action="store_true", default=None)
     pt.add_argument("--no-blend", dest="blend", action="store_false")
     pt.add_argument("--cfl", type=float, default=None)

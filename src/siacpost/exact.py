@@ -15,7 +15,6 @@ from math import lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 

@@ -93,27 +93,18 @@ class RunConfig:
 
 
 @dataclass(frozen=True)
-class ErrorRecord:
+class Record:
+    """One CSV row: an error, or a rate between two meshes' errors."""
+
     problem: str
     d: int
     filter: str
     region: str  # left | right | interior | full
     norm: str    # L2 | Linf
-    n: int
+    n: int       # for a rate, the finer of the two meshes
     t: float
     value: float
-
-
-@dataclass(frozen=True)
-class RateRecord:
-    problem: str
-    d: int
-    filter: str
-    region: str
-    norm: str
-    n: int  # the finer of the two meshes
-    t: float
-    value: float
+    kind: str    # error | rate
 
 
 def convergence_rate(e_coarse: float, e_fine: float) -> float:
@@ -219,7 +210,7 @@ def _field_outputs(field: dg.DGField, config: RunConfig):
                 yield name, spec.side, poly, tuple(map(physical, region))
 
 
-def time_series_experiment(config: RunConfig) -> tuple[list[ErrorRecord], list[RateRecord]]:
+def time_series_experiment(config: RunConfig) -> tuple[list[Record], list[Record]]:
     """Solve/filter/measure over all (N, T) pairs and compute rate series.
 
     Fields advance incrementally through the sorted final times.  Output
@@ -227,7 +218,7 @@ def time_series_experiment(config: RunConfig) -> tuple[list[ErrorRecord], list[R
     N, T).
     """
     problem = dg.get_problem(config.problem)
-    errors: list[ErrorRecord] = []
+    errors: list[Record] = []
     for n in config.mesh_sizes:
         mesh = dg.Mesh(problem.a, problem.b, n)
         field = dg.l2_project(problem.u0, mesh, config.d)
@@ -236,11 +227,12 @@ def time_series_experiment(config: RunConfig) -> tuple[list[ErrorRecord], list[R
             exact = lambda xs: problem.exact(xs, field.time)
             for name, region, approx, span in _field_outputs(field, config):
                 norms = region_norms(approx, exact, mesh, span)
-                errors += [ErrorRecord(problem=config.problem, d=config.d, filter=name,
-                                       region=region, norm=norm, n=n, t=field.time, value=v)
+                errors += [Record(problem=config.problem, d=config.d, filter=name,
+                                  region=region, norm=norm, n=n, t=field.time, value=v,
+                                  kind="error")
                            for norm, v in zip(("L2", "Linf"), norms)]
-    rates: list[RateRecord] = []
-    by_key: dict[tuple, dict[int, ErrorRecord]] = {}
+    rates: list[Record] = []
+    by_key: dict[tuple, dict[int, Record]] = {}
     for rec in errors:
         by_key.setdefault((rec.filter, rec.region, rec.norm, rec.t), {})[rec.n] = rec
     for (name, region, norm, t), per_n in sorted(by_key.items()):
@@ -248,10 +240,10 @@ def time_series_experiment(config: RunConfig) -> tuple[list[ErrorRecord], list[R
             if n_coarse in per_n and n_fine in per_n:
                 ec, ef = per_n[n_coarse].value, per_n[n_fine].value
                 if ec > 0 and ef > 0:
-                    rates.append(RateRecord(problem=config.problem, d=config.d,
-                                            filter=name, region=region, norm=norm,
-                                            n=n_fine, t=t,
-                                            value=convergence_rate(ec, ef)))
+                    rates.append(Record(problem=config.problem, d=config.d,
+                                        filter=name, region=region, norm=norm,
+                                        n=n_fine, t=t,
+                                        value=convergence_rate(ec, ef), kind="rate"))
 
     def sort_key(r):
         return (r.problem, r.d, r.filter, r.region, r.norm, r.n, r.t)
@@ -268,13 +260,12 @@ def time_series_experiment(config: RunConfig) -> tuple[list[ErrorRecord], list[R
 CSV_HEADER = ("problem", "d", "filter", "region", "norm", "N", "T", "value", "kind")
 
 
-def write_csv(records: Iterable[ErrorRecord | RateRecord], path) -> None:
+def write_csv(records: Iterable[Record], path) -> None:
     """Long-format CSV, floats at 17 significant digits, overwrite semantics."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(CSV_HEADER)
         for r in records:
-            kind = "rate" if isinstance(r, RateRecord) else "error"
             w.writerow([r.problem, r.d, r.filter, r.region, r.norm, r.n,
-                        f"{r.t:.17g}", f"{r.value:.17g}", kind])
+                        f"{r.t:.17g}", f"{r.value:.17g}", r.kind])
 

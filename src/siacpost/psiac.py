@@ -537,21 +537,24 @@ class FloatKernel:
 def _float_spline(window: tuple[Fraction, ...], k: int) -> tuple[np.ndarray, np.ndarray]:
     """(breakpoints, pieces) of B(z | window) as floats, converted once per spline.
 
-    Row i holds piece i's coefficients, top first, zero-padded to degree k;
-    a last zero row stands for z off the support.
+    Row i holds piece i's coefficients about its left breakpoint, top
+    first, zero-padded to degree k; a last zero row stands for z off the
+    support.
     """
     pp = unit_bspline_piecewise(window, k)
-    rows = [[0.0] * (k + 1 - len(p.coeffs)) + [float(c) for c in reversed(p.coeffs)]
-            for p in pp.pieces] + [[0.0] * (k + 1)]
+    pieces = [p.recentered(b).coeffs for p, b in zip(pp.pieces, pp.breakpoints)]
+    rows = [[0.0] * (k + 1 - len(p)) + [float(c) for c in reversed(p)]
+            for p in pieces] + [[0.0] * (k + 1)]
     return np.array([float(b) for b in pp.breakpoints]), np.array(rows)
 
 
 def _float_kernel(spec: FilterSpec, coeffs, offset: float, h: float) -> FloatKernel:
     """sum_j c_j B_j((s - offset)/h) / h: the spec's splines with physical knots h*t + offset.
 
-    A piece is evaluated by Horner's rule from its top coefficient, as
-    `RatPoly` evaluates at a float, so the values are those of the exact
-    pieces wherever the breakpoints are floats (half-integer knots are).
+    A piece is evaluated in u = z - bp[i], its offset from its left
+    breakpoint, by Horner's rule from its top coefficient, as `RatPoly`
+    evaluates at a float.  About the breakpoint the terms are of the size
+    of the value, so no cancellation loses digits far from the origin.
     """
     cs = [float(c) for c in coeffs]
     tables = [_float_spline(w, k) for w, k in zip(spec.windows, spec.degrees)]
@@ -561,10 +564,11 @@ def _float_kernel(spec: FilterSpec, coeffs, offset: float, h: float) -> FloatKer
         total = 0
         for c, (bp, rows) in zip(cs, tables):
             i = np.clip(np.searchsorted(bp, z, side="right") - 1, 0, len(bp) - 2)
-            table = rows[np.where((z >= bp[0]) & (z <= bp[-1]), i, len(bp) - 1)]
+            i = np.where((z >= bp[0]) & (z <= bp[-1]), i, len(bp) - 1)
+            table, u = rows[i], z - bp[i]
             acc = table[..., 0]
             for col in range(1, table.shape[-1]):
-                acc = acc * z + table[..., col]
+                acc = acc * u + table[..., col]
             total = total + c * acc
         out = total / h
         return out if out.ndim else float(out)

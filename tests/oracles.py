@@ -280,13 +280,24 @@ def legendre_bernstein_reference(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def float_kernel_reference(spec: FilterSpec, coeffs, offset: float, h: float) -> FloatKernel:
-    """sum_j c_j B_j((s - offset)/h) / h, point by point through each spline's exact pieces."""
+    """sum_j c_j B_j((s - offset)/h) / h, point by point through each spline's exact pieces.
+
+    The piece that holds z is recentered about its left breakpoint b
+    exactly, then evaluated at the float z - b.
+    """
     cs = [float(c) for c in coeffs]
     pps = [unit_bspline_piecewise(w, k) for w, k in zip(spec.windows, spec.degrees)]
 
+    def piece_value(pp, z):
+        i = pp.piece_index(z)
+        if i is None:
+            return 0.0
+        b = pp.breakpoints[i]
+        return float(pp.pieces[i].recentered(b)(z - float(b)))
+
     def fn(s):
         z = (s - offset) / h
-        return sum(c * float(pp(z)) for c, pp in zip(cs, pps)) / h
+        return sum(c * piece_value(pp, z) for c, pp in zip(cs, pps)) / h
 
     return FloatKernel([offset + h * float(t) for t in spec.knots],
                        lambda s: np.reshape([fn(v) for v in np.ravel(s)], np.shape(s)))

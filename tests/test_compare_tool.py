@@ -7,9 +7,9 @@ ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "compare_timeseries.py"
 
 
-def compare(old: Path, new: Path) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, str(TOOL), str(old), str(new),
-                           "--workload", "kernels-cold", "--seed", "0"],
+def compare(old: Path, new: Path, *options: str) -> subprocess.CompletedProcess:
+    options = options or ("--workload", "kernels-cold", "--seed", "0")
+    return subprocess.run([sys.executable, str(TOOL), str(old), str(new), *options],
                           capture_output=True, text=True, timeout=300)
 
 
@@ -20,7 +20,7 @@ def test_kernel_sweep_comparison_reports_a_mutated_tree(tmp_path):
     shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__"))
     same = compare(src, copy)
     assert same.returncode == 0, same.stdout + same.stderr
-    assert "kernels-cold seed 0: identical (80 / 80 CSVs" in same.stdout
+    assert "kernels-cold seed 0: identical (80 / 80 files" in same.stdout
 
     psiac = copy / "siacpost" / "psiac.py"
     text = psiac.read_text()
@@ -32,6 +32,31 @@ def test_kernel_sweep_comparison_reports_a_mutated_tree(tmp_path):
     assert "kernels-cold seed 0: DIFFERENT" in diff.stdout
     changed = [ln.split()[-1] for ln in diff.stdout.splitlines() if "differs:" in ln]
     assert changed and all(name.endswith("_right_endpoint_vector.csv") for name in changed)
+
+
+def test_call_comparison_reports_a_mutated_tree(tmp_path):
+    """--call runs each command line in both trees: identical for a copy; once the
+    copy writes floats at 16 digits, the solve call is DIFFERENT and the exact
+    kernel call, which writes no float, stays identical."""
+    src = ROOT / "src"
+    copy = tmp_path / "src"
+    shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    calls = ("--call", "kernel srv 1 left --exact", "--call", "solve tp1 --d 1 --n 8 --t 0.1")
+    same = compare(src, copy, *calls)
+    assert same.returncode == 0, same.stdout + same.stderr
+    assert "call 'kernel srv 1 left --exact': identical (2 / 2 files" in same.stdout
+    assert "call 'solve tp1 --d 1 --n 8 --t 0.1': identical (2 / 2 files" in same.stdout
+
+    cli = copy / "siacpost" / "cli.py"
+    text = cli.read_text()
+    assert text.count('f"{v:.17g}"') == 1
+    cli.write_text(text.replace('f"{v:.17g}"', 'f"{v:.16g}"'))
+    diff = compare(src, copy, *calls)
+    assert diff.returncode == 1
+    assert "call 'kernel srv 1 left --exact': identical" in diff.stdout
+    assert "call 'solve tp1 --d 1 --n 8 --t 0.1': DIFFERENT" in diff.stdout
+    changed = sorted(ln.split()[-1] for ln in diff.stdout.splitlines() if "differs:" in ln)
+    assert changed == ["solve_tp1_d1_n8_coeffs.csv", "solve_tp1_d1_n8_samples.csv"]
 
 
 def _tool():

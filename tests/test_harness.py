@@ -6,9 +6,9 @@ import pytest
 
 from siacpost import UsageError, dg, harness, psiac
 from siacpost.filters import build_spec
-from siacpost.harness import (EmptyRegionError, ErrorRecord, NonpositiveError,
-                              RateRecord, RunConfig, RunConfigError, convergence_rate,
-                              region_norms, time_series_experiment, write_csv)
+from siacpost.harness import (EmptyRegionError, NonpositiveError, Record, RunConfig,
+                              RunConfigError, convergence_rate, region_norms,
+                              time_series_experiment, write_csv)
 
 
 def flat_mesh(n=10):
@@ -137,6 +137,12 @@ def test_record_region_discipline(small_run):
     assert by_filter["np0"] == {"left", "right"}
 
 
+def test_records_carry_their_kind(small_run):
+    _, (errors, rates) = small_run
+    assert errors and rates
+    assert {r.kind for r in errors} == {"error"} and {r.kind for r in rates} == {"rate"}
+
+
 def field_outputs(field, cfg):
     """{(filter, region): (evaluator, measured region in exact sigma)} of one field."""
     return {(name, region): (approx, tuple(harness._sigma_exact(field.mesh, x) for x in span))
@@ -188,19 +194,19 @@ def test_rates_present_and_reasonable():
         assert v > 2.0  # superconvergent already on coarse pair
 
 
-def read_csv(path) -> list[ErrorRecord | RateRecord]:
+def read_csv(path) -> list[Record]:
     """Inverse of write_csv."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert tuple(rows[0]) == harness.CSV_HEADER
-    return [(RateRecord if row[8] == "rate" else ErrorRecord)(
-                problem=row[0], d=int(row[1]), filter=row[2], region=row[3], norm=row[4],
-                n=int(row[5]), t=float(row[6]), value=float(row[7])) for row in rows[1:]]
+    return [Record(problem=row[0], d=int(row[1]), filter=row[2], region=row[3], norm=row[4],
+                   n=int(row[5]), t=float(row[6]), value=float(row[7]), kind=row[8])
+            for row in rows[1:]]
 
 
 def test_csv_round_trip(tmp_path):
-    recs = [ErrorRecord("tp1", 1, "np0", "left", "L2", 20, 0.5, 1.234e-5),
-            RateRecord("tp1", 1, "np0", "left", "L2", 40, 0.5, 2.987654321098765)]
+    recs = [Record("tp1", 1, "np0", "left", "L2", 20, 0.5, 1.234e-5, "error"),
+            Record("tp1", 1, "np0", "left", "L2", 40, 0.5, 2.987654321098765, "rate")]
     path = tmp_path / "out.csv"
     write_csv(recs, path)
     assert read_csv(path) == recs
@@ -210,7 +216,7 @@ def test_csv_empty_and_single(tmp_path):
     path = tmp_path / "empty.csv"
     write_csv([], path)
     assert path.read_text().strip() == ",".join(harness.CSV_HEADER)
-    write_csv([ErrorRecord("tp1", 1, "dg", "full", "Linf", 20, 0.0, 0.25)], path)
+    write_csv([Record("tp1", 1, "dg", "full", "Linf", 20, 0.0, 0.25, "error")], path)
     assert len(path.read_text().strip().splitlines()) == 2
 
 

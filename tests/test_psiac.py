@@ -463,6 +463,27 @@ def test_float_kernel_bit_identical_to_exact_pieces(d, monkeypatch):
     assert got == want
 
 
+@pytest.mark.parametrize("d", (1, 2, 3, 4))
+def test_float_kernel_accuracy_against_exact_kernel(d):
+    """The float kernel at float points more than 1e-9 from any knot is within
+    5e-15 max|K| of the exact kernel, evaluated in Fractions at the same points,
+    for every family and side at shifts xi in {0, 1/3, -7/2, 5}."""
+    specs = [build_spec(fam, d, side, k=1 if fam == "npk" else None)
+             for fam in ("srv", "rlkv", "np0", "rs", "npk") for side in ("left", "right")]
+    for spec in specs + [build_spec("symmetric", d)]:
+        lo, hi = float(spec.knots[0]), float(spec.knots[-1])
+        z = np.random.default_rng(d).uniform(lo, hi, 60)
+        z = z[np.min(np.abs(z[:, None] - np.array(spec.knots, dtype=float)), axis=1) > 1e-9]
+        for xi in (F(0), F(1, 3), F(-7, 2), F(5)):
+            c = filters.shifted_coefficient_polynomials(spec).evaluate(xi)
+            got = psiac._float_kernel(spec, c, 0.0, 1.0)(z)
+            exact = [sum(cj * eval_unit_bspline(w, k, F(s))
+                         for cj, w, k in zip(c, spec.windows, spec.degrees)) for s in z]
+            scale = max(abs(v) for v in exact)
+            worst = float(max(abs(F(g) - v) for g, v in zip(got, exact)) / scale)
+            assert worst < 5e-15, (spec.family, spec.side, xi, worst)
+
+
 def test_polynomial_output_property():
     """Oracle samples in the boundary region lie on one degree-r polynomial."""
     tp1 = dg.get_problem("tp1")

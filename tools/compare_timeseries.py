@@ -1,15 +1,20 @@
-"""Byte-compare the CSVs two source trees write on benchmark inputs.
+"""Byte-compare the CSVs two source trees write on benchmark inputs or given CLI calls.
 
     python3 tools/compare_timeseries.py OLD_SRC NEW_SRC \
-        --workload tp3-d2-long --workload kernels-cold --seed 0 [--seed 11 ...]
+        --workload tp3-d2-long --workload kernels-cold --seed 0 [--seed 11 ...] \
+        [--call "kernel srv 3 left --exact" --call "solve tp2 --d 2 --n 20 --t 0.5" ...]
 
-Each source tree is the `src/` directory of a checkout.  The inputs come
-from the benchmark's own generator (perfbench/workloads.py, only
-imported), so they are those of a benchmark run with that seed: a study
-workload runs `siacpost timeseries` on the generated config, and
+Each source tree is the `src/` directory of a checkout.  The inputs of a
+workload come from the benchmark's own generator (perfbench/workloads.py,
+only imported), so they are those of a benchmark run with that seed: a
+study workload runs `siacpost timeseries` on the generated config, and
 `kernels-cold` runs every `siacpost kernel ... --exact` call of the sweep,
-in its seeded order, in one process per tree.
-Exits 0 when every CSV pair is identical, 1 otherwise.
+in its seeded order, in one process per tree.  Each --call is one
+`siacpost` command line (split as a shell would, without `--out`), run in
+a process of its own per tree.  A call that fails in either tree stops
+the tool with an error.
+Every file written is compared; exits 0 when every pair is identical,
+1 otherwise.
 
 With --rtol and/or --atol the timeseries CSVs are compared row by row
 instead: every error row must be within atol + rtol * |old value|, and
@@ -30,6 +35,7 @@ import csv
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -48,15 +54,16 @@ for argv in json.loads(sys.argv[1]):
 
 
 def run_tree(src: str, job: dict, config: Path, out: Path) -> dict[str, bytes]:
-    """Run one workload's CLI calls against the tree; return its CSVs by name."""
+    """Run one job's CLI calls against the tree; return the files written by name."""
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     if job["kind"] == "sweep":
         cmd = ["-c", RUN_CALLS, json.dumps(job["calls"]), str(out)]
     else:
         cmd = ["-m", "siacpost.cli", "timeseries", str(config), "--out", str(out)]
+    out.mkdir()  # an existing directory, so that `converge --out` writes into it
     subprocess.run([sys.executable, *cmd], env=env, check=True, stdout=subprocess.DEVNULL)
-    return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.is_file()}
 
 
 RATE_TOL = 1e-9    # a rate that moves by more than this is listed
@@ -101,46 +108,60 @@ def compare_rows(old: bytes, new: bytes, rtol: float, atol: float) -> tuple[bool
     return not outside, summary + outside + moved
 
 
+def cases(args):
+    """(label, job, scratch directory) for each workload and seed, then for each call."""
+    for name in args.workload:
+        for seed in args.seed:
+            with tempfile.TemporaryDirectory() as tmp:
+                job = json.loads(write_job(name, seed, Path(tmp)).read_text())
+                yield f"{name} seed {seed}", job, Path(tmp)
+    for call in args.call:
+        with tempfile.TemporaryDirectory() as tmp:
+            yield f"call {call!r}", {"kind": "sweep", "calls": [shlex.split(call)]}, Path(tmp)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("old_src")
     ap.add_argument("new_src")
-    ap.add_argument("--workload", action="append", choices=sorted(WORKLOADS), required=True)
-    ap.add_argument("--seed", type=int, action="append", required=True)
+    ap.add_argument("--workload", action="append", choices=sorted(WORKLOADS), default=[])
+    ap.add_argument("--seed", type=int, action="append", default=[])
+    ap.add_argument("--call", action="append", default=[], metavar="ARGV",
+                    help="one siacpost command line to run in both trees (repeatable)")
     ap.add_argument("--rtol", type=float, default=None,
                     help="compare timeseries CSVs row by row, with this relative tolerance")
     ap.add_argument("--atol", type=float, default=None,
                     help="compare timeseries CSVs row by row, with this absolute tolerance")
     args = ap.parse_args()
+    if not args.workload and not args.call:
+        ap.error("pass --workload and/or --call")
+    if args.workload and not args.seed:
+        ap.error("--workload needs --seed")
     tolerant = args.rtol is not None or args.atol is not None
     same = True
-    for name in args.workload:
-        for seed in args.seed:
-            with tempfile.TemporaryDirectory() as tmp:
-                tmp = Path(tmp)
-                job = json.loads(write_job(name, seed, tmp).read_text())
-                old = run_tree(args.old_src, job, tmp / "study.cfg", tmp / "old")
-                new = run_tree(args.new_src, job, tmp / "study.cfg", tmp / "new")
-            ok = bool(old) and old.keys() == new.keys()
-            report = []
-            for path in sorted(set(old) | set(new)):
-                if old.get(path) == new.get(path):
-                    continue
-                if tolerant and path in old and path in new:
-                    within, lines = compare_rows(old[path], new[path],
-                                                 args.rtol or 0.0, args.atol or 0.0)
-                    report += [f"  {'within tolerance' if within else 'differs'}: {path}"] + lines
-                    ok &= within
-                else:
-                    report.append(f"  differs: {path}")
-                    ok = False
-            sizes = (sum(map(len, old.values())), sum(map(len, new.values())))
-            verdict = "DIFFERENT" if not ok else "identical" if old == new else "within tolerance"
-            print(f"{name} seed {seed}: {verdict} "
-                  f"({len(old)} / {len(new)} CSVs, {sizes[0]} / {sizes[1]} bytes)")
-            for line in report:
-                print(line)
-            same &= ok
+    for label, job, tmp in cases(args):
+        old = run_tree(args.old_src, job, tmp / "study.cfg", tmp / "old")
+        new = run_tree(args.new_src, job, tmp / "study.cfg", tmp / "new")
+        ok = bool(old) and old.keys() == new.keys()
+        report = []
+        for path in sorted(set(old) | set(new)):
+            if old.get(path) == new.get(path):
+                continue
+            if tolerant and path in old and path in new:
+                within, lines = compare_rows(old[path], new[path],
+                                             args.rtol or 0.0, args.atol or 0.0)
+                report += [f"  {'within tolerance' if within else 'differs'}: {path}"] + lines
+                ok &= within
+            else:
+                report.append(f"  differs: {path}")
+                ok = False
+        sizes = (sum(map(len, old.values())), sum(map(len, new.values())))
+        verdict = "DIFFERENT" if not ok else "identical" if old == new else "within tolerance"
+        print(f"{label}: {verdict} "
+              f"({len(old)} / {len(new)} files, {sizes[0]} / {sizes[1]} bytes)")
+        for line in report:
+            print(line)
+        same &= ok
     return 0 if same else 1
 
 

@@ -33,7 +33,9 @@ from siacpost import cli, dg, harness
 values = cli.parse_config(sys.argv[2])
 if sys.argv[3]:
     values["d"] = sys.argv[3]
-unset = dict.fromkeys(("problem", "d", "filters", "mesh_sizes", "times", "blend", "cfl"))
+# every run flag unset; older trees name the final-times flag "times"
+unset = dict.fromkeys(("problem", "d", "filters", "mesh_sizes", "final_times", "times", "blend",
+                       "cfl"))
 config = cli.build_run_config(values, SimpleNamespace(**unset))
 tracer = Tracer()
 dg.advance = tracer.wrap("dg.advance", dg.advance)
