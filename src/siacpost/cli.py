@@ -90,8 +90,9 @@ def cmd_kernel(args) -> int:
         _write(vpath, "index,value", enumerate(vec))
         print(f"wrote {path} and {vpath}")
     if args.samples:
-        rows = ((x, sum(c * float(spline.eval_unit_bspline([t + xi for t in w], k, float(x)))
-                        for c, w, k in zip(weights, spec.windows, spec.degrees)))
+        windows = [[t + xi for t in w] for w in spec.windows]  # shifted once, not per sample
+        rows = ((x, sum(c * float(spline.eval_unit_bspline(w, k, float(x)))
+                        for c, w, k in zip(weights, windows, spec.degrees)))
                 for x in np.linspace(lo, hi, args.samples))
         path = out / f"kernel_{tag}_samples.csv"
         _write(path, "x,value", rows)

@@ -235,10 +235,14 @@ def _gauss_rule(d: int) -> tuple[np.ndarray, ...]:
     return gx, gw, p, pd
 
 
-def _nodes(mesh: Mesh, d: int) -> np.ndarray:
-    """The Gauss nodes of every element, (n, q)."""
+@lru_cache(maxsize=32)
+def _nodes(mesh: Mesh, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss nodes of every element (n, q) and the faces (n + 1), read-only."""
     mids = mesh.a + (np.arange(mesh.n) + 0.5) * mesh.h
-    return mids[:, None] + 0.5 * mesh.h * _gauss_rule(d)[0][None, :]
+    out = mids[:, None] + 0.5 * mesh.h * _gauss_rule(d)[0][None, :], mesh.breakpoints()
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def dg_rhs(field: DGField, t: float, problem: TestProblem) -> np.ndarray:
@@ -251,10 +255,10 @@ def dg_rhs(field: DGField, t: float, problem: TestProblem) -> np.ndarray:
     """
     mesh, c = field.mesh, field.coeffs
     _, gw, p, pd = _gauss_rule(field.d)
-    xq = _nodes(mesh, field.d)
+    xq, faces = _nodes(mesh, field.d)
     volume = (problem.kappa(xq, t) * (c @ p.T) * gw) @ pd  # dxi/dx and h/2 cancel
     source = (problem.rho(xq, t) * gw) @ p * (0.5 * mesh.h)
-    kap_faces = problem.kappa(mesh.breakpoints(), t)
+    kap_faces = problem.kappa(faces, t)
     outflow = kap_faces[1:] * c.sum(axis=1)  # P_n(1) = 1
     inflow = np.empty_like(outflow)
     inflow[1:] = outflow[:-1]
@@ -332,7 +336,7 @@ def _rhs_steps(field: DGField, problem: TestProblem, dt: float, steps: int):
     Before each step, kappa is checked at the nodes and the faces at the
     step's three time levels t_k, t_k + dt/2 and t_k + dt.
     """
-    xq, faces = _nodes(field.mesh, field.d), field.mesh.breakpoints()
+    xq, faces = _nodes(field.mesh, field.d)
     u = field.coeffs
     stage = lambda c: replace(field, coeffs=c)
     for k in range(steps):

@@ -8,23 +8,25 @@ merged.  The sampling rule is SAMPLES_PER_ELEMENT = 6 points per element:
 an endpoint-inclusive uniform grid for the max norm, Gauss-Legendre
 points for the L2 norm.
 
-Each solved field is filtered once into polynomial pieces: the interior
-output of `psiac.filter_interior` (Bernstein coefficients per element or
-half-element) and one `psiac.filter_boundary` polynomial per boundary
-filter and side, joined to the interior output across the blend strip
-by `psiac.blend_transition` of order BLEND_RHO = 2.  Each region is the
-`region` of the output measured on it, so the measured side is always
-the filtered side: a boundary region grows by the strip (two elements)
-on its inner side, the interior [mu, N - mu] shrinks by it at both ends.
-`region_norms` then samples an output, or the raw field, over its region
-split at element boundaries, with one call of the evaluator on the nodes
-of both norms.
+The run goes mesh by mesh.  Each region is laid out first, in exact
+element units, from the window of the output measured on it: a boundary
+region [0, lam] or [N - lam, N] grows by the strip (two elements) on its
+inner side, the interior [mu, N - mu] shrinks by it at both ends.  As
+regions depend on N alone, a mesh too coarse for one fails before it is
+stepped.  The field then advances through the sorted final times; each
+field is filtered once (the `psiac.filter_interior` pieces, one
+`psiac.filter_boundary` polynomial per boundary filter and side), the
+outputs of all times are stacked on a leading axis, and across the strip
+the stack is joined to the interior by `psiac.blend_transition` of order
+BLEND_RHO = 2.  `region_norms` samples each stacked output, or the raw
+fields, with one evaluator call and one exact-solution call on the nodes
+of both norms, and reduces each field's row as it would a single field.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, lru_cache
 from fractions import Fraction
 from math import ceil, floor, log
@@ -146,13 +148,15 @@ def _sigma_exact(mesh: dg.Mesh, x: float) -> Fraction:
 _gauss_rule = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
 
 
-def region_norms(approx, exact, mesh: dg.Mesh, region: tuple[float, float]) -> tuple[float, float]:
+def region_norms(approx, exact, mesh: dg.Mesh, region: tuple[float, float]):
     """(L2, Linf) of approx - exact over the region.
 
     approx and exact are callables of physical-x arrays, each called once,
     with the nodes of both norms on every piece.  Linf is the max over the
     endpoint-inclusive uniform grid; L2 is composite Gauss-Legendre with
-    SAMPLES_PER_ELEMENT points per (partial) element.
+    SAMPLES_PER_ELEMENT points per (partial) element.  Callables that give
+    one row of values per field of a stack give a list of (L2, Linf), one
+    per field, each reduced as for a single field.
     """
     lo, width = _region_pieces((_sigma_exact(mesh, region[0]), _sigma_exact(mesh, region[1])))
     steps = np.arange(SAMPLES_PER_ELEMENT)
@@ -162,74 +166,93 @@ def region_norms(approx, exact, mesh: dg.Mesh, region: tuple[float, float]) -> t
     rad = width / 2 * mesh.h
     nodes = mid[:, None] + rad[:, None] * gx
     points = np.concatenate((xs.ravel(), nodes.ravel()))
-    err = np.asarray(approx(points)) - np.asarray(exact(points))
-    linf = float(np.max(np.abs(err[:xs.size])))
-    sq = err[xs.size:].reshape(len(lo), -1) ** 2
-    return float(np.sqrt(np.dot(rad, sq @ gw))), linf
+    # C order, so that each field's rows reach BLAS as one field's would
+    err = np.ascontiguousarray(np.asarray(approx(points)) - np.asarray(exact(points)))
+    sq = err[..., xs.size:].reshape(-1, len(lo), SAMPLES_PER_ELEMENT) ** 2
+    linf = np.max(np.abs(err[..., :xs.size]).reshape(len(sq), -1), axis=1)
+    norms = [(float(np.sqrt(np.dot(rad, s @ gw))), float(m)) for s, m in zip(sq, linf)]
+    return norms if err.ndim > 1 else norms[0]
 
 
 # ---------------------------------------------------------------------------
 # the experiment driver
 
 
-def _field_outputs(field: dg.DGField, config: RunConfig):
-    """(filter, region name, evaluator, measured region) for each filter and region.
+def _measured_regions(n: int, config: RunConfig):
+    """(filter, region name, spec, measured region, blend overlap) per output on n elements.
 
-    Regions follow the module docstring; the interior is built only when used.
+    Regions and overlaps are exact sigma-intervals (module docstring) that
+    depend on n alone, so a mesh too coarse for one fails before it is stepped.
     """
-    mesh, strip = field.mesh, 2 if config.blend else 0
-    bern = dg.to_bernstein(field)
-    interior = cache(lambda: psiac.filter_interior(bern))
-    sigma = lambda region: tuple(_sigma_exact(mesh, x) for x in region)
-    physical = lambda s: mesh.a + float(s) * mesh.h
+    strip = 2 if config.blend else 0
+    interior = cache(lambda: psiac.interior_region(config.d, n))
     for name in config.filters:
         if name == "dg":
-            yield name, "full", field.evaluate, (physical(0), physical(mesh.n))
+            yield name, "full", None, (0, n), None
         elif name == "symmetric":
-            lo, hi = sigma(interior().region)
+            lo, hi = interior()
             if not hi - lo > 2 * strip:
                 raise psiac.MeshTooCoarseError("no interior region left at this mesh size")
-            yield name, "interior", interior(), (physical(lo + strip), physical(hi - strip))
+            yield name, "interior", None, (lo + strip, hi - strip), None
         else:
             for side in ("left", "right"):
                 spec = build_spec(name, config.d, side)
-                poly = psiac.filter_boundary(bern, spec)
-                lo, hi = sigma(poly.region)
+                _, _, (lo, hi) = psiac.window_placement(spec, n)
                 if spec.side == "left":
                     region, overlap = (lo, hi + strip), (hi, hi + strip)
                 else:
                     region, overlap = (lo - strip, hi), (lo, lo - strip)
                 if config.blend:
-                    (ilo, ihi), (slo, shi) = sigma(interior().region), sorted(overlap)
+                    (ilo, ihi), (slo, shi) = interior(), sorted(overlap)
                     if not ilo <= slo <= shi <= ihi:
                         raise psiac.MeshTooCoarseError(
                             f"the {name} blend strip [{slo}, {shi}] (in elements) leaves the "
                             f"interior output [{ilo}, {ihi}] at this mesh size")
-                    poly = psiac.blend_transition(poly, interior(), tuple(map(physical, overlap)),
-                                                  BLEND_RHO)
-                yield name, spec.side, poly, tuple(map(physical, region))
+                yield name, spec.side, spec, region, overlap if config.blend else None
+
+
+def _outputs(fields: list[dg.DGField], regions: list[tuple]):
+    """(filter, region name, evaluator of the fields' stack, physical region) per region."""
+    mesh, berns = fields[0].mesh, [dg.to_bernstein(f) for f in fields]
+    stack = lambda outs: replace(outs[0], coeffs=np.stack([o.coeffs for o in outs]))
+    interior = cache(lambda: stack([psiac.filter_interior(b) for b in berns]))  # built if used
+    physical = lambda s: mesh.a + float(s) * mesh.h
+    for name, region, spec, (lo, hi), overlap in regions:
+        if name == "dg":
+            approx = lambda xs: np.stack([f.evaluate(xs) for f in fields])
+        elif name == "symmetric":
+            approx = interior()
+        else:
+            approx = stack([psiac.filter_boundary(b, spec) for b in berns])
+            if overlap:
+                approx = psiac.blend_transition(approx, interior(), tuple(map(physical, overlap)),
+                                                BLEND_RHO)
+        yield name, region, approx, (physical(lo), physical(hi))
 
 
 def time_series_experiment(config: RunConfig) -> tuple[list[Record], list[Record]]:
     """Solve/filter/measure over all (N, T) pairs and compute rate series.
 
-    Fields advance incrementally through the sorted final times.  Output
-    is deterministically ordered by (problem, d, filter, region, norm,
-    N, T).
+    Each mesh's field advances through the sorted final times first; the
+    stack of its fields is then filtered and measured once per region.
+    Output is deterministically ordered by (problem, d, filter, region,
+    norm, N, T).
     """
     problem = dg.get_problem(config.problem)
     errors: list[Record] = []
     for n in config.mesh_sizes:
+        regions = list(_measured_regions(n, config))
         mesh = dg.Mesh(problem.a, problem.b, n)
-        field = dg.l2_project(problem.u0, mesh, config.d)
+        field, fields = dg.l2_project(problem.u0, mesh, config.d), []
         for t_end in config.final_times:
             field = dg.advance(field, problem, t_end, config.cfl)
-            exact = lambda xs: problem.exact(xs, field.time)
-            for name, region, approx, span in _field_outputs(field, config):
-                norms = region_norms(approx, exact, mesh, span)
+            fields.append(field)
+        times = np.array([f.time for f in fields])
+        exact = lambda xs: problem.exact(xs, times[:, None])
+        for name, region, approx, span in _outputs(fields, regions):
+            for t, norms in zip(times.tolist(), region_norms(approx, exact, mesh, span)):
                 errors += [Record(problem=config.problem, d=config.d, filter=name,
-                                  region=region, norm=norm, n=n, t=field.time, value=v,
-                                  kind="error")
+                                  region=region, norm=norm, n=n, t=t, value=v, kind="error")
                            for norm, v in zip(("L2", "Linf"), norms)]
     rates: list[Record] = []
     by_key: dict[tuple, dict[int, Record]] = {}

@@ -239,10 +239,12 @@ class BoundaryPolynomial:
     region: tuple[float, float]
 
     def __call__(self, x):
+        """Values at x; coefficients (fields, m) give one row of values per field."""
         z = (np.asarray(x, dtype=float) - self.anchor) / self.h
-        acc = np.zeros_like(z)
-        for c in self.coeffs[::-1]:
-            acc = acc * z + c
+        coeffs = np.asarray(self.coeffs, dtype=float)
+        acc = np.zeros(coeffs.shape[:-1] + z.shape)
+        for c in np.moveaxis(coeffs, -1, 0)[::-1]:
+            acc = acc * z + np.reshape(c, c.shape + (1,) * z.ndim)
         return acc if acc.shape else float(acc)
 
     def derivative(self, order: int = 1) -> "BoundaryPolynomial":
@@ -258,7 +260,7 @@ class BoundaryPolynomial:
         return np.array([c / self.h ** k for k, c in enumerate(self.coeffs)])
 
 
-def _window_placement(spec: FilterSpec, n_elements: int):
+def window_placement(spec: FilterSpec, n_elements: int):
     """(first window element, lam_global, region in sigma units)."""
     width = _local_window_elements(spec)
     if n_elements < width:
@@ -278,7 +280,7 @@ def boundary_window(field, spec: FilterSpec) -> tuple[QMatrix, np.ndarray]:
     """
     from .dg import to_bernstein
     fld = to_bernstein(field)
-    first, _, _ = _window_placement(spec, fld.mesh.n)
+    first, _, _ = window_placement(spec, fld.mesh.n)
     qm = q_matrix(spec, fld.d)
     return qm, fld.coeffs[first:first + qm.n_elements]
 
@@ -287,7 +289,7 @@ def filter_boundary(field, spec: FilterSpec) -> BoundaryPolynomial:
     """Filter a DG field near the spec's domain end into a BoundaryPolynomial."""
     qm, window = boundary_window(field, spec)
     mesh = field.mesh
-    _, lam_g, (s_lo, s_hi) = _window_placement(spec, mesh.n)
+    _, lam_g, (s_lo, s_hi) = window_placement(spec, mesh.n)
     h = mesh.h
     return BoundaryPolynomial(
         coeffs=qm.contract(window), h=h, anchor=mesh.a + float(lam_g) * h,
@@ -426,7 +428,8 @@ class PiecewiseBernstein:
     """Filtered output on equal consecutive pieces, in Bernstein form.
 
     coeffs[g] are the Bernstein coefficients on piece g, the physical
-    interval [start + g*width, start + (g+1)*width].
+    interval [start + g*width, start + (g+1)*width]; coefficients
+    (fields, pieces, m) give one row of values per field.
     """
 
     coeffs: np.ndarray
@@ -435,18 +438,26 @@ class PiecewiseBernstein:
 
     @property
     def region(self) -> tuple[float, float]:
-        return self.start, self.start + len(self.coeffs) * self.width
+        return self.start, self.start + self.coeffs.shape[-2] * self.width
 
     def __call__(self, x):
         s = (np.asarray(x, dtype=float) - self.start) / self.width
-        count = len(self.coeffs)
+        count = self.coeffs.shape[-2]
         if s.size and not (s.min() >= -1e-9 and s.max() <= count + 1e-9):
             raise OutsideInteriorRegionError(f"x outside the filtered region {self.region}")
         g = np.clip(np.floor(s).astype(int), 0, count - 1)
-        coeffs = self.coeffs[g]
+        coeffs = np.take(self.coeffs, g, axis=-2)
         basis = _bernstein_values(coeffs.shape[-1] - 1, s - g)
         values = sum(coeffs[..., k] * b for k, b in enumerate(basis))  # same order at any shape
         return float(values) if values.ndim == 0 else values
+
+
+def interior_region(d: int, n_elements: int) -> tuple[Fraction, Fraction]:
+    """[mu, N - mu] in sigma units, mu = (3d+1)/2: where the degree-d symmetric filter applies."""
+    mu = Fraction(3 * d + 1, 2)
+    if not n_elements - mu > mu:
+        raise MeshTooCoarseError(f"no interior region left at {n_elements} elements")
+    return mu, n_elements - mu
 
 
 def filter_interior(field, filter_degree: int | None = None) -> PiecewiseBernstein:
@@ -461,10 +472,7 @@ def filter_interior(field, filter_degree: int | None = None) -> PiecewiseBernste
     mesh = fld.mesh
     op = interior_operator(fld.d if filter_degree is None else filter_degree, fld.d)
     per = op.pieces
-    mu = Fraction(3 * op.d + 1, 2)
-    first, stop = int(per * mu), int(per * (mesh.n - mu))
-    if stop <= first:
-        raise MeshTooCoarseError(f"no interior region left at {mesh.n} elements")
+    first, stop = (int(per * s) for s in interior_region(op.d, mesh.n))
     g = np.arange(first, stop)
     q = g % per
     rows = (g // per + np.array(op.offsets)[q])[:, None] + np.arange(3 * op.d + 2)
@@ -578,7 +586,7 @@ def _float_kernel(spec: FilterSpec, coeffs, offset: float, h: float) -> FloatKer
 
 def psiac_kernel_at(spec: FilterSpec, mesh, x: float) -> FloatKernel:
     """The position-dependent kernel at evaluation point x, physical units."""
-    _, lam_g, _ = _window_placement(spec, mesh.n)
+    _, lam_g, _ = window_placement(spec, mesh.n)
     xihat = (x - mesh.a) / mesh.h - float(lam_g)
     coeffs = shifted_coefficient_polynomials(spec).evaluate(Fraction(xihat))
     return _float_kernel(spec, coeffs, x - float(lam_g) * mesh.h - mesh.a, mesh.h)
@@ -637,7 +645,8 @@ def blend_transition(boundary_poly, interior_eval, overlap: tuple[float, float],
     Matches the boundary side (value and rho derivatives) at overlap[0],
     the end toward the boundary (the larger one on the right), and the
     interior side likewise at overlap[1]; interior_eval is called only
-    where its weight is positive.
+    where its weight is positive.  Evaluators of a stack of fields, one
+    row of values per field, give the blend of each.
     """
     a1, a2 = overlap
     if a2 == a1:
@@ -652,7 +661,7 @@ def blend_transition(boundary_poly, interior_eval, overlap: tuple[float, float],
         mix = beta > 0.0
         if mix.any():
             b = beta[mix]
-            out[mix] = (1 - b) * out[mix] + b * interior_eval(x[mix])
+            out[..., mix] = (1 - b) * out[..., mix] + b * interior_eval(x[mix])
         return out if out.ndim else float(out)
 
     return blended

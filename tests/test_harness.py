@@ -144,9 +144,12 @@ def test_records_carry_their_kind(small_run):
 
 
 def field_outputs(field, cfg):
-    """{(filter, region): (evaluator, measured region in exact sigma)} of one field."""
-    return {(name, region): (approx, tuple(harness._sigma_exact(field.mesh, x) for x in span))
-            for name, region, approx, span in harness._field_outputs(field, cfg)}
+    """{(filter, region): (evaluator, measured region in exact sigma)} of one field:
+    the harness's outputs of a stack of that field alone."""
+    regions = list(harness._measured_regions(field.mesh.n, cfg))
+    return {(name, region): (lambda x, approx=approx: approx(x)[0],
+                             tuple(harness._sigma_exact(field.mesh, x) for x in span))
+            for name, region, approx, span in harness._outputs([field], regions)}
 
 
 @pytest.mark.parametrize("blend", (True, False), ids=("blend", "noblend"))
@@ -415,3 +418,90 @@ def test_boundary_output_matches_reference_convolution(family, d):
             else:
                 want = (1 - beta) * ref + beta * psiac.reference_convolve(sym, field, x)
                 assert abs(on(x) - want) < tol, (side, depth)
+
+
+# ---------------------------------------------------------------------------
+# one batched pass per mesh against the per-field evaluators
+
+
+def _per_field_norms(field, cfg, name, side):
+    """(L2, Linf) of one output of one field: its own evaluators through region_norms,
+    on the region written out from lam, mu and the strip."""
+    mesh, strip = field.mesh, 2 if cfg.blend else 0
+    bern, n = dg.to_bernstein(field), mesh.n
+    physical = lambda s: mesh.a + float(s) * mesh.h
+    exact = lambda x: dg.get_problem(cfg.problem).exact(x, field.time)
+    if name == "dg":
+        return region_norms(field.evaluate, exact, mesh, (physical(0), physical(n)))
+    mu = Fraction(3 * cfg.d + 1, 2)
+    if name == "symmetric":
+        span = (physical(mu + strip), physical(n - mu - strip))
+        return region_norms(psiac.filter_interior(bern), exact, mesh, span)
+    spec = build_spec(name, cfg.d, side)
+    approx = psiac.filter_boundary(bern, spec)
+    edge = spec.lam if side == "left" else n - spec.lam
+    if cfg.blend:
+        inward = 2 if side == "left" else -2
+        approx = psiac.blend_transition(approx, psiac.filter_interior(bern),
+                                        (physical(edge), physical(edge + inward)),
+                                        harness.BLEND_RHO)
+    span = (0, edge + strip) if side == "left" else (edge - strip, n)
+    return region_norms(approx, exact, mesh, tuple(map(physical, span)))
+
+
+@pytest.mark.parametrize("blend", (True, False), ids=("blend", "noblend"))
+@pytest.mark.parametrize("d", (1, 2, 3, 4))
+def test_batched_records_match_per_field_evaluators(d, blend):
+    """Every error row of the batched pass is, bit for bit, what the single-field
+    evaluators give through region_norms for that field: every runnable family,
+    both sides, blend on and off."""
+    times = (0.0, 0.15, 0.3)
+    cfg = RunConfig(problem="tp2", d=d, filters=harness.FILTER_NAMES, mesh_sizes=(24,),
+                    final_times=times, blend=blend)
+    errors, _ = time_series_experiment(cfg)
+    tp2 = dg.get_problem("tp2")
+    field = dg.l2_project(tp2.u0, dg.Mesh(tp2.a, tp2.b, 24), d)
+    want = {}
+    for t in times:
+        field = dg.advance(field, tp2, t)
+        for name in cfg.filters:
+            sides = ("left", "right") if name not in ("dg", "symmetric") else (None,)
+            for side in sides:
+                region = side or ("full" if name == "dg" else "interior")
+                l2, linf = _per_field_norms(field, cfg, name, side)
+                want[(name, region, "L2", t)], want[(name, region, "Linf", t)] = l2, linf
+    got = {(r.filter, r.region, r.norm, r.t): r.value for r in errors}
+    assert got == want
+
+
+def test_stacked_region_norms_match_single_fields():
+    """A stack of values in any memory order gives each field's single-field norms
+    exactly: every field's L2 rows are reduced in C order, as one field's are."""
+    mesh, region = dg.Mesh(0.0, 1.0, 160), (0.0, 1.0)
+    rng = np.random.default_rng(7)
+    count = 2 * 160 * harness.SAMPLES_PER_ELEMENT
+    values = np.asfortranarray(rng.standard_normal((12, count)))
+    zero = lambda x: np.zeros_like(x)
+    stacked = region_norms(lambda x: values, zero, mesh, region)
+    assert stacked == [region_norms(lambda x, row=row: row.copy(), zero, mesh, region)
+                       for row in values]
+
+
+@pytest.mark.parametrize("filters, d, n, message", [
+    (("symmetric",), 3, 8, "no interior region left at 8 elements"),
+    (("dg", "symmetric"), 1, 7, "no interior region left at this mesh size"),
+    (("np0",), 3, 11, r"the np0 blend strip \[5, 7\] \(in elements\) leaves the interior "
+                      r"output \[5, 6\] at this mesh size"),
+    (("dg", "srv"), 3, 10, "kernel window spans 16 elements but the mesh has 10"),
+])
+def test_coarse_mesh_fails_before_stepping(filters, d, n, message, monkeypatch):
+    """Regions depend on N alone: a mesh too coarse for one is refused before any
+    of its RK4 steps, with the message of the output that does not fit."""
+    calls = []
+    advance = dg.advance
+    monkeypatch.setattr(dg, "advance", lambda *args, **kw: calls.append(args) or advance(*args, **kw))
+    cfg = RunConfig(problem="tp1", d=d, filters=filters, mesh_sizes=(n, 2 * n),
+                    final_times=(0.1, 0.2))
+    with pytest.raises(psiac.MeshTooCoarseError, match=f"^{message}$"):
+        time_series_experiment(cfg)
+    assert calls == []

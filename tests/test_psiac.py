@@ -1,6 +1,7 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
-from math import comb, factorial
+from math import ceil, comb, factorial, floor
 
 import numpy as np
 import pytest
@@ -543,3 +544,44 @@ def test_blend_hermite_orders_exact():
         for _ in range(rho):
             der = der.derivative()
             assert der(F(0)) == 0 and der(F(1)) == 0
+
+
+# ---------------------------------------------------------------------------
+# evaluation of a stack of fields
+
+
+def _stack(outputs):
+    return replace(outputs[0], coeffs=np.stack([o.coeffs for o in outputs]))
+
+
+@pytest.mark.parametrize("d", (1, 2, 3, 4))
+def test_stacked_evaluation_equals_single(d):
+    """Outputs of several fields, coefficients stacked on a leading axis, evaluate to
+    one row per field equal bit for bit to that field's own output, at arrays of
+    points and at a float: the boundary polynomial, the interior pieces and the blend."""
+    tp2, n = dg.get_problem("tp2"), 28
+    mesh = dg.Mesh(tp2.a, tp2.b, n)
+    fields = [dg.to_bernstein(dg.dg_solve(tp2, mesh, d, t)) for t in (0.0, 0.2, 0.45, 0.7)]
+    rng = np.random.default_rng(d)
+    at = lambda lo, hi: mesh.a + mesh.h * np.concatenate(
+        ([lo, hi], rng.uniform(lo, hi, 40), np.arange(ceil(lo), floor(hi) + 1)))
+    mu = F(3 * d + 1, 2)
+    interiors = [psiac.filter_interior(f) for f in fields]
+    for side in ("left", "right"):
+        spec = build_spec("srv", d, side)
+        polys = [filter_boundary(f, spec) for f in fields]
+        edge = spec.lam if side == "left" else n - spec.lam
+        overlap = tuple(mesh.a + float(s) * mesh.h
+                        for s in (edge, edge + (2 if side == "left" else -2)))
+        blends = [blend_transition(p, i, overlap, 2) for p, i in zip(polys, interiors)]
+        cases = [(_stack(polys), polys, at(0, n)),
+                 (_stack(interiors), interiors, at(float(mu), float(n - mu))),
+                 (blend_transition(_stack(polys), _stack(interiors), overlap, 2), blends,
+                  at(*sorted(map(float, (edge - 3, edge + 3)))))]
+        for stacked, singles, xs in cases:
+            got = stacked(xs)
+            assert got.shape == (len(fields), len(xs))
+            for row, single in zip(got, singles):
+                assert row.tobytes() == single(xs).tobytes()
+            x = float(xs[2])
+            assert stacked(x).tobytes() == np.array([s(x) for s in singles]).tobytes()
