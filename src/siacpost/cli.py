@@ -90,10 +90,11 @@ def cmd_kernel(args) -> int:
         _write(vpath, "index,value", enumerate(vec))
         print(f"wrote {path} and {vpath}")
     if args.samples:
-        windows = [[t + xi for t in w] for w in spec.windows]  # shifted once, not per sample
-        rows = ((x, sum(c * float(spline.eval_unit_bspline(w, k, float(x)))
-                        for c, w, k in zip(weights, windows, spec.degrees)))
-                for x in np.linspace(lo, hi, args.samples))
+        # each shifted window's knot arithmetic is done once, not per sample
+        splines = [spline.bspline_evaluator([t + xi for t in w], k)
+                   for w, k in zip(spec.windows, spec.degrees)]
+        rows = ((x, sum(c * b(x) for c, b in zip(weights, splines)))
+                for x in np.linspace(lo, hi, args.samples).tolist())
         path = out / f"kernel_{tag}_samples.csv"
         _write(path, "x,value", rows)
         print(f"wrote {path}")

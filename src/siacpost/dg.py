@@ -369,6 +369,7 @@ def _upwind_powers(d: int) -> np.ndarray:
     return m
 
 
+@lru_cache(maxsize=64)  # equally spaced final times repeat nu from call to call
 def _increment_operator(d: int, nu: Fraction) -> tuple[np.ndarray, np.ndarray]:
     """The blocks and inflow terms of an RK4 step at nu = dt / h, each entry as floats hi, lo.
 

@@ -1,8 +1,8 @@
 """Exact rational scalars, dense matrices, and polynomials.
 
-All kernel construction runs on ``fractions.Fraction`` (arbitrary-precision
-rationals).  Matrix products and elimination work inside on integers
-over common denominators and return canonical ``Fraction``s.  The text
+Values are ``fractions.Fraction`` (arbitrary-precision rationals).  Matrix
+products and elimination work inside on integers over common
+denominators and return canonical ``Fraction``s.  The text
 form of a rational is ``str(Fraction)``, i.e. "p/q" with "/q" omitted when
 q == 1, and ``Fraction("p/q")`` parses it back.  Nothing here rounds to
 floating point; callers convert the entries they need.
@@ -11,7 +11,7 @@ floating point; callers convert the entries they need.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -96,28 +96,28 @@ class RatMatrix:
         return f"RatMatrix({self.rows}x{self.cols}: {body})"
 
 
-def _eliminate(a: RatMatrix, b: RatMatrix | None = None) -> tuple[Fraction, int, list[list[int]]]:
-    """Fraction-free Gauss-Jordan elimination of [A | B] over the integers.
+def _scaled_rows(a: RatMatrix, b: RatMatrix | None = None) -> tuple[list[list[int]], int]:
+    """Rows of [A | B] each scaled by the lcm of its denominators (A^-1 B is unchanged),
+    and the product of the lcms."""
+    rows = [_over_common_denominator(a.row(i) + (b.row(i) if b is not None else []))
+            for i in range(a.rows)]
+    return [row for row, _ in rows], prod(den for _, den in rows)
 
-    Each row is first scaled by the lcm of its denominators, which leaves
-    the solution unchanged.  Step k then replaces every other row i by
-    (p_k * row_i - a_ik * row_k) / p_(k-1), with p_k the k-th pivot; by
-    Sylvester's identity the division is exact (Bareiss, Math. Comp. 22,
-    1968).  The pivot is the first nonzero entry of the column, as in
-    exact elimination no magnitude-based choice is needed.  At the end the
-    left block is p_n * I, so A^-1 B is the right block divided by p_n,
-    entry by entry.
+
+def _eliminate(rows: list[list[int]], n: int) -> tuple[int, int, list[list[int]]]:
+    """Fraction-free Gauss-Jordan elimination of the integer rows [A | B], A n x n.
+
+    Step k replaces every other row i by (p_k * row_i - a_ik * row_k) /
+    p_(k-1), with p_k the k-th pivot; by Sylvester's identity the division
+    is exact (Bareiss, Math. Comp. 22, 1968).  The pivot is the first
+    nonzero entry of the column, as in exact elimination no magnitude-based
+    choice is needed.  At the end the left block is p_n * I, so A^-1 B is
+    the right block divided by p_n, entry by entry.  The rows are
+    overwritten.
 
     Returns (det A, p_n, right block).  Raises SingularMatrixError when a
     column has no nonzero pivot.
     """
-    n = a.rows
-    rows = []
-    scale = 1
-    for i in range(n):
-        row, den = _over_common_denominator(a.row(i) + (b.row(i) if b is not None else []))
-        scale *= den
-        rows.append(row)
     sign, prev = 1, 1
     for k in range(n):
         piv = next((r for r in range(k, n) if rows[r][k]), None)
@@ -136,18 +136,19 @@ def _eliminate(a: RatMatrix, b: RatMatrix | None = None) -> tuple[Fraction, int,
                 # columns <= k of the other rows are never read again
                 row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], tail)]
         prev = p
-    return Fraction(sign * prev, scale), prev, [row[n:] for row in rows]
+    return sign * prev, prev, [row[n:] for row in rows]
 
 
 def det_exact(a: RatMatrix) -> Fraction:
     """Determinant by fraction-free integer elimination."""
     if a.rows != a.cols:
         raise ValueError("determinant needs a square matrix")
+    rows, scale = _scaled_rows(a)
     try:
-        det, _, _ = _eliminate(a)
+        det, _, _ = _eliminate(rows, a.rows)
     except SingularMatrixError:
         return Fraction(0)
-    return det
+    return Fraction(det, scale)
 
 
 def solve_exact(a: RatMatrix, b: RatMatrix | Sequence[RationalLike]) -> RatMatrix:
@@ -161,7 +162,7 @@ def solve_exact(a: RatMatrix, b: RatMatrix | Sequence[RationalLike]) -> RatMatri
         raise ValueError("matrix must be square")
     if b.rows != a.rows:
         raise ValueError("right-hand side has wrong length")
-    _, pivot, rhs = _eliminate(a, b)
+    _, pivot, rhs = _eliminate(_scaled_rows(a, b)[0], a.rows)
     return RatMatrix(a.rows, b.cols, [Fraction(x, pivot) for row in rhs for x in row])
 
 

@@ -26,14 +26,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import comb, lcm
+from operator import mul
 
 from .errors import UsageError
-from .exact import RatMatrix, RatPoly, SingularMatrixError, invert_exact, rat
-from .spline import as_knots, bspline_moments
+from .exact import RatMatrix, RatPoly, SingularMatrixError, _eliminate, rat
+from .spline import as_knots, bspline_moment_sums, bspline_moments
 
-# Unused here, but perfbench/tracer.py patches filters.det_exact, filters.solve_exact
-# and filters.bspline_moment, so the names must stay importable from this module.
-from .exact import det_exact, solve_exact  # noqa: F401
+# Unused here, but perfbench/tracer.py patches filters.invert_exact, filters.det_exact,
+# filters.solve_exact and filters.bspline_moment, so the names must stay importable
+# from this module.
+from .exact import det_exact, invert_exact, solve_exact  # noqa: F401
 from .spline import bspline_moment  # noqa: F401
 
 FAMILIES = ("symmetric", "rs", "srv", "rlkv", "np0", "npk")
@@ -196,12 +199,6 @@ def custom_spec(knots, k: int, index_set, side: str = "left",
                       mu=width / 2, lam=width if lam is None else rat(lam))
 
 
-def _moment_matrix(spec: FilterSpec) -> RatMatrix:
-    """M[m][j] = integral of B_j(s) s^m ds, one moment sweep per spline."""
-    cols = [bspline_moments(w, k, spec.r) for w, k in zip(spec.windows, spec.degrees)]
-    return RatMatrix.from_rows([list(row) for row in zip(*cols)])
-
-
 def reproduction_matrix(spec: FilterSpec) -> RatMatrix:
     """Moment-form matching matrix: M[m][j] = integral of B_j(s) s^m ds.
 
@@ -210,7 +207,8 @@ def reproduction_matrix(spec: FilterSpec) -> RatMatrix:
     found by the cached elimination of `shifted_coefficient_polynomials`.
     """
     shifted_coefficient_polynomials(spec)
-    return _moment_matrix(spec)
+    cols = [bspline_moments(w, k, spec.r) for w, k in zip(spec.windows, spec.degrees)]
+    return RatMatrix.from_rows([list(row) for row in zip(*cols)])
 
 
 def static_coefficients(spec: FilterSpec) -> tuple[Fraction, ...]:
@@ -219,7 +217,7 @@ def static_coefficients(spec: FilterSpec) -> tuple[Fraction, ...]:
     Solves M c = e0 (zeroth moment one, moments 1..r zero): c is c(0),
     column 0 of the coefficient polynomials.
     """
-    return tuple(shifted_coefficient_polynomials(spec).matrix.col(0))
+    return tuple(shifted_coefficient_polynomials(spec).evaluate(0))
 
 
 @dataclass(frozen=True)
@@ -227,18 +225,34 @@ class CoefficientPolynomials:
     """Kernel coefficients as exact polynomials in the shift.
 
     c_j(xi) = sum_m C[j][m] xi^m gives the coefficients of the kernel over
-    knots t + xi, with xi in mesh units.  C = M^-1 diag((-1)^m).
+    knots t + xi, with xi in mesh units.  C = M^-1 diag((-1)^m) is held as
+    integer numerators over one positive denominator, C = numerators / den.
     """
 
     spec: FilterSpec
-    matrix: RatMatrix
+    numerators: tuple[tuple[int, ...], ...]
+    den: int
+
+    @cached_property
+    def matrix(self) -> RatMatrix:
+        """C as reduced Fractions."""
+        return RatMatrix.from_rows([[Fraction(v, self.den) for v in row]
+                                    for row in self.numerators])
 
     def poly(self, j: int) -> RatPoly:
         return RatPoly(self.matrix.row(j))
 
-    def evaluate(self, xi) -> list:
-        """Coefficient vector at a given shift (exact for Fraction xi)."""
-        return [self.poly(j)(xi) for j in range(self.spec.r + 1)]
+    def at(self, xi) -> tuple[list[int], int]:
+        """c(xi) for a rational xi = p/q as integer numerators over one denominator."""
+        xi, r = Fraction(xi), self.spec.r
+        p, q = xi.numerator, xi.denominator
+        powers = [p ** m * q ** (r - m) for m in range(r + 1)]
+        return [sum(map(mul, row, powers)) for row in self.numerators], self.den * q ** r
+
+    def evaluate(self, xi) -> list[Fraction]:
+        """Coefficient vector at a given rational shift, exactly."""
+        nums, den = self.at(xi)
+        return [Fraction(v, den) for v in nums]
 
 
 @lru_cache(maxsize=None)
@@ -249,15 +263,28 @@ def shifted_coefficient_polynomials(spec: FilterSpec) -> CoefficientPolynomials:
     the Pascal matrix L(xi), whose inverse maps e0 to [(-xi)^m], so
     c(xi) = M^-1 [(-xi)^m].  This covers mixed-degree kernels; for a
     uniform degree k it reduces to the familiar closed form
-    M_power^-1 diag((-1)^m C(m+k+1, m)) [xi^m].  M is eliminated once,
-    here; a singular M raises SingularReproductionError.
+    M_power^-1 diag((-1)^m C(m+k+1, m)) [xi^m].
+
+    M is eliminated once, here, on integers: moment row m, M[m][j] =
+    h_m(W_j) / (D_j^m C(m+k_j+1, m)), is scaled by the lcm S_m of its
+    denominators, and so is row m of the right-hand side diag((-1)^m), so
+    that the solution stays M^-1 diag((-1)^m).  A singular M raises
+    SingularReproductionError.
     """
+    n = spec.r + 1
+    sums = [bspline_moment_sums(w, k, spec.r) for w, k in zip(spec.windows, spec.degrees)]
+    rows = []
+    for m in range(n):
+        dens = [den ** m * comb(m + k + 1, m) for (_, den), k in zip(sums, spec.degrees)]
+        scale = lcm(*dens)
+        rows.append([h[m] * (scale // den) for (h, _), den in zip(sums, dens)]
+                    + [(-1) ** m * scale * (i == m) for i in range(n)])
     try:
-        minv = invert_exact(_moment_matrix(spec))
+        _, pivot, right = _eliminate(rows, n)
     except SingularMatrixError as exc:
         raise SingularReproductionError(
             f"singular reproduction matrix for {spec.family}") from exc
-    n = spec.r + 1
-    scaled = RatMatrix(n, n, [minv[i, j] * (-1) ** j
-                              for i in range(n) for j in range(n)])
-    return CoefficientPolynomials(spec=spec, matrix=scaled)
+    sign = 1 if pivot > 0 else -1
+    return CoefficientPolynomials(spec=spec, numerators=tuple(tuple(sign * v for v in row)
+                                                              for row in right),
+                                  den=sign * pivot)

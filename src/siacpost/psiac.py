@@ -11,8 +11,7 @@ sigma = (x - a)/h, where elements are the unit intervals [e, e+1]):
   * Inside the convolution integral the j-th kernel B-spline appears, as
     a function of the data variable, as the B-spline over the reflected
     window lam_g - reverse(W_j).  The T matrix integrates each element
-    Bernstein function against these reflected splines; everything is
-    exact rational.
+    Bernstein function against these reflected splines.
   * The filtered output over the boundary region is the single polynomial
     u_I . Q . [xihat^m], xihat = sigma - lam_g = x/h - lambda.
   * On [mu, N - mu] the symmetric filter's output is one polynomial per
@@ -20,7 +19,9 @@ sigma = (x - a)/h, where elements are the unit intervals [e, e+1]):
     around it: the interior operator.
 
 Q = T . M^-1 . diag((-1)^m) and the interior operator are assembled
-exactly once per (filter, DG degree); floats appear only when they are
+exactly once per (filter, DG degree), as integer numerators over one
+denominator; Fractions are made only where a value leaves this layer
+(`QMatrix.q`, the endpoint vector), and floats only when an operator is
 applied to DG data.
 """
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import ceil, comb, factorial, floor, lcm
+from math import comb, factorial, floor, gcd, lcm
 from operator import mul
 
 import numpy as np
@@ -38,7 +39,7 @@ from .errors import UsageError
 from .exact import RatMatrix, RatPoly, _over_common_denominator, rat
 from .filters import (FilterSpec, build_spec, shifted_coefficient_polynomials,
                       static_coefficients)
-from .spline import bernstein_poly, unit_bspline_piecewise
+from .spline import bernstein_poly, bspline_pieces, unit_bspline_piecewise
 
 
 class WindowOutOfDomainError(ValueError):
@@ -70,74 +71,94 @@ def _local_window_elements(spec: FilterSpec) -> int:
 
 
 @lru_cache(maxsize=None)
-def _bernstein_moments(dg_degree: int, top: int, lo: Fraction, hi: Fraction
-                       ) -> tuple[tuple[Fraction, ...], ...]:
-    """beta[i][ell] = integral over [lo, hi] of u^i phi_ell(u) du, i <= top.
+def _bernstein_moments(dg_degree: int, top: int, lo: int, hi: int, scale: int = 1
+                       ) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(beta, den): beta[i][ell] / den = D^i int u^i phi_ell(u) du over [lo/D, hi/D], i <= top.
 
     phi_ell = C(d,ell) u^ell (1-u)^(d-ell) is the element Bernstein basis
-    on [0, 1], and [lo, hi] the part of the element a spline piece covers:
-    [0, 1] unless the knots are off the grid.  The monomial integrals are
-    held as integers over one common denominator, so each entry is one
-    integer dot product.
+    on [0, 1], D = scale, and [lo, hi] / D the part of the element a
+    spline piece covers.  The u^j term of phi_ell gives (hi^(p+1) -
+    lo^(p+1)) / ((p+1) D^(j+1)), p = i + j, so one denominator,
+    lcm(1..top+d+1) D^(d+1), serves every entry and every [lo, hi].
     """
     bern = [[int(b) for b in bernstein_poly(dg_degree, ell).coeffs]
             for ell in range(dg_degree + 1)]
-    mono = [Fraction(hi ** (p + 1) - lo ** (p + 1), p + 1) for p in range(top + dg_degree + 1)]
-    den = lcm(*(m.denominator for m in mono))
-    mono = [m.numerator * (den // m.denominator) for m in mono]
-    return tuple(tuple(Fraction(sum(b * mono[i + j] for j, b in enumerate(bc)), den)
-                       for bc in bern)
+    span = lcm(*range(1, top + dg_degree + 2))
+    power = [hi ** (p + 1) - lo ** (p + 1) for p in range(top + dg_degree + 1)]
+    beta = tuple(tuple(sum(b * power[i + j] * (span // (i + j + 1)) * scale ** (dg_degree - j)
+                           for j, b in enumerate(bc)) for bc in bern)
                  for i in range(top + 1))
+    return beta, span * scale ** (dg_degree + 1)
+
+
+def _recentred(poly: tuple[int, ...], x0: int) -> list[int]:
+    """Integer coefficients q with sum q_i y^i = poly(x0 + y) (Horner in x0 + y)."""
+    out = [0] * len(poly)
+    for c in reversed(poly):
+        for i in range(len(out) - 1, 0, -1):
+            out[i] = out[i] * x0 + out[i - 1]
+        out[0] = out[0] * x0 + c
+    return out
 
 
 @lru_cache(maxsize=None)
-def _element_integrals(knots: tuple[Fraction, ...], k: int, dg_degree: int
-                       ) -> tuple[tuple[int, tuple[Fraction, ...]], ...]:
-    """Integrals of B(sigma | knots) against the Bernstein basis of each element.
+def _element_integrals(knots: tuple[int, ...], scale: int, k: int, dg_degree: int
+                       ) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
+    """Integrals of B(sigma | knots / scale) against the Bernstein basis of each element.
 
-    Returns (e, (integral over [e, e+1] of B * phi_ell for each ell)) for
-    every element e the support meets.  Each piece is recentred once on
-    each element it meets, as q(u) = sum_i q_i u^i with u = sigma - e, and
-    contributes sum_i q_i beta[i][ell] over the part [lo, hi] of the
-    element it covers.  Only the knots relative to their element matter,
-    so callers pass them translated to start in [0, 1) and splines that
+    Returns (den, ((e, numerators)...)): the integral over [e, e+1] of
+    B * phi_ell is numerators[ell] / den, for every element e the support
+    meets.  Each piece P(X) / den_B, X = D sigma, is recentred once on
+    each element it meets, P(D e + Y) = sum_i q_i Y^i, Y = D (sigma - e),
+    and adds sum_i q_i beta[i][ell] over the part of the element it covers.
+    Callers pass the knots translated to start in [0, 1), so splines that
     are integer translates share one entry.
     """
     nb = dg_degree + 1
-    pp = unit_bspline_piecewise(knots, k)
-    bp = pp.breakpoints
-    out: dict[int, list[Fraction]] = {}
-    for piece, a, b in zip(pp.pieces, bp, bp[1:]):
-        for e in range(floor(a), ceil(b)):
-            q = piece.recentered(e).coeffs
-            beta = _bernstein_moments(dg_degree, k, max(a, e) - e, min(b, e + 1) - e)
-            acc = out.setdefault(e, [Fraction(0)] * nb)
+    bps, pieces, bden = bspline_pieces(knots, scale, k)
+    out: dict[int, list[int]] = {}
+    for piece, a, b in zip(pieces, bps, bps[1:]):
+        for e in range(a // scale, -(-b // scale)):
+            x0 = e * scale
+            q = _recentred(piece, x0)
+            beta, den = _bernstein_moments(dg_degree, k, max(a, x0) - x0,
+                                           min(b, x0 + scale) - x0, scale)
+            acc = out.setdefault(e, [0] * nb)
             for ell in range(nb):
                 acc[ell] += sum(c * beta[i][ell] for i, c in enumerate(q))
-    return tuple((e, tuple(v)) for e, v in sorted(out.items()))
+    # den is the same for every [lo, hi] (see _bernstein_moments)
+    return bden * den, tuple((e, tuple(v)) for e, v in sorted(out.items()))
 
 
 @lru_cache(maxsize=None)
-def _t_matrix_natural(spec: FilterSpec, dg_degree: int) -> RatMatrix:
-    """T with columns in kernel B-spline order (not the reversed paper order).
+def _t_integers(spec: FilterSpec, dg_degree: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(rows, den): T = rows / den, columns in kernel B-spline order (not the reversed
+    paper order).
 
     Local frame: the data window is [0, w], w = t_n - t_0, and spline j
     is seen by the data variable as the B-spline over t_n - reverse(W_j).
+    Rows are element-major DG Bernstein indices.
     """
     if dg_degree < 0:
         raise UsageError(f"DG degree must be >= 0, got {dg_degree}")
-    n_el = _local_window_elements(spec)
     nb = dg_degree + 1
-    lam = spec.knots[-1]
-    cols = []
+    # every knot as an integer over one denominator D; lam = t_n last
+    flat, scale = _over_common_denominator([t for w in spec.windows for t in w] + [spec.knots[-1]])
+    lam = flat.pop()
+    cols, start = [], 0
     for w, k in zip(spec.windows, spec.degrees):
-        refl = [lam - t for t in reversed(w)]
-        shift = floor(refl[0])
-        col = [Fraction(0)] * (n_el * nb)
-        for e, vals in _element_integrals(tuple(t - shift for t in refl), k, dg_degree):
-            col[(e + shift) * nb:(e + shift + 1) * nb] = vals
-        cols.append(col)
-    return RatMatrix(n_el * nb, len(cols), [x for row in zip(*cols) for x in row])
+        refl = [lam - t for t in reversed(flat[start:start + len(w)])]
+        start += len(w)
+        shift = refl[0] // scale
+        cols.append((shift, *_element_integrals(tuple(t - shift * scale for t in refl), scale,
+                                                k, dg_degree)))
+    den = lcm(*(cden for _, cden, _ in cols))
+    rows = [[0] * len(cols) for _ in range(_local_window_elements(spec) * nb)]
+    for j, (shift, cden, parts) in enumerate(cols):
+        for e, vals in parts:
+            for ell, v in enumerate(vals):
+                rows[(e + shift) * nb + ell][j] = v * (den // cden)
+    return tuple(map(tuple, rows)), den
 
 
 @dataclass(frozen=True)
@@ -146,26 +167,27 @@ class QMatrix:
 
     Rows are element-major DG Bernstein indices over the kernel window
     (n_elements * (dg_degree+1)); column m gives the coefficient of
-    xihat^m of the output polynomial.
+    xihat^m of the output polynomial.  Q = columns / den, with den the
+    least common denominator of the entries.
     """
 
     spec: FilterSpec
     dg_degree: int
-    q: RatMatrix
     n_elements: int
+    columns: tuple[tuple[int, ...], ...]
+    den: int
 
     @cached_property
-    def _integer_columns(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(columns of Q as integer numerators, their one common denominator)."""
-        nums, den = _over_common_denominator(self.q.entries)
-        return tuple(tuple(nums[m::self.q.cols]) for m in range(self.q.cols)), den
+    def q(self) -> RatMatrix:
+        """Q as reduced Fractions."""
+        return RatMatrix.from_rows([[Fraction(v, self.den) for v in row]
+                                    for row in zip(*self.columns)])
 
     def _contract_integers(self, window: list[int], scale: int) -> tuple[list[int], int]:
         """(numerators, denominator) of the output for window / scale: integer dot products."""
-        if len(window) != self.q.rows:
+        if len(window) != len(self.columns[0]):
             raise ValueError("coefficient count does not match window")
-        cols, den = self._integer_columns
-        return [sum(map(mul, window, col)) for col in cols], den * scale
+        return [sum(map(mul, window, col)) for col in self.columns], self.den * scale
 
     def contract_exact(self, coeff_rows) -> RatPoly:
         """Output polynomial (exact) for rational window coefficients.
@@ -186,7 +208,7 @@ class QMatrix:
         each output coefficient is one integer dot product divided once by
         its denominator, and int / int rounds correctly, so the result is
         bit for bit the float of each coefficient of ``contract_exact``,
-        zero-padded to ``q.cols``.  Large-coefficient kernels stay stable;
+        zero-padded to the column count.  Large-coefficient kernels stay stable;
         only the final coefficients are rounded.
         """
         flat = np.asarray(coeff_rows, dtype=float).ravel()
@@ -198,12 +220,18 @@ class QMatrix:
 
 @lru_cache(maxsize=None)
 def q_matrix(spec: FilterSpec, dg_degree: int | None = None) -> QMatrix:
-    """Assemble Q = T . M^-1 . diag((-1)^m) exactly."""
+    """Assemble Q = T . M^-1 . diag((-1)^m) exactly, as one integer product.
+
+    One gcd then reduces the product's denominator to the least common one.
+    """
     dg = spec.d if dg_degree is None else dg_degree
-    nat = _t_matrix_natural(spec, dg)
+    rows, tden = _t_integers(spec, dg)
     coeff = shifted_coefficient_polynomials(spec)
-    q = nat @ coeff.matrix
-    return QMatrix(spec=spec, dg_degree=dg, q=q, n_elements=_local_window_elements(spec))
+    columns = [[sum(map(mul, row, col)) for row in rows] for col in zip(*coeff.numerators)]
+    den = tden * coeff.den
+    g = gcd(den, *(v for col in columns for v in col))
+    return QMatrix(spec=spec, dg_degree=dg, n_elements=_local_window_elements(spec),
+                   columns=tuple(tuple(v // g for v in col) for col in columns), den=den // g)
 
 
 def endpoint_vector(spec: FilterSpec, dg_degree: int | None = None) -> list[Fraction]:
@@ -212,13 +240,14 @@ def endpoint_vector(spec: FilterSpec, dg_degree: int | None = None) -> list[Frac
     This is Q applied to the shift powers at the endpoint (xihat = -lam
     for a left filter, +lam for a right one): one exact rational weight
     per DG Bernstein coefficient in the window.  It is computed as
-    T . c(xihat), without forming Q.
+    T . c(xihat) on integers, without forming Q, with one Fraction per
+    entry at the end.
     """
     dg = spec.d if dg_degree is None else dg_degree
     xi = -spec.lam if spec.side != "right" else spec.lam
-    coeff = shifted_coefficient_polynomials(spec).matrix
-    c = coeff @ RatMatrix.column([xi ** m for m in range(coeff.cols)])
-    return (_t_matrix_natural(spec, dg) @ c).col(0)
+    c, cden = shifted_coefficient_polynomials(spec).at(xi)
+    rows, tden = _t_integers(spec, dg)
+    return [Fraction(sum(map(mul, row, c)), tden * cden) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +353,8 @@ def _element_convolutions(d: int, dg_degree: int) -> list[list[list[int]]]:
     g, n = dg_degree, d + dg_degree + 1
     nf = factorial(n)
     phi = [[int(b) for b in bernstein_poly(g, ell).coeffs] for ell in range(g + 1)]
-    beta = _bernstein_moments(g, d, Fraction(0), Fraction(1))  # int_0^1 v^m phi_ell(v) dv
-    moments = [[int(beta[m][ell] * nf) for m in range(d + 1)] for ell in range(g + 1)]
+    beta, den = _bernstein_moments(g, d, 0, 1)  # int_0^1 v^m phi_ell(v) dv = beta / den
+    moments = [[beta[m][ell] * nf // den for m in range(d + 1)] for ell in range(g + 1)]
     # n! d! c! / (d+c+1)! = n! int_0^p (p-v)^d v^c dv / p^(d+c+1)
     tails = [nf // factorial(d + c + 1) * factorial(d) * factorial(c) for c in range(g + 1)]
     out = []

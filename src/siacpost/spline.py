@@ -11,8 +11,10 @@ Conventions:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
-from math import comb
+from functools import cache
+from math import comb, gcd, isfinite, lcm
 from typing import Iterable, Sequence
 
 from .exact import RatPoly, _over_common_denominator, rat
@@ -39,38 +41,55 @@ def _check_window(knots: Sequence[Fraction], k: int) -> None:
 
 
 def eval_unit_bspline(knots, k: int, x):
-    """Evaluate the unit-integral B-spline B(x|t) of degree k.
+    """Evaluate the unit-integral B-spline B(x|t) of degree k (see `bspline_evaluator`)."""
+    return bspline_evaluator(knots, k)(x)
 
-    Cox-de Boor recursion with the 0/0 := 0 convention.  Accepts float or
-    Fraction x and preserves exactness for Fraction input.
+
+def bspline_evaluator(knots, k: int):
+    """x -> B(x|t), by Cox-de Boor with the 0/0 := 0 convention; knot work done once.
+
+    Knots are compared with x exactly.  The arithmetic is exact for
+    rational x.  For a float x the knot positions and differences are
+    taken as floats, converted once, so x gets bit for bit what the
+    rational knots give it: Python rounds each mixed Fraction/float
+    operation through float.
     """
     t = as_knots(knots)
     _check_window(t, k)
-    if x < t[0] or x > t[-1]:
-        return 0
-    last = t[-1]
-    # degree-0 seeds: [t_i, t_{i+1}) half-open, except the last nonempty
-    # interval which is closed (left limit at the global right end)
-    n = []
-    for i in range(k + 1):
-        lo, hi = t[i], t[i + 1]
-        if lo <= x < hi or (x == hi == last and lo < hi):
-            n.append(1)
-        else:
-            n.append(0)
-    for j in range(1, k + 1):
-        nxt = []
-        for i in range(k + 1 - j):
-            acc = 0
-            d1 = t[i + j] - t[i]
-            if d1 != 0 and n[i]:
-                acc += (x - t[i]) / d1 * n[i]
-            d2 = t[i + j + 1] - t[i + 1]
-            if d2 != 0 and n[i + 1]:
-                acc += (t[i + j + 1] - x) / d2 * n[i + 1]
-            nxt.append(acc)
-        n = nxt
-    return Fraction(k + 1, 1) / (t[-1] - t[0]) * n[0]
+
+    @cache  # built on the first x of each kind that falls in the support
+    def tables(floats: bool):
+        num = float if floats else (lambda v: v)
+        # width[j][i] = t_(i+j) - t_i, the denominators of recursion level j
+        width = [[num(t[i + j] - t[i]) for i in range(k + 2 - j)] for j in range(k + 1)]
+        # at the global right end the seed is the last nonempty span (left limit)
+        last_span = max(i for i in range(k + 1) if t[i] < t[i + 1])
+        return [num(v) for v in t], width, num(Fraction(k + 1) / (t[-1] - t[0])), last_span
+
+    def value(x):
+        floats = isinstance(x, float)
+        if floats and not isfinite(x):
+            return 0  # NaN and the infinities lie on no support
+        xq = Fraction(x) if floats else x
+        if xq < t[0] or xq > t[-1]:
+            return 0
+        at, width, scale, last_span = tables(floats)
+        seed = min(bisect_right(t, xq) - 1, last_span)
+        n = [int(i == seed) for i in range(k + 1)]
+        for j in range(1, k + 1):
+            nxt = []
+            for i in range(k + 1 - j):
+                acc = 0
+                d1, d2 = width[j][i], width[j][i + 1]
+                if d1 != 0 and n[i]:
+                    acc += (x - at[i]) / d1 * n[i]
+                if d2 != 0 and n[i + 1]:
+                    acc += (at[i + j + 1] - x) / d2 * n[i + 1]
+                nxt.append(acc)
+            n = nxt
+        return scale * n[0]
+
+    return value
 
 
 class PiecewisePolynomial:
@@ -123,48 +142,60 @@ class PiecewisePolynomial:
         return total
 
 
-def unit_bspline_piecewise(knots, k: int) -> PiecewisePolynomial:
-    """Exact piecewise-polynomial form of the unit-integral B-spline."""
-    t = as_knots(knots)
-    _check_window(t, k)
-    distinct = sorted(set(t))
-    # index of the interval [distinct[i], distinct[i+1]) containing each knot span
-    def span_interval(lo: Fraction) -> int:
-        return distinct.index(lo)
+def bspline_pieces(ts: Sequence[int], scale: int, k: int
+                   ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]:
+    """Unit-integral B-spline on the knots ts / scale as integer polynomials over one denominator.
 
-    # level-0: indicator of each nondegenerate knot span
-    nil = RatPoly([0])
-    levels: list[list[RatPoly]] = []
-    cur = []
-    for i in range(k + 1):
-        row = [nil] * (len(distinct) - 1)
-        if t[i] < t[i + 1]:
-            row[span_interval(t[i])] = RatPoly([1])
-        cur.append(row)
+    ts are nondecreasing integers.  Returns (breakpoints, pieces, den): on
+    the span [breakpoints[s], breakpoints[s+1]] / scale, B(x|t) is
+    sum_p pieces[s][p] X^p / den in X = scale * x.  Cox-de Boor runs on
+    integers; each level keeps one denominator per function, the lcm of
+    its two terms' denominators.
+    """
+    _check_window(ts, k)
+    bps = sorted(set(ts))
+    spans = range(len(bps) - 1)
+    # level 0: the indicator of each nonempty knot span; k + 1 coefficients per span
+    cur = [([[int(bps[s] == ts[i] < ts[i + 1])] + [0] * k for s in spans], 1)
+           for i in range(k + 1)]
     for j in range(1, k + 1):
         nxt = []
         for i in range(k + 1 - j):
-            row = [nil] * (len(distinct) - 1)
-            d1 = t[i + j] - t[i]
-            d2 = t[i + j + 1] - t[i + 1]
-            for s in range(len(distinct) - 1):
-                acc = RatPoly([0])
-                if d1 != 0 and cur[i][s].coeffs != (Fraction(0),):
-                    acc = acc + RatPoly([-t[i] / d1, 1 / d1]) * cur[i][s]
-                if d2 != 0 and cur[i + 1][s].coeffs != (Fraction(0),):
-                    acc = acc + RatPoly([t[i + j + 1] / d2, -1 / d2]) * cur[i + 1][s]
-                row[s] = acc
-            nxt.append(row)
+            # (X - T_i)/d1 N_i + (T_(i+j+1) - X)/d2 N_(i+1); a zero width means N is zero
+            terms = [(d, *f, c0, c1) for d, f, c0, c1 in
+                     ((ts[i + j] - ts[i], cur[i], -ts[i], 1),
+                      (ts[i + j + 1] - ts[i + 1], cur[i + 1], ts[i + j + 1], -1)) if d]
+            den = lcm(*(d * fden for d, _, fden, _, _ in terms))
+            row = [[0] * (k + 1) for _ in spans]
+            for d, polys, fden, c0, c1 in terms:
+                f = den // (d * fden)
+                for out, poly in zip(row, polys):
+                    for p, v in enumerate(poly[:k]):  # degree < j <= k
+                        out[p] += c0 * f * v
+                        out[p + 1] += c1 * f * v
+            nxt.append((row, den))
         cur = nxt
-    scale = Fraction(k + 1) / (t[-1] - t[0])
-    return PiecewisePolynomial(distinct, [p * scale for p in cur[0]])
+    polys, den = cur[0]
+    unit = (k + 1) * scale  # B = (k+1)/(t_last - t_0) N, and N is a polynomial in X = D x
+    den *= ts[-1] - ts[0]
+    g = gcd(den, *(unit * v for poly in polys for v in poly))
+    return tuple(bps), tuple(tuple(unit * v // g for v in poly) for poly in polys), den // g
 
 
-def bspline_moments(knots, k: int, r: int) -> tuple[Fraction, ...]:
-    """Moments 0..r of B(s|t), from one sweep of the sums h_0..h_r.
+def unit_bspline_piecewise(knots, k: int) -> PiecewisePolynomial:
+    """Exact piecewise-polynomial form of the unit-integral B-spline (`bspline_pieces`)."""
+    ts, scale = _over_common_denominator(as_knots(knots))
+    bps, pieces, den = bspline_pieces(ts, scale, k)
+    return PiecewisePolynomial([Fraction(b, scale) for b in bps],
+                               [RatPoly([Fraction(c * scale ** p, den) for p, c in enumerate(poly)])
+                                for poly in pieces])
+
+
+def bspline_moment_sums(knots, k: int, r: int) -> tuple[list[int], int]:
+    """(h_0..h_r, D): moment m of B(s|t) is h_m / (D^m C(m+k+1, m)).
 
     The knots are scaled to integers over their common denominator D, so
-    the sweep runs on integers and moment m is h_m / (D^m C(m+k+1, m)).
+    the sweep of the complete homogeneous sums h_m runs on integers.
     """
     t = as_knots(knots)
     _check_window(t, k)
@@ -175,6 +206,12 @@ def bspline_moments(knots, k: int, r: int) -> tuple[Fraction, ...]:
     for p in ints:
         for i in range(1, r + 1):
             h[i] += p * h[i - 1]
+    return h, den
+
+
+def bspline_moments(knots, k: int, r: int) -> tuple[Fraction, ...]:
+    """Moments 0..r of B(s|t), from one integer sweep of h_0..h_r."""
+    h, den = bspline_moment_sums(knots, k, r)
     return tuple(Fraction(h[m], den ** m * comb(m + k + 1, m)) for m in range(r + 1))
 
 

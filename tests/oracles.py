@@ -2,8 +2,10 @@
 
 These are the straightforward forms of what the library computes by
 faster kernels: Fraction Gauss-Jordan elimination, the moment matrix built
-one moment at a time from complete homogeneous sums, T integrated entry by
-entry through ``PiecewisePolynomial.integrate_against``, the closed-form T
+one moment at a time from complete homogeneous sums, B-spline pieces by
+Cox-de Boor on RatPoly pieces, T integrated entry by entry through
+``PiecewisePolynomial.integrate_against`` and element by element on
+Fraction Bernstein moments (the library works on integers), the closed-form T
 of the piecewise-constant filter, the boundary contraction entry by entry,
 the Legendre-Bernstein conversion by exact inversion of monomial
 matrices, the reference kernel evaluated spline by spline through
@@ -27,7 +29,7 @@ import numpy as np
 
 from siacpost.exact import RatMatrix, RatPoly, SingularMatrixError, invert_exact
 from siacpost.filters import FilterSpec, build_spec, static_coefficients
-from siacpost.psiac import FloatKernel, _t_matrix_natural
+from siacpost.psiac import FloatKernel, _t_integers
 from siacpost.spline import (PiecewisePolynomial, as_knots, bernstein_poly,
                              unit_bspline_piecewise)
 
@@ -127,10 +129,81 @@ def coefficient_matrix_reference(spec: FilterSpec) -> RatMatrix:
     return RatMatrix(n, n, [minv[i, j] * (-1) ** j for i in range(n) for j in range(n)])
 
 
+def bspline_piecewise_reference(knots, k: int) -> PiecewisePolynomial:
+    """Unit-integral B-spline by Cox-de Boor on RatPoly pieces, span by span."""
+    t = as_knots(knots)
+    distinct = sorted(set(t))
+    nil = RatPoly([0])
+    cur = []
+    for i in range(k + 1):
+        row = [nil] * (len(distinct) - 1)
+        if t[i] < t[i + 1]:
+            row[distinct.index(t[i])] = RatPoly([1])
+        cur.append(row)
+    for j in range(1, k + 1):
+        nxt = []
+        for i in range(k + 1 - j):
+            d1 = t[i + j] - t[i]
+            d2 = t[i + j + 1] - t[i + 1]
+            row = []
+            for s in range(len(distinct) - 1):
+                acc = RatPoly([0])
+                if d1 != 0:
+                    acc = acc + RatPoly([-t[i] / d1, 1 / d1]) * cur[i][s]
+                if d2 != 0:
+                    acc = acc + RatPoly([t[i + j + 1] / d2, -1 / d2]) * cur[i + 1][s]
+                row.append(acc)
+            nxt.append(row)
+        cur = nxt
+    scale = Fraction(k + 1) / (t[-1] - t[0])
+    return PiecewisePolynomial(distinct, [p * scale for p in cur[0]])
+
+
+def bernstein_moments_reference(dg_degree: int, top: int, lo: Fraction, hi: Fraction
+                                ) -> list[list[Fraction]]:
+    """beta[i][ell] = integral over [lo, hi] of u^i phi_ell(u) du, in Fractions."""
+    bern = [bernstein_poly(dg_degree, ell) for ell in range(dg_degree + 1)]
+    return [[(RatPoly([0] * i + [1]) * b).integral(lo, hi) for b in bern]
+            for i in range(top + 1)]
+
+
+def element_integrals_reference(knots, k: int, dg_degree: int
+                                ) -> list[tuple[int, list[Fraction]]]:
+    """(e, integral over [e, e+1] of B(sigma | knots) phi_ell(sigma - e) per ell), per element.
+
+    Each RatPoly piece is recentred on each element it meets and
+    integrated against the Bernstein moments of the part it covers.
+    """
+    pp = bspline_piecewise_reference(knots, k)
+    bp = pp.breakpoints
+    out: dict[int, list[Fraction]] = {}
+    for piece, a, b in zip(pp.pieces, bp, bp[1:]):
+        for e in range(floor(a), ceil(b)):
+            q = piece.recentered(e).coeffs
+            beta = bernstein_moments_reference(dg_degree, k, max(a, e) - e, min(b, e + 1) - e)
+            acc = out.setdefault(e, [Fraction(0)] * (dg_degree + 1))
+            for ell in range(dg_degree + 1):
+                acc[ell] += sum(c * beta[i][ell] for i, c in enumerate(q))
+    return sorted(out.items())
+
+
+def t_matrix_by_elements(spec: FilterSpec, dg_degree: int) -> RatMatrix:
+    """T in kernel B-spline order, each column from ``element_integrals_reference``."""
+    nb = dg_degree + 1
+    lam = spec.knots[-1]
+    cols = []
+    for w, k in zip(spec.windows, spec.degrees):
+        col = [Fraction(0)] * (int(spec.support_width) * nb)
+        for e, vals in element_integrals_reference([lam - t for t in reversed(w)], k, dg_degree):
+            col[e * nb:(e + 1) * nb] = vals
+        cols.append(col)
+    return RatMatrix.from_rows([list(row) for row in zip(*cols)])
+
+
 def t_matrix_natural_reference(spec: FilterSpec, dg_degree: int) -> RatMatrix:
     """T entry by entry: each reflected spline against each element Bernstein function."""
     lam = spec.knots[-1]
-    splines = [unit_bspline_piecewise(tuple(lam - t for t in reversed(w)), k)
+    splines = [bspline_piecewise_reference(tuple(lam - t for t in reversed(w)), k)
                for w, k in zip(spec.windows, spec.degrees)]
     bern = [bernstein_poly(dg_degree, ell) for ell in range(dg_degree + 1)]
     rows = []
@@ -141,13 +214,19 @@ def t_matrix_natural_reference(spec: FilterSpec, dg_degree: int) -> RatMatrix:
     return RatMatrix.from_rows(rows)
 
 
+def t_matrix_natural(spec: FilterSpec, dg_degree: int) -> RatMatrix:
+    """The library's T (``psiac._t_integers``) as Fractions, in kernel B-spline order."""
+    rows, den = _t_integers(spec, dg_degree)
+    return RatMatrix.from_rows([[Fraction(v, den) for v in row] for row in rows])
+
+
 def t_matrix(spec: FilterSpec, dg_degree: int | None = None) -> RatMatrix:
-    """The library's T (``psiac._t_matrix_natural``) in the paper's column order.
+    """The library's T in the paper's column order.
 
     Column j holds the reflected spline of kernel component r - j: the
     order under which the piecewise-constant filter's T is block diagonal.
     """
-    nat = _t_matrix_natural(spec, spec.d if dg_degree is None else dg_degree)
+    nat = t_matrix_natural(spec, spec.d if dg_degree is None else dg_degree)
     return RatMatrix.from_rows([row[::-1] for row in matrix_rows(nat)])
 
 

@@ -467,6 +467,20 @@ def test_increment_stepper_accuracy(name, d, monkeypatch):
     assert increment <= 1.5 * per_stage
 
 
+def test_increment_operator_is_built_once_per_nu():
+    """Advancing by the same dt again reuses the operator and gives the same bytes."""
+    problem = get_problem("tp2")
+    field = l2_project(problem.u0, Mesh(problem.a, problem.b, 20), 3)
+    dg._increment_operator.cache_clear()
+    first = advance(advance(field, problem, 0.25), problem, 0.5)
+    info = dg._increment_operator.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    dg._increment_operator.cache_clear()
+    again = advance(field, problem, 0.25)
+    dg._increment_operator.cache_clear()
+    assert advance(again, problem, 0.5).coeffs.tobytes() == first.coeffs.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # fail-loud checks
 

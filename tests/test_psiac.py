@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from siacpost import dg, filters, psiac
-from siacpost.exact import RatMatrix, RatPoly
+from siacpost.exact import RatMatrix, RatPoly, _over_common_denominator
 from siacpost.filters import build_spec, custom_spec
 from siacpost.psiac import (MeshTooCoarseError, OutsideInteriorRegionError,
                             blend_transition, blend_weight, endpoint_vector,
@@ -116,7 +116,9 @@ ORACLE_SPECS = (
        custom_spec([0, F(1, 2), F(3, 2), 2], 0, (0, 1, 2)),
        custom_spec([0, F(1, 2), F(3, 2), 2], 1, (0, 1), side="right"),
        custom_spec([0, F(1, 3), 1, F(7, 4), F(5, 2), 3], 1, (0, 1, 2, 3)),
-       custom_spec([0, F(1, 3), 1, F(7, 4), F(5, 2), 3], 2, (0, 1, 2))])
+       custom_spec([0, F(1, 3), 1, F(7, 4), F(5, 2), 3], 2, (0, 1, 2)),
+       custom_spec([0, 0, F(1, 3), 1, F(5, 3), 3, 3], 2, (0, 1, 2, 3)),
+       custom_spec([0, 0, F(1, 3), 1, F(5, 3), 3, 3], 2, (0, 1, 2, 3), side="right")])
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS,
@@ -145,19 +147,54 @@ def test_assembly_matches_fraction_reference(spec):
         assert endpoint_vector(spec, dg_degree) == oracles.matmul_reference(q, powers).col(0)
 
 
+@pytest.mark.parametrize("spec", ORACLE_SPECS,
+                         ids=lambda s: f"{s.family}-d{s.d}-{s.side}-k{s.degrees[-1]}"
+                                       f"-r{s.r}")
+def test_integer_assembly_matches_fraction_path(spec):
+    """The integer operators equal the Fraction construction they replace.
+
+    That construction: RatPoly B-spline pieces recentred per element
+    against Fraction Bernstein moments for T, C by inverting the Fraction
+    moment matrix, and RatMatrix products for Q and the endpoint vector.
+    Q's integer columns are over the least common denominator of its
+    entries.  DG degrees both equal to and other than the spec's are
+    checked.
+    """
+    coeff = oracles.coefficient_matrix_reference(spec)
+    assert filters.shifted_coefficient_polynomials(spec).matrix == coeff
+    for dg_degree in (spec.d, 1 if spec.d == 2 else 2):
+        nat = oracles.t_matrix_by_elements(spec, dg_degree)
+        assert oracles.t_matrix_natural(spec, dg_degree) == nat
+        q = nat @ coeff
+        qm = q_matrix(spec, dg_degree)
+        assert qm.q == q
+        nums, den = _over_common_denominator(q.entries)
+        assert (qm.columns, qm.den) == (tuple(tuple(nums[m::q.cols]) for m in range(q.cols)),
+                                        den)
+        xi = -spec.lam if spec.side != "right" else spec.lam
+        powers = RatMatrix.column([xi ** m for m in range(q.cols)])
+        assert endpoint_vector(spec, dg_degree) == (nat @ (coeff @ powers)).col(0)
+
+
 @pytest.mark.parametrize("dg_degree", [0, 1, 2, 4])
 def test_bernstein_moment_table(dg_degree):
-    """Over a whole element the table is the Beta integral; entries stay exact."""
+    """Over a whole element the table is the Beta integral, for any knot scale D."""
     top = 5
-    for lo, hi in ((0, 1), (F(0), F(1))):
-        psiac._bernstein_moments.cache_clear()  # int and Fraction bounds share a key
-        beta = psiac._bernstein_moments(dg_degree, top, lo, hi)
+    for scale in (1, 3, 12):
+        beta, den = psiac._bernstein_moments(dg_degree, top, 0, scale, scale)
         for i in range(top + 1):
             for ell in range(dg_degree + 1):
-                assert type(beta[i][ell]) is F
-                assert beta[i][ell] == F(
+                assert F(beta[i][ell], den * scale ** i) == F(
                     comb(dg_degree, ell) * factorial(ell + i) * factorial(dg_degree - ell),
                     factorial(dg_degree + i + 1))
+
+
+def test_bernstein_moment_table_on_part_of_an_element():
+    """On [lo, hi] / D the integer table equals the Fraction moments there."""
+    for lo, hi, scale in ((0, 1, 3), (1, 2, 3), (5, 12, 12), (0, 7, 4)):
+        beta, den = psiac._bernstein_moments(2, 3, lo, hi, scale)
+        want = oracles.bernstein_moments_reference(2, 3, F(lo, scale), F(hi, scale))
+        assert [[F(v, den * scale ** i) for v in row] for i, row in enumerate(beta)] == want
 
 
 def test_contract_rejects_wrong_window():

@@ -8,7 +8,7 @@ from siacpost.exact import RatPoly
 from siacpost.spline import (DegenerateSupportError, bernstein_poly, bspline_moment,
                              bspline_moments, eval_unit_bspline, unit_bspline_piecewise)
 
-from oracles import moment_reference
+from oracles import bspline_piecewise_reference, moment_reference
 
 
 def bernstein_basis(d: int, i: int, ell: int, x, h=1):
@@ -38,6 +38,8 @@ def test_eval_boundary_conventions():
     assert eval_unit_bspline([0, 1, 1], 1, 1) == 2  # 2x at the stacked end
     assert eval_unit_bspline([0, 0, 1], 1, 1) == 0
     assert eval_unit_bspline([0, 1], 0, 1.5) == 0
+    for x in (float("inf"), float("-inf"), float("nan")):
+        assert eval_unit_bspline([0, 1, 2], 1, x) == 0
 
 
 def test_degenerate_support():
@@ -67,6 +69,8 @@ def test_piecewise_matches_pointwise():
                      ((0, 0, 1, 2), 2), ((F(-5, 2), F(-3, 2), F(-1, 2)), 1),
                      ((0, 0, 0, 0, 1), 3)):
         pp = unit_bspline_piecewise(knots, k)
+        ref = bspline_piecewise_reference(knots, k)
+        assert (pp.breakpoints, pp.pieces) == (ref.breakpoints, ref.pieces)
         lo, hi = float(pp.breakpoints[0]), float(pp.breakpoints[-1])
         for _ in range(100):
             x = lo + (hi - lo) * rng.random()
