@@ -13,8 +13,9 @@ internally; filtering converts to the Bernstein element basis.
   R - I has five block diagonals, rational in nu = dt / h; a Dirichlet
   step also adds three inflow terms on elements 0-3.  Each entry is an
   integer over one common denominator, split into floats hi + lo (Dekker,
-  Numer. Math. 18, 1971): a step is one gather, two matmuls and an add,
-  and rounds no worse than the stages of `dg_rhs`.
+  Numer. Math. 18, 1971): a step is one `take` of the windows into a
+  buffer, one batched matmul by hi and lo and an add, and rounds no worse
+  than the stages of `dg_rhs`.
 - kappa and rho are tp3's `_tp3_kappa` and `_tp3_rho`, periodic, on a
   mesh of length 2 pi: one harmonic increment operator per call.  In
   element e the scheme reads kappa = 2 + sin(x + t) only at points
@@ -366,7 +367,7 @@ def _upwind_powers(d: int) -> np.ndarray:
     for k in range(1, 5):
         m[k] = (2 * n + 1) * (2 * ((n > l) & ((n + l) % 2 == 1)) - 1) @ m[k - 1]
         m[k, 1:] += (2 * n + 1) * (-1) ** n @ m[k - 1, :-1]
-    return m
+    return m.astype(object)  # Python integers: the operator's entries outgrow int64
 
 
 @lru_cache(maxsize=64)  # equally spaced final times repeat nu from call to call
@@ -380,8 +381,10 @@ def _increment_operator(d: int, nu: Fraction) -> tuple[np.ndarray, np.ndarray]:
     with a = dt A and b = nu (2n + 1)(-1)^n on element 0.
     """
     m, p, q = d + 1, nu.numerator, nu.denominator
-    powers = _upwind_powers(d).astype(object)
-    blocks = sum(24 // factorial(k) * p ** k * q ** (4 - k) * powers[k] for k in range(1, 5))
+    powers = _upwind_powers(d)
+    blocks = np.zeros((5, m, m), dtype=object)
+    for k in range(1, 5):  # M[k, j] = 0 for j > k
+        blocks[:k + 1] += 24 // factorial(k) * p ** k * q ** (4 - k) * powers[k, :k + 1]
     b = (2 * np.arange(m) + 1) * (-1) ** np.arange(m)
     inflow = [sum(w * p ** (k + 1) * q ** (3 - k) * (powers[k, :4] @ b) for k, w in enumerate(ws))
               for ws in ((4, 4, 2, 1), (16, 8, 2), (4,))]
@@ -402,23 +405,28 @@ def _hi_lo(nums: np.ndarray, den: int) -> np.ndarray:
 
 
 def _increment_steps(field: DGField, problem: TestProblem, dt: float, steps: int):
-    """RK4 of a unit-speed, source-free problem, one exact increment per step; yields (step, u)."""
+    """RK4 of a unit-speed, source-free problem, one exact increment per step; yields (step, u).
+
+    A step takes each window [u_i, ..., u_(i-4)] into one buffer and multiplies it by hi and
+    lo in one batched matmul (one BLAS call each, as two matmuls would), then adds the two.
+    """
     _check_kappa(problem, 1.0, 1.0)
     n, m, periodic = field.mesh.n, field.d + 1, problem.bc == "periodic"
-    (hi, lo), inflow = _increment_operator(field.d, Fraction(dt) / Fraction(field.mesh.h))
+    blocks, inflow = _increment_operator(field.d, Fraction(dt) / Fraction(field.mesh.h))
     pad = 0 if periodic else 4  # zero rows: the missing upwind neighbours of an inflow
     padded = np.zeros((n + pad, m))
     u = padded[:n]
     u[:] = field.coeffs
-    windows = (np.arange(n)[:, None] - np.arange(5)) % (n + pad)
+    windows = np.arange(n)[:, None] - np.arange(5)  # `take` wraps them modulo n + pad
+    window, products, increment = np.empty((n, 5, m)), np.empty((2, n, m)), np.empty((n, m))
     for start, times in _time_blocks(field.time, dt, steps, _TABLE_FLOATS // (4 * m)):
         if not periodic:
             g = problem.inflow(times).reshape(-1, 3)
             corrections = (g @ inflow[0] + g @ inflow[1]).reshape(len(g), 4, m)[:, :n]
         for k in range(len(times) // 3):
-            window = padded[windows].reshape(n, 5 * m)
-            increment = window @ hi
-            increment += window @ lo
+            np.take(padded, windows, axis=0, out=window, mode="wrap")
+            np.matmul(window.reshape(n, 5 * m), blocks, out=products)
+            np.add(products[0], products[1], out=increment)
             if not periodic:
                 increment[:4] += corrections[k]
             u += increment

@@ -15,18 +15,22 @@ stage in 128-bit fixed point: unit speed, and tp3's variable speed and
 source with sines by integer Taylor series.  They are kept deliberately
 plain; the library must agree with the exact ones exactly, with the
 quadrature to roundoff, and with the fixed-point steppers about as
-closely as the float per-stage stepper does.
+closely as the float per-stage stepper does.  The unit-speed increment
+operator, every entry split by Fraction, and its stepper by a fancy-index
+gather and two matmuls per step are the float forms the library must
+match byte for byte.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, comb, floor
+from math import ceil, comb, factorial, floor
 from operator import mul
 
 import numpy as np
 
+from siacpost import dg
 from siacpost.exact import RatMatrix, RatPoly, SingularMatrixError, invert_exact
 from siacpost.filters import FilterSpec, build_spec, static_coefficients
 from siacpost.psiac import FloatKernel, _t_integers
@@ -456,6 +460,64 @@ def fixed_point_error(coeffs, reference: list[list[int]]) -> float:
     """Largest |coefficient - reference / FIXED_POINT|, computed exactly and rounded once."""
     return float(max(abs(Fraction(c) - Fraction(r, FIXED_POINT))
                      for row, ref in zip(coeffs, reference) for c, r in zip(row, ref)))
+
+
+def increment_operator_reference(d: int, nu: Fraction) -> tuple[np.ndarray, np.ndarray]:
+    """The plain form of dg._increment_operator: every block of every power of h A, by Fraction.
+
+    M[k, j] is the block on block sub-diagonal j of (h A)^k, k, j = 0..4,
+    from `upwind_blocks_reference`.  Row j*m + l, column n of the blocks
+    is entry (n, l) of B_j = sum_k nu^k / k! M[k, j], k = 1..4; the
+    inflow rows are 6 c1, 6 c2 and 6 c4 of the Dirichlet step, as
+    documented there.  Every entry is an integer over 24 q^4 (nu = p/q),
+    split into its correctly rounded float hi and the correctly rounded
+    remainder lo.
+    """
+    m, p, q = d + 1, nu.numerator, nu.denominator
+    diag, sub = (np.array(block, dtype=object) for block in upwind_blocks_reference(d))
+    powers = np.zeros((5, 5, m, m), dtype=object)
+    powers[0, 0] = np.eye(m, dtype=int).astype(object)
+    for k in range(1, 5):
+        powers[k] = diag @ powers[k - 1]
+        powers[k, 1:] += sub @ powers[k - 1, :-1]
+    blocks = sum(24 // factorial(k) * p ** k * q ** (4 - k) * powers[k] for k in range(1, 5))
+    b = (2 * np.arange(m) + 1) * (-1) ** np.arange(m)
+    inflow = [sum(w * p ** (k + 1) * q ** (3 - k) * (powers[k, :4] @ b) for k, w in enumerate(ws))
+              for ws in ((4, 4, 2, 1), (16, 8, 2), (4,))]
+
+    def hi_lo(nums):
+        exact = [Fraction(int(x), 24 * q ** 4) for x in nums.ravel()]
+        his = [float(x) for x in exact]
+        los = [float(x - Fraction(hi)) for x, hi in zip(exact, his)]
+        return np.array([his, los]).reshape((2,) + nums.shape)
+
+    return (hi_lo(blocks.transpose(0, 2, 1)).reshape(2, 5 * m, m),
+            hi_lo(np.array(inflow)).reshape(2, 3, 4 * m))
+
+
+def increment_steps_reference(field, problem, dt: float, steps: int):
+    """The plain form of dg._increment_steps: per step a fancy-index gather of the
+    five-element windows, two matmuls and an add; yields (step, u)."""
+    n, m, periodic = field.mesh.n, field.d + 1, problem.bc == "periodic"
+    (hi, lo), inflow = increment_operator_reference(field.d,
+                                                    Fraction(dt) / Fraction(field.mesh.h))
+    pad = 0 if periodic else 4  # zero rows: the missing upwind neighbours of an inflow
+    padded = np.zeros((n + pad, m))
+    u = padded[:n]
+    u[:] = field.coeffs
+    windows = (np.arange(n)[:, None] - np.arange(5)) % (n + pad)
+    for start, times in dg._time_blocks(field.time, dt, steps, dg._TABLE_FLOATS // (4 * m)):
+        if not periodic:
+            g = problem.inflow(times).reshape(-1, 3)
+            corrections = (g @ inflow[0] + g @ inflow[1]).reshape(len(g), 4, m)[:, :n]
+        for k in range(len(times) // 3):
+            window = padded[windows].reshape(n, 5 * m)
+            increment = window @ hi
+            increment += window @ lo
+            if not periodic:
+                increment[:4] += corrections[k]
+            u += increment
+            yield start + k, u
 
 
 def sin_cos_fixed(x: Fraction) -> tuple[int, int]:

@@ -1,3 +1,4 @@
+import shlex
 import shutil
 import subprocess
 import sys
@@ -98,3 +99,17 @@ def test_tolerance_mode_reports_differences_and_floor_rows():
                for line in lines)
     ok, lines = compare_rows(old, old.replace(b"interior,L2,40", b"interior,L2,80"), 1, 1)
     assert not ok and lines[0].startswith("  rows differ")
+
+
+def test_protocols_flag_adds_the_nine_paper_protocols_as_calls():
+    """--protocols appends one timeseries call per problem and degree, after any --call;
+    each names a config that exists, and the flag alone is enough to run."""
+    tool = _tool()
+    args = tool.parse_args(["old", "new", "--call", "kernel srv 1 left --exact", "--protocols"])
+    assert args.call[0] == "kernel srv 1 left --exact"
+    calls = [shlex.split(call) for call in args.call[1:]]
+    assert len(calls) == 9
+    assert [(Path(c[1]).name, c[2:]) for c in calls] == [
+        (f"tp{p}_rates.cfg", ["--d", str(d)]) for p in (1, 2, 3) for d in (1, 2, 3)]
+    assert all(c[0] == "timeseries" and Path(c[1]).is_file() for c in calls)
+    assert tool.parse_args(["old", "new", "--protocols"]).call == args.call[1:]

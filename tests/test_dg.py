@@ -481,6 +481,70 @@ def test_increment_operator_is_built_once_per_nu():
     assert advance(again, problem, 0.5).coeffs.tobytes() == first.coeffs.tobytes()
 
 
+_NUS = (Fraction(1, 3), Fraction(7, 10), Fraction(1),
+        Fraction(0.1) / Fraction(1 / 160),                 # a denominator of 2^57
+        Fraction(0.0123456789) / Fraction(2 * np.pi / 7))  # numerator and denominator of 2^56
+
+
+@pytest.mark.parametrize("d", range(7))
+def test_increment_operator_matches_reference_bytes(d):
+    """The cached, zero-skipping assembly rounds the same integers to the same hi and lo."""
+    for nu in _NUS:
+        got, want = dg._increment_operator(d, nu), oracles.increment_operator_reference(d, nu)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", ("tp1", "tp2"))
+@pytest.mark.parametrize("d", (0, 1, 2, 3, 5))
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 24, 160))
+def test_increment_steps_match_reference_bytes(name, d, n):
+    """`take` into one buffer and one batched matmul give the bytes of the fancy-index loop.
+
+    Every yielded step is compared; the batched matmul makes each of its
+    two products as its own BLAS call, so no entry is summed in another
+    order.
+    """
+    problem = get_problem(name)
+    field = l2_project(problem.u0, Mesh(problem.a, problem.b, n), d)
+    field.time = 0.3
+    dt = 0.97 * dg.default_cfl(d) * field.mesh.h
+    got, want = ([(k, u.tobytes()) for k, u in stepper(field.copy(), problem, dt, 40)]
+                 for stepper in (dg._increment_steps, oracles.increment_steps_reference))
+    assert got == want
+
+
+@pytest.mark.parametrize("name", ("tp1", "tp2"))
+def test_increment_steps_match_reference_bytes_past_a_block_edge(name):
+    """Over 1,100 steps at d = 3 the inflow corrections are tabulated twice, as before."""
+    problem = get_problem(name)
+    field = l2_project(problem.u0, Mesh(problem.a, problem.b, 24), 3)
+    dt, steps = 0.97 * dg.default_cfl(3) * field.mesh.h, 1100
+    assert dg._TABLE_FLOATS // (4 * 4) < steps
+    got, want = ([(k, u.tobytes()) for k, u in stepper(field.copy(), problem, dt, steps)]
+                 for stepper in (dg._increment_steps, oracles.increment_steps_reference))
+    assert got == want
+
+
+@pytest.mark.parametrize("name, sizes", (("tp1", (1, 2, 3, 4)), ("tp2", (1, 2, 3))))
+def test_increment_stepper_wraps_short_meshes(name, sizes):
+    """On 1-4 elements the five-element window wraps onto itself, or into the inflow padding.
+
+    The bound is not a few ulps: `dg_rhs` integrates by a float Gauss
+    rule that misses int P_3' = 2 by 8.4e-15 (test_upwind_blocks_match_dg_rhs),
+    and over 100 steps at d = 3 the two steppers part by up to 8.8e-15.
+    """
+    problem = get_problem(name)
+    for n in sizes:
+        for d in (0, 1, 2, 3):
+            field = l2_project(problem.u0, Mesh(problem.a, problem.b, n), d)
+            dt = dg.default_cfl(d) * field.mesh.h / problem.kappa_max
+            increment, stepped = (_stepped(stepper, field, problem, dt, 100)
+                                  for stepper in (dg._increment_steps, dg._rhs_steps))
+            assert np.abs(increment - stepped).max() <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # fail-loud checks
 

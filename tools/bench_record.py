@@ -27,6 +27,13 @@ def spread(values: list[float]) -> dict[str, float]:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
+def paired(unit: str, old: list[float], new: list[float], lower: bool) -> dict:
+    """One metric over paired runs: each side's spread, the pairs and the pairs the change won."""
+    won = sum(b < a if lower else b > a for a, b in zip(old, new, strict=True))
+    return {"unit": unit, "parent": spread(old), "change": spread(new), "pairs": len(old),
+            "won": won}
+
+
 def record(parents: list[dict], changes: list[dict]) -> dict:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     lower = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"] + spec["per_layer"]}
@@ -41,9 +48,7 @@ def record(parents: list[dict], changes: list[dict]) -> dict:
         workloads[key] = {}
         for name, first in pairs[0][1].items():
             old, new = ([p[side][name]["value"] for p in pairs] for side in (0, 1))
-            won = sum(b < a if lower[name] else b > a for a, b in zip(old, new))
-            workloads[key][name] = {"unit": first["unit"], "parent": spread(old),
-                                    "change": spread(new), "pairs": len(pairs), "won": won}
+            workloads[key][name] = paired(first["unit"], old, new, lower[name])
     sides = {"parent": parents[0]["provenance"], "change": changes[0]["provenance"]}
     return {"workloads": workloads, "src_lines": {k: v["src_lines"] for k, v in sides.items()},
             "provenance": sides}

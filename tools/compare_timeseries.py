@@ -2,7 +2,8 @@
 
     python3 tools/compare_timeseries.py OLD_SRC NEW_SRC \
         --workload tp3-d2-long --workload kernels-cold --seed 0 [--seed 11 ...] \
-        [--call "kernel srv 3 left --exact" --call "solve tp2 --d 2 --n 20 --t 0.5" ...]
+        [--call "kernel srv 3 left --exact" --call "solve tp2 --d 2 --n 20 --t 0.5" ...] \
+        [--protocols]
 
 Each source tree is the `src/` directory of a checkout.  The inputs of a
 workload come from the benchmark's own generator (perfbench/workloads.py,
@@ -11,8 +12,9 @@ study workload runs `siacpost timeseries` on the generated config, and
 `kernels-cold` runs every `siacpost kernel ... --exact` call of the sweep,
 in its seeded order, in one process per tree.  Each --call is one
 `siacpost` command line (split as a shell would, without `--out`), run in
-a process of its own per tree.  A call that fails in either tree stops
-the tool with an error.
+a process of its own per tree.  --protocols adds the paper protocols
+as calls: `timeseries configs/tp{1,2,3}_rates.cfg --d {1,2,3}`, nine in
+all.  A call that fails in either tree stops the tool with an error.
 Every file written is compared; exits 0 when every pair is identical,
 1 otherwise.
 
@@ -41,7 +43,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import WORKLOADS, write_job  # noqa: E402
 
 RUN_CALLS = """\
@@ -120,7 +123,13 @@ def cases(args):
             yield f"call {call!r}", {"kind": "sweep", "calls": [shlex.split(call)]}, Path(tmp)
 
 
-def main() -> int:
+def protocol_calls() -> list[str]:
+    """The nine paper protocols as `siacpost` command lines."""
+    return [f"timeseries {shlex.quote(str(ROOT / 'configs' / f'tp{p}_rates.cfg'))} --d {d}"
+            for p in (1, 2, 3) for d in (1, 2, 3)]
+
+
+def parse_args(argv=None) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("old_src")
     ap.add_argument("new_src")
@@ -128,15 +137,24 @@ def main() -> int:
     ap.add_argument("--seed", type=int, action="append", default=[])
     ap.add_argument("--call", action="append", default=[], metavar="ARGV",
                     help="one siacpost command line to run in both trees (repeatable)")
+    ap.add_argument("--protocols", action="store_true",
+                    help="add the nine paper protocols (tp1-tp3 at d = 1, 2, 3) as --calls")
     ap.add_argument("--rtol", type=float, default=None,
                     help="compare timeseries CSVs row by row, with this relative tolerance")
     ap.add_argument("--atol", type=float, default=None,
                     help="compare timeseries CSVs row by row, with this absolute tolerance")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
+    if args.protocols:
+        args.call += protocol_calls()
     if not args.workload and not args.call:
-        ap.error("pass --workload and/or --call")
+        ap.error("pass --workload, --call and/or --protocols")
     if args.workload and not args.seed:
         ap.error("--workload needs --seed")
+    return args
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
     tolerant = args.rtol is not None or args.atol is not None
     same = True
     for label, job, tmp in cases(args):

@@ -1,16 +1,21 @@
 """Time the paper protocols in-process on two source trees.
 
-    python3 tools/time_protocols.py OLD_SRC NEW_SRC CFG[@D] [CFG[@D] ...]
+    python3 tools/time_protocols.py OLD_SRC NEW_SRC CFG[@D] [CFG[@D] ...] \
+        [--repeat K] [--json PATH]
 
 Each source tree is the `src/` directory of a checkout; each CFG is a
 `timeseries` config (configs/tp*_rates.cfg), and a suffix @D runs it at
 DG degree D instead of the config's own.  Every (config, tree) pair runs
-once, in a fresh single-threaded process, as `harness.time_series_experiment`
-on the parsed config, without writing a CSV; the two trees alternate
-which goes first from one config to the next.  `dg.advance` is timed by
-the benchmark tracer's wrapper (perfbench/tracer.py), so its seconds
-mean what the benchmark's `dg.advance_s` means.  Prints one row per
-config: total and `dg.advance` seconds for each tree.
+K times (default 1), each in a fresh single-threaded process, as
+`harness.time_series_experiment` on the parsed config, without writing a
+CSV; the two trees alternate which goes first from one run to the next.
+`dg.advance` is timed by the benchmark tracer's wrapper
+(perfbench/tracer.py), so its seconds mean what the benchmark's
+`dg.advance_s` means.  Prints one row per config: the median total and
+`dg.advance` seconds for each tree.  With --json, writes per config the
+medians and quartiles of `total_s` and `advance_s` for each side, the
+old tree as "parent" and the new one as "change", in the shape of
+tools/bench_record.py, with each tree's `src/` line count.
 """
 
 from __future__ import annotations
@@ -18,9 +23,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+from bench_record import paired
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -56,24 +64,49 @@ def run_protocol(src: str, cfg: str, d: str) -> dict:
     return json.loads(out.splitlines()[-1])
 
 
-def main() -> int:
+def src_lines(src: str) -> int:
+    """Lines of the tree's Python files, counted as perfbench/run.py counts them."""
+    return sum(len(p.read_text().splitlines()) for p in sorted(Path(src).rglob("*.py")))
+
+
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("old_src")
     ap.add_argument("new_src")
     ap.add_argument("configs", nargs="+", metavar="CFG[@D]")
-    args = ap.parse_args()
+    ap.add_argument("--repeat", type=int, default=1, metavar="K",
+                    help="runs per config and tree, alternating which tree goes first")
+    ap.add_argument("--json", type=Path, default=None, metavar="PATH",
+                    help="write medians and quartiles per config and tree to PATH")
+    args = ap.parse_args(argv)
+    if args.repeat < 1:
+        ap.error("--repeat must be at least 1")
     print(f"{'protocol':10s} {'old total':>10s} {'old advance':>12s} "
           f"{'new total':>10s} {'new advance':>12s}")
-    for i, spec in enumerate(args.configs):
+    trees = [("old", args.old_src), ("new", args.new_src)]
+    workloads, run = {}, 0
+    for spec in args.configs:
         cfg, _, d = spec.partition("@")
-        trees = [("old", args.old_src), ("new", args.new_src)]
-        runs = {side: run_protocol(src, cfg, d)
-                for side, src in (trees if i % 2 == 0 else trees[::-1])}
+        runs = {"old": [], "new": []}
+        for _ in range(args.repeat):
+            for side, src in (trees if run % 2 == 0 else trees[::-1]):
+                runs[side].append(run_protocol(src, cfg, d))
+            run += 1
+        label = runs["old"][0]["label"]
+        seconds = {(side, key): [r[key] for r in runs[side]]
+                   for side in runs for key in ("total_s", "advance_s")}
+        workloads[label] = {key: paired("s", seconds["old", key], seconds["new", key], True)
+                            for key in ("total_s", "advance_s")}
+        median = {k: statistics.median(v) for k, v in seconds.items()}
         # 4 significant digits: a tiny config's dg.advance takes well under 5 ms
-        share = lambda r: f"{r['advance_s']:.4g} ({r['advance_s'] / r['total_s']:.0%})"
-        print(f"{runs['old']['label']:10s} {runs['old']['total_s']:9.4g}s "
-              f"{share(runs['old']):>12s} "
-              f"{runs['new']['total_s']:9.4g}s {share(runs['new']):>12s}")
+        share = lambda side: (f"{median[side, 'advance_s']:.4g} "
+                              f"({median[side, 'advance_s'] / median[side, 'total_s']:.0%})")
+        print(f"{label:10s} {median['old', 'total_s']:9.4g}s {share('old'):>12s} "
+              f"{median['new', 'total_s']:9.4g}s {share('new'):>12s}")
+    if args.json is not None:
+        lines = {"parent": src_lines(args.old_src), "change": src_lines(args.new_src)}
+        args.json.write_text(json.dumps({"workloads": workloads, "src_lines": lines},
+                                        indent=1) + "\n")
     return 0
 
 
