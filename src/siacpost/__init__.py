@@ -10,7 +10,7 @@ from .errors import UsageError
 from .exact import RatMatrix, RatPoly, invert_exact, rat, solve_exact
 from .filters import (FilterSpec, build_spec, custom_spec, reproduction_matrix,
                       shifted_coefficient_polynomials, static_coefficients)
-from .spline import bspline_moment, eval_unit_bspline, unit_bspline_piecewise
+from .spline import bspline_moment, unit_bspline_piecewise
 from .dg import DGField, Mesh, dg_solve, get_problem, l2_project, to_bernstein
 from .psiac import (BoundaryPolynomial, blend_transition, filter_boundary,
                     filter_boundary_derivative, q_matrix, reference_convolve,

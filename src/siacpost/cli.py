@@ -72,8 +72,8 @@ def cmd_kernel(args) -> int:
     if not args.exact and not args.samples:
         raise UsageError("pass --exact and/or --samples N")
     cp = shifted_coefficient_polynomials(spec)
+    xi = _parse(Fraction, args.xi, "--xi")
     if args.samples:
-        xi = _parse(Fraction, args.xi, "--xi")
         try:  # the samples are taken in floats
             lo, hi, *weights = map(float, (spec.knots[0] + xi, spec.knots[-1] + xi,
                                            *cp.evaluate(xi)))

@@ -4,16 +4,20 @@ Values are ``fractions.Fraction`` (arbitrary-precision rationals).  Matrix
 products and elimination work inside on integers over common
 denominators and return canonical ``Fraction``s.  The text
 form of a rational is ``str(Fraction)``, i.e. "p/q" with "/q" omitted when
-q == 1, and ``Fraction("p/q")`` parses it back.  Nothing here rounds to
-floating point; callers convert the entries they need.
+q == 1, and ``Fraction("p/q")`` parses it back.  The exact operators that
+filter and step DG data are ``IntMatrix``es, integer arrays over one
+denominator, and ``IntMatrix`` is the one place where they become floats:
+each float it gives is the correctly rounded value of one exact entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence, Union
+
+import numpy as np
 
 RationalLike = Union[Fraction, int, str]
 
@@ -94,6 +98,60 @@ class RatMatrix:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(e) for e in self.row(i)) for i in range(self.rows))
         return f"RatMatrix({self.rows}x{self.cols}: {body})"
+
+
+class IntMatrix:
+    """Exact rational array: Python-int numerators ``nums``, an object array of
+    any shape, over one positive denominator ``den`` (a negative one flips signs).
+
+    Every exit is a function of the exact entries alone, so the denominator
+    an operator is held over never shows: ``fractions()`` reduces each
+    entry, and ``floats()``, ``hi_lo()`` and ``apply()`` round each once.
+    """
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums, den: int = 1):
+        if den == 0:
+            raise ZeroDivisionError("IntMatrix denominator is zero")
+        self.nums = np.array(nums, dtype=object) if den > 0 else -np.array(nums, dtype=object)
+        self.den = abs(den)
+
+    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        """Exact product: integer products over the product of the denominators."""
+        return IntMatrix(self.nums @ other.nums, self.den * other.den)
+
+    def reduced(self) -> "IntMatrix":
+        """The same values over the least common denominator of the entries."""
+        g = gcd(self.den, *self.nums.flat)
+        return IntMatrix(self.nums // g, self.den // g)
+
+    def fractions(self) -> RatMatrix:
+        """The entries as reduced Fractions; a vector gives one column."""
+        rows, cols = (*self.nums.shape, 1)[:2]
+        return RatMatrix(rows, cols, [Fraction(v, self.den) for v in self.nums.flat])
+
+    def floats(self) -> np.ndarray:
+        """The entries as floats, each correctly rounded (int / int rounds once)."""
+        return np.array([v / self.den for v in self.nums.flat]).reshape(self.nums.shape)
+
+    def hi_lo(self) -> np.ndarray:
+        """Floats hi, each entry rounded, and lo, its rounded rest, on a new first axis.
+
+        hi + lo is within 2^-106 of each entry (Dekker, Numer. Math. 18, 1971).
+        """
+        hi, den = self.floats(), self.den
+        lo = [(x * hq - hp * den) / (den * hq) for x, (hp, hq) in
+              zip(self.nums.flat, map(float.as_integer_ratio, hi.ravel().tolist()))]
+        return np.stack((hi, np.reshape(lo, hi.shape)))
+
+    def apply(self, x) -> np.ndarray:
+        """The floats x, raveled to a row vector, times this matrix: exact, each entry
+        rounded once.  x is lifted losslessly with ``float.as_integer_ratio`` to integers
+        over one power-of-two scale.  A vector of the wrong length raises ValueError."""
+        ratios = [v.as_integer_ratio() for v in np.asarray(x, dtype=float).ravel().tolist()]
+        scale = max(q for _, q in ratios)  # a power of two: the others divide it
+        return (IntMatrix([p * (scale // q) for p, q in ratios], scale) @ self).floats()
 
 
 def _scaled_rows(a: RatMatrix, b: RatMatrix | None = None) -> tuple[list[list[int]], int]:
@@ -220,11 +278,6 @@ class RatPoly:
         return RatPoly([c * f for c in self.coeffs])
 
     __rmul__ = __mul__
-
-    def derivative(self) -> "RatPoly":
-        if len(self.coeffs) == 1:
-            return RatPoly([0])
-        return RatPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def antiderivative(self) -> "RatPoly":
         return RatPoly([Fraction(0)] + [c / (i + 1) for i, c in enumerate(self.coeffs)])

@@ -27,10 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, lcm
-from operator import mul
 
 from .errors import UsageError
-from .exact import RatMatrix, RatPoly, SingularMatrixError, _eliminate, rat
+from .exact import IntMatrix, RatMatrix, RatPoly, SingularMatrixError, _eliminate, rat
 from .spline import as_knots, bspline_moment_sums, bspline_moments
 
 # Unused here, but perfbench/tracer.py patches filters.invert_exact, filters.det_exact,
@@ -225,34 +224,30 @@ class CoefficientPolynomials:
     """Kernel coefficients as exact polynomials in the shift.
 
     c_j(xi) = sum_m C[j][m] xi^m gives the coefficients of the kernel over
-    knots t + xi, with xi in mesh units.  C = M^-1 diag((-1)^m) is held as
-    integer numerators over one positive denominator, C = numerators / den.
+    knots t + xi, with xi in mesh units.  C = M^-1 diag((-1)^m) is held
+    exactly, as an IntMatrix.
     """
 
     spec: FilterSpec
-    numerators: tuple[tuple[int, ...], ...]
-    den: int
+    exact: IntMatrix
 
     @cached_property
     def matrix(self) -> RatMatrix:
         """C as reduced Fractions."""
-        return RatMatrix.from_rows([[Fraction(v, self.den) for v in row]
-                                    for row in self.numerators])
+        return self.exact.fractions()
 
     def poly(self, j: int) -> RatPoly:
         return RatPoly(self.matrix.row(j))
 
-    def at(self, xi) -> tuple[list[int], int]:
-        """c(xi) for a rational xi = p/q as integer numerators over one denominator."""
+    def at(self, xi) -> IntMatrix:
+        """c(xi) = C [xi^m] for a rational xi = p/q, as one integer product."""
         xi, r = Fraction(xi), self.spec.r
         p, q = xi.numerator, xi.denominator
-        powers = [p ** m * q ** (r - m) for m in range(r + 1)]
-        return [sum(map(mul, row, powers)) for row in self.numerators], self.den * q ** r
+        return self.exact @ IntMatrix([p ** m * q ** (r - m) for m in range(r + 1)], q ** r)
 
     def evaluate(self, xi) -> list[Fraction]:
         """Coefficient vector at a given rational shift, exactly."""
-        nums, den = self.at(xi)
-        return [Fraction(v, den) for v in nums]
+        return self.at(xi).fractions().entries
 
 
 @lru_cache(maxsize=None)
@@ -284,7 +279,4 @@ def shifted_coefficient_polynomials(spec: FilterSpec) -> CoefficientPolynomials:
     except SingularMatrixError as exc:
         raise SingularReproductionError(
             f"singular reproduction matrix for {spec.family}") from exc
-    sign = 1 if pivot > 0 else -1
-    return CoefficientPolynomials(spec=spec, numerators=tuple(tuple(sign * v for v in row)
-                                                              for row in right),
-                                  den=sign * pivot)
+    return CoefficientPolynomials(spec=spec, exact=IntMatrix(right, pivot))

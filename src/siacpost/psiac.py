@@ -19,10 +19,10 @@ sigma = (x - a)/h, where elements are the unit intervals [e, e+1]):
     around it: the interior operator.
 
 Q = T . M^-1 . diag((-1)^m) and the interior operator are assembled
-exactly once per (filter, DG degree), as integer numerators over one
-denominator; Fractions are made only where a value leaves this layer
-(`QMatrix.q`, the endpoint vector), and floats only when an operator is
-applied to DG data.
+exactly once per (filter, DG degree), each as an `exact.IntMatrix`;
+Fractions are made only where a value leaves this layer (`QMatrix.q`, the
+endpoint vector), and floats only when an operator is applied to DG data,
+in both cases by the IntMatrix's exits.
 """
 
 from __future__ import annotations
@@ -30,15 +30,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, factorial, floor, gcd, lcm
+from math import comb, factorial, floor, lcm
 from operator import mul
 
 import numpy as np
 
 from .errors import UsageError
-from .exact import RatMatrix, RatPoly, _over_common_denominator, rat
-from .filters import (FilterSpec, build_spec, shifted_coefficient_polynomials,
-                      static_coefficients)
+from .exact import IntMatrix, RatMatrix, RatPoly, _over_common_denominator, rat
+from .filters import (FilterSpec, UnsupportedFamilySideError, build_spec,
+                      shifted_coefficient_polynomials, static_coefficients)
 from .spline import bernstein_poly, bspline_pieces, unit_bspline_piecewise
 
 
@@ -131,9 +131,8 @@ def _element_integrals(knots: tuple[int, ...], scale: int, k: int, dg_degree: in
 
 
 @lru_cache(maxsize=None)
-def _t_integers(spec: FilterSpec, dg_degree: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(rows, den): T = rows / den, columns in kernel B-spline order (not the reversed
-    paper order).
+def _t_integers(spec: FilterSpec, dg_degree: int) -> IntMatrix:
+    """T exactly, columns in kernel B-spline order (not the reversed paper order).
 
     Local frame: the data window is [0, w], w = t_n - t_0, and spline j
     is seen by the data variable as the B-spline over t_n - reverse(W_j).
@@ -153,12 +152,11 @@ def _t_integers(spec: FilterSpec, dg_degree: int) -> tuple[tuple[tuple[int, ...]
         cols.append((shift, *_element_integrals(tuple(t - shift * scale for t in refl), scale,
                                                 k, dg_degree)))
     den = lcm(*(cden for _, cden, _ in cols))
-    rows = [[0] * len(cols) for _ in range(_local_window_elements(spec) * nb)]
+    rows = np.zeros((_local_window_elements(spec) * nb, len(cols)), dtype=object)
     for j, (shift, cden, parts) in enumerate(cols):
         for e, vals in parts:
-            for ell, v in enumerate(vals):
-                rows[(e + shift) * nb + ell][j] = v * (den // cden)
-    return tuple(map(tuple, rows)), den
+            rows[(e + shift) * nb:(e + shift + 1) * nb, j] = [v * (den // cden) for v in vals]
+    return IntMatrix(rows, den)
 
 
 @dataclass(frozen=True)
@@ -167,27 +165,19 @@ class QMatrix:
 
     Rows are element-major DG Bernstein indices over the kernel window
     (n_elements * (dg_degree+1)); column m gives the coefficient of
-    xihat^m of the output polynomial.  Q = columns / den, with den the
-    least common denominator of the entries.
+    xihat^m of the output polynomial.  Q is held exactly, over the least
+    common denominator of its entries.
     """
 
     spec: FilterSpec
     dg_degree: int
     n_elements: int
-    columns: tuple[tuple[int, ...], ...]
-    den: int
+    exact: IntMatrix
 
     @cached_property
     def q(self) -> RatMatrix:
         """Q as reduced Fractions."""
-        return RatMatrix.from_rows([[Fraction(v, self.den) for v in row]
-                                    for row in zip(*self.columns)])
-
-    def _contract_integers(self, window: list[int], scale: int) -> tuple[list[int], int]:
-        """(numerators, denominator) of the output for window / scale: integer dot products."""
-        if len(window) != len(self.columns[0]):
-            raise ValueError("coefficient count does not match window")
-        return [sum(map(mul, window, col)) for col in self.columns], self.den * scale
+        return self.exact.fractions()
 
     def contract_exact(self, coeff_rows) -> RatPoly:
         """Output polynomial (exact) for rational window coefficients.
@@ -195,43 +185,30 @@ class QMatrix:
         coeff_rows: per-element sequences of dg_degree+1 Bernstein
         coefficients, elements ordered left to right across the window.
         """
-        window, scale = _over_common_denominator([rat(c) for row in coeff_rows for c in row])
-        nums, den = self._contract_integers(window, scale)
-        return RatPoly([Fraction(v, den) for v in nums])
+        window = IntMatrix(*_over_common_denominator([rat(c) for row in coeff_rows for c in row]))
+        return RatPoly((window @ self.exact).fractions().entries)
 
     def contract(self, coeff_rows: np.ndarray) -> np.ndarray:
         """Float coefficient vector of the output polynomial.
 
-        The contraction is exact and runs on integers, as in
-        ``contract_exact``.  The window floats are lifted losslessly with
-        ``float.as_integer_ratio`` to integers over one power-of-two scale;
-        each output coefficient is one integer dot product divided once by
-        its denominator, and int / int rounds correctly, so the result is
-        bit for bit the float of each coefficient of ``contract_exact``,
-        zero-padded to the column count.  Large-coefficient kernels stay stable;
-        only the final coefficients are rounded.
+        The contraction is exact and runs on integers (`IntMatrix.apply`), so
+        the result is bit for bit the float of each coefficient of
+        ``contract_exact``, zero-padded to the column count.
+        Large-coefficient kernels stay stable; only the final coefficients
+        are rounded.
         """
-        flat = np.asarray(coeff_rows, dtype=float).ravel()
-        ratios = [v.as_integer_ratio() for v in flat.tolist()]
-        scale = max(q for _, q in ratios)
-        nums, den = self._contract_integers([p * (scale // q) for p, q in ratios], scale)
-        return np.array([v / den for v in nums])
+        return self.exact.apply(coeff_rows)
 
 
 @lru_cache(maxsize=None)
 def q_matrix(spec: FilterSpec, dg_degree: int | None = None) -> QMatrix:
     """Assemble Q = T . M^-1 . diag((-1)^m) exactly, as one integer product.
 
-    One gcd then reduces the product's denominator to the least common one.
+    The product is then reduced to the least common denominator.
     """
     dg = spec.d if dg_degree is None else dg_degree
-    rows, tden = _t_integers(spec, dg)
-    coeff = shifted_coefficient_polynomials(spec)
-    columns = [[sum(map(mul, row, col)) for row in rows] for col in zip(*coeff.numerators)]
-    den = tden * coeff.den
-    g = gcd(den, *(v for col in columns for v in col))
-    return QMatrix(spec=spec, dg_degree=dg, n_elements=_local_window_elements(spec),
-                   columns=tuple(tuple(v // g for v in col) for col in columns), den=den // g)
+    q = (_t_integers(spec, dg) @ shifted_coefficient_polynomials(spec).exact).reduced()
+    return QMatrix(spec=spec, dg_degree=dg, n_elements=_local_window_elements(spec), exact=q)
 
 
 def endpoint_vector(spec: FilterSpec, dg_degree: int | None = None) -> list[Fraction]:
@@ -245,9 +222,8 @@ def endpoint_vector(spec: FilterSpec, dg_degree: int | None = None) -> list[Frac
     """
     dg = spec.d if dg_degree is None else dg_degree
     xi = -spec.lam if spec.side != "right" else spec.lam
-    c, cden = shifted_coefficient_polynomials(spec).at(xi)
-    rows, tden = _t_integers(spec, dg)
-    return [Fraction(sum(map(mul, row, c)), tden * cden) for row in rows]
+    c = shifted_coefficient_polynomials(spec).at(xi)
+    return (_t_integers(spec, dg) @ c).fractions().entries
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +266,9 @@ class BoundaryPolynomial:
 
 
 def window_placement(spec: FilterSpec, n_elements: int):
-    """(first window element, lam_global, region in sigma units)."""
+    """(first window element, lam_global, region in sigma units) of a left or right spec."""
+    if spec.side not in ("left", "right"):
+        raise UnsupportedFamilySideError(f"side {spec.side!r} is not a boundary side")
     width = _local_window_elements(spec)
     if n_elements < width:
         raise MeshTooCoarseError(
@@ -382,8 +360,8 @@ class InteriorOperator:
     Element e has `pieces` output pieces (2 for even d, whose knots are
     half-integers), sigma in [e + q/pieces, e + (q+1)/pieces].  Piece q
     reads the 3d+2 elements from e + offsets[q]; row i (element-major)
-    of numerators[q], over den, is their contribution to the output's
-    Bernstein coefficients on the piece.
+    of exact[q] is their contribution to the output's Bernstein
+    coefficients on the piece.
     """
 
     d: int
@@ -391,14 +369,12 @@ class InteriorOperator:
     degree: int  # of the output polynomials, d + dg_degree + 1
     pieces: int
     offsets: tuple[int, ...]
-    numerators: tuple[tuple[tuple[int, ...], ...], ...]
-    den: int
+    exact: IntMatrix  # (pieces, rows, degree + 1)
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """numerators / den as floats, each entry correctly rounded."""
-        return np.array([[[v / self.den for v in row] for row in rows]
-                         for rows in self.numerators])
+        """The operator as floats, each entry correctly rounded."""
+        return self.exact.floats()
 
 
 @lru_cache(maxsize=None)
@@ -435,7 +411,7 @@ def interior_operator(d: int, dg_degree: int) -> InteriorOperator:
         numerators.append(tuple(rows))
     den = factorial(d) * factorial(n) ** 2 * pieces ** n * dc
     return InteriorOperator(d=d, dg_degree=dg_degree, degree=n, pieces=pieces,
-                            offsets=tuple(offsets), numerators=tuple(numerators), den=den)
+                            offsets=tuple(offsets), exact=IntMatrix(numerators, den))
 
 
 def _bernstein_values(n: int, t) -> np.ndarray:

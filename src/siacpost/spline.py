@@ -40,11 +40,6 @@ def _check_window(knots: Sequence[Fraction], k: int) -> None:
         raise DegenerateSupportError("zero-width support")
 
 
-def eval_unit_bspline(knots, k: int, x):
-    """Evaluate the unit-integral B-spline B(x|t) of degree k (see `bspline_evaluator`)."""
-    return bspline_evaluator(knots, k)(x)
-
-
 def bspline_evaluator(knots, k: int):
     """x -> B(x|t), by Cox-de Boor with the 0/0 := 0 convention; knot work done once.
 
@@ -109,25 +104,6 @@ class PiecewisePolynomial:
         for a, b in zip(self.breakpoints, self.breakpoints[1:]):
             if b <= a:
                 raise ValueError("breakpoints must be strictly increasing")
-
-    def piece_index(self, x) -> int | None:
-        bp = self.breakpoints
-        if x < bp[0] or x > bp[-1]:
-            return None
-        if x == bp[-1]:
-            return len(self.pieces) - 1
-        lo, hi = 0, len(self.pieces)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if x < bp[mid]:
-                hi = mid
-            else:
-                lo = mid
-        return lo
-
-    def __call__(self, x):
-        i = self.piece_index(x)
-        return 0 if i is None else self.pieces[i](x)
 
     def integrate_against(self, poly: RatPoly, lo, hi) -> Fraction:
         """Exact integral of self * poly over [lo, hi] (clipped to support)."""

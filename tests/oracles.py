@@ -18,7 +18,9 @@ quadrature to roundoff, and with the fixed-point steppers about as
 closely as the float per-stage stepper does.  The unit-speed increment
 operator, every entry split by Fraction, and its stepper by a fancy-index
 gather and two matmuls per step are the float forms the library must
-match byte for byte.
+match byte for byte.  Helpers only the tests call live here as well: a
+B-spline or ``PiecewisePolynomial`` evaluated at one point, and the
+derivative of a ``RatPoly``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from siacpost import dg
 from siacpost.exact import RatMatrix, RatPoly, SingularMatrixError, invert_exact
 from siacpost.filters import FilterSpec, build_spec, static_coefficients
 from siacpost.psiac import FloatKernel, _t_integers
-from siacpost.spline import (PiecewisePolynomial, as_knots, bernstein_poly,
+from siacpost.spline import (PiecewisePolynomial, as_knots, bernstein_poly, bspline_evaluator,
                              unit_bspline_piecewise)
 
 
@@ -133,6 +135,41 @@ def coefficient_matrix_reference(spec: FilterSpec) -> RatMatrix:
     return RatMatrix(n, n, [minv[i, j] * (-1) ** j for i in range(n) for j in range(n)])
 
 
+def poly_derivative(p: RatPoly) -> RatPoly:
+    """p' exactly."""
+    if len(p.coeffs) == 1:
+        return RatPoly([0])
+    return RatPoly([i * c for i, c in enumerate(p.coeffs)][1:])
+
+
+def eval_unit_bspline(knots, k: int, x):
+    """Evaluate the unit-integral B-spline B(x|t) of degree k (see `bspline_evaluator`)."""
+    return bspline_evaluator(knots, k)(x)
+
+
+def piece_index(pp: PiecewisePolynomial, x) -> int | None:
+    """The piece of pp that holds x (the last one at the right end); None off the support."""
+    bp = pp.breakpoints
+    if x < bp[0] or x > bp[-1]:
+        return None
+    if x == bp[-1]:
+        return len(pp.pieces) - 1
+    lo, hi = 0, len(pp.pieces)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if x < bp[mid]:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+def piecewise_value(pp: PiecewisePolynomial, x):
+    """pp at x: its piece's value there, 0 off the support."""
+    i = piece_index(pp, x)
+    return 0 if i is None else pp.pieces[i](x)
+
+
 def bspline_piecewise_reference(knots, k: int) -> PiecewisePolynomial:
     """Unit-integral B-spline by Cox-de Boor on RatPoly pieces, span by span."""
     t = as_knots(knots)
@@ -220,8 +257,7 @@ def t_matrix_natural_reference(spec: FilterSpec, dg_degree: int) -> RatMatrix:
 
 def t_matrix_natural(spec: FilterSpec, dg_degree: int) -> RatMatrix:
     """The library's T (``psiac._t_integers``) as Fractions, in kernel B-spline order."""
-    rows, den = _t_integers(spec, dg_degree)
-    return RatMatrix.from_rows([[Fraction(v, den) for v in row] for row in rows])
+    return _t_integers(spec, dg_degree).fractions()
 
 
 def t_matrix(spec: FilterSpec, dg_degree: int | None = None) -> RatMatrix:
@@ -293,7 +329,7 @@ def symmetric_weights_reference(d: int, dg_degree: int, frac: float) -> tuple[in
                 continue
             mid, rad = (lo + hi) / 2, (hi - lo) / 2
             nodes = mid + rad * gx
-            kv = np.array([kernel(f - s) for s in nodes])
+            kv = np.array([piecewise_value(kernel, f - s) for s in nodes])
             for ell in range(dg_degree + 1):
                 bv = np.zeros_like(nodes)
                 for c in reversed(bern[ell]):
@@ -327,7 +363,7 @@ def _piecewise_sum(terms) -> PiecewisePolynomial:
     for a, b in zip(cuts, cuts[1:]):
         acc = RatPoly([0])
         for c, pp in terms:
-            i = pp.piece_index((a + b) / 2)
+            i = piece_index(pp, (a + b) / 2)
             if i is not None:
                 acc = acc + pp.pieces[i] * c
         pieces.append(acc)
@@ -372,7 +408,7 @@ def float_kernel_reference(spec: FilterSpec, coeffs, offset: float, h: float) ->
     pps = [unit_bspline_piecewise(w, k) for w, k in zip(spec.windows, spec.degrees)]
 
     def piece_value(pp, z):
-        i = pp.piece_index(z)
+        i = piece_index(pp, z)
         if i is None:
             return 0.0
         b = pp.breakpoints[i]

@@ -259,6 +259,10 @@ class Config(str):
     # the np0 blend strip [5, 7] reaches past the interior output [5, 6]
     ["timeseries", "--problem", "tp1", "--d", "3", "--filters", "np0", "--mesh-sizes", "11",
      "--times", "0.1"],
+    # the symmetric filter is interior-only: no boundary polynomial to write
+    ["filter", "tp1", "--d", "2", "--n", "20", "--t", "0.1", "--family", "symmetric",
+     "--side", "interior"],
+    ["kernel", "np0", "2", "left", "--exact", "--xi", "foo"],
 ])
 def test_bad_option_is_usage_error(argv, tmp_path, capsys):
     out = tmp_path / "out"

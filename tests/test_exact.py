@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
+import numpy as np
 import pytest
 
-from siacpost.exact import (RatMatrix, RatPoly, SingularMatrixError, det_exact,
+from siacpost.exact import (IntMatrix, RatMatrix, RatPoly, SingularMatrixError, det_exact,
                             invert_exact, rat, solve_exact)
 
 from oracles import (compose_affine, det_reference, matmul_reference, matrix_rows,
-                     solve_reference)
+                     poly_derivative, solve_reference)
 
 
 def cramer_solve(a: RatMatrix, b):
@@ -134,7 +136,7 @@ def test_ratpoly_recenter_and_compose():
 
 def test_ratpoly_calculus():
     p = RatPoly([0, 0, 1])  # x^2
-    assert p.derivative() == RatPoly([0, 2])
+    assert poly_derivative(p) == RatPoly([0, 2])
     assert p.integral(0, 1) == F(1, 3)
     assert (p * RatPoly([1, 1])).integral(0, 1) == F(1, 3) + F(1, 4)
 
@@ -181,3 +183,38 @@ def test_elimination_small_cases():
     assert det_exact(RatMatrix(0, 0, [])) == 1
     big = RatMatrix.from_rows([[F(1, 3), F(10 ** 30, 7)], [F(-2, 9), F(5, 10 ** 20)]])
     assert invert_exact(big) == solve_reference(big, RatMatrix.identity(2))
+
+
+# (numerator bits, denominator bits): quotients near 1, near 2^-10 over a denominator
+# above 2^1100, subnormal (~2^-1050) and rounding to zero (~2^-1140), and near 2^100
+INT_MATRIX_CASES = [(20, 8), (1100, 1110), (60, 1110), (1, 1140), (1300, 1200)]
+
+
+@pytest.mark.parametrize("bits", INT_MATRIX_CASES, ids=lambda b: f"{b[0]}over{b[1]}")
+def test_int_matrix_exits_match_fractions(bits):
+    """Every exit of an IntMatrix is the reduced Fraction, or its correct rounding, entry by
+    entry: random signed entries with one zero row, against ``Fraction`` arithmetic."""
+    num_bits, den_bits = bits
+    rng = random.Random(num_bits * 7919 + den_bits)
+    nums = [[rng.randint(-2 ** num_bits, 2 ** num_bits) for _ in range(3)] for _ in range(5)]
+    nums[2] = [0, 0, 0]
+    den = rng.randint(2 ** (den_bits - 1), 2 ** den_bits)
+    a = IntMatrix(nums, den)
+    exact = [F(v, den) for row in nums for v in row]
+    want = np.array([float(f) for f in exact]).reshape(5, 3)
+    assert a.floats().tobytes() == want.tobytes()
+    hi, lo = a.hi_lo()
+    assert hi.tobytes() == want.tobytes()
+    rest = [float(f - F(h)) for f, h in zip(exact, want.flat)]
+    assert lo.tobytes() == np.array(rest).reshape(5, 3).tobytes()
+    assert a.fractions() == RatMatrix(5, 3, exact)
+    assert IntMatrix([[-v for v in row] for row in nums], -den).fractions() == a.fractions()
+    for g in (1, 6, 2 ** 70 * 3 ** 5):
+        r = IntMatrix(a.nums * g, den * g).reduced()
+        assert r.fractions() == a.fractions() and gcd(r.den, *r.nums.flat) == 1
+    x = [rng.uniform(-1, 1) * 2.0 ** rng.randint(-60, 60) for _ in range(5)]
+    dots = [float(sum(F(u) * f for u, f in zip(x, exact[j::3]))) for j in range(3)]
+    assert a.apply(x).tobytes() == np.array(dots).tobytes()
+    assert a.apply(np.reshape(x, (5, 1))).tobytes() == np.array(dots).tobytes()
+    with pytest.raises(ValueError):
+        a.apply(x[:-1])

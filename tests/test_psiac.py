@@ -14,10 +14,9 @@ from siacpost.psiac import (MeshTooCoarseError, OutsideInteriorRegionError,
                             filter_boundary, filter_boundary_derivative,
                             q_matrix, reference_convolve,
                             symmetric_filter_eval)
-from siacpost.spline import eval_unit_bspline
 
 import oracles
-from oracles import np0_t_matrix, t_matrix
+from oracles import eval_unit_bspline, np0_t_matrix, t_matrix
 
 EX27 = custom_spec([-2, -1, 0], 0, (0, 1))
 
@@ -156,7 +155,7 @@ def test_integer_assembly_matches_fraction_path(spec):
     That construction: RatPoly B-spline pieces recentred per element
     against Fraction Bernstein moments for T, C by inverting the Fraction
     moment matrix, and RatMatrix products for Q and the endpoint vector.
-    Q's integer columns are over the least common denominator of its
+    Q's integers are over the least common denominator of its
     entries.  DG degrees both equal to and other than the spec's are
     checked.
     """
@@ -169,8 +168,7 @@ def test_integer_assembly_matches_fraction_path(spec):
         qm = q_matrix(spec, dg_degree)
         assert qm.q == q
         nums, den = _over_common_denominator(q.entries)
-        assert (qm.columns, qm.den) == (tuple(tuple(nums[m::q.cols]) for m in range(q.cols)),
-                                        den)
+        assert (qm.exact.nums.ravel().tolist(), qm.exact.den) == (nums, den)
         xi = -spec.lam if spec.side != "right" else spec.lam
         powers = RatMatrix.column([xi ** m for m in range(q.cols)])
         assert endpoint_vector(spec, dg_degree) == (nat @ (coeff @ powers)).col(0)
@@ -347,7 +345,7 @@ def test_interior_operator_reproduces_polynomials_exactly(d):
         data = [c for row in oracles.bernstein_coeffs_of_poly(p, F(0), F(1), width, d) for c in row]
         for q, offset in enumerate(op.offsets):
             # the window starts at element 0, so the piece lies in element -offset
-            got = [sum(num[k] * u for num, u in zip(op.numerators[q], data)) / op.den
+            got = [sum(num[k] * u for num, u in zip(op.exact.nums[q], data)) / op.exact.den
                    for k in range(op.degree + 1)]
             want = oracles.bernstein_coeffs_of_poly(p, F(-offset) + F(q, op.pieces),
                                                F(1, op.pieces), 1, op.degree)[0]
@@ -579,7 +577,7 @@ def test_blend_hermite_orders_exact():
         assert float(beta(F(1, 3))) == pytest.approx(blend_weight(1 / 3, rho), abs=1e-14)
         der = beta
         for _ in range(rho):
-            der = der.derivative()
+            der = oracles.poly_derivative(der)
             assert der(F(0)) == 0 and der(F(1)) == 0
 
 

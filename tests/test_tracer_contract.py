@@ -52,3 +52,5 @@ def test_tracer_installs_and_reports_every_layer_metric(tmp_path):
     assert {m["name"] for m in declared} - set(layers) == ADDED_BY_RUNNER
     assert all(isinstance(v, (int, float)) and math.isfinite(v) for v in layers.values())
     assert layers["dg.rk4_steps"] > 0 and layers["psiac.q_matrix_misses"] > 0
+    # read from QMatrix.contract and QMatrix.q: 0 if the pipeline stopped reaching them
+    assert layers["psiac.contract_calls"] > 0 and layers["exact.q_den_bits_max"] > 0
