@@ -79,16 +79,20 @@ def cmd_kernel(args) -> int:
                                            *cp.evaluate(xi)))
         except OverflowError:
             raise UsageError(f"bad --xi {args.xi!r}: the shifted kernel overflows a float") from None
-    vec = psiac.endpoint_vector(spec, args.dg_degree) if args.exact else None
+    boundary = spec.side in ("left", "right")  # only a boundary filter has an endpoint vector
+    vec = psiac.endpoint_vector(spec, args.dg_degree) if args.exact and boundary else None
     out = _outdir(args)
     tag = f"{spec.family}_d{spec.d}_{spec.side}"
     if args.exact:
         path = out / f"kernel_{tag}_coeffs.csv"
         _write(path, "j," + ",".join(f"xi^{m}" for m in range(spec.r + 1)),
                ([j, *cp.matrix.row(j)] for j in range(spec.r + 1)))
-        vpath = out / f"kernel_{tag}_endpoint_vector.csv"
-        _write(vpath, "index,value", enumerate(vec))
-        print(f"wrote {path} and {vpath}")
+        if vec is None:
+            print(f"wrote {path}")
+        else:
+            vpath = out / f"kernel_{tag}_endpoint_vector.csv"
+            _write(vpath, "index,value", enumerate(vec))
+            print(f"wrote {path} and {vpath}")
     if args.samples:
         # each shifted window's knot arithmetic is done once, not per sample
         splines = [spline.bspline_evaluator([t + xi for t in w], k)

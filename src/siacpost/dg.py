@@ -34,7 +34,8 @@ internally; filtering converts to the Bernstein element basis.
   exactly, and each entry is rounded once into hi + lo.  A step is one
   matmul of a strided window view, one batched contraction with the
   step's phase row and two adds; the phase and source rows are tabulated
-  per block of steps by angle addition.
+  per block of steps by angle addition, in place, into buffers made once
+  per call, and a step only indexes its rows.
 - any other problem (Dirichlet tp3, custom ones): four calls of the
   plain weak form `dg_rhs` per step, kappa checked at each step's levels.
 
@@ -399,6 +400,7 @@ def _increment_steps(field: DGField, problem: TestProblem, dt: float, steps: int
 
     A step takes each window [u_i, ..., u_(i-4)] into one buffer and multiplies it by hi and
     lo in one batched matmul (one BLAS call each, as two matmuls would), then adds the two.
+    Every buffer and view a step uses is made once per call.
     """
     _check_kappa(problem, 1.0, 1.0)
     n, m, periodic = field.mesh.n, field.d + 1, problem.bc == "periodic"
@@ -409,16 +411,17 @@ def _increment_steps(field: DGField, problem: TestProblem, dt: float, steps: int
     u[:] = field.coeffs
     windows = np.arange(n)[:, None] - np.arange(5)  # `take` wraps them modulo n + pad
     window, products, increment = np.empty((n, 5, m)), np.empty((2, n, m)), np.empty((n, m))
+    flat, (hi, lo), inflowing = window.reshape(n, 5 * m), products, increment[:4]
     for start, times in _time_blocks(field.time, dt, steps, _TABLE_FLOATS // (4 * m)):
         if not periodic:
             g = problem.inflow(times).reshape(-1, 3)
             corrections = (g @ inflow[0] + g @ inflow[1]).reshape(len(g), 4, m)[:, :n]
         for k in range(len(times) // 3):
             np.take(padded, windows, axis=0, out=window, mode="wrap")
-            np.matmul(window.reshape(n, 5 * m), blocks, out=products)
-            np.add(products[0], products[1], out=increment)
+            np.matmul(flat, blocks, out=products)
+            np.add(hi, lo, out=increment)
             if not periodic:
-                increment[:4] += corrections[k]
+                inflowing += corrections[k]
             u += increment
             yield start + k, u
 
@@ -602,36 +605,51 @@ def _harmonic_steps(field: DGField, problem: TestProblem, dt: float, steps: int)
     matmul of that view by [w_hi | w_lo], one batched contraction of each
     element's (18, m) terms with its phase row, and two adds: the
     source row, then the increment.  The phase and source rows are
-    tabulated per block of steps by angle addition from the midpoints and t_k.
+    tabulated per block of steps by angle addition from the midpoints and
+    t_k, in place: every buffer and view is made once per call, and the
+    phase tables hold their constant columns from the start, so a step
+    only indexes its rows (and, on 1-3 elements, gathers the wrapped ones).
     """
     _check_kappa(problem, 1.0, 3.0)  # 2 + sin(x + t)
     n, m = field.mesh.n, field.d + 1
     w, g = _harmonic_operator(field.d, field.mesh.h, dt)
     padded = np.empty((n + 4, m))
-    u = padded[4:]
+    u, head = padded[4:], padded[:4]
     u[:] = field.coeffs
     windows = np.lib.stride_tricks.as_strided(padded, (n, 5 * m), padded.strides, writeable=False)
-    wrap = slice(n - 4, n) if n >= 4 else np.arange(-4, 0) % n
+    tail = u[n - 4:] if n >= 4 else None
+    wrap = np.arange(-4, 0) % n  # on 1-3 elements the window wraps onto itself
     terms, increment = np.empty((n, 18, m)), np.empty((n, 1, m))
+    flat, du = terms.reshape(n, 18 * m), increment[:, 0]
     mids = field.mesh.a + (np.arange(n) + 0.5) * field.mesh.h  # as the scheme's nodes
     cx, sx = np.cos(mids), np.sin(mids)
-    for start, times in _time_blocks(field.time, dt, steps, max(1, _TABLE_FLOATS // (18 * n))):
+    block = max(1, min(steps, _TABLE_FLOATS // (18 * n)))  # steps per table, at most the call's
+    powers = np.empty((block, n, 5), dtype=complex)  # e^{ijs}, j = 1..5, s = x_e + t_k
+    phases = np.empty((block, n, 22))  # (phi, phi), phi = (1, cos s, sin s, ..., sin 5s)
+    phases[..., ::11] = 1.0
+    rows = np.empty((block, n, 1, 18))  # (phi, phi) up to sin 4s, for u's part
+    rows[..., ::9] = 1.0
+    a, b = np.empty((2, block, n))
+    for start, times in _time_blocks(field.time, dt, steps, block):
         t = times[::3, None]
+        size = len(t)
         ct, st = np.cos(t), np.sin(t)
-        powers = np.empty((len(t), n, 5), dtype=complex)  # e^{ijs}, j = 1..5, s = x_e + t_k
-        powers[..., 0] = (cx * ct - sx * st) + 1j * (sx * ct + cx * st)
+        p, x, y = powers[:size], a[:size], b[:size]
+        np.subtract(np.multiply(cx, ct, out=x), np.multiply(sx, st, out=y), out=p[..., 0].real)
+        np.add(np.multiply(sx, ct, out=x), np.multiply(cx, st, out=y), out=p[..., 0].imag)
         for j in range(1, 5):
-            np.multiply(powers[..., j - 1], powers[..., 0], out=powers[..., j])
-        phi = np.concatenate((np.ones((len(t), n, 1)), powers.view(float)), axis=-1)
-        rows = np.concatenate((phi[..., :9], phi[..., :9]), axis=-1)[:, :, None, :]
+            np.multiply(p[..., j - 1], p[..., 0], out=p[..., j])
+        harmonics = p.view(float)
+        phases[:size, :, 1:11] = phases[:size, :, 12:] = harmonics
+        rows[:size, :, 0, 1:9] = rows[:size, :, 0, 10:] = harmonics[..., :8]
         turn = (ct * ct - st * st)[:, :, None] * g[0] + (2 * st * ct)[:, :, None] * g[1]
-        sources = np.concatenate((phi, phi), axis=-1) @ turn
-        for k in range(len(t)):
-            padded[:4] = u[wrap]
-            np.matmul(windows, w, out=terms.reshape(n, 18 * m))
+        sources = phases[:size] @ turn
+        for k in range(size):
+            head[:] = tail if tail is not None else u[wrap]
+            np.matmul(windows, w, out=flat)
             np.matmul(rows[k], terms, out=increment)
-            increment[:, 0] += sources[k]
-            u += increment[:, 0]
+            du += sources[k]
+            u += du
             yield start + k, u
 
 

@@ -218,8 +218,11 @@ def endpoint_vector(spec: FilterSpec, dg_degree: int | None = None) -> list[Frac
     for a left filter, +lam for a right one): one exact rational weight
     per DG Bernstein coefficient in the window.  It is computed as
     T . c(xihat) on integers, without forming Q, with one Fraction per
-    entry at the end.
+    entry at the end.  A spec of any other side than left or right raises
+    UnsupportedFamilySideError.
     """
+    if spec.side not in ("left", "right"):
+        raise UnsupportedFamilySideError(f"side {spec.side!r} is not a boundary side")
     dg = spec.d if dg_degree is None else dg_degree
     xi = -spec.lam if spec.side != "right" else spec.lam
     c = shifted_coefficient_polynomials(spec).at(xi)

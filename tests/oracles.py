@@ -17,7 +17,8 @@ plain; the library must agree with the exact ones exactly, with the
 quadrature to roundoff, and with the fixed-point steppers about as
 closely as the float per-stage stepper does.  The unit-speed increment
 operator, every entry split by Fraction, and its stepper by a fancy-index
-gather and two matmuls per step are the float forms the library must
+gather and two matmuls per step, and tp3's harmonic stepper with its
+phase tables built afresh per block are the float forms the library must
 match byte for byte.  Helpers only the tests call live here as well: a
 B-spline or ``PiecewisePolynomial`` evaluated at one point, and the
 derivative of a ``RatPoly``.
@@ -553,6 +554,41 @@ def increment_steps_reference(field, problem, dt: float, steps: int):
             if not periodic:
                 increment[:4] += corrections[k]
             u += increment
+            yield start + k, u
+
+
+def harmonic_steps_reference(field, problem, dt: float, steps: int):
+    """The plain form of dg._harmonic_steps: the phase and source rows of each block
+    built by `concatenate`, and the wrapped rows, the flat terms and the increment
+    row taken afresh at each step; yields (step, u)."""
+    n, m = field.mesh.n, field.d + 1
+    w, g = dg._harmonic_operator(field.d, field.mesh.h, dt)
+    padded = np.empty((n + 4, m))
+    u = padded[4:]
+    u[:] = field.coeffs
+    windows = np.lib.stride_tricks.as_strided(padded, (n, 5 * m), padded.strides, writeable=False)
+    wrap = slice(n - 4, n) if n >= 4 else np.arange(-4, 0) % n
+    terms, increment = np.empty((n, 18, m)), np.empty((n, 1, m))
+    mids = field.mesh.a + (np.arange(n) + 0.5) * field.mesh.h
+    cx, sx = np.cos(mids), np.sin(mids)
+    for start, times in dg._time_blocks(field.time, dt, steps,
+                                        max(1, dg._TABLE_FLOATS // (18 * n))):
+        t = times[::3, None]
+        ct, st = np.cos(t), np.sin(t)
+        powers = np.empty((len(t), n, 5), dtype=complex)  # e^{ijs}, j = 1..5, s = x_e + t_k
+        powers[..., 0] = (cx * ct - sx * st) + 1j * (sx * ct + cx * st)
+        for j in range(1, 5):
+            np.multiply(powers[..., j - 1], powers[..., 0], out=powers[..., j])
+        phi = np.concatenate((np.ones((len(t), n, 1)), powers.view(float)), axis=-1)
+        rows = np.concatenate((phi[..., :9], phi[..., :9]), axis=-1)[:, :, None, :]
+        turn = (ct * ct - st * st)[:, :, None] * g[0] + (2 * st * ct)[:, :, None] * g[1]
+        sources = np.concatenate((phi, phi), axis=-1) @ turn
+        for k in range(len(t)):
+            padded[:4] = u[wrap]
+            np.matmul(windows, w, out=terms.reshape(n, 18 * m))
+            np.matmul(rows[k], terms, out=increment)
+            increment[:, 0] += sources[k]
+            u += increment[:, 0]
             yield start + k, u
 
 

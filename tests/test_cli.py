@@ -41,6 +41,13 @@ def test_kernel_exact_symmetric(tmp_path, capsys):
     assert rows[3].split(",")[1] == "-1/12"
 
 
+def test_kernel_exact_symmetric_writes_no_endpoint_vector(tmp_path, capsys):
+    """An interior filter has no endpoint: only its coefficient polynomials are written."""
+    assert main(["kernel", "symmetric", "2", "--exact", "--out", str(tmp_path)]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["kernel_symmetric_d2_interior_coeffs.csv"]
+    assert "endpoint_vector" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("family", ("symm", "S_Y_M"))
 def test_kernel_symmetric_spellings_default_to_interior(family, tmp_path):
     assert main(["kernel", family, "1", "--exact", "--out", str(tmp_path)]) == 0

@@ -340,6 +340,24 @@ def test_harmonic_stepper_wraps_short_meshes(n):
         assert np.abs(harmonic - stepped).max() <= 1e-14
 
 
+@pytest.mark.parametrize("d", (0, 1, 2, 3))
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 12, 48))
+def test_harmonic_steps_match_reference_bytes(d, n):
+    """Phase tables filled in place give the bytes of tables built afresh per block.
+
+    Every yielded step is compared, over more than two table blocks on the
+    two longer meshes, so a block's stale rows would show.
+    """
+    tp3 = get_problem("tp3")
+    field = l2_project(tp3.u0, Mesh(0.0, 2 * np.pi, n), d)
+    field.time = 0.3
+    dt = 0.97 * dg.default_cfl(d) * field.mesh.h / tp3.kappa_max
+    steps = 2 * dg._TABLE_FLOATS // (18 * n) + 7 if n >= 12 else 40
+    got, want = ([(k, u.tobytes()) for k, u in stepper(field.copy(), tp3, dt, steps)]
+                 for stepper in (dg._harmonic_steps, oracles.harmonic_steps_reference))
+    assert got == want
+
+
 @pytest.mark.parametrize("name", ("tp3-dirichlet", "custom", "tp3-length-pi"))
 def test_other_problems_take_the_tabulated_path(name, monkeypatch):
     """Only periodic tp3 on a mesh of length 2 pi takes the harmonic path."""

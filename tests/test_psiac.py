@@ -141,7 +141,9 @@ def test_assembly_matches_fraction_reference(spec):
             [[row[ncol - 1 - j] for j in range(ncol)] for row in oracles.matrix_rows(nat)])
         q = oracles.matmul_reference(nat, coeff)
         assert q_matrix(spec, dg_degree).q == q
-        xi = -spec.lam if spec.side != "right" else spec.lam
+        if spec.side == "interior":  # the symmetric prototype has no endpoint vector
+            continue
+        xi = -spec.lam if spec.side == "left" else spec.lam
         powers = RatMatrix.column([xi ** m for m in range(q.cols)])
         assert endpoint_vector(spec, dg_degree) == oracles.matmul_reference(q, powers).col(0)
 
@@ -169,7 +171,9 @@ def test_integer_assembly_matches_fraction_path(spec):
         assert qm.q == q
         nums, den = _over_common_denominator(q.entries)
         assert (qm.exact.nums.ravel().tolist(), qm.exact.den) == (nums, den)
-        xi = -spec.lam if spec.side != "right" else spec.lam
+        if spec.side == "interior":  # the symmetric prototype has no endpoint vector
+            continue
+        xi = -spec.lam if spec.side == "left" else spec.lam
         powers = RatMatrix.column([xi ** m for m in range(q.cols)])
         assert endpoint_vector(spec, dg_degree) == (nat @ (coeff @ powers)).col(0)
 
@@ -300,6 +304,13 @@ def test_endpoint_vector_np0_d3():
     assert v[18:22] == [F(70381, 10080), F(70381, 10080),
                         F(-56627, 10080), F(-56627, 10080)]
     assert all(10080 % x.denominator == 0 for x in v)
+
+
+def test_endpoint_vector_refuses_non_boundary_sides():
+    """The symmetric prototype has no endpoint, nor has a spec of any other side."""
+    for spec in (build_spec("symmetric", 2), replace(build_spec("np0", 1, "left"), side="center")):
+        with pytest.raises(filters.UnsupportedFamilySideError, match="not a boundary side"):
+            endpoint_vector(spec)
 
 
 def test_endpoint_vector_srv_magnitude():
