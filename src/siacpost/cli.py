@@ -86,7 +86,7 @@ def cmd_kernel(args) -> int:
     if args.exact:
         path = out / f"kernel_{tag}_coeffs.csv"
         _write(path, "j," + ",".join(f"xi^{m}" for m in range(spec.r + 1)),
-               ([j, *cp.matrix.row(j)] for j in range(spec.r + 1)))
+               ([j, *cp.exact.row(j)] for j in range(spec.r + 1)))
         if vec is None:
             print(f"wrote {path}")
         else:

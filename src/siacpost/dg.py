@@ -13,7 +13,7 @@ internally; filtering converts to the Bernstein element basis.
   R - I has five block diagonals, rational in nu = dt / h; a Dirichlet
   step also adds three inflow terms on elements 0-3.  Each entry is an
   integer over one common denominator, split into floats hi + lo by
-  `exact.IntMatrix.hi_lo`: a step is one `take` of the windows into a
+  `exact.RatMatrix.hi_lo`: a step is one `take` of the windows into a
   buffer, one batched matmul by hi and lo and an add, and rounds no worse
   than the stages of `dg_rhs`.
 - kappa and rho are tp3's `_tp3_kappa` and `_tp3_rho`, periodic, on a
@@ -55,7 +55,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import UsageError
-from .exact import IntMatrix
+from .exact import RatMatrix
 # Unused here, but perfbench/tracer.py patches dg.invert_exact, so the name must resolve.
 from .exact import invert_exact  # noqa: F401
 
@@ -391,8 +391,8 @@ def _increment_operator(d: int, nu: Fraction) -> tuple[np.ndarray, np.ndarray]:
     inflow = [sum(w * p ** (k + 1) * q ** (3 - k) * (powers[k, :4] @ b) for k, w in enumerate(ws))
               for ws in ((4, 4, 2, 1), (16, 8, 2), (4,))]
     den = 24 * q ** 4  # of every entry above
-    return (IntMatrix(blocks.transpose(0, 2, 1), den).hi_lo().reshape(2, 5 * m, m),
-            IntMatrix(inflow, den).hi_lo().reshape(2, 3, 4 * m))
+    return (RatMatrix(blocks.transpose(0, 2, 1), den).hi_lo().reshape(2, 5 * m, m),
+            RatMatrix(inflow, den).hi_lo().reshape(2, 3, 4 * m))
 
 
 def _increment_steps(field: DGField, problem: TestProblem, dt: float, steps: int):
@@ -584,7 +584,7 @@ def _harmonic_operator(d: int, h: float, dt: float) -> tuple[np.ndarray, np.ndar
     c = np.zeros((2, 5, 5, m, m), dtype=object)
     for weight, (_, r, i) in zip((1, 2, 2, 1), p):
         c[:, :len(r), :r.shape[1]] += weight * np.array([r, i])
-    w = IntMatrix(slots(*c)[:, ::-1] // 6, _ONE).hi_lo()
+    w = RatMatrix(slots(*c)[:, ::-1] // 6, _ONE).hi_lo()
     w = w.transpose(2, 4, 0, 1, 3).reshape(5 * m, 18 * m)
     g = np.zeros((2, 8, m), dtype=object)  # harmonics -2..5 of the part with e^{-2it_k}
     for weight, (lo, r, i) in zip((1, 2, 2, 1), s):
@@ -594,7 +594,7 @@ def _harmonic_operator(d: int, h: float, dt: float) -> tuple[np.ndarray, np.ndar
     (pos_r, pos_i), neg = g[:, 2:], np.zeros((2, 6, m), dtype=object)
     neg[:, :3] = g[:, 2::-1]
     g = np.array([slots(pos_r + neg[0], pos_i - neg[1]), slots(pos_i + neg[1], neg[0] - pos_r)])
-    return w, IntMatrix(g // 6, _ONE).hi_lo().transpose(1, 0, 2, 3).reshape(2, 22, m)
+    return w, RatMatrix(g // 6, _ONE).hi_lo().transpose(1, 0, 2, 3).reshape(2, 22, m)
 
 
 def _harmonic_steps(field: DGField, problem: TestProblem, dt: float, steps: int):

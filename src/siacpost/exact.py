@@ -1,20 +1,19 @@
-"""Exact rational scalars, dense matrices, and polynomials.
+"""Exact rational scalars, matrices, and polynomials.
 
-Values are ``fractions.Fraction`` (arbitrary-precision rationals).  Matrix
-products and elimination work inside on integers over common
-denominators and return canonical ``Fraction``s.  The text
-form of a rational is ``str(Fraction)``, i.e. "p/q" with "/q" omitted when
-q == 1, and ``Fraction("p/q")`` parses it back.  The exact operators that
-filter and step DG data are ``IntMatrix``es, integer arrays over one
-denominator, and ``IntMatrix`` is the one place where they become floats:
-each float it gives is the correctly rounded value of one exact entry.
+Scalars are ``fractions.Fraction`` (arbitrary-precision rationals).  The
+text form of a rational is ``str(Fraction)``, i.e. "p/q" with "/q" omitted
+when q == 1, and ``Fraction("p/q")`` parses it back.  Every exact matrix,
+the operators that filter and step DG data included, is a ``RatMatrix``:
+an integer array over one denominator, so products and elimination run on
+integers.  It is the one place where exact values leave, as reduced
+``Fraction``s or as floats, each float the correctly rounded value of one
+exact entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
-from operator import mul
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -42,94 +41,77 @@ def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int
 
 
 class RatMatrix:
-    """Dense rational matrix, entries stored row-major."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries: Iterable[RationalLike]):
-        self.rows = rows
-        self.cols = cols
-        self.entries = [rat(e) if not isinstance(e, Fraction) else e for e in entries]
-        if len(self.entries) != rows * cols:
-            raise ValueError(f"need {rows * cols} entries, got {len(self.entries)}")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[RationalLike]]) -> "RatMatrix":
-        nr = len(rows)
-        nc = len(rows[0]) if nr else 0
-        flat = [e for row in rows for e in row]
-        return cls(nr, nc, flat)
-
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
-
-    @classmethod
-    def column(cls, values: Sequence[RationalLike]) -> "RatMatrix":
-        return cls(len(values), 1, list(values))
-
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> list[Fraction]:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def col(self, j: int) -> list[Fraction]:
-        return self.entries[j::self.cols]
-
-    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        """Exact product: each entry is one integer dot product, divided once."""
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        rows = [_over_common_denominator(self.row(i)) for i in range(self.rows)]
-        cols = [_over_common_denominator(other.col(j)) for j in range(other.cols)]
-        return RatMatrix(self.rows, other.cols,
-                         [Fraction(sum(map(mul, r, c)), rd * cd)
-                          for r, rd in rows for c, cd in cols])
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, RatMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(self.entries)))
-
-    def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(e) for e in self.row(i)) for i in range(self.rows))
-        return f"RatMatrix({self.rows}x{self.cols}: {body})"
-
-
-class IntMatrix:
     """Exact rational array: Python-int numerators ``nums``, an object array of
     any shape, over one positive denominator ``den`` (a negative one flips signs).
 
-    Every exit is a function of the exact entries alone, so the denominator
-    an operator is held over never shows: ``fractions()`` reduces each
-    entry, and ``floats()``, ``hi_lo()`` and ``apply()`` round each once.
+    Equality and hash go by value, so the denominator an array is held over
+    never shows, in them or in any exit: ``entries`` and ``row`` give reduced
+    Fractions, and ``floats()``, ``hi_lo()`` and ``apply()`` round each entry
+    once.  As a matrix a vector is one column; an array of more than two axes
+    has no rows or columns.
     """
 
     __slots__ = ("nums", "den")
 
     def __init__(self, nums, den: int = 1):
         if den == 0:
-            raise ZeroDivisionError("IntMatrix denominator is zero")
+            raise ZeroDivisionError("RatMatrix denominator is zero")
         self.nums = np.array(nums, dtype=object) if den > 0 else -np.array(nums, dtype=object)
         self.den = abs(den)
 
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        """Exact product: integer products over the product of the denominators."""
-        return IntMatrix(self.nums @ other.nums, self.den * other.den)
+    @classmethod
+    def from_rows(cls, rows: Sequence[Sequence[RationalLike]]) -> "RatMatrix":
+        """The matrix of these rows, over the lcm of its denominators.  Ragged rows raise
+        ValueError."""
+        cols = len(rows[0]) if rows else 0
+        if any(len(row) != cols for row in rows):
+            raise ValueError(f"rows of unequal lengths {[len(row) for row in rows]}")
+        nums, den = _over_common_denominator([rat(e) for row in rows for e in row])
+        return cls(np.array(nums, dtype=object).reshape(len(rows), cols), den)
 
-    def reduced(self) -> "IntMatrix":
+    @classmethod
+    def identity(cls, n: int) -> "RatMatrix":
+        return cls(np.eye(n, dtype=object))
+
+    def _grid(self) -> np.ndarray:
+        """nums as a (rows, cols) array."""
+        if self.nums.ndim > 2:
+            raise ValueError(f"an array of shape {self.nums.shape} has no rows and columns")
+        return self.nums.reshape((*self.nums.shape, 1, 1)[:2])
+
+    @property
+    def rows(self) -> int:
+        return self._grid().shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self._grid().shape[1]
+
+    @property
+    def entries(self) -> list[Fraction]:
+        """The entries as reduced Fractions, flat in C order."""
+        return [Fraction(v, self.den) for v in self.nums.flat]
+
+    def row(self, i: int) -> list[Fraction]:
+        return [Fraction(v, self.den) for v in self._grid()[i]]
+
+    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
+        """Exact product: integer products over the product of the denominators."""
+        return RatMatrix(self.nums @ other.nums, self.den * other.den)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RatMatrix):
+            return NotImplemented
+        return bool(np.array_equal(self.nums * other.den, other.nums * self.den))
+
+    def __hash__(self):
+        r = self.reduced()
+        return hash((r.nums.shape, tuple(r.nums.flat), r.den))
+
+    def reduced(self) -> "RatMatrix":
         """The same values over the least common denominator of the entries."""
         g = gcd(self.den, *self.nums.flat)
-        return IntMatrix(self.nums // g, self.den // g)
-
-    def fractions(self) -> RatMatrix:
-        """The entries as reduced Fractions; a vector gives one column."""
-        rows, cols = (*self.nums.shape, 1)[:2]
-        return RatMatrix(rows, cols, [Fraction(v, self.den) for v in self.nums.flat])
+        return RatMatrix(self.nums // g, self.den // g)
 
     def floats(self) -> np.ndarray:
         """The entries as floats, each correctly rounded (int / int rounds once)."""
@@ -151,15 +133,7 @@ class IntMatrix:
         over one power-of-two scale.  A vector of the wrong length raises ValueError."""
         ratios = [v.as_integer_ratio() for v in np.asarray(x, dtype=float).ravel().tolist()]
         scale = max(q for _, q in ratios)  # a power of two: the others divide it
-        return (IntMatrix([p * (scale // q) for p, q in ratios], scale) @ self).floats()
-
-
-def _scaled_rows(a: RatMatrix, b: RatMatrix | None = None) -> tuple[list[list[int]], int]:
-    """Rows of [A | B] each scaled by the lcm of its denominators (A^-1 B is unchanged),
-    and the product of the lcms."""
-    rows = [_over_common_denominator(a.row(i) + (b.row(i) if b is not None else []))
-            for i in range(a.rows)]
-    return [row for row, _ in rows], prod(den for _, den in rows)
+        return (RatMatrix([p * (scale // q) for p, q in ratios], scale) @ self).floats()
 
 
 def _eliminate(rows: list[list[int]], n: int) -> tuple[int, int, list[list[int]]]:
@@ -198,30 +172,31 @@ def _eliminate(rows: list[list[int]], n: int) -> tuple[int, int, list[list[int]]
 
 
 def det_exact(a: RatMatrix) -> Fraction:
-    """Determinant by fraction-free integer elimination."""
+    """Determinant by fraction-free integer elimination: det(nums) / den^n."""
     if a.rows != a.cols:
         raise ValueError("determinant needs a square matrix")
-    rows, scale = _scaled_rows(a)
     try:
-        det, _, _ = _eliminate(rows, a.rows)
+        det, _, _ = _eliminate(a._grid().tolist(), a.rows)
     except SingularMatrixError:
         return Fraction(0)
-    return Fraction(det, scale)
+    return Fraction(det, a.den ** a.rows)
 
 
 def solve_exact(a: RatMatrix, b: RatMatrix | Sequence[RationalLike]) -> RatMatrix:
     """Solve A x = b exactly by fraction-free elimination over the integers.
 
-    Raises SingularMatrixError when det(A) = 0.
+    Each side's numerators are scaled by the other side's denominator, which
+    leaves A^-1 b unchanged.  Raises SingularMatrixError when det(A) = 0.
     """
     if not isinstance(b, RatMatrix):
-        b = RatMatrix.column(list(b))
+        b = RatMatrix.from_rows([[v] for v in b])
     if a.rows != a.cols:
         raise ValueError("matrix must be square")
     if b.rows != a.rows:
         raise ValueError("right-hand side has wrong length")
-    _, pivot, rhs = _eliminate(_scaled_rows(a, b)[0], a.rows)
-    return RatMatrix(a.rows, b.cols, [Fraction(x, pivot) for row in rhs for x in row])
+    rows = np.hstack((a._grid() * b.den, b._grid() * a.den)).tolist()
+    _, pivot, rhs = _eliminate(rows, a.rows)
+    return RatMatrix(np.reshape(np.array(rhs, dtype=object), (a.rows, b.cols)), pivot)
 
 
 def invert_exact(a: RatMatrix) -> RatMatrix:

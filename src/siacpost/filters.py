@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 from math import comb, lcm
 
 from .errors import UsageError
-from .exact import IntMatrix, RatMatrix, RatPoly, SingularMatrixError, _eliminate, rat
+from .exact import RatMatrix, RatPoly, SingularMatrixError, _eliminate, rat
 from .spline import as_knots, bspline_moment_sums, bspline_moments
 
 # Unused here, but perfbench/tracer.py patches filters.invert_exact, filters.det_exact,
@@ -225,29 +225,24 @@ class CoefficientPolynomials:
 
     c_j(xi) = sum_m C[j][m] xi^m gives the coefficients of the kernel over
     knots t + xi, with xi in mesh units.  C = M^-1 diag((-1)^m) is held
-    exactly, as an IntMatrix.
+    exactly.
     """
 
     spec: FilterSpec
-    exact: IntMatrix
-
-    @cached_property
-    def matrix(self) -> RatMatrix:
-        """C as reduced Fractions."""
-        return self.exact.fractions()
+    exact: RatMatrix
 
     def poly(self, j: int) -> RatPoly:
-        return RatPoly(self.matrix.row(j))
+        return RatPoly(self.exact.row(j))
 
-    def at(self, xi) -> IntMatrix:
+    def at(self, xi) -> RatMatrix:
         """c(xi) = C [xi^m] for a rational xi = p/q, as one integer product."""
         xi, r = Fraction(xi), self.spec.r
         p, q = xi.numerator, xi.denominator
-        return self.exact @ IntMatrix([p ** m * q ** (r - m) for m in range(r + 1)], q ** r)
+        return self.exact @ RatMatrix([p ** m * q ** (r - m) for m in range(r + 1)], q ** r)
 
     def evaluate(self, xi) -> list[Fraction]:
         """Coefficient vector at a given rational shift, exactly."""
-        return self.at(xi).fractions().entries
+        return self.at(xi).entries
 
 
 @lru_cache(maxsize=None)
@@ -279,4 +274,4 @@ def shifted_coefficient_polynomials(spec: FilterSpec) -> CoefficientPolynomials:
     except SingularMatrixError as exc:
         raise SingularReproductionError(
             f"singular reproduction matrix for {spec.family}") from exc
-    return CoefficientPolynomials(spec=spec, exact=IntMatrix(right, pivot))
+    return CoefficientPolynomials(spec=spec, exact=RatMatrix(right, pivot))

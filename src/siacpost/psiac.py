@@ -19,10 +19,11 @@ sigma = (x - a)/h, where elements are the unit intervals [e, e+1]):
     around it: the interior operator.
 
 Q = T . M^-1 . diag((-1)^m) and the interior operator are assembled
-exactly once per (filter, DG degree), each as an `exact.IntMatrix`;
-Fractions are made only where a value leaves this layer (`QMatrix.q`, the
-endpoint vector), and floats only when an operator is applied to DG data,
-in both cases by the IntMatrix's exits.
+exactly once per (filter, DG degree), each as an `exact.RatMatrix`, an
+integer array over one denominator.  Fractions are made only where a value
+leaves this layer (the entries of `QMatrix.q`, the endpoint vector), and
+floats only when an operator is applied to DG data, in both cases by the
+RatMatrix's exits.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from operator import mul
 import numpy as np
 
 from .errors import UsageError
-from .exact import IntMatrix, RatMatrix, RatPoly, _over_common_denominator, rat
+from .exact import RatMatrix, RatPoly, _over_common_denominator, rat
 from .filters import (FilterSpec, UnsupportedFamilySideError, build_spec,
                       shifted_coefficient_polynomials, static_coefficients)
 from .spline import bernstein_poly, bspline_pieces, unit_bspline_piecewise
@@ -131,7 +132,7 @@ def _element_integrals(knots: tuple[int, ...], scale: int, k: int, dg_degree: in
 
 
 @lru_cache(maxsize=None)
-def _t_integers(spec: FilterSpec, dg_degree: int) -> IntMatrix:
+def _t_integers(spec: FilterSpec, dg_degree: int) -> RatMatrix:
     """T exactly, columns in kernel B-spline order (not the reversed paper order).
 
     Local frame: the data window is [0, w], w = t_n - t_0, and spline j
@@ -156,7 +157,7 @@ def _t_integers(spec: FilterSpec, dg_degree: int) -> IntMatrix:
     for j, (shift, cden, parts) in enumerate(cols):
         for e, vals in parts:
             rows[(e + shift) * nb:(e + shift + 1) * nb, j] = [v * (den // cden) for v in vals]
-    return IntMatrix(rows, den)
+    return RatMatrix(rows, den)
 
 
 @dataclass(frozen=True)
@@ -172,12 +173,7 @@ class QMatrix:
     spec: FilterSpec
     dg_degree: int
     n_elements: int
-    exact: IntMatrix
-
-    @cached_property
-    def q(self) -> RatMatrix:
-        """Q as reduced Fractions."""
-        return self.exact.fractions()
+    q: RatMatrix
 
     def contract_exact(self, coeff_rows) -> RatPoly:
         """Output polynomial (exact) for rational window coefficients.
@@ -185,19 +181,19 @@ class QMatrix:
         coeff_rows: per-element sequences of dg_degree+1 Bernstein
         coefficients, elements ordered left to right across the window.
         """
-        window = IntMatrix(*_over_common_denominator([rat(c) for row in coeff_rows for c in row]))
-        return RatPoly((window @ self.exact).fractions().entries)
+        window = RatMatrix(*_over_common_denominator([rat(c) for row in coeff_rows for c in row]))
+        return RatPoly((window @ self.q).entries)
 
     def contract(self, coeff_rows: np.ndarray) -> np.ndarray:
         """Float coefficient vector of the output polynomial.
 
-        The contraction is exact and runs on integers (`IntMatrix.apply`), so
+        The contraction is exact and runs on integers (`RatMatrix.apply`), so
         the result is bit for bit the float of each coefficient of
         ``contract_exact``, zero-padded to the column count.
         Large-coefficient kernels stay stable; only the final coefficients
         are rounded.
         """
-        return self.exact.apply(coeff_rows)
+        return self.q.apply(coeff_rows)
 
 
 @lru_cache(maxsize=None)
@@ -208,7 +204,7 @@ def q_matrix(spec: FilterSpec, dg_degree: int | None = None) -> QMatrix:
     """
     dg = spec.d if dg_degree is None else dg_degree
     q = (_t_integers(spec, dg) @ shifted_coefficient_polynomials(spec).exact).reduced()
-    return QMatrix(spec=spec, dg_degree=dg, n_elements=_local_window_elements(spec), exact=q)
+    return QMatrix(spec=spec, dg_degree=dg, n_elements=_local_window_elements(spec), q=q)
 
 
 def endpoint_vector(spec: FilterSpec, dg_degree: int | None = None) -> list[Fraction]:
@@ -226,7 +222,7 @@ def endpoint_vector(spec: FilterSpec, dg_degree: int | None = None) -> list[Frac
     dg = spec.d if dg_degree is None else dg_degree
     xi = -spec.lam if spec.side != "right" else spec.lam
     c = shifted_coefficient_polynomials(spec).at(xi)
-    return (_t_integers(spec, dg) @ c).fractions().entries
+    return (_t_integers(spec, dg) @ c).entries
 
 
 # ---------------------------------------------------------------------------
@@ -256,16 +252,18 @@ class BoundaryPolynomial:
         return acc if acc.shape else float(acc)
 
     def derivative(self, order: int = 1) -> "BoundaryPolynomial":
+        """The derivative in x of each field's polynomial (along the last axis)."""
         cs = np.asarray(self.coeffs, dtype=float)
         for _ in range(order):
-            cs = np.array([m * cs[m] for m in range(1, len(cs))]) / self.h
-            if len(cs) == 0:
-                cs = np.zeros(1)
+            cs = cs[..., 1:] * np.arange(1, cs.shape[-1]) / self.h
+            if cs.shape[-1] == 0:
+                cs = np.zeros(cs.shape[:-1] + (1,))
         return BoundaryPolynomial(coeffs=cs, h=self.h, anchor=self.anchor, region=self.region)
 
     def physical_coefficients(self) -> np.ndarray:
-        """Coefficients a_k of sum a_k (x - anchor)^k."""
-        return np.array([c / self.h ** k for k, c in enumerate(self.coeffs)])
+        """Coefficients a_k of sum a_k (x - anchor)^k, along the last axis."""
+        cs = np.asarray(self.coeffs, dtype=float)
+        return cs / np.array([self.h ** k for k in range(cs.shape[-1])])
 
 
 def window_placement(spec: FilterSpec, n_elements: int):
@@ -372,7 +370,7 @@ class InteriorOperator:
     degree: int  # of the output polynomials, d + dg_degree + 1
     pieces: int
     offsets: tuple[int, ...]
-    exact: IntMatrix  # (pieces, rows, degree + 1)
+    exact: RatMatrix  # (pieces, rows, degree + 1)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -414,7 +412,7 @@ def interior_operator(d: int, dg_degree: int) -> InteriorOperator:
         numerators.append(tuple(rows))
     den = factorial(d) * factorial(n) ** 2 * pieces ** n * dc
     return InteriorOperator(d=d, dg_degree=dg_degree, degree=n, pieces=pieces,
-                            offsets=tuple(offsets), exact=IntMatrix(numerators, den))
+                            offsets=tuple(offsets), exact=RatMatrix(numerators, den))
 
 
 def _bernstein_values(n: int, t) -> np.ndarray:

@@ -71,9 +71,9 @@ def moment_reference(knots, k: int, m: int) -> Fraction:
 
 def matmul_reference(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     """Product by Fraction multiply-adds."""
-    return RatMatrix(a.rows, b.cols, [sum((x * y for x, y in zip(a.row(i), b.col(j))),
-                                          Fraction(0))
-                                      for i in range(a.rows) for j in range(b.cols)])
+    cols = list(zip(*matrix_rows(b)))
+    return RatMatrix.from_rows([[sum((x * y for x, y in zip(row, col)), Fraction(0))
+                                 for col in cols] for row in matrix_rows(a)])
 
 
 def det_reference(a: RatMatrix) -> Fraction:
@@ -118,7 +118,7 @@ def solve_reference(a: RatMatrix, b: RatMatrix) -> RatMatrix:
             f = m[r][col]
             if f:
                 m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return RatMatrix(n, b.cols, [m[i][n + j] for i in range(n) for j in range(b.cols)])
+    return RatMatrix.from_rows([row[n:] for row in m])
 
 
 def moment_matrix_reference(spec: FilterSpec) -> RatMatrix:
@@ -133,7 +133,8 @@ def coefficient_matrix_reference(spec: FilterSpec) -> RatMatrix:
     """C = M^-1 diag((-1)^m), the coefficient polynomials c(xi) = C [xi^m]."""
     n = spec.r + 1
     minv = solve_reference(moment_matrix_reference(spec), RatMatrix.identity(n))
-    return RatMatrix(n, n, [minv[i, j] * (-1) ** j for i in range(n) for j in range(n)])
+    return RatMatrix.from_rows([[x * (-1) ** j for j, x in enumerate(row)]
+                                for row in matrix_rows(minv)])
 
 
 def poly_derivative(p: RatPoly) -> RatPoly:
@@ -257,8 +258,8 @@ def t_matrix_natural_reference(spec: FilterSpec, dg_degree: int) -> RatMatrix:
 
 
 def t_matrix_natural(spec: FilterSpec, dg_degree: int) -> RatMatrix:
-    """The library's T (``psiac._t_integers``) as Fractions, in kernel B-spline order."""
-    return _t_integers(spec, dg_degree).fractions()
+    """The library's T (``psiac._t_integers``), in kernel B-spline order."""
+    return _t_integers(spec, dg_degree)
 
 
 def t_matrix(spec: FilterSpec, dg_degree: int | None = None) -> RatMatrix:

@@ -5,7 +5,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from siacpost.exact import (IntMatrix, RatMatrix, RatPoly, SingularMatrixError, det_exact,
+from siacpost.exact import (RatMatrix, RatPoly, SingularMatrixError, det_exact,
                             invert_exact, rat, solve_exact)
 
 from oracles import (compose_affine, det_reference, matmul_reference, matrix_rows,
@@ -38,13 +38,13 @@ def cramer_solve(a: RatMatrix, b):
 def test_solve_paper_2x2():
     a = RatMatrix.from_rows([[1, 1], [-3, -1]])
     x = solve_exact(a, [1, 0])
-    assert x.col(0) == [F(-1, 2), F(3, 2)]
+    assert x.entries == [F(-1, 2), F(3, 2)]
 
 
 def test_solve_identity():
     a = RatMatrix.identity(3)
     x = solve_exact(a, [5, 0, -2])
-    assert x.col(0) == [F(5), F(0), F(-2)]
+    assert x.entries == [F(5), F(0), F(-2)]
 
 
 def test_solve_3x3_cramer_oracle():
@@ -52,7 +52,7 @@ def test_solve_3x3_cramer_oracle():
     b = [F(1), F(0), F(0)]
     assert cramer_solve(a, b) == [F(-1, 12), F(7, 6), F(-1, 12)]
     x = solve_exact(a, b)
-    assert x.col(0) == [F(-1, 12), F(7, 6), F(-1, 12)]
+    assert x.entries == [F(-1, 12), F(7, 6), F(-1, 12)]
 
 
 def test_invert_2x2_adjugate():
@@ -80,8 +80,8 @@ def test_random_inverse_property():
     done = 0
     while done < 25:
         n = rng.randint(1, 6)
-        a = RatMatrix(n, n, [F(rng.randint(-9, 9), rng.randint(1, 4))
-                             for _ in range(n * n)])
+        a = RatMatrix.from_rows([[F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+                                 for _ in range(n)])
         if det_exact(a) == 0:
             continue
         assert invert_exact(a) @ a == RatMatrix.identity(n)
@@ -93,11 +93,11 @@ def test_random_solve_property():
     for _ in range(25):
         n = rng.randint(1, 5)
         while True:
-            a = RatMatrix(n, n, [F(rng.randint(-9, 9), rng.randint(1, 4))
-                                 for _ in range(n * n)])
+            a = RatMatrix.from_rows([[F(rng.randint(-9, 9), rng.randint(1, 4))
+                                      for _ in range(n)] for _ in range(n)])
             if det_exact(a) != 0:
                 break
-        b = RatMatrix.column([F(rng.randint(-9, 9)) for _ in range(n)])
+        b = RatMatrix.from_rows([[F(rng.randint(-9, 9))] for _ in range(n)])
         x = solve_exact(a, b)
         assert a @ x == b
 
@@ -143,7 +143,20 @@ def test_ratpoly_calculus():
 
 def test_matrix_entries_invariant():
     with pytest.raises(ValueError):
-        RatMatrix(2, 2, [1, 2, 3])
+        RatMatrix.from_rows([[1, 2], [3]])
+
+
+def test_matrix_equality_is_by_value():
+    """(nums, den) equals (2 nums, 2 den) and hashes alike; other values or shapes differ."""
+    a = RatMatrix([[1, 2]], 3)
+    assert a == RatMatrix([[1, 2]], 3) == RatMatrix([[2, 4]], 6) == RatMatrix([[-1, -2]], -3)
+    same = RatMatrix.from_rows([[F(1, 3), F(2, 3)]])
+    assert hash(a) == hash(RatMatrix([[2, 4]], 6)) == hash(same) and same == a
+    assert len({a, RatMatrix([[2, 4]], 6), RatMatrix([[1, 2]], 4)}) == 2
+    assert a != RatMatrix([[1, 2]], 4)
+    assert a != RatMatrix([1, 2], 3)  # a vector is not a 1 x 2 matrix
+    assert RatMatrix([[0, 0]], 5) == RatMatrix([[0, 0]])
+    assert a != [[F(1, 3), F(2, 3)]]
 
 
 def test_elimination_matches_fraction_reference():
@@ -156,9 +169,11 @@ def test_elimination_matches_fraction_reference():
     swaps = singular = 0
     for _ in range(300):
         n = rng.randint(1, 6)
-        a = RatMatrix(n, n, [F(rng.randint(-9, 9), rng.randint(1, 12))
-                             if rng.random() < 0.55 else F(0) for _ in range(n * n)])
-        b = RatMatrix(n, 2, [F(rng.randint(-20, 20), rng.randint(1, 7)) for _ in range(2 * n)])
+        a = RatMatrix.from_rows([[F(rng.randint(-9, 9), rng.randint(1, 12))
+                                  if rng.random() < 0.55 else F(0) for _ in range(n)]
+                                 for _ in range(n)])
+        b = RatMatrix.from_rows([[F(rng.randint(-20, 20), rng.randint(1, 7)) for _ in range(2)]
+                                 for _ in range(n)])
         det = det_exact(a)
         assert det == det_reference(a)
         assert a @ b == matmul_reference(a, b)
@@ -169,7 +184,7 @@ def test_elimination_matches_fraction_reference():
             with pytest.raises(SingularMatrixError):
                 invert_exact(a)
             continue
-        swaps += a[0, 0] == 0
+        swaps += a.nums[0, 0] == 0
         assert solve_exact(a, b) == solve_reference(a, b)
         assert invert_exact(a) == solve_reference(a, RatMatrix.identity(n))
     assert swaps >= 10 and singular >= 10
@@ -180,7 +195,7 @@ def test_elimination_small_cases():
     assert det_exact(swap) == -1
     assert invert_exact(swap) == swap
     assert det_exact(RatMatrix.from_rows([[0, 0], [0, 1]])) == 0
-    assert det_exact(RatMatrix(0, 0, [])) == 1
+    assert det_exact(RatMatrix.from_rows([])) == 1
     big = RatMatrix.from_rows([[F(1, 3), F(10 ** 30, 7)], [F(-2, 9), F(5, 10 ** 20)]])
     assert invert_exact(big) == solve_reference(big, RatMatrix.identity(2))
 
@@ -192,14 +207,15 @@ INT_MATRIX_CASES = [(20, 8), (1100, 1110), (60, 1110), (1, 1140), (1300, 1200)]
 
 @pytest.mark.parametrize("bits", INT_MATRIX_CASES, ids=lambda b: f"{b[0]}over{b[1]}")
 def test_int_matrix_exits_match_fractions(bits):
-    """Every exit of an IntMatrix is the reduced Fraction, or its correct rounding, entry by
-    entry: random signed entries with one zero row, against ``Fraction`` arithmetic."""
+    """Every exit of a RatMatrix of integers over one denominator is the reduced Fraction,
+    or its correct rounding, entry by entry, and equality and hash do not see the
+    denominator: random signed entries with one zero row, against ``Fraction`` arithmetic."""
     num_bits, den_bits = bits
     rng = random.Random(num_bits * 7919 + den_bits)
     nums = [[rng.randint(-2 ** num_bits, 2 ** num_bits) for _ in range(3)] for _ in range(5)]
     nums[2] = [0, 0, 0]
     den = rng.randint(2 ** (den_bits - 1), 2 ** den_bits)
-    a = IntMatrix(nums, den)
+    a = RatMatrix(nums, den)
     exact = [F(v, den) for row in nums for v in row]
     want = np.array([float(f) for f in exact]).reshape(5, 3)
     assert a.floats().tobytes() == want.tobytes()
@@ -207,11 +223,15 @@ def test_int_matrix_exits_match_fractions(bits):
     assert hi.tobytes() == want.tobytes()
     rest = [float(f - F(h)) for f, h in zip(exact, want.flat)]
     assert lo.tobytes() == np.array(rest).reshape(5, 3).tobytes()
-    assert a.fractions() == RatMatrix(5, 3, exact)
-    assert IntMatrix([[-v for v in row] for row in nums], -den).fractions() == a.fractions()
+    assert a.entries == exact and (a.rows, a.cols) == (5, 3)
+    assert a == RatMatrix.from_rows([exact[i:i + 3] for i in range(0, 15, 3)])
+    flipped = RatMatrix([[-v for v in row] for row in nums], -den)
+    assert flipped.entries == a.entries and flipped == a
     for g in (1, 6, 2 ** 70 * 3 ** 5):
-        r = IntMatrix(a.nums * g, den * g).reduced()
-        assert r.fractions() == a.fractions() and gcd(r.den, *r.nums.flat) == 1
+        scaled = RatMatrix(a.nums * g, den * g)
+        assert scaled == a and hash(scaled) == hash(a)
+        r = scaled.reduced()
+        assert r.entries == a.entries and gcd(r.den, *r.nums.flat) == 1
     x = [rng.uniform(-1, 1) * 2.0 ** rng.randint(-60, 60) for _ in range(5)]
     dots = [float(sum(F(u) * f for u, f in zip(x, exact[j::3]))) for j in range(3)]
     assert a.apply(x).tobytes() == np.array(dots).tobytes()

@@ -43,8 +43,7 @@ def test_np0_d1_t_shape_and_entries():
     spec = build_spec("np0", 1, "left")
     t = t_matrix(spec)
     assert (t.rows, t.cols) == (8, 4)
-    for j in range(4):
-        col = t.col(j)
+    for col in zip(*oracles.matrix_rows(t)):
         assert sorted(col, reverse=True)[:2] == [F(1, 2), F(1, 2)]
         assert sum(1 for e in col if e != 0) == 2
 
@@ -57,8 +56,8 @@ def test_np0_d1_t_shape_and_entries():
 def test_t_column_sums_are_one(spec):
     """Each spline integrates the Bernstein partition of unity to 1."""
     t = t_matrix(spec)
-    for j in range(t.cols):
-        assert sum(t.col(j)) == 1
+    for col in zip(*oracles.matrix_rows(t)):
+        assert sum(col) == 1
 
 
 @pytest.mark.parametrize("spec", [
@@ -132,8 +131,8 @@ def test_assembly_matches_fraction_reference(spec):
     cover only part of an element.
     """
     coeff = oracles.coefficient_matrix_reference(spec)
-    assert filters.shifted_coefficient_polynomials(spec).matrix == coeff
-    assert filters.static_coefficients(spec) == tuple(coeff.col(0))
+    assert filters.shifted_coefficient_polynomials(spec).exact == coeff
+    assert filters.static_coefficients(spec) == tuple(row[0] for row in oracles.matrix_rows(coeff))
     for dg_degree in (spec.d,) if spec.d > 2 else (0, 1, 2):
         nat = oracles.t_matrix_natural_reference(spec, dg_degree)
         ncol = nat.cols
@@ -144,8 +143,8 @@ def test_assembly_matches_fraction_reference(spec):
         if spec.side == "interior":  # the symmetric prototype has no endpoint vector
             continue
         xi = -spec.lam if spec.side == "left" else spec.lam
-        powers = RatMatrix.column([xi ** m for m in range(q.cols)])
-        assert endpoint_vector(spec, dg_degree) == oracles.matmul_reference(q, powers).col(0)
+        powers = RatMatrix.from_rows([[xi ** m] for m in range(q.cols)])
+        assert endpoint_vector(spec, dg_degree) == oracles.matmul_reference(q, powers).entries
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS,
@@ -162,7 +161,7 @@ def test_integer_assembly_matches_fraction_path(spec):
     checked.
     """
     coeff = oracles.coefficient_matrix_reference(spec)
-    assert filters.shifted_coefficient_polynomials(spec).matrix == coeff
+    assert filters.shifted_coefficient_polynomials(spec).exact == coeff
     for dg_degree in (spec.d, 1 if spec.d == 2 else 2):
         nat = oracles.t_matrix_by_elements(spec, dg_degree)
         assert oracles.t_matrix_natural(spec, dg_degree) == nat
@@ -170,12 +169,12 @@ def test_integer_assembly_matches_fraction_path(spec):
         qm = q_matrix(spec, dg_degree)
         assert qm.q == q
         nums, den = _over_common_denominator(q.entries)
-        assert (qm.exact.nums.ravel().tolist(), qm.exact.den) == (nums, den)
+        assert (qm.q.nums.ravel().tolist(), qm.q.den) == (nums, den)
         if spec.side == "interior":  # the symmetric prototype has no endpoint vector
             continue
         xi = -spec.lam if spec.side == "left" else spec.lam
-        powers = RatMatrix.column([xi ** m for m in range(q.cols)])
-        assert endpoint_vector(spec, dg_degree) == (nat @ (coeff @ powers)).col(0)
+        powers = RatMatrix.from_rows([[xi ** m] for m in range(q.cols)])
+        assert endpoint_vector(spec, dg_degree) == (nat @ (coeff @ powers)).entries
 
 
 @pytest.mark.parametrize("dg_degree", [0, 1, 2, 4])
@@ -227,6 +226,19 @@ def test_ex210_derivatives():
     assert np.allclose(d2(xs), (3 - 2 * xs) / 2, atol=1e-15)
     dd = filter_boundary_derivative(field, EX27, order=EX27.r)
     assert np.allclose(dd(xs), -1.0, atol=1e-15)  # r = 1 here
+
+
+def test_stacked_boundary_polynomial_is_per_field():
+    """Derivatives and physical coefficients of a (fields, m) stack are those of each field."""
+    stack = psiac.BoundaryPolynomial(coeffs=np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+                                     h=0.5, anchor=0.25, region=(0.0, 1.0))
+    fields = [replace(stack, coeffs=row) for row in stack.coeffs]
+    assert stack.derivative(1).coeffs.tolist() == [[4.0, 12.0], [10.0, 24.0]]
+    for order in (0, 1, 2, 3, 4):
+        got = stack.derivative(order)
+        assert got.coeffs.tolist() == [f.derivative(order).coeffs.tolist() for f in fields]
+    assert stack.physical_coefficients().tolist() == \
+        [f.physical_coefficients().tolist() for f in fields]
 
 
 def exact_poly_field(p: RatPoly, n: int, d: int):
@@ -361,6 +373,20 @@ def test_interior_operator_reproduces_polynomials_exactly(d):
             want = oracles.bernstein_coeffs_of_poly(p, F(-offset) + F(q, op.pieces),
                                                F(1, op.pieces), 1, op.degree)[0]
             assert got == want, (degree, q)
+
+
+def test_interior_operator_fraction_view():
+    """The (pieces, rows, m) interior operator gives its Fractions flat in C order, and
+    refuses a row and column view, naming its shape."""
+    op = psiac.interior_operator(2, 2)
+    assert op.exact.nums.shape == (2, 24, 6)
+    entries = op.exact.entries
+    assert len(entries) == 288
+    assert entries == [F(v, op.exact.den) for v in op.exact.nums.ravel().tolist()]
+    assert entries[6 * 24 + 6 + 1] == F(op.exact.nums[1, 1, 1], op.exact.den)
+    for view in (lambda m: m.rows, lambda m: m.cols, lambda m: m.row(0)):
+        with pytest.raises(ValueError, match=r"\(2, 24, 6\)"):
+            view(op.exact)
 
 
 @pytest.mark.parametrize("d", (1, 2, 3, 4))

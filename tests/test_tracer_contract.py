@@ -54,3 +54,5 @@ def test_tracer_installs_and_reports_every_layer_metric(tmp_path):
     assert layers["dg.rk4_steps"] > 0 and layers["psiac.q_matrix_misses"] > 0
     # read from QMatrix.contract and QMatrix.q: 0 if the pipeline stopped reaching them
     assert layers["psiac.contract_calls"] > 0 and layers["exact.q_den_bits_max"] > 0
+    # every exact product goes through RatMatrix.__matmul__, the boundary contraction's too
+    assert layers["exact.matmul_s"] > 0
