@@ -36,11 +36,14 @@ from operator import mul
 
 import numpy as np
 
+from . import dg
 from .errors import UsageError
 from .exact import RatMatrix, RatPoly, _over_common_denominator, rat
 from .filters import (FilterSpec, UnsupportedFamilySideError, build_spec,
                       shifted_coefficient_polynomials, static_coefficients)
-from .spline import bernstein_poly, bspline_pieces, unit_bspline_piecewise
+from .spline import bernstein_poly, bspline_pieces
+# Unused here; perfbench/tracer.py patches psiac.unit_bspline_piecewise.
+from .spline import unit_bspline_piecewise  # noqa: F401
 
 
 class WindowOutOfDomainError(ValueError):
@@ -202,9 +205,9 @@ def q_matrix(spec: FilterSpec, dg_degree: int | None = None) -> QMatrix:
 
     The product is then reduced to the least common denominator.
     """
-    dg = spec.d if dg_degree is None else dg_degree
-    q = (_t_integers(spec, dg) @ shifted_coefficient_polynomials(spec).exact).reduced()
-    return QMatrix(spec=spec, dg_degree=dg, n_elements=_local_window_elements(spec), q=q)
+    degree = spec.d if dg_degree is None else dg_degree
+    q = (_t_integers(spec, degree) @ shifted_coefficient_polynomials(spec).exact).reduced()
+    return QMatrix(spec=spec, dg_degree=degree, n_elements=_local_window_elements(spec), q=q)
 
 
 def endpoint_vector(spec: FilterSpec, dg_degree: int | None = None) -> list[Fraction]:
@@ -219,10 +222,10 @@ def endpoint_vector(spec: FilterSpec, dg_degree: int | None = None) -> list[Frac
     """
     if spec.side not in ("left", "right"):
         raise UnsupportedFamilySideError(f"side {spec.side!r} is not a boundary side")
-    dg = spec.d if dg_degree is None else dg_degree
+    degree = spec.d if dg_degree is None else dg_degree
     xi = -spec.lam if spec.side != "right" else spec.lam
     c = shifted_coefficient_polynomials(spec).at(xi)
-    return (_t_integers(spec, dg) @ c).entries
+    return (_t_integers(spec, degree) @ c).entries
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +289,7 @@ def boundary_window(field, spec: FilterSpec) -> tuple[QMatrix, np.ndarray]:
 
     The rows are those of the first or last Q.n_elements elements, by the spec's side.
     """
-    from .dg import to_bernstein
-    fld = to_bernstein(field)
+    fld = dg.to_bernstein(field)
     first, _, _ = window_placement(spec, fld.mesh.n)
     qm = q_matrix(spec, fld.d)
     return qm, fld.coeffs[first:first + qm.n_elements]
@@ -473,8 +475,7 @@ def filter_interior(field, filter_degree: int | None = None) -> PiecewiseBernste
     with the interior operator.  The kernel degree defaults to the field
     degree.
     """
-    from .dg import to_bernstein
-    fld = to_bernstein(field)
+    fld = dg.to_bernstein(field)
     mesh = fld.mesh
     op = interior_operator(fld.d if filter_degree is None else filter_degree, fld.d)
     per = op.pieces
@@ -552,14 +553,14 @@ def _float_spline(window: tuple[Fraction, ...], k: int) -> tuple[np.ndarray, np.
     """(breakpoints, pieces) of B(z | window) as floats, converted once per spline.
 
     Row i holds piece i's coefficients about its left breakpoint, top
-    first, zero-padded to degree k; a last zero row stands for z off the
-    support.
+    first: the exact piece of `bspline_pieces` recentred on integers, each
+    coefficient rounded once.  A last zero row stands for z off the support.
     """
-    pp = unit_bspline_piecewise(window, k)
-    pieces = [p.recentered(b).coeffs for p, b in zip(pp.pieces, pp.breakpoints)]
-    rows = [[0.0] * (k + 1 - len(p)) + [float(c) for c in reversed(p)]
-            for p in pieces] + [[0.0] * (k + 1)]
-    return np.array([float(b) for b in pp.breakpoints]), np.array(rows)
+    ts, scale = _over_common_denominator(window)
+    bps, pieces, den = bspline_pieces(ts, scale, k)
+    rows = [[q * scale ** i / den for i, q in enumerate(_recentred(p, b))][::-1]
+            for p, b in zip(pieces, bps)] + [[0.0] * (k + 1)]
+    return np.array([b / scale for b in bps]), np.array(rows)
 
 
 def _float_kernel(spec: FilterSpec, coeffs, offset: float, h: float) -> FloatKernel:

@@ -1,5 +1,9 @@
 """B-spline and Bernstein primitives over exact rational knots.
 
+One algorithm gives every B-spline value: `bspline_pieces`, Cox-de Boor
+on the knots scaled to integers.  Pointwise evaluation and the `Fraction`
+view evaluate or convert its exact pieces.
+
 Conventions:
   * B(x|t) is the *unit-integral* B-spline over the k+2 knots t, related to
     the recursive (partition-of-unity) B-spline N by
@@ -13,7 +17,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from functools import cache
 from math import comb, gcd, isfinite, lcm
 from typing import Iterable, Sequence
 
@@ -41,48 +44,34 @@ def _check_window(knots: Sequence[Fraction], k: int) -> None:
 
 
 def bspline_evaluator(knots, k: int):
-    """x -> B(x|t), by Cox-de Boor with the 0/0 := 0 convention; knot work done once.
+    """x -> B(x|t), from the exact pieces of `bspline_pieces`; knot work done once.
 
-    Knots are compared with x exactly.  The arithmetic is exact for
-    rational x.  For a float x the knot positions and differences are
-    taken as floats, converted once, so x gets bit for bit what the
-    rational knots give it: Python rounds each mixed Fraction/float
-    operation through float.
+    x (a float, int or Fraction) is lifted exactly by `as_integer_ratio`
+    and its piece found by an integer bisect.  Horner then runs on
+    integers, so a rational x gets the exact Fraction and a float x the
+    correctly rounded float.
     """
-    t = as_knots(knots)
-    _check_window(t, k)
-
-    @cache  # built on the first x of each kind that falls in the support
-    def tables(floats: bool):
-        num = float if floats else (lambda v: v)
-        # width[j][i] = t_(i+j) - t_i, the denominators of recursion level j
-        width = [[num(t[i + j] - t[i]) for i in range(k + 2 - j)] for j in range(k + 1)]
-        # at the global right end the seed is the last nonempty span (left limit)
-        last_span = max(i for i in range(k + 1) if t[i] < t[i + 1])
-        return [num(v) for v in t], width, num(Fraction(k + 1) / (t[-1] - t[0])), last_span
+    ts, scale = _over_common_denominator(as_knots(knots))
+    bps, pieces, den = bspline_pieces(ts, scale, k)
+    last = len(pieces) - 1
 
     def value(x):
-        floats = isinstance(x, float)
-        if floats and not isfinite(x):
+        if isinstance(x, float) and not isfinite(x):
             return 0  # NaN and the infinities lie on no support
-        xq = Fraction(x) if floats else x
-        if xq < t[0] or xq > t[-1]:
+        num, m = x.as_integer_ratio()
+        n = num * scale  # X = scale * x = n / m
+        f, r = divmod(n, m)
+        s = bisect_right(bps, f) - 1  # bps[s] <= X < bps[s + 1]: right-continuous
+        if s == last + 1 and not r and f == bps[-1]:
+            s = last  # the right end takes the last piece's limit
+        if not 0 <= s <= last:
             return 0
-        at, width, scale, last_span = tables(floats)
-        seed = min(bisect_right(t, xq) - 1, last_span)
-        n = [int(i == seed) for i in range(k + 1)]
-        for j in range(1, k + 1):
-            nxt = []
-            for i in range(k + 1 - j):
-                acc = 0
-                d1, d2 = width[j][i], width[j][i + 1]
-                if d1 != 0 and n[i]:
-                    acc += (x - at[i]) / d1 * n[i]
-                if d2 != 0 and n[i + 1]:
-                    acc += (at[i + j + 1] - x) / d2 * n[i + 1]
-                nxt.append(acc)
-            n = nxt
-        return scale * n[0]
+        top, *rest = reversed(pieces[s])
+        acc, mk = top, 1
+        for c in rest:  # Horner on n / m, carrying the powers of m: acc / mk is the partial sum
+            mk *= m
+            acc = acc * n + c * mk
+        return acc / (den * mk) if isinstance(x, float) else Fraction(acc, den * mk)
 
     return value
 

@@ -19,16 +19,21 @@ closely as the float per-stage stepper does.  The unit-speed increment
 operator, every entry split by Fraction, and its stepper by a fancy-index
 gather and two matmuls per step, and tp3's harmonic stepper with its
 phase tables built afresh per block are the float forms the library must
-match byte for byte.  Helpers only the tests call live here as well: a
-B-spline or ``PiecewisePolynomial`` evaluated at one point, and the
-derivative of a ``RatPoly``.
+match byte for byte.  The unit-integral B-spline at one point by
+Cox-de Boor on Fractions is the reference the library's evaluator of the
+integer pieces must match exactly, or rounded once at a float; the float
+spline tables built from the ``Fraction`` view of the pieces are the ones
+the library's integer-built tables must match byte for byte.  Helpers
+only the tests call live here as well: a ``PiecewisePolynomial``
+evaluated at one point, the kernel windows the B-spline tests sweep, and
+the derivative of a ``RatPoly``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, comb, factorial, floor
+from math import ceil, comb, factorial, floor, isfinite
 from operator import mul
 
 import numpy as np
@@ -37,8 +42,7 @@ from siacpost import dg
 from siacpost.exact import RatMatrix, RatPoly, SingularMatrixError, invert_exact
 from siacpost.filters import FilterSpec, build_spec, static_coefficients
 from siacpost.psiac import FloatKernel, _t_integers
-from siacpost.spline import (PiecewisePolynomial, as_knots, bernstein_poly, bspline_evaluator,
-                             unit_bspline_piecewise)
+from siacpost.spline import PiecewisePolynomial, as_knots, bernstein_poly, unit_bspline_piecewise
 
 
 def matrix_rows(a: RatMatrix) -> list[list[Fraction]]:
@@ -145,8 +149,49 @@ def poly_derivative(p: RatPoly) -> RatPoly:
 
 
 def eval_unit_bspline(knots, k: int, x):
-    """Evaluate the unit-integral B-spline B(x|t) of degree k (see `bspline_evaluator`)."""
-    return bspline_evaluator(knots, k)(x)
+    """B(x|t) of degree k at one point, by Cox-de Boor on Fractions with 0/0 := 0.
+
+    A float x is taken exactly, so the value is the exact Fraction.  The
+    seed is the nonempty knot span that holds x: right-continuous at
+    interior knots, the last one at the right end; 0 off the support and
+    at NaN and the infinities.
+    """
+    t = as_knots(knots)
+    if isinstance(x, float) and not isfinite(x):
+        return 0
+    x = Fraction(x)
+    if x < t[0] or x > t[-1]:
+        return 0
+    seed = max(i for i in range(k + 1) if t[i] < t[i + 1] and t[i] <= x)
+    n = [Fraction(i == seed) for i in range(k + 1)]
+    for j in range(1, k + 1):
+        n = [((x - t[i]) / (t[i + j] - t[i]) * n[i] if t[i + j] > t[i] else 0)
+             + ((t[i + j + 1] - x) / (t[i + j + 1] - t[i + 1]) * n[i + 1]
+                if t[i + j + 1] > t[i + 1] else 0)
+             for i in range(k + 1 - j)]
+    return (k + 1) / (t[-1] - t[0]) * n[0]
+
+
+def kernel_windows() -> list[tuple[tuple[Fraction, ...], int]]:
+    """The distinct (window, k) of srv, rlkv, np0, rs, npk (k = 1) and symmetric at
+    d = 1..4, both sides, each window shifted by xi in {0, 1/3, -7/2}."""
+    specs = [build_spec("symmetric", d) for d in range(1, 5)]
+    specs += [build_spec(fam, d, side, k=1 if fam == "npk" else None)
+              for fam in ("srv", "rlkv", "np0", "rs", "npk")
+              for d in range(1, 5) for side in ("left", "right")]
+    return sorted({(tuple(t + xi for t in w), k) for xi in (Fraction(0), Fraction(1, 3),
+                                                             Fraction(-7, 2))
+                   for spec in specs for w, k in zip(spec.windows, spec.degrees)})
+
+
+def float_spline_reference(window, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """`psiac._float_spline`'s tables from the Fraction view: each piece of
+    `unit_bspline_piecewise` recentred on its left breakpoint by `RatPoly`."""
+    pp = unit_bspline_piecewise(window, k)
+    pieces = [p.recentered(b).coeffs for p, b in zip(pp.pieces, pp.breakpoints)]
+    rows = [[0.0] * (k + 1 - len(p)) + [float(c) for c in reversed(p)]
+            for p in pieces] + [[0.0] * (k + 1)]
+    return np.array([float(b) for b in pp.breakpoints]), np.array(rows)
 
 
 def piece_index(pp: PiecewisePolynomial, x) -> int | None:

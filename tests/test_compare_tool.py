@@ -60,6 +60,38 @@ def test_call_comparison_reports_a_mutated_tree(tmp_path):
     assert changed == ["solve_tp1_d1_n8_coeffs.csv", "solve_tp1_d1_n8_samples.csv"]
 
 
+def test_sample_csvs_compare_within_a_tolerance(tmp_path):
+    """A copy whose kernel sampler is nudged by one ulp is DIFFERENT byte for byte
+    and passes under --atol 1e-15, which compares the sample CSV cell by cell."""
+    src = ROOT / "src"
+    copy = tmp_path / "src"
+    shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    cli = copy / "siacpost" / "cli.py"
+    text = cli.read_text()
+    value = "sum(c * b(x) for c, b in zip(weights, splines))"
+    assert text.count(value) == 1
+    cli.write_text(text.replace(value, f"np.nextafter({value}, np.inf)"))
+    call = ("--call", "kernel symmetric 2 --samples 50")
+    diff = compare(src, copy, *call)
+    assert diff.returncode == 1
+    assert "call 'kernel symmetric 2 --samples 50': DIFFERENT" in diff.stdout
+    assert "  differs: kernel_symmetric_d2_interior_samples.csv" in diff.stdout
+    near = compare(src, copy, *call, "--atol", "1e-15")
+    assert near.returncode == 0, near.stdout + near.stderr
+    assert "within tolerance: kernel_symmetric_d2_interior_samples.csv" in near.stdout
+    assert "  50 cells: max |diff| " in near.stdout and "0 outside tolerance" in near.stdout
+
+
+def test_sample_comparison_needs_the_same_sample_points():
+    compare_samples = _tool().compare_samples
+    old = b"x,value\n0,1.5\n0.5,0.25\n"
+    assert compare_samples(old, old.replace(b"0.25", b"0.2500000000000001"), 0, 1e-15) == (
+        True, ["  2 cells: max |diff| 1.11e-16, max relative diff 4.44e-16, 0 outside tolerance"])
+    assert not compare_samples(old, old.replace(b"0.25", b"0.26"), 0, 1e-15)[0]
+    assert compare_samples(old, old.replace(b"0.5,", b"0.50,"), 1, 1) == (
+        False, ["  header, sample points or row lengths differ"])
+
+
 def _tool():
     import importlib.util
     spec = importlib.util.spec_from_file_location("compare_timeseries", TOOL)

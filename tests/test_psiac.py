@@ -536,6 +536,14 @@ def test_float_kernel_bit_identical_to_exact_pieces(d, monkeypatch):
     assert got == want
 
 
+def test_float_spline_tables_match_the_fraction_view():
+    """The float tables, built on integers from `bspline_pieces`, are byte for byte
+    those of the Fraction pieces recentred by RatPoly, on every kernel window."""
+    for w, k in oracles.kernel_windows():
+        for got, want in zip(psiac._float_spline(w, k), oracles.float_spline_reference(w, k)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (w, k)
+
+
 @pytest.mark.parametrize("d", (1, 2, 3, 4))
 def test_float_kernel_accuracy_against_exact_kernel(d):
     """The float kernel at float points more than 1e-9 from any knot is within

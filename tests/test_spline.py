@@ -1,15 +1,15 @@
 import random
 from fractions import Fraction as F
-from math import comb
+from math import comb, inf, nextafter
 
 import pytest
 
 from siacpost.exact import RatPoly
-from siacpost.spline import (DegenerateSupportError, bernstein_poly, bspline_moment,
-                             bspline_moments, unit_bspline_piecewise)
+from siacpost.spline import (DegenerateSupportError, bernstein_poly, bspline_evaluator,
+                             bspline_moment, bspline_moments, unit_bspline_piecewise)
 
-from oracles import (bspline_piecewise_reference, eval_unit_bspline, moment_reference,
-                     piecewise_value)
+from oracles import (bspline_piecewise_reference, eval_unit_bspline, kernel_windows,
+                     moment_reference, piecewise_value)
 
 
 def bernstein_basis(d: int, i: int, ell: int, x, h=1):
@@ -27,25 +27,29 @@ def bernstein_basis(d: int, i: int, ell: int, x, h=1):
 
 
 def test_eval_examples():
-    assert eval_unit_bspline([0, 1], 0, 0.5) == 1
-    assert eval_unit_bspline([-1, 0, 1], 1, 0) == 1          # unit-integral hat apex
-    assert eval_unit_bspline([0, 0, 1], 1, 0.25) == 1.5      # 2*(1 - 0.25)
+    assert bspline_evaluator([0, 1], 0)(0.5) == 1
+    assert bspline_evaluator([-1, 0, 1], 1)(0) == 1          # unit-integral hat apex
+    assert bspline_evaluator([0, 0, 1], 1)(0.25) == 1.5      # 2*(1 - 0.25)
+    assert bspline_evaluator([0, 0, 1], 1)(F(1, 4)) == F(3, 2)
 
 
 def test_eval_boundary_conventions():
     # right-continuous at interior knots, left limit at the right end
-    assert eval_unit_bspline([0, 1], 0, 0) == 1
-    assert eval_unit_bspline([0, 1], 0, 1) == 1
-    assert eval_unit_bspline([0, 1, 1], 1, 1) == 2  # 2x at the stacked end
-    assert eval_unit_bspline([0, 0, 1], 1, 1) == 0
-    assert eval_unit_bspline([0, 1], 0, 1.5) == 0
+    assert bspline_evaluator([0, 1], 0)(0) == 1
+    assert bspline_evaluator([0, 1], 0)(1) == 1
+    assert bspline_evaluator([0, 1, 1], 1)(1) == 2  # 2x at the stacked end
+    assert bspline_evaluator([0, 1, 1], 1)(1.0) == 2
+    assert bspline_evaluator([0, 0, 1], 1)(1) == 0
+    assert bspline_evaluator([0, 1], 0)(1.5) == 0
+    assert bspline_evaluator([0, 1], 0)(F(-1, 10 ** 30)) == 0
+    assert bspline_evaluator([0, 1], 0)(1 + 2.0 ** -52) == 0
     for x in (float("inf"), float("-inf"), float("nan")):
-        assert eval_unit_bspline([0, 1, 2], 1, x) == 0
+        assert bspline_evaluator([0, 1, 2], 1)(x) == 0
 
 
 def test_degenerate_support():
     with pytest.raises(DegenerateSupportError):
-        eval_unit_bspline([2, 2], 0, 2)
+        bspline_evaluator([2, 2], 0)
     with pytest.raises(DegenerateSupportError):
         unit_bspline_piecewise([1, 1, 1], 1)
 
@@ -76,6 +80,22 @@ def test_piecewise_matches_pointwise():
         for _ in range(100):
             x = lo + (hi - lo) * rng.random()
             assert abs(float(piecewise_value(pp, x)) - eval_unit_bspline(knots, k, x)) < 1e-13
+
+
+def test_evaluator_is_correctly_rounded_on_every_kernel_window():
+    """At a float x the value is the exact B(x) rounded once, and at a rational x
+    it is exact: 200 random points per window, each knot's float and its two
+    float neighbours, and the knots and span midpoints themselves."""
+    rng = random.Random(5)
+    for w, k in kernel_windows():
+        value = bspline_evaluator(w, k)
+        lo, hi = float(w[0]), float(w[-1])
+        xs = [lo + (hi - lo) * rng.random() for _ in range(200)]
+        xs += [y for t in map(float, w) for y in (nextafter(t, -inf), t, nextafter(t, inf))]
+        for x in xs:
+            assert value(x) == float(eval_unit_bspline(w, k, F(x))), (w, k, x)
+        for x in set(w) | {(a + b) / 2 for a, b in zip(w, w[1:])}:
+            assert value(x) == eval_unit_bspline(w, k, x), (w, k, x)
 
 
 def test_moment_examples():
@@ -110,7 +130,7 @@ def test_partition_of_unity_clamped():
             w = knots[i:i + k + 2]
             if w[-1] == w[0]:
                 continue
-            total += (w[-1] - w[0]) / (k + 1) * eval_unit_bspline(w, k, x)
+            total += (w[-1] - w[0]) / (k + 1) * bspline_evaluator(w, k)(x)
         assert abs(total - 1.0) < 1e-13
 
 

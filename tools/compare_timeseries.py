@@ -26,8 +26,12 @@ information: a rate is a function of two error rows, and an error e
 that moves by delta moves it by up to delta / (e ln 2), so roundoff in
 small errors moves rates that the error tolerance does not catch.  A
 listed row whose finer- or coarser-mesh error (old tree) is below 1e-13
-is flagged as a floor row: its rate measures roundoff.  Other CSVs (the
-exact kernel CSVs) are still compared byte for byte.
+is flagged as a floor row: its rate measures roundoff.  The CLI's
+`*_samples.csv` files are compared cell by cell: the header and the first
+column (the sample points) must match byte for byte, every other cell
+must be within atol + rtol * |old value|, and the largest absolute and
+relative differences are reported per file.  Other CSVs (the exact kernel
+CSVs) are still compared byte for byte.
 """
 
 from __future__ import annotations
@@ -111,6 +115,20 @@ def compare_rows(old: bytes, new: bytes, rtol: float, atol: float) -> tuple[bool
     return not outside, summary + outside + moved
 
 
+def compare_samples(old: bytes, new: bytes, rtol: float, atol: float) -> tuple[bool, list[str]]:
+    """Tolerance comparison of two `*_samples.csv` files: (passed, report lines)."""
+    a, b = (list(csv.reader(io.StringIO(data.decode()))) for data in (old, new))
+    if a[:1] != b[:1] or [(r[0], len(r)) for r in a[1:]] != [(r[0], len(r)) for r in b[1:]]:
+        return False, ["  header, sample points or row lengths differ"]
+    cells = [(float(u), abs(float(v) - float(u))) for r, s in zip(a[1:], b[1:])
+             for u, v in zip(r[1:], s[1:])]
+    outside = sum(not diff <= atol + rtol * abs(u) for u, diff in cells)
+    rel = [diff / abs(u) for u, diff in cells if u]
+    return not outside, [f"  {len(cells)} cells: max |diff| "
+                         f"{max((diff for _, diff in cells), default=0):.3g}, max relative diff "
+                         f"{max(rel, default=0):.3g}, {outside} outside tolerance"]
+
+
 def cases(args):
     """(label, job, scratch directory) for each workload and seed, then for each call."""
     for name in args.workload:
@@ -140,9 +158,11 @@ def parse_args(argv=None) -> argparse.Namespace:
     ap.add_argument("--protocols", action="store_true",
                     help="add the nine paper protocols (tp1-tp3 at d = 1, 2, 3) as --calls")
     ap.add_argument("--rtol", type=float, default=None,
-                    help="compare timeseries CSVs row by row, with this relative tolerance")
+                    help="compare timeseries and sample CSVs value by value, with this "
+                         "relative tolerance")
     ap.add_argument("--atol", type=float, default=None,
-                    help="compare timeseries CSVs row by row, with this absolute tolerance")
+                    help="compare timeseries and sample CSVs value by value, with this "
+                         "absolute tolerance")
     args = ap.parse_args(argv)
     if args.protocols:
         args.call += protocol_calls()
@@ -166,8 +186,8 @@ def main(argv=None) -> int:
             if old.get(path) == new.get(path):
                 continue
             if tolerant and path in old and path in new:
-                within, lines = compare_rows(old[path], new[path],
-                                             args.rtol or 0.0, args.atol or 0.0)
+                compare = compare_samples if path.endswith("_samples.csv") else compare_rows
+                within, lines = compare(old[path], new[path], args.rtol or 0.0, args.atol or 0.0)
                 report += [f"  {'within tolerance' if within else 'differs'}: {path}"] + lines
                 ok &= within
             else:
