@@ -19,6 +19,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 RationalLike = Union[Fraction, int, str]
+SLICE_BITS = 20  # RatMatrix.apply multiplies slices below 2^20: each product is below 2^40
 
 
 class SingularMatrixError(ArithmeticError):
@@ -51,13 +52,14 @@ class RatMatrix:
     has no rows or columns.
     """
 
-    __slots__ = ("nums", "den")
+    __slots__ = ("nums", "den", "_slices")
 
     def __init__(self, nums, den: int = 1):
         if den == 0:
             raise ZeroDivisionError("RatMatrix denominator is zero")
         self.nums = np.array(nums, dtype=object) if den > 0 else -np.array(nums, dtype=object)
         self.den = abs(den)
+        self._slices = None  # `apply`'s float slices of nums, made on its first call
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[RationalLike]]) -> "RatMatrix":
@@ -128,12 +130,81 @@ class RatMatrix:
         return np.stack((hi, np.reshape(lo, hi.shape)))
 
     def apply(self, x) -> np.ndarray:
-        """The floats x, raveled to a row vector, times this matrix: exact, each entry
-        rounded once.  x is lifted losslessly with ``float.as_integer_ratio`` to integers
-        over one power-of-two scale.  A vector of the wrong length raises ValueError."""
-        ratios = [v.as_integer_ratio() for v in np.asarray(x, dtype=float).ravel().tolist()]
-        scale = max(q for _, q in ratios)  # a power of two: the others divide it
-        return (RatMatrix([p * (scale // q) for p, q in ratios], scale) @ self).floats()
+        """Float row vectors times this matrix: exact, each entry rounded once.
+
+        x is one vector (any shape of ``rows`` floats, raveled) or a stack of them
+        along its last axis, (..., rows), which gives (..., cols).  BLAS makes the
+        product exactly, in slices (the Ozaki scheme: Ozaki, Ogita, Oishi & Rump,
+        Numer. Algorithms 59, 2012): the numerators are cut once into signed slices
+        below 2^SLICE_BITS, the stack into as many such slices as its bits need
+        (`_float_slices`), and one float matmul multiplies every pair.  A product
+        entry sums ``rows`` integers below 2^40; pairs at the same power of two, at
+        most one per numerator slice, are summed next, so every sum stays below
+        rows * slices * 2^40 < 2^53 and is exact.  The sums are joined into one
+        Python int per output entry, and one int / int division by the
+        denominator rounds it correctly.  Wrong lengths and non-finite values raise
+        ValueError.
+        """
+        q, count = self._sliced_numerators()
+        rows, cols = self.rows, self.cols
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != (rows,):
+            x = x.reshape(rows)
+        stack = x.reshape(-1, rows)
+        slices, low = _float_slices(stack)
+        n = len(slices)
+        prod = (np.concatenate(slices) @ q).reshape(n, len(stack), count, cols)
+        # slice a of x times slice b of nums is at 2^(low + SLICE_BITS (n - 1 - a + b))
+        sums = np.zeros((n + count - 1, len(stack), cols))
+        for a in range(n):
+            sums[n - 1 - a:n - 1 - a + count] += prod[a].transpose(1, 0, 2)
+        parts = sums.astype(np.int64).astype(object)
+        acc = parts[-1]
+        for part in parts[-2::-1]:
+            acc = (acc << SLICE_BITS) + part
+        out = acc * (1 << max(low, 0)) / (self.den << max(-low, 0))
+        return out.astype(float).reshape(x.shape[:-1] + (cols,))
+
+    def _sliced_numerators(self) -> tuple[np.ndarray, int]:
+        """(slices, count): nums = sum_b slice_b * 2^(SLICE_BITS b), b < count, each
+        slice signed and below 2^SLICE_BITS, as (rows, count * cols) floats with slice b
+        of column j at b * cols + j.  Made on the first call; raises ValueError when
+        rows * count * 2^(2 SLICE_BITS) reaches 2^53, past which `apply` is not exact.
+        """
+        if self._slices is None:
+            grid = self._grid()
+            count = max(1, -(-max(abs(v).bit_length() for v in grid.flat) // SLICE_BITS))
+            if grid.shape[0] * count << 2 * SLICE_BITS >= 1 << 53:
+                raise ValueError(f"{grid.shape[0]} rows of {count} slices each are too many "
+                                 f"to sum exactly in floats")
+            mask = (1 << SLICE_BITS) - 1
+            parts = [((np.abs(grid) >> SLICE_BITS * b) & mask) * np.sign(grid)
+                     for b in range(count)]
+            self._slices = np.hstack(parts).astype(float), count
+        return self._slices
+
+
+def _float_slices(stack: np.ndarray) -> tuple[list[np.ndarray], int]:
+    """(slices, low): the floats stack cut top-down into integer slices below 2^SLICE_BITS.
+
+    With |stack| < 2^e, stack = sum_a slices[a] * 2^s_a, s_a = e - SLICE_BITS (a + 1):
+    slice a is trunc(rest / 2^s_a), which leaves rest below 2^s_a, until every rest
+    is zero; low = e - SLICE_BITS * len(slices).  Truncating keeps each rest the tail
+    of its float's own bits, so every cut is exact; flooring would leave 2^s_a - |rest|
+    for a negative entry, which needs more than 53 bits.  Cutting from the top never
+    scales past the float range, as scaling to integers would with a subnormal
+    beside 1e280.  Non-finite values raise ValueError.
+    """
+    if not np.isfinite(stack).all():
+        raise ValueError("cannot apply an exact operator to a non-finite value")
+    top = int(np.frexp(np.max(np.abs(stack), initial=0.0))[1])
+    rest, slices = stack.copy(), []
+    while not slices or rest.any():
+        shift = top - SLICE_BITS * (len(slices) + 1)
+        part = np.trunc(np.ldexp(rest, -shift))
+        rest -= np.ldexp(part, shift)
+        slices.append(part)
+    return slices, top - SLICE_BITS * len(slices)
 
 
 def _eliminate(rows: list[list[int]], n: int) -> tuple[int, int, list[list[int]]]:

@@ -13,14 +13,16 @@ element units, from the window of the output measured on it: a boundary
 region [0, lam] or [N - lam, N] grows by the strip (two elements) on its
 inner side, the interior [mu, N - mu] shrinks by it at both ends.  As
 regions depend on N alone, a mesh too coarse for one fails before it is
-stepped.  The field then advances through the sorted final times; each
-field is filtered once (the `psiac.filter_interior` pieces, one
-`psiac.filter_boundary` polynomial per boundary filter and side), the
-outputs of all times are stacked on a leading axis, and across the strip
-the stack is joined to the interior by `psiac.blend_transition` of order
-BLEND_RHO = 2.  `region_norms` samples each stacked output, or the raw
-fields, with one evaluator call and one exact-solution call on the nodes
-of both norms, and reduces each field's row as it would a single field.
+stepped.  The field then advances through the sorted final times.  Each
+field's interior pieces are filtered once (`psiac.filter_interior`); the
+Bernstein fields of all times are stacked into one field, which
+`psiac.filter_boundary` contracts once per boundary filter and side, one
+polynomial per time.  The outputs of all times are stacked on a leading
+axis, and across the strip the stack is joined to the interior by
+`psiac.blend_transition` of order BLEND_RHO = 2.  `region_norms` samples
+each stacked output, or the raw fields, with one evaluator call and one
+exact-solution call on the nodes of both norms, and reduces each field's
+row as it would a single field.
 """
 
 from __future__ import annotations
@@ -216,6 +218,7 @@ def _outputs(fields: list[dg.DGField], regions: list[tuple]):
     mesh, berns = fields[0].mesh, [dg.to_bernstein(f) for f in fields]
     stack = lambda outs: replace(outs[0], coeffs=np.stack([o.coeffs for o in outs]))
     interior = cache(lambda: stack([psiac.filter_interior(b) for b in berns]))  # built if used
+    stacked = stack(berns)  # one Bernstein field of coeffs (fields, n, d + 1)
     physical = lambda s: mesh.a + float(s) * mesh.h
     for name, region, spec, (lo, hi), overlap in regions:
         if name == "dg":
@@ -223,7 +226,7 @@ def _outputs(fields: list[dg.DGField], regions: list[tuple]):
         elif name == "symmetric":
             approx = interior()
         else:
-            approx = stack([psiac.filter_boundary(b, spec) for b in berns])
+            approx = psiac.filter_boundary(stacked, spec)
             if overlap:
                 approx = psiac.blend_transition(approx, interior(), tuple(map(physical, overlap)),
                                                 BLEND_RHO)

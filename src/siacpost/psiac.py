@@ -188,15 +188,18 @@ class QMatrix:
         return RatPoly((window @ self.q).entries)
 
     def contract(self, coeff_rows: np.ndarray) -> np.ndarray:
-        """Float coefficient vector of the output polynomial.
+        """Float coefficient vectors of the output polynomials of a stack of windows.
 
-        The contraction is exact and runs on integers (`RatMatrix.apply`), so
-        the result is bit for bit the float of each coefficient of
-        ``contract_exact``, zero-padded to the column count.
-        Large-coefficient kernels stay stable; only the final coefficients
-        are rounded.
+        coeff_rows: (..., n_elements, dg_degree+1) Bernstein coefficients, any
+        leading axes a stack of fields; the result is (..., Q.cols).  The
+        contraction is exact (`RatMatrix.apply`: one float matmul of 20-bit
+        slices, every partial sum below 2^53), so each row is bit for bit the
+        float of each coefficient of ``contract_exact``, zero-padded to the
+        column count.  Large-coefficient kernels stay stable; only the final
+        coefficients are rounded.
         """
-        return self.q.apply(coeff_rows)
+        window = np.asarray(coeff_rows, dtype=float)
+        return self.q.apply(window.reshape(window.shape[:-2] + (-1,)))
 
 
 @lru_cache(maxsize=None)
@@ -287,16 +290,22 @@ def window_placement(spec: FilterSpec, n_elements: int):
 def boundary_window(field, spec: FilterSpec) -> tuple[QMatrix, np.ndarray]:
     """Q of the spec at the field's degree, and the Bernstein coefficient rows it reads.
 
-    The rows are those of the first or last Q.n_elements elements, by the spec's side.
+    The rows are those of the first or last Q.n_elements elements, by the spec's side;
+    a field whose coeffs stack fields on leading axes gives a stack of windows.
     """
     fld = dg.to_bernstein(field)
     first, _, _ = window_placement(spec, fld.mesh.n)
     qm = q_matrix(spec, fld.d)
-    return qm, fld.coeffs[first:first + qm.n_elements]
+    return qm, fld.coeffs[..., first:first + qm.n_elements, :]
 
 
 def filter_boundary(field, spec: FilterSpec) -> BoundaryPolynomial:
-    """Filter a DG field near the spec's domain end into a BoundaryPolynomial."""
+    """Filter a DG field near the spec's domain end into a BoundaryPolynomial.
+
+    A field whose coeffs stack fields on leading axes, (..., n, d+1), is
+    contracted in one `QMatrix.contract` call into coefficients (..., m), one
+    polynomial per field.
+    """
     qm, window = boundary_window(field, spec)
     mesh = field.mesh
     _, lam_g, (s_lo, s_hi) = window_placement(spec, mesh.n)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -38,3 +39,21 @@ def test_pairs_are_counted_by_each_metric_direction(tmp_path):
     assert items["won"] == 0  # higher is better: 0, 1, 2 against 10
     assert bench["src_lines"] == {"parent": 2558, "change": 2680}
     assert bench["provenance"]["change"]["git_revision"] == "abc"
+
+
+def test_the_side_that_ran_first_is_read_from_result_file_ages(tmp_path):
+    """Per pair, the side whose result file is older ran first; parent-first pairs are counted."""
+    parents = [_result(tmp_path / f"p{i}.json", 0.7, 10.0, 1) for i in range(3)]
+    changes = [_result(tmp_path / f"c{i}.json", 0.6, 10.0, 1) for i in range(3)]
+    for i, (p, c) in enumerate(zip(parents, changes)):
+        older, newer = (p, c) if i != 1 else (c, p)
+        os.utime(older, (1000.0 + 10 * i, 1000.0 + 10 * i))
+        os.utime(newer, (1005.0 + 10 * i, 1005.0 + 10 * i))
+    out = tmp_path / "BENCH_x.json"
+    proc = subprocess.run([sys.executable, str(TOOL), str(out), "--parent", *map(str, parents),
+                           "--change", *map(str, changes)], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    first = json.loads(out.read_text())["first"]
+    assert first == {"tp3-d2-long seed 0": {"pairs": ["parent", "change", "parent"],
+                                            "parent_first": 2}}

@@ -238,3 +238,64 @@ def test_int_matrix_exits_match_fractions(bits):
     assert a.apply(np.reshape(x, (5, 1))).tobytes() == np.array(dots).tobytes()
     with pytest.raises(ValueError):
         a.apply(x[:-1])
+
+
+def _applied_reference(a: RatMatrix, x) -> np.ndarray:
+    """x @ a by Fraction multiply-adds, each entry rounded once."""
+    cols = [a.entries[j::a.cols] for j in range(a.cols)]
+    return np.array([float(sum(F(u) * e for u, e in zip(x, col) if u)) for col in cols])
+
+
+def _hard_windows(rng: random.Random, n: int) -> np.ndarray:
+    """Windows that stress the slicing: signed values from 1e-300 to 1e300, 5e-324 beside
+    O(1) values, +-0, an all-zero row, a row of one subnormal beside 1e280, and the
+    negation of the first three."""
+    wide = [rng.choice((-1, 1)) * rng.uniform(1, 2) * 10.0 ** rng.randint(-300, 300)
+            for _ in range(n)]
+    wide[0] = 1e-300
+    tiny = [5e-324 if i % 2 else rng.uniform(-1, 1) for i in range(n)]
+    zeros = [0.0 if i % 2 else -0.0 for i in range(n)]
+    zeros[0] = rng.uniform(-1, 1)
+    edge = [0.0] * n
+    edge[0], edge[-1] = -1e280, 2.0 ** -1070 + 5e-324
+    stack = np.array([wide, tiny, zeros, [0.0] * n, edge])
+    return np.concatenate((stack, -stack[:3]))
+
+
+@pytest.mark.parametrize("bits", (1, 20, 53, 81, 400))
+def test_stacked_apply_matches_rows_and_fractions(bits):
+    """apply on a stack of windows is, byte for byte, apply on each row and the Fraction
+    product rounded once: numerators of up to `bits` bits (81 is a d=4 boundary Q),
+    over an odd denominator near 2^bits, against windows of extreme and mixed magnitudes."""
+    rng = random.Random(bits)
+    nums = [[rng.randint(-2 ** bits, 2 ** bits) for _ in range(4)] for _ in range(9)]
+    nums[3] = [0, 0, 0, 0]
+    a = RatMatrix(nums, 2 * rng.randint(2 ** (bits - 1), 2 ** bits) + 1)
+    windows = _hard_windows(rng, 9)
+    got = a.apply(windows)
+    assert got.shape == (len(windows), 4)
+    for row, window in zip(got, windows):
+        assert row.tobytes() == a.apply(window).tobytes()
+        assert row.tobytes() == _applied_reference(a, window).tobytes()
+    assert a.apply(windows.reshape(4, 2, 9)).tobytes() == got.tobytes()
+    assert a.apply(windows[:0]).shape == (0, 4)
+
+
+@pytest.mark.parametrize("bad", (float("nan"), float("inf"), float("-inf")))
+def test_apply_rejects_non_finite_values(bad):
+    a = RatMatrix([[1, 2], [3, 4]], 5)
+    with pytest.raises(ValueError):
+        a.apply([[1.0, 2.0], [0.5, bad]])
+
+
+def test_apply_sums_exactly_up_to_its_guard():
+    """The largest exact sum: 8191 rows of one slice, every slice and window value
+    2^20 - 1, gives 8191 (2^20 - 1)^2 < 2^53; one more row is refused with ValueError,
+    as are 2048 rows of 4 slices (numerators of 61 bits)."""
+    top = 2 ** 20 - 1
+    a = RatMatrix(np.full((8191, 1), top, dtype=object), 3)
+    assert a.apply(np.full(8191, float(top))).tolist() == [8191 * top * top / 3]
+    with pytest.raises(ValueError, match="too many"):
+        RatMatrix(np.full((8192, 1), top, dtype=object)).apply(np.ones(8192))
+    with pytest.raises(ValueError, match="too many"):
+        RatMatrix(np.full((2048, 1), 2 ** 60, dtype=object)).apply(np.ones(2048))

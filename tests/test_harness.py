@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -472,6 +473,38 @@ def test_batched_records_match_per_field_evaluators(d, blend):
                 want[(name, region, "L2", t)], want[(name, region, "Linf", t)] = l2, linf
     got = {(r.filter, r.region, r.norm, r.t): r.value for r in errors}
     assert got == want
+
+
+def test_stacked_boundary_output_matches_per_field_filtering():
+    """The harness filters each boundary spec once on the stacked Bernstein field: its
+    polynomials, and its blended outputs on the measured regions, are byte for byte the
+    stack of per-field filter_boundary outputs (tp2, d=3, N=20, blend on)."""
+    cfg = RunConfig(problem="tp2", d=3, filters=("srv", "rlkv", "np0", "rs"),
+                    mesh_sizes=(20,), final_times=(0.1, 0.35, 0.6, 0.9))
+    tp2 = dg.get_problem("tp2")
+    mesh = dg.Mesh(tp2.a, tp2.b, 20)
+    field, fields = dg.l2_project(tp2.u0, mesh, 3), []
+    for t in cfg.final_times:
+        field = dg.advance(field, tp2, t)
+        fields.append(field)
+    berns = [dg.to_bernstein(f) for f in fields]
+    stacked = dg.DGField(d=3, mesh=mesh, coeffs=np.stack([b.coeffs for b in berns]),
+                         basis="bernstein")
+    stack = lambda outs: replace(outs[0], coeffs=np.stack([o.coeffs for o in outs]))
+    interior = stack([psiac.filter_interior(b) for b in berns])
+    physical = lambda s: mesh.a + float(s) * mesh.h
+    regions = list(harness._measured_regions(20, cfg))
+    outputs = harness._outputs(fields, regions)
+    for (name, side, spec, _, overlap), (_, _, approx, (lo, hi)) in zip(regions, outputs):
+        per_field = stack([psiac.filter_boundary(b, spec) for b in berns])
+        poly = psiac.filter_boundary(stacked, spec)
+        assert poly.coeffs.tobytes() == per_field.coeffs.tobytes()
+        assert (poly.h, poly.anchor, poly.region) == \
+            (per_field.h, per_field.anchor, per_field.region)
+        blended = psiac.blend_transition(per_field, interior, tuple(map(physical, overlap)),
+                                         harness.BLEND_RHO)
+        xs = np.linspace(lo, hi, 97)
+        assert approx(xs).tobytes() == blended(xs).tobytes(), (name, side)
 
 
 def test_stacked_region_norms_match_single_fields():

@@ -103,6 +103,40 @@ def test_contract_is_exact_contraction_rounded(spec):
     assert qm.contract_exact(rational) == oracles.contract_reference(qm.q, rational)
 
 
+@pytest.mark.parametrize("spec", CONTRACT_SPECS,
+                         ids=lambda s: f"{s.family}-d{s.d}-{s.side}")
+def test_stacked_contract_matches_rows_and_reference(spec):
+    """One contraction of a stack of windows is, byte for byte, the contraction of each
+    window and the rounded Fraction reference: values from 1e-300 to 1e300, 5e-324 beside
+    O(1) values, +-0, an all-zero window and the negated stack."""
+    qm = q_matrix(spec)
+    rng = np.random.default_rng(spec.r * 100 + spec.d * 10 + (spec.side == "right"))
+    shape = (qm.n_elements, spec.d + 1)
+    wide = rng.choice((-1.0, 1.0), shape) * 10.0 ** rng.integers(-300, 301, shape)
+    tiny = np.where(rng.random(shape) < 0.5, 5e-324, rng.standard_normal(shape))
+    zeros = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+    zeros[0, 0] = 1.5
+    stack = np.stack([wide, tiny, zeros, np.zeros(shape), rng.standard_normal(shape)])
+    stack = np.concatenate((stack, -stack))
+    got = qm.contract(stack)
+    assert got.shape == (len(stack), qm.q.cols)
+    for row, window in zip(got, stack):
+        assert row.tobytes() == qm.contract(window).tobytes()
+        reference = oracles.contract_reference(qm.q, [[F(v) for v in w] for w in window])
+        want = np.zeros(qm.q.cols)
+        want[:len(reference.coeffs)] = [float(c) for c in reference.coeffs]
+        assert row.tobytes() == want.tobytes()
+    assert qm.contract(stack.reshape(2, 5, *shape)).tobytes() == got.tobytes()
+
+
+def test_d4_boundary_operators_have_numerators_past_double_precision():
+    """The stacked-contraction tests reach numerators wider than a double: the d=4 srv,
+    rlkv and npk boundary Q numerators have 67-79 bits, four 20-bit slices each."""
+    bits = [max(abs(v) for v in q_matrix(spec).q.nums.flat).bit_length()
+            for spec in CONTRACT_SPECS if spec.d == 4 and spec.family in ("srv", "rlkv", "npk")]
+    assert len(bits) == 6 and min(bits) > 60
+
+
 ORACLE_SPECS = (
     [build_spec(fam, d, side, k=1 if fam == "npk" else None)
      for fam in ("rs", "srv", "rlkv", "np0", "npk") for d in (1, 2, 3, 4)
@@ -202,6 +236,13 @@ def test_contract_rejects_wrong_window():
     qm = q_matrix(build_spec("np0", 1, "left"))
     with pytest.raises(ValueError):
         qm.contract(np.ones((qm.n_elements - 1, 2)))
+    with pytest.raises(ValueError):
+        qm.contract(np.ones((3, qm.n_elements - 1, 2)))
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        window = np.ones((2, qm.n_elements, 2))
+        window[1, -1, 0] = bad
+        with pytest.raises(ValueError):
+            qm.contract(window)
 
 
 # ---------------------------------------------------------------------------

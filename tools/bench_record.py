@@ -8,7 +8,10 @@ parent and change runs form pair i and must share workload and seed.
 Per workload and seed, and per metric of the runs: each side's median
 and quartiles over its runs, the number of pairs and how many the change
 won (better by the direction in BENCHMARK.json; ties win nothing).  Each
-side's `src/` line count and provenance come from its first run.
+side's `src/` line count and provenance come from its first run.  Under
+"first", per workload and seed: which side ran first in each pair (the
+one whose result file is older) and the number of parent-first pairs, as
+the side that runs first can read faster, so a fair record alternates.
 """
 
 from __future__ import annotations
@@ -34,15 +37,18 @@ def paired(unit: str, old: list[float], new: list[float], lower: bool) -> dict:
             "won": won}
 
 
-def record(parents: list[dict], changes: list[dict]) -> dict:
+def record(parents: list[dict], changes: list[dict], ran_first: list[str]) -> dict:
+    """The BENCH record of paired runs; ran_first[i] names the side that ran first in pair i."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     lower = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"] + spec["per_layer"]}
     groups: dict[str, list[tuple[dict, dict]]] = {}
-    for old, new in zip(parents, changes, strict=True):
+    order: dict[str, list[str]] = {}
+    for old, new, side in zip(parents, changes, ran_first, strict=True):
         key = f"{old['job']['workload']} seed {old['job']['seed']}"
         if key != f"{new['job']['workload']} seed {new['job']['seed']}":
             raise SystemExit(f"pair {len(groups)}: {key} against another workload or seed")
         groups.setdefault(key, []).append((old["result"]["metrics"], new["result"]["metrics"]))
+        order.setdefault(key, []).append(side)
     workloads = {}
     for key, pairs in groups.items():
         workloads[key] = {}
@@ -51,7 +57,9 @@ def record(parents: list[dict], changes: list[dict]) -> dict:
             workloads[key][name] = paired(first["unit"], old, new, lower[name])
     sides = {"parent": parents[0]["provenance"], "change": changes[0]["provenance"]}
     return {"workloads": workloads, "src_lines": {k: v["src_lines"] for k, v in sides.items()},
-            "provenance": sides}
+            "provenance": sides,
+            "first": {key: {"pairs": ran, "parent_first": ran.count("parent")}
+                      for key, ran in order.items()}}
 
 
 def main(argv=None) -> int:
@@ -61,7 +69,10 @@ def main(argv=None) -> int:
     ap.add_argument("--change", nargs="+", type=Path, required=True)
     args = ap.parse_args(argv)
     load = lambda paths: [json.loads(p.read_text()) for p in paths]
-    args.out.write_text(json.dumps(record(load(args.parent), load(args.change)), indent=1) + "\n")
+    ran_first = ["parent" if p.stat().st_mtime < c.stat().st_mtime else "change"
+                 for p, c in zip(args.parent, args.change)]
+    args.out.write_text(json.dumps(record(load(args.parent), load(args.change), ran_first),
+                                   indent=1) + "\n")
     return 0
 
 
