@@ -122,11 +122,17 @@ class RatMatrix:
     def hi_lo(self) -> np.ndarray:
         """Floats hi, each entry rounded, and lo, its rounded rest, on a new first axis.
 
-        hi + lo is within 2^-106 of each entry (Dekker, Numer. Math. 18, 1971).
+        hi + lo is within 2^-106 of each entry (Dekker, Numer. Math. 18, 1971).  One
+        `frexp` of hi gives hi = m 2^e, m an integer of 53 bits; the rest of x / den,
+        (x 2^-e - m den) / (den 2^-e) for e < 0 and (x - m den 2^e) / den otherwise, is
+        rounded by one int / int division per entry.
         """
-        hi, den = self.floats(), self.den
-        lo = [(x * hq - hp * den) / (den * hq) for x, (hp, hq) in
-              zip(self.nums.flat, map(float.as_integer_ratio, hi.ravel().tolist()))]
+        hi = self.floats()
+        frac, exp = np.frexp(hi.ravel())
+        den = self.den
+        lo = [((x << -e) - m * den) / (den << -e) if e < 0 else (x - (m * den << e)) / den
+              for x, m, e in zip(self.nums.flat, np.ldexp(frac, 53).astype(np.int64).tolist(),
+                                 (exp - 53).tolist())]
         return np.stack((hi, np.reshape(lo, hi.shape)))
 
     def apply(self, x) -> np.ndarray:

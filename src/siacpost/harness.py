@@ -27,7 +27,6 @@ row as it would a single field.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from functools import cache, lru_cache
 from fractions import Fraction
@@ -287,11 +286,13 @@ CSV_HEADER = ("problem", "d", "filter", "region", "norm", "N", "T", "value", "ki
 
 
 def write_csv(records: Iterable[Record], path) -> None:
-    """Long-format CSV, floats at 17 significant digits, overwrite semantics."""
+    """Long-format CSV, floats at 17 significant digits, overwrite semantics.
+
+    Rows are streamed as formatted lines with CRLF ends, as ``csv.writer`` writes
+    them: no field needs quoting, as names, regions, norms and kinds are fixed words.
+    """
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CSV_HEADER)
-        for r in records:
-            w.writerow([r.problem, r.d, r.filter, r.region, r.norm, r.n,
-                        f"{r.t:.17g}", f"{r.value:.17g}", r.kind])
+        fh.write(",".join(CSV_HEADER) + "\r\n")
+        fh.writelines(f"{r.problem},{r.d},{r.filter},{r.region},{r.norm},{r.n},"
+                      f"{r.t:.17g},{r.value:.17g},{r.kind}\r\n" for r in records)
 

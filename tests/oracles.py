@@ -16,7 +16,8 @@ source with sines by integer Taylor series.  They are kept deliberately
 plain; the library must agree with the exact ones exactly, with the
 quadrature to roundoff, and with the fixed-point steppers about as
 closely as the float per-stage stepper does.  The unit-speed increment
-operator, every entry split by Fraction, and its stepper by a fancy-index
+operator, every entry split by Fraction, the hi + lo split of a
+``RatMatrix`` entry by entry, and the unit-speed stepper by a fancy-index
 gather and two matmuls per step, and tp3's harmonic stepper with its
 phase tables built afresh per block are the float forms the library must
 match byte for byte.  The unit-integral B-spline at one point by
@@ -78,6 +79,16 @@ def matmul_reference(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     cols = list(zip(*matrix_rows(b)))
     return RatMatrix.from_rows([[sum((x * y for x, y in zip(row, col)), Fraction(0))
                                  for col in cols] for row in matrix_rows(a)])
+
+
+def hi_lo_reference(a: RatMatrix) -> np.ndarray:
+    """The per-entry form of ``RatMatrix.hi_lo`` (Dekker, Numer. Math. 18, 1971): hi =
+    x / den rounded once, p / q = hi exactly by ``float.as_integer_ratio``, and lo =
+    (x q - p den) / (den q) rounded once; hi and lo on a new first axis."""
+    his = [x / a.den for x in a.nums.flat]
+    los = [(x * q - p * a.den) / (a.den * q)
+           for x, (p, q) in zip(a.nums.flat, map(float.as_integer_ratio, his))]
+    return np.array([his, los]).reshape((2,) + a.nums.shape)
 
 
 def det_reference(a: RatMatrix) -> Fraction:

@@ -8,8 +8,8 @@ import pytest
 from siacpost.exact import (RatMatrix, RatPoly, SingularMatrixError, det_exact,
                             invert_exact, rat, solve_exact)
 
-from oracles import (compose_affine, det_reference, matmul_reference, matrix_rows,
-                     poly_derivative, solve_reference)
+from oracles import (compose_affine, det_reference, hi_lo_reference, matmul_reference,
+                     matrix_rows, poly_derivative, solve_reference)
 
 
 def cramer_solve(a: RatMatrix, b):
@@ -238,6 +238,52 @@ def test_int_matrix_exits_match_fractions(bits):
     assert a.apply(np.reshape(x, (5, 1))).tobytes() == np.array(dots).tobytes()
     with pytest.raises(ValueError):
         a.apply(x[:-1])
+
+
+TINY = 2.0 ** -1022  # the smallest normal float
+
+# (numerator bits, denominator bits, power-of-two denominator, what the split must show):
+# entries near 1 and near 2^-30 with a nonzero lo over either kind of denominator, hi
+# subnormal, lo subnormal under a normal hi, and magnitudes near 2^1000 and 2^-1000
+HI_LO_CASES = [
+    (20, 8, False, lambda hi, lo: (lo != 0).any()),
+    (120, 90, True, lambda hi, lo: (lo != 0).any()),
+    (100, 130, False, lambda hi, lo: (lo != 0).any()),
+    (10, 1060, False, lambda hi, lo: ((hi != 0) & (abs(hi) < TINY)).any()),
+    (60, 1060, False, lambda hi, lo: ((abs(hi) >= TINY) & (lo != 0) & (abs(lo) < TINY)).any()),
+    (1100, 100, False, lambda hi, lo: (abs(hi) > 2.0 ** 990).any()),
+    (1100, 100, True, lambda hi, lo: (abs(hi) > 2.0 ** 990).any()),
+    (50, 1050, True, lambda hi, lo: (abs(hi) < 2.0 ** -990).all()),
+]
+
+
+@pytest.mark.parametrize("case", HI_LO_CASES,
+                         ids=lambda c: f"{c[0]}over{'2^' if c[2] else ''}{c[1]}")
+def test_hi_lo_matches_per_entry_dekker(case):
+    """hi_lo is, byte for byte, the per-entry Dekker split of `oracles.hi_lo_reference`:
+    signed random entries with one zero row, over an odd or a power-of-two denominator;
+    each case also shows what it is there for (a nonzero lo, a subnormal, a huge entry)."""
+    num_bits, den_bits, power_of_two, shows = case
+    rng = random.Random(num_bits * 7919 + den_bits + power_of_two)
+    nums = [[rng.randint(-2 ** num_bits, 2 ** num_bits) for _ in range(4)] for _ in range(6)]
+    nums[1] = [0, 0, 0, 0]
+    den = 2 ** den_bits if power_of_two else 2 * rng.randint(2 ** (den_bits - 2), 2 ** (den_bits - 1)) + 1
+    a = RatMatrix(nums, den)
+    got, want = a.hi_lo(), hi_lo_reference(a)
+    assert got.shape == want.shape == (2, 6, 4)
+    assert got.tobytes() == want.tobytes()
+    assert shows(*got)
+    assert (got[:, 1] == 0).all() and (got[0] == a.floats()).all()
+    for shape in ((0,), (0, 3), (2, 0, 5)):
+        empty = RatMatrix(np.zeros(shape, dtype=object), den).hi_lo()
+        assert empty.shape == (2, *shape) and empty.dtype == np.float64
+
+
+@pytest.mark.parametrize("den", (1, 3, 2 ** 20))
+def test_hi_lo_rejects_entries_past_the_float_range(den):
+    a = RatMatrix([[1, 2], [-(2 ** 1024) * den, 3]], den)
+    with pytest.raises(OverflowError):
+        a.hi_lo()
 
 
 def _applied_reference(a: RatMatrix, x) -> np.ndarray:

@@ -224,6 +224,25 @@ def test_csv_empty_and_single(tmp_path):
     assert len(path.read_text().strip().splitlines()) == 2
 
 
+def test_csv_bytes_match_csv_writer(tmp_path):
+    """write_csv writes, byte for byte, what csv.writer writes for the same rows (CRLF
+    ends, no quoting), on values whose 17-digit forms are the hardest to get right."""
+    values = [-0.0, 5e-324, 1e308, 0.1, 2 / 3, -1.2345678901234567e-15, float("inf")]
+    recs = [Record("tp2", 3, "srv", "left", "Linf", 160, t, v, "rate" if i % 2 else "error")
+            for i, (t, v) in enumerate(zip(values[::-1], values))]
+    path, want = tmp_path / "out.csv", tmp_path / "want.csv"
+    write_csv(recs, path)
+    with open(want, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(harness.CSV_HEADER)
+        w.writerows([r.problem, r.d, r.filter, r.region, r.norm, r.n, f"{r.t:.17g}",
+                     f"{r.value:.17g}", r.kind] for r in recs)
+    assert path.read_bytes() == want.read_bytes()
+    assert path.read_bytes().count(b"\r\n") == len(recs) + 1
+    write_csv(iter(recs), path)  # a one-pass iterable
+    assert path.read_bytes() == want.read_bytes()
+
+
 def test_determinism_byte_identical(tmp_path, small_run):
     cfg, first = small_run
     second = time_series_experiment(cfg)
