@@ -65,13 +65,12 @@ def _solve_field(args):
 
 
 def cmd_kernel(args) -> int:
-    from .filters import build_spec, shifted_coefficient_polynomials
-    spec = build_spec(args.family, args.d, args.side, k=args.k)
+    spec = filters.build_spec(args.family, args.d, args.side, k=args.k)
     if args.samples < 0:
         raise UsageError("--samples must be >= 0")
     if not args.exact and not args.samples:
         raise UsageError("pass --exact and/or --samples N")
-    cp = shifted_coefficient_polynomials(spec)
+    cp = filters.shifted_coefficient_polynomials(spec)
     xi = _parse(Fraction, args.xi, "--xi")
     if args.samples:
         try:  # the samples are taken in floats
@@ -120,13 +119,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_filter(args) -> int:
-    from .filters import build_spec
-    spec = build_spec(args.family, args.d, args.side, k=args.k)
+    spec = filters.build_spec(args.family, args.d, args.side, k=args.k)
     problem, mesh, field = _solve_field(args)
-    bern = dg.to_bernstein(field)
-    poly = psiac.filter_boundary(bern, spec)
-    # exact contraction of the (losslessly lifted) window coefficients
-    qm, window = psiac.boundary_window(bern, spec)
+    poly = psiac.filter_boundary(field, spec)
+    # exact contraction of the (losslessly lifted) Bernstein window coefficients
+    qm, window = psiac.boundary_window(field, spec)
     exact = qm.contract_exact([[Fraction(v) for v in row] for row in window])
     out = _outdir(args)
     tag = f"{problem.name}_{spec.family}_d{args.d}_n{args.n}_{spec.side}"

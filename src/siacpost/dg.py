@@ -3,7 +3,7 @@
 Solves du/dt + d/dx(kappa(x,t) u) = rho(x,t) on a uniform mesh with
 periodic or Dirichlet-inflow boundary conditions, upwind flux (kappa > 0),
 and classical RK4 in time.  Elements carry Legendre modal coefficients
-internally; filtering converts to the Bernstein element basis.
+internally; psiac converts them to the Bernstein element basis it filters in.
 
 `advance` picks one of three RK4 steppers from the problem itself:
 
@@ -95,7 +95,10 @@ class Mesh:
 
 @dataclass
 class DGField:
-    """Element-wise polynomial data: coeffs[i, l] for element i, basis l."""
+    """Element-wise polynomial data: coeffs[..., i, l] for element i, basis l.
+
+    Leading axes stack fields on one mesh, such as a time series, whose time is an array.
+    """
 
     d: int
     mesh: Mesh
@@ -107,24 +110,39 @@ class DGField:
         return replace(self, coeffs=self.coeffs.copy())
 
     def evaluate(self, x) -> np.ndarray:
-        """Field values at physical points (clamped into the domain)."""
+        """Field values at physical points (clamped into the domain), shape (..., *x.shape).
+
+        Stacked fields each get their own values; one field at a scalar x gives a float.
+        """
         x = np.asarray(x, dtype=float)
         sigma = (x - self.mesh.a) / self.mesh.h
         e = np.clip(np.floor(sigma).astype(int), 0, self.mesh.n - 1)
-        u = sigma - e
-        vals = _basis_values(self.d, self.basis, u)
-        out = np.einsum("pl,pl->p", self.coeffs[e.ravel()], vals.reshape(-1, self.d + 1))
-        return out.reshape(x.shape) if x.shape else float(out[0])
+        vals = _basis_values(self.d, self.basis, sigma - e).reshape(-1, self.d + 1)
+        out = np.einsum("...pl,pl->...p", self.coeffs[..., e.ravel(), :], vals)
+        out = out.reshape(self.coeffs.shape[:-2] + x.shape)
+        return out if out.shape else float(out)
+
+
+def bernstein_values(n: int, t) -> np.ndarray:
+    """Degree-n Bernstein basis at t (any shape), along a new first axis."""
+    t = np.asarray(t, dtype=float)
+    out = np.empty((n + 1,) + t.shape)
+    out[0] = 1.0
+    for k in range(1, n + 1):
+        out[k] = out[k - 1] * t
+    rest = 1 - t
+    for k in range(n - 1, -1, -1):
+        out[k] *= comb(n, k) * rest
+        rest = rest * (1 - t)
+    return out
 
 
 def _basis_values(d: int, basis: str, u: np.ndarray) -> np.ndarray:
-    """Values of all element basis functions at local coordinates u in [0,1]."""
-    u = np.asarray(u, dtype=float)
+    """Values of all element basis functions at local coordinates u in [0,1], along a last axis."""
     if basis == "legendre":
-        return np.polynomial.legendre.legvander(2.0 * u - 1.0, d)
+        return np.polynomial.legendre.legvander(2.0 * np.asarray(u, dtype=float) - 1.0, d)
     if basis == "bernstein":
-        cols = [comb(d, l) * u ** l * (1 - u) ** (d - l) for l in range(d + 1)]
-        return np.stack(cols, axis=-1)
+        return np.moveaxis(bernstein_values(d, u), 0, -1)
     raise ValueError(f"unknown basis {basis!r}")
 
 
@@ -726,9 +744,8 @@ def _legendre_to_bernstein(d: int) -> np.ndarray:
 
 
 def to_bernstein(field: DGField) -> DGField:
-    """Change of element basis to Bernstein coefficients."""
+    """Change of element basis to Bernstein coefficients, of one field or of a stack."""
     if field.basis == "bernstein":
         return field
-    l2b = _legendre_to_bernstein(field.d)
-    return DGField(d=field.d, mesh=field.mesh, coeffs=field.coeffs @ l2b.T,
-                   basis="bernstein", time=field.time)
+    return replace(field, coeffs=field.coeffs @ _legendre_to_bernstein(field.d).T,
+                   basis="bernstein")

@@ -13,16 +13,16 @@ element units, from the window of the output measured on it: a boundary
 region [0, lam] or [N - lam, N] grows by the strip (two elements) on its
 inner side, the interior [mu, N - mu] shrinks by it at both ends.  As
 regions depend on N alone, a mesh too coarse for one fails before it is
-stepped.  The field then advances through the sorted final times.  Each
-field's interior pieces are filtered once (`psiac.filter_interior`); the
-Bernstein fields of all times are stacked into one field, which
-`psiac.filter_boundary` contracts once per boundary filter and side, one
-polynomial per time.  The outputs of all times are stacked on a leading
-axis, and across the strip the stack is joined to the interior by
-`psiac.blend_transition` of order BLEND_RHO = 2.  `region_norms` samples
-each stacked output, or the raw fields, with one evaluator call and one
-exact-solution call on the nodes of both norms, and reduces each field's
-row as it would a single field.
+stepped.  The field then advances through the sorted final times into
+one stacked Legendre field of coeffs (times, n, d + 1), which every
+output reads as it is: `DGField.evaluate`, `psiac.filter_interior` once,
+`psiac.filter_boundary` once per boundary filter and side.  Only psiac
+converts to the Bernstein basis the filters read.  Each output gives one
+row of values per time; across the strip a boundary output is joined to
+the interior by `psiac.blend_transition` of order BLEND_RHO = 2.
+`region_norms` samples each output with one evaluator call and one
+exact-solution call on the nodes of both norms, and reduces each time's
+row as it would a single field's.
 """
 
 from __future__ import annotations
@@ -77,7 +77,8 @@ class RunConfig:
             raise RunConfigError(
                 f"unknown filter {unknown[0]!r}; choose from {sorted(FILTER_NAMES)}")
         object.__setattr__(self, "filters", names)
-        for what, items in (("filters", names), ("final times", self.final_times)):
+        for what, items in (("filters", names), ("mesh sizes", self.mesh_sizes),
+                             ("final times", self.final_times)):
             if not items or len(set(items)) < len(items):
                 raise RunConfigError(f"{what} must be a nonempty list without repeats")
         if self.d < 0 or (self.d < 1 and set(names) != {"dg"}):
@@ -212,20 +213,22 @@ def _measured_regions(n: int, config: RunConfig):
                 yield name, spec.side, spec, region, overlap if config.blend else None
 
 
-def _outputs(fields: list[dg.DGField], regions: list[tuple]):
-    """(filter, region name, evaluator of the fields' stack, physical region) per region."""
-    mesh, berns = fields[0].mesh, [dg.to_bernstein(f) for f in fields]
-    stack = lambda outs: replace(outs[0], coeffs=np.stack([o.coeffs for o in outs]))
-    interior = cache(lambda: stack([psiac.filter_interior(b) for b in berns]))  # built if used
-    stacked = stack(berns)  # one Bernstein field of coeffs (fields, n, d + 1)
+def _outputs(series: dg.DGField, regions: list[tuple]):
+    """(filter, region name, evaluator, physical region) per region of a mesh's time series.
+
+    The series is one stacked Legendre field of coeffs (times, n, d + 1), which
+    every output reads as it is; each evaluator gives one row of values per time.
+    """
+    mesh = series.mesh
+    interior = cache(lambda: psiac.filter_interior(series))  # built if used
     physical = lambda s: mesh.a + float(s) * mesh.h
     for name, region, spec, (lo, hi), overlap in regions:
         if name == "dg":
-            approx = lambda xs: np.stack([f.evaluate(xs) for f in fields])
+            approx = series.evaluate
         elif name == "symmetric":
             approx = interior()
         else:
-            approx = psiac.filter_boundary(stacked, spec)
+            approx = psiac.filter_boundary(series, spec)
             if overlap:
                 approx = psiac.blend_transition(approx, interior(), tuple(map(physical, overlap)),
                                                 BLEND_RHO)
@@ -235,23 +238,24 @@ def _outputs(fields: list[dg.DGField], regions: list[tuple]):
 def time_series_experiment(config: RunConfig) -> tuple[list[Record], list[Record]]:
     """Solve/filter/measure over all (N, T) pairs and compute rate series.
 
-    Each mesh's field advances through the sorted final times first; the
-    stack of its fields is then filtered and measured once per region.
+    Each mesh's field advances through the sorted final times first, into
+    one stacked field that is then filtered and measured once per region.
     Output is deterministically ordered by (problem, d, filter, region,
     norm, N, T).
     """
     problem = dg.get_problem(config.problem)
     errors: list[Record] = []
+    times = np.array(config.final_times)
+    exact = lambda xs: problem.exact(xs, times[:, None])
     for n in config.mesh_sizes:
         regions = list(_measured_regions(n, config))
         mesh = dg.Mesh(problem.a, problem.b, n)
-        field, fields = dg.l2_project(problem.u0, mesh, config.d), []
-        for t_end in config.final_times:
+        field = dg.l2_project(problem.u0, mesh, config.d)
+        series = replace(field, coeffs=np.empty(times.shape + field.coeffs.shape), time=times)
+        for coeffs, t_end in zip(series.coeffs, config.final_times):
             field = dg.advance(field, problem, t_end, config.cfl)
-            fields.append(field)
-        times = np.array([f.time for f in fields])
-        exact = lambda xs: problem.exact(xs, times[:, None])
-        for name, region, approx, span in _outputs(fields, regions):
+            coeffs[...] = field.coeffs
+        for name, region, approx, span in _outputs(series, regions):
             for t, norms in zip(times.tolist(), region_norms(approx, exact, mesh, span)):
                 errors += [Record(problem=config.problem, d=config.d, filter=name,
                                   region=region, norm=norm, n=n, t=t, value=v, kind="error")
@@ -260,19 +264,14 @@ def time_series_experiment(config: RunConfig) -> tuple[list[Record], list[Record
     by_key: dict[tuple, dict[int, Record]] = {}
     for rec in errors:
         by_key.setdefault((rec.filter, rec.region, rec.norm, rec.t), {})[rec.n] = rec
-    for (name, region, norm, t), per_n in sorted(by_key.items()):
+    for per_n in by_key.values():
         for n_coarse, n_fine in zip(config.mesh_sizes, config.mesh_sizes[1:]):
             if n_coarse in per_n and n_fine in per_n:
                 ec, ef = per_n[n_coarse].value, per_n[n_fine].value
                 if ec > 0 and ef > 0:
-                    rates.append(Record(problem=config.problem, d=config.d,
-                                        filter=name, region=region, norm=norm,
-                                        n=n_fine, t=t,
-                                        value=convergence_rate(ec, ef), kind="rate"))
-
-    def sort_key(r):
-        return (r.problem, r.d, r.filter, r.region, r.norm, r.n, r.t)
-
+                    rates.append(replace(per_n[n_fine], value=convergence_rate(ec, ef),
+                                         kind="rate"))
+    sort_key = lambda r: (r.problem, r.d, r.filter, r.region, r.norm, r.n, r.t)
     errors.sort(key=sort_key)
     rates.sort(key=sort_key)
     return errors, rates

@@ -23,7 +23,8 @@ exactly once per (filter, DG degree), each as an `exact.RatMatrix`, an
 integer array over one denominator.  Fractions are made only where a value
 leaves this layer (the entries of `QMatrix.q`, the endpoint vector), and
 floats only when an operator is applied to DG data, in both cases by the
-RatMatrix's exits.
+RatMatrix's exits.  DG data comes as the solver leaves it, one field or a
+stack; only this module converts it to the element Bernstein basis.
 """
 
 from __future__ import annotations
@@ -307,12 +308,10 @@ def filter_boundary(field, spec: FilterSpec) -> BoundaryPolynomial:
     polynomial per field.
     """
     qm, window = boundary_window(field, spec)
-    mesh = field.mesh
-    _, lam_g, (s_lo, s_hi) = window_placement(spec, mesh.n)
-    h = mesh.h
-    return BoundaryPolynomial(
-        coeffs=qm.contract(window), h=h, anchor=mesh.a + float(lam_g) * h,
-        region=(mesh.a + float(s_lo) * h, mesh.a + float(s_hi) * h))
+    _, lam_g, region = window_placement(spec, field.mesh.n)
+    a, h = field.mesh.a, field.mesh.h
+    return BoundaryPolynomial(coeffs=qm.contract(window), h=h, anchor=a + float(lam_g) * h,
+                              region=tuple(a + float(s) * h for s in region))
 
 
 def filter_boundary_derivative(field, spec: FilterSpec, order: int = 1) -> BoundaryPolynomial:
@@ -426,20 +425,6 @@ def interior_operator(d: int, dg_degree: int) -> InteriorOperator:
                             offsets=tuple(offsets), exact=RatMatrix(numerators, den))
 
 
-def _bernstein_values(n: int, t) -> np.ndarray:
-    """Degree-n Bernstein basis at t (any shape), along a new first axis."""
-    t = np.asarray(t, dtype=float)
-    out = np.empty((n + 1,) + t.shape)
-    out[0] = 1.0
-    for k in range(1, n + 1):
-        out[k] = out[k - 1] * t
-    rest = 1 - t
-    for k in range(n - 1, -1, -1):
-        out[k] *= comb(n, k) * rest
-        rest = rest * (1 - t)
-    return out
-
-
 @dataclass
 class PiecewiseBernstein:
     """Filtered output on equal consecutive pieces, in Bernstein form.
@@ -464,7 +449,7 @@ class PiecewiseBernstein:
             raise OutsideInteriorRegionError(f"x outside the filtered region {self.region}")
         g = np.clip(np.floor(s).astype(int), 0, count - 1)
         coeffs = np.take(self.coeffs, g, axis=-2)
-        basis = _bernstein_values(coeffs.shape[-1] - 1, s - g)
+        basis = dg.bernstein_values(coeffs.shape[-1] - 1, s - g)
         values = sum(coeffs[..., k] * b for k, b in enumerate(basis))  # same order at any shape
         return float(values) if values.ndim == 0 else values
 
@@ -481,8 +466,9 @@ def filter_interior(field, filter_degree: int | None = None) -> PiecewiseBernste
     """Symmetric-filter a DG field on the whole interior [a + mu h, b - mu h].
 
     Each output piece is one product of its (3d+2)-element data window
-    with the interior operator.  The kernel degree defaults to the field
-    degree.
+    with the interior operator.  A stack of fields, coeffs (..., n, d+1),
+    takes one batched matmul per piece parity, each field's windows reaching
+    BLAS as its own would.  The kernel degree defaults to the field degree.
     """
     fld = dg.to_bernstein(field)
     mesh = fld.mesh
@@ -492,10 +478,10 @@ def filter_interior(field, filter_degree: int | None = None) -> PiecewiseBernste
     g = np.arange(first, stop)
     q = g % per
     rows = (g // per + np.array(op.offsets)[q])[:, None] + np.arange(3 * op.d + 2)
-    windows = fld.coeffs[rows].reshape(len(g), -1)
-    coeffs = np.empty((len(g), op.degree + 1))
+    coeffs = np.empty(fld.coeffs.shape[:-2] + (len(g), op.degree + 1))
     for piece in range(per):
-        coeffs[q == piece] = windows[q == piece] @ op.matrix[piece]
+        windows = fld.coeffs[..., rows[q == piece], :]  # gathered once, C order
+        coeffs[..., q == piece, :] = windows.reshape(windows.shape[:-2] + (-1,)) @ op.matrix[piece]
     width = mesh.h / per
     return PiecewiseBernstein(coeffs=coeffs, start=mesh.a + first * width, width=width)
 
@@ -512,7 +498,7 @@ def symmetric_filter_weights(d: int, dg_degree: int, frac) -> tuple[int, np.ndar
     op = interior_operator(d, dg_degree)
     s = float(frac) * op.pieces
     q = min(int(s), op.pieces - 1)
-    w = op.matrix[q] @ _bernstein_values(op.degree, s - q)
+    w = op.matrix[q] @ dg.bernstein_values(op.degree, s - q)
     return op.offsets[q], w.reshape(-1, dg_degree + 1)
 
 
@@ -651,7 +637,7 @@ def blend_weight(z, rho: int):
     Degree 2*rho+1 makes the blend Hermite-interpolate *both* sides up to
     order rho (value and first rho derivatives at z = 0 and z = 1).
     """
-    acc = _bernstein_values(2 * rho + 1, z)[rho + 1:].sum(axis=0)
+    acc = dg.bernstein_values(2 * rho + 1, z)[rho + 1:].sum(axis=0)
     return acc if acc.shape else float(acc)
 
 

@@ -82,6 +82,12 @@ def test_runconfig_normalizes_names():
     assert cfg.final_times == (0.0, 0.5)
 
 
+def test_runconfig_rejects_no_mesh_sizes():
+    """No mesh is a usage error (exit code 2), not a run that returns no rows."""
+    with pytest.raises(RunConfigError, match="mesh sizes must be a nonempty list"):
+        RunConfig(problem="tp1", d=1, filters=("dg",), mesh_sizes=(), final_times=(1.0,))
+
+
 def test_runconfig_rejects_unknown_filter():
     with pytest.raises(RunConfigError, match="np0"):
         RunConfig(problem="tp1", d=1, filters=("npk",), mesh_sizes=(20,),
@@ -148,9 +154,10 @@ def field_outputs(field, cfg):
     """{(filter, region): (evaluator, measured region in exact sigma)} of one field:
     the harness's outputs of a stack of that field alone."""
     regions = list(harness._measured_regions(field.mesh.n, cfg))
+    series = replace(field, coeffs=field.coeffs[None], time=np.array([field.time]))
     return {(name, region): (lambda x, approx=approx: approx(x)[0],
                              tuple(harness._sigma_exact(field.mesh, x) for x in span))
-            for name, region, approx, span in harness._outputs([field], regions)}
+            for name, region, approx, span in harness._outputs(series, regions)}
 
 
 @pytest.mark.parametrize("blend", (True, False), ids=("blend", "noblend"))
@@ -495,10 +502,12 @@ def test_batched_records_match_per_field_evaluators(d, blend):
 
 
 def test_stacked_boundary_output_matches_per_field_filtering():
-    """The harness filters each boundary spec once on the stacked Bernstein field: its
-    polynomials, and its blended outputs on the measured regions, are byte for byte the
-    stack of per-field filter_boundary outputs (tp2, d=3, N=20, blend on)."""
-    cfg = RunConfig(problem="tp2", d=3, filters=("srv", "rlkv", "np0", "rs"),
+    """The harness filters each boundary spec once on the stacked Legendre field of the
+    mesh's times: its polynomials, and its blended outputs on the measured regions, are
+    byte for byte the stack of per-field filter_boundary outputs, and its raw and interior
+    outputs those of each field alone (tp2, d=3, N=20, blend on)."""
+    cfg = RunConfig(problem="tp2", d=3,
+                    filters=("dg", "symmetric", "srv", "rlkv", "np0", "rs"),
                     mesh_sizes=(20,), final_times=(0.1, 0.35, 0.6, 0.9))
     tp2 = dg.get_problem("tp2")
     mesh = dg.Mesh(tp2.a, tp2.b, 20)
@@ -506,24 +515,29 @@ def test_stacked_boundary_output_matches_per_field_filtering():
     for t in cfg.final_times:
         field = dg.advance(field, tp2, t)
         fields.append(field)
-    berns = [dg.to_bernstein(f) for f in fields]
-    stacked = dg.DGField(d=3, mesh=mesh, coeffs=np.stack([b.coeffs for b in berns]),
-                         basis="bernstein")
+    series = replace(field, coeffs=np.stack([f.coeffs for f in fields]),
+                     time=np.array(cfg.final_times))
     stack = lambda outs: replace(outs[0], coeffs=np.stack([o.coeffs for o in outs]))
-    interior = stack([psiac.filter_interior(b) for b in berns])
+    interior = stack([psiac.filter_interior(f) for f in fields])
     physical = lambda s: mesh.a + float(s) * mesh.h
     regions = list(harness._measured_regions(20, cfg))
-    outputs = harness._outputs(fields, regions)
+    outputs = list(harness._outputs(series, regions))
+    assert {name for name, *_ in outputs} == set(cfg.filters)
     for (name, side, spec, _, overlap), (_, _, approx, (lo, hi)) in zip(regions, outputs):
-        per_field = stack([psiac.filter_boundary(b, spec) for b in berns])
-        poly = psiac.filter_boundary(stacked, spec)
-        assert poly.coeffs.tobytes() == per_field.coeffs.tobytes()
-        assert (poly.h, poly.anchor, poly.region) == \
-            (per_field.h, per_field.anchor, per_field.region)
-        blended = psiac.blend_transition(per_field, interior, tuple(map(physical, overlap)),
-                                         harness.BLEND_RHO)
         xs = np.linspace(lo, hi, 97)
-        assert approx(xs).tobytes() == blended(xs).tobytes(), (name, side)
+        if name == "dg":
+            want = np.stack([f.evaluate(xs) for f in fields])
+        elif name == "symmetric":
+            want = interior(xs)
+        else:
+            per_field = stack([psiac.filter_boundary(f, spec) for f in fields])
+            poly = psiac.filter_boundary(series, spec)
+            assert poly.coeffs.tobytes() == per_field.coeffs.tobytes()
+            assert (poly.h, poly.anchor, poly.region) == \
+                (per_field.h, per_field.anchor, per_field.region)
+            want = psiac.blend_transition(per_field, interior, tuple(map(physical, overlap)),
+                                          harness.BLEND_RHO)(xs)
+        assert approx(xs).tobytes() == want.tobytes(), (name, side)
 
 
 def test_stacked_region_norms_match_single_fields():

@@ -485,6 +485,32 @@ def test_symmetric_constant_field():
         assert abs(symmetric_filter_eval(field, x) - 1.0) < 1e-13
 
 
+@pytest.mark.parametrize("basis", ("legendre", "bernstein"))
+@pytest.mark.parametrize("d", (1, 2, 3, 4))
+def test_stacked_interior_and_evaluate_match_per_field(d, basis):
+    """filter_interior and DGField.evaluate of a (2, 3, n, d+1) stack of fields give each
+    field's own output, byte for byte: one-piece (odd d) and two-piece (even d) interior
+    operators, on Legendre and Bernstein coefficients.  At N = 40 a stack whose windows
+    were fused into one matmul would differ in the last bits at d = 4."""
+    mesh = dg.Mesh(0.0, 2.0, 40)
+    coeffs = np.random.default_rng(d).standard_normal((2, 3, mesh.n, d + 1))
+    stack = dg.DGField(d=d, mesh=mesh, coeffs=coeffs, basis=basis, time=np.zeros((2, 3)))
+    fields = [replace(stack, coeffs=c, time=0.0) for c in coeffs.reshape(6, mesh.n, d + 1)]
+    out = psiac.filter_interior(stack)
+    per_field = [psiac.filter_interior(f) for f in fields]
+    assert out.coeffs.shape == (2, 3) + per_field[0].coeffs.shape
+    assert out.coeffs.tobytes() == np.stack([o.coeffs for o in per_field]).tobytes()
+    assert (out.start, out.width) == (per_field[0].start, per_field[0].width)
+    lo, hi = out.region
+    xs = np.linspace(lo, hi, 35).reshape(5, 7)
+    assert out(xs).tobytes() == np.stack([o(xs) for o in per_field]).tobytes()
+    for x in (np.linspace(-0.1, 2.1, 61), xs, np.array(0.7)):
+        values = stack.evaluate(x)
+        assert values.shape == (2, 3) + x.shape
+        assert values.tobytes() == np.stack([f.evaluate(x) for f in fields]).tobytes()
+    assert isinstance(fields[0].evaluate(0.7), float)
+
+
 @pytest.mark.parametrize("d", (1, 2, 3))
 def test_symmetric_eval_local_batched_matches_scalar(d):
     tp2 = dg.get_problem("tp2")
