@@ -13,16 +13,16 @@ element units, from the window of the output measured on it: a boundary
 region [0, lam] or [N - lam, N] grows by the strip (two elements) on its
 inner side, the interior [mu, N - mu] shrinks by it at both ends.  As
 regions depend on N alone, a mesh too coarse for one fails before it is
-stepped.  The field then advances through the sorted final times into
-one stacked Legendre field of coeffs (times, n, d + 1), which every
-output reads as it is: `DGField.evaluate`, `psiac.filter_interior` once,
-`psiac.filter_boundary` once per boundary filter and side.  Only psiac
-converts to the Bernstein basis the filters read.  Each output gives one
-row of values per time; across the strip a boundary output is joined to
-the interior by `psiac.blend_transition` of order BLEND_RHO = 2.
-`region_norms` samples each output with one evaluator call and one
-exact-solution call on the nodes of both norms, and reduces each time's
-row as it would a single field's.
+stepped, and all their sample points are laid out then, in one pass.  The
+field then advances through the sorted final times into one stacked
+Legendre field of coeffs (times, n, d + 1), which every output reads as
+it is: `DGField.evaluate` and `psiac.filter_interior` once each, and
+`psiac.filter_boundary` once per boundary filter and side (only psiac
+converts to Bernstein).  Sampling is one pass per mesh: one exact call on
+all its points, and one `psiac.boundary_values` call for every boundary
+output, joined to the interior across its strip by a blend of order
+BLEND_RHO = 2.  Only the reductions are made per output, each time's row
+as `region_norms` reduces a single field's.
 """
 
 from __future__ import annotations
@@ -122,22 +122,6 @@ def convergence_rate(e_coarse: float, e_fine: float) -> float:
 # sampling machinery
 
 
-def _region_pieces(region: tuple[Fraction, Fraction]) -> tuple[np.ndarray, np.ndarray]:
-    """Split a sigma-interval at element boundaries: (starts, widths) of its pieces.
-
-    Only the first and the last piece can be partial; their widths are
-    computed exactly, then rounded.
-    """
-    lo, hi = Fraction(region[0]), Fraction(region[1])
-    if not hi > lo:
-        raise EmptyRegionError(f"region {region} is empty")
-    starts = np.concatenate(([float(lo)], np.arange(floor(lo) + 1, ceil(hi), dtype=float)))
-    widths = np.ones_like(starts)
-    widths[0] = float(min(floor(lo) + 1, hi) - lo)
-    widths[-1] = float(hi - max(ceil(hi) - 1, lo))
-    return starts, widths
-
-
 def _sigma_exact(mesh: dg.Mesh, x: float) -> Fraction:
     """Physical coordinate to exact sigma, snapping to nearby integers."""
     s = (x - mesh.a) / mesh.h
@@ -150,6 +134,39 @@ def _sigma_exact(mesh: dg.Mesh, x: float) -> Fraction:
 _gauss_rule = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
 
 
+def _layouts(mesh: dg.Mesh, regions) -> list[tuple[np.ndarray, int, np.ndarray]]:
+    """(points, grid, rad) per sigma-interval, all laid out in one pass: the interval is
+    split at element boundaries (the widths of its partial end pieces are computed
+    exactly, then rounded); points are the pieces' uniform grids, the first `grid`,
+    then their Gauss-Legendre nodes; rad holds each piece's half-width."""
+    starts, widths = [], []
+    for region in regions:
+        lo, hi = Fraction(region[0]), Fraction(region[1])
+        if not hi > lo:
+            raise EmptyRegionError(f"region {region} is empty")
+        inner = np.arange(floor(lo) + 1, ceil(hi), dtype=float)
+        starts.append(np.concatenate(([float(lo)], inner)))
+        widths.append(np.ones_like(starts[-1]))
+        widths[-1][[0, -1]] = float(min(floor(lo) + 1, hi) - lo), float(hi - max(ceil(hi) - 1, lo))
+    start, width = np.concatenate(starts), np.concatenate(widths)
+    steps = np.arange(SAMPLES_PER_ELEMENT)
+    xs = mesh.a + (start[:, None] + width[:, None] * steps / (SAMPLES_PER_ELEMENT - 1)) * mesh.h
+    mid = mesh.a + (2 * start + width) / 2 * mesh.h
+    rad = width / 2 * mesh.h
+    nodes = mid[:, None] + rad[:, None] * _gauss_rule(SAMPLES_PER_ELEMENT)[0]
+    parts = (np.split(a, np.cumsum([len(w) for w in widths[:-1]])) for a in (xs, nodes, rad))
+    return [(np.concatenate((g.ravel(), q.ravel())), g.size, r) for g, q, r in zip(*parts)]
+
+
+def _norms(err: np.ndarray, grid: int, rad: np.ndarray) -> list[tuple[float, float]]:
+    """(L2, Linf) per row of err, the errors at a layout's points, rows in C order:
+    each row's squares reach BLAS as one C-order (pieces, nodes) block, as a single row's."""
+    sq = err[..., grid:].reshape(-1, len(rad), SAMPLES_PER_ELEMENT) ** 2
+    linf = np.max(np.abs(err[..., :grid]).reshape(len(sq), -1), axis=1)
+    l2 = np.sqrt([np.dot(rad, s) for s in sq @ _gauss_rule(SAMPLES_PER_ELEMENT)[1]])
+    return list(zip(l2.tolist(), linf.tolist()))
+
+
 def region_norms(approx, exact, mesh: dg.Mesh, region: tuple[float, float]):
     """(L2, Linf) of approx - exact over the region.
 
@@ -160,19 +177,10 @@ def region_norms(approx, exact, mesh: dg.Mesh, region: tuple[float, float]):
     one row of values per field of a stack give a list of (L2, Linf), one
     per field, each reduced as for a single field.
     """
-    lo, width = _region_pieces((_sigma_exact(mesh, region[0]), _sigma_exact(mesh, region[1])))
-    steps = np.arange(SAMPLES_PER_ELEMENT)
-    xs = mesh.a + (lo[:, None] + width[:, None] * steps / (SAMPLES_PER_ELEMENT - 1)) * mesh.h
-    gx, gw = _gauss_rule(SAMPLES_PER_ELEMENT)
-    mid = mesh.a + (2 * lo + width) / 2 * mesh.h
-    rad = width / 2 * mesh.h
-    nodes = mid[:, None] + rad[:, None] * gx
-    points = np.concatenate((xs.ravel(), nodes.ravel()))
+    (points, grid, rad), = _layouts(mesh, [tuple(_sigma_exact(mesh, x) for x in region)])
     # C order, so that each field's rows reach BLAS as one field's would
     err = np.ascontiguousarray(np.asarray(approx(points)) - np.asarray(exact(points)))
-    sq = err[..., xs.size:].reshape(-1, len(lo), SAMPLES_PER_ELEMENT) ** 2
-    linf = np.max(np.abs(err[..., :xs.size]).reshape(len(sq), -1), axis=1)
-    norms = [(float(np.sqrt(np.dot(rad, s @ gw))), float(m)) for s, m in zip(sq, linf)]
+    norms = _norms(err, grid, rad)
     return norms if err.ndim > 1 else norms[0]
 
 
@@ -213,33 +221,33 @@ def _measured_regions(n: int, config: RunConfig):
                 yield name, spec.side, spec, region, overlap if config.blend else None
 
 
-def _outputs(series: dg.DGField, regions: list[tuple]):
-    """(filter, region name, evaluator, physical region) per region of a mesh's time series.
-
-    The series is one stacked Legendre field of coeffs (times, n, d + 1), which
-    every output reads as it is; each evaluator gives one row of values per time.
-    """
-    mesh = series.mesh
+def _mesh_norms(series: dg.DGField, regions: list[tuple], layouts: list[tuple], exact):
+    """(filter, region name, (L2, Linf) per time) per region of a mesh's time series, the
+    stacked field of coeffs (times, n, d + 1), sampled at the layouts in one pass."""
     interior = cache(lambda: psiac.filter_interior(series))  # built if used
-    physical = lambda s: mesh.a + float(s) * mesh.h
-    for name, region, spec, (lo, hi), overlap in regions:
-        if name == "dg":
-            approx = series.evaluate
-        elif name == "symmetric":
-            approx = interior()
-        else:
-            approx = psiac.filter_boundary(series, spec)
-            if overlap:
-                approx = psiac.blend_transition(approx, interior(), tuple(map(physical, overlap)),
-                                                BLEND_RHO)
-        yield name, region, approx, (physical(lo), physical(hi))
+    outputs = sorted(zip(regions, layouts), key=lambda out: out[0][2] is None)  # boundary first
+    points = [x for _, (x, _, _) in outputs]
+    values = [series.evaluate(x) if name == "dg" else interior()(x)
+              for ((name, _, spec, _, _), _), x in zip(outputs, points) if spec is None]
+    specs = [spec for (_, _, spec, _, _), _ in outputs if spec]
+    mesh = series.mesh
+    overlaps = [[mesh.a + float(s) * mesh.h for s in o] for (*_, o), _ in outputs if o]
+    if specs:
+        blend = (interior(), overlaps, BLEND_RHO) if overlaps else None
+        values.insert(0, psiac.boundary_values([psiac.filter_boundary(series, spec)
+                                                for spec in specs], points[:len(specs)], blend))
+    err = np.concatenate(values, axis=-1)
+    err -= exact(np.concatenate(points))  # in place: one (times, points) array fewer at once
+    parts = np.split(err, np.cumsum([len(x) for x in points[:-1]]), axis=-1)
+    for ((name, region, *_), (_, grid, rad)), part in zip(outputs, parts):
+        yield name, region, _norms(part, grid, rad)
 
 
 def time_series_experiment(config: RunConfig) -> tuple[list[Record], list[Record]]:
     """Solve/filter/measure over all (N, T) pairs and compute rate series.
 
     Each mesh's field advances through the sorted final times first, into
-    one stacked field that is then filtered and measured once per region.
+    one stacked field that is then filtered and measured in one pass.
     Output is deterministically ordered by (problem, d, filter, region,
     norm, N, T).
     """
@@ -250,27 +258,27 @@ def time_series_experiment(config: RunConfig) -> tuple[list[Record], list[Record
     for n in config.mesh_sizes:
         regions = list(_measured_regions(n, config))
         mesh = dg.Mesh(problem.a, problem.b, n)
+        layouts = _layouts(mesh, [region[3] for region in regions])
         field = dg.l2_project(problem.u0, mesh, config.d)
         series = replace(field, coeffs=np.empty(times.shape + field.coeffs.shape), time=times)
         for coeffs, t_end in zip(series.coeffs, config.final_times):
             field = dg.advance(field, problem, t_end, config.cfl)
             coeffs[...] = field.coeffs
-        for name, region, approx, span in _outputs(series, regions):
-            for t, norms in zip(times.tolist(), region_norms(approx, exact, mesh, span)):
-                errors += [Record(problem=config.problem, d=config.d, filter=name,
-                                  region=region, norm=norm, n=n, t=t, value=v, kind="error")
-                           for norm, v in zip(("L2", "Linf"), norms)]
+        for name, region, norms in _mesh_norms(series, regions, layouts, exact):
+            errors += [Record(config.problem, config.d, name, region, norm, n, t, v, "error")
+                       for t, pair in zip(times.tolist(), norms)
+                       for norm, v in zip(("L2", "Linf"), pair)]
     rates: list[Record] = []
     by_key: dict[tuple, dict[int, Record]] = {}
     for rec in errors:
         by_key.setdefault((rec.filter, rec.region, rec.norm, rec.t), {})[rec.n] = rec
-    for per_n in by_key.values():
+    for (name, region, norm, t), per_n in by_key.items():
         for n_coarse, n_fine in zip(config.mesh_sizes, config.mesh_sizes[1:]):
             if n_coarse in per_n and n_fine in per_n:
                 ec, ef = per_n[n_coarse].value, per_n[n_fine].value
                 if ec > 0 and ef > 0:
-                    rates.append(replace(per_n[n_fine], value=convergence_rate(ec, ef),
-                                         kind="rate"))
+                    rates.append(Record(config.problem, config.d, name, region, norm, n_fine, t,
+                                        convergence_rate(ec, ef), "rate"))
     sort_key = lambda r: (r.problem, r.d, r.filter, r.region, r.norm, r.n, r.t)
     errors.sort(key=sort_key)
     rates.sort(key=sort_key)

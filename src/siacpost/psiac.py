@@ -251,12 +251,7 @@ class BoundaryPolynomial:
 
     def __call__(self, x):
         """Values at x; coefficients (fields, m) give one row of values per field."""
-        z = (np.asarray(x, dtype=float) - self.anchor) / self.h
-        coeffs = np.asarray(self.coeffs, dtype=float)
-        acc = np.zeros(coeffs.shape[:-1] + z.shape)
-        for c in np.moveaxis(coeffs, -1, 0)[::-1]:
-            acc = acc * z + np.reshape(c, c.shape + (1,) * z.ndim)
-        return acc if acc.shape else float(acc)
+        return _one_output(self, x)
 
     def derivative(self, order: int = 1) -> "BoundaryPolynomial":
         """The derivative in x of each field's polynomial (along the last axis)."""
@@ -641,29 +636,56 @@ def blend_weight(z, rho: int):
     return acc if acc.shape else float(acc)
 
 
-def blend_transition(boundary_poly, interior_eval, overlap: tuple[float, float], rho: int):
-    """Evaluator (of a float or an array) joining boundary and interior output.
+def boundary_values(polys, points, blend=None) -> np.ndarray:
+    """Values of boundary polynomials of one stack of fields, each at its own points.
 
-    Matches the boundary side (value and rho derivatives) at overlap[0],
-    the end toward the boundary (the larger one on the right), and the
-    interior side likewise at overlap[1]; interior_eval is called only
-    where its weight is positive.  Evaluators of a stack of fields, one
-    row of values per field, give the blend of each.
+    polys have coeffs (..., m) on the same leading axes, m free; points holds one
+    1-D array per polynomial.  The result (..., total points) is one Horner pass over
+    the coefficients zero-padded at the top (+0 z + 0 = +0 keeps every value's bytes).
+    blend = (interior_eval, overlaps, rho) joins each output to the interior across
+    its overlap as `blend_transition` does, in one weight pass and one interior_eval
+    call on the positive-weight points of every strip.
     """
-    a1, a2 = overlap
-    if a2 == a1:
-        raise EmptyOverlapError("overlap interval is empty")
-    if rho < 1:
-        raise ValueError("smoothness order rho must be >= 1")
-
-    def blended(x):
-        x = np.asarray(x, dtype=float)
-        beta = np.asarray(blend_weight(np.clip((x - a1) / (a2 - a1), 0.0, 1.0), rho))
-        out = np.array(boundary_poly(x), dtype=float)
+    x, counts = np.concatenate(points), [len(p) for p in points]
+    coeffs = [np.moveaxis(np.asarray(p.coeffs, dtype=float), -1, 0) for p in polys]
+    table = np.zeros((max(map(len, coeffs)),) + coeffs[0].shape[1:] + (len(polys),))
+    for k, c in enumerate(coeffs):
+        table[:len(c), ..., k] = c
+    anchor, h = np.repeat([(p.anchor, p.h) for p in polys], counts, axis=0).T
+    z = (x - anchor) / h
+    out = np.zeros(table.shape[1:-1] + x.shape)
+    for c in np.repeat(table[::-1], counts, axis=-1):
+        out *= z
+        out += c
+    if blend:
+        interior_eval, overlaps, rho = blend
+        if any(a1 == a2 for a1, a2 in overlaps):
+            raise EmptyOverlapError("overlap interval is empty")
+        if rho < 1:
+            raise ValueError("smoothness order rho must be >= 1")
+        a1, a2 = np.repeat(np.array(overlaps, dtype=float).T, counts, axis=-1)
+        beta = blend_weight(np.clip((x - a1) / (a2 - a1), 0.0, 1.0), rho)
         mix = beta > 0.0
         if mix.any():
             b = beta[mix]
             out[..., mix] = (1 - b) * out[..., mix] + b * interior_eval(x[mix])
-        return out if out.ndim else float(out)
+    return out
 
-    return blended
+
+def _one_output(poly: BoundaryPolynomial, x, blend=None):
+    """`boundary_values` of one output at x of any shape: (..., *x.shape), or a float."""
+    x = np.asarray(x, dtype=float)
+    out = boundary_values([poly], [x.ravel()], blend).reshape(np.shape(poly.coeffs)[:-1] + x.shape)
+    return out if out.ndim else float(out)
+
+
+def blend_transition(boundary_poly, interior_eval, overlap: tuple[float, float], rho: int):
+    """Evaluator (of a float or an array) joining boundary and interior output.
+
+    `boundary_values` of one output, for each field of a stack: it matches the
+    boundary side (value and rho derivatives) at overlap[0], the end toward the
+    boundary (the larger one on the right), and the interior side at overlap[1].
+    """
+    blend = (interior_eval, [overlap], rho)
+    boundary_values([boundary_poly], [np.empty(0)], blend)  # checks overlap and rho, at no point
+    return lambda x: _one_output(boundary_poly, x, blend)

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "bench_record.py"
 
@@ -56,4 +58,26 @@ def test_the_side_that_ran_first_is_read_from_result_file_ages(tmp_path):
     assert proc.returncode == 0, proc.stderr
     first = json.loads(out.read_text())["first"]
     assert first == {"tp3-d2-long seed 0": {"pairs": ["parent", "change", "parent"],
-                                            "parent_first": 2}}
+                                            "parent_first": 2, "balanced": True}}
+    assert "warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("parent_first, balanced", [(0, False), (1, False), (2, True),
+                                                    (3, True), (4, True), (5, False)])
+def test_unalternated_pairs_are_flagged(tmp_path, parent_first, balanced):
+    """Of 6 pairs, a parent-first count more than one away from 3 is recorded as unbalanced
+    and warned about on stderr; the record is still written."""
+    parents = [_result(tmp_path / f"p{i}.json", 0.7, 10.0, 1) for i in range(6)]
+    changes = [_result(tmp_path / f"c{i}.json", 0.6, 10.0, 1) for i in range(6)]
+    for i, (p, c) in enumerate(zip(parents, changes)):
+        older, newer = (p, c) if i < parent_first else (c, p)
+        os.utime(older, (1000.0 + 10 * i, 1000.0 + 10 * i))
+        os.utime(newer, (1005.0 + 10 * i, 1005.0 + 10 * i))
+    out = tmp_path / "BENCH_x.json"
+    proc = subprocess.run([sys.executable, str(TOOL), str(out), "--parent", *map(str, parents),
+                           "--change", *map(str, changes)], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    first = json.loads(out.read_text())["first"]["tp3-d2-long seed 0"]
+    assert first["parent_first"] == parent_first and first["balanced"] is balanced
+    assert ("warning: tp3-d2-long seed 0" in proc.stderr) is not balanced

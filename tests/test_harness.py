@@ -150,14 +150,31 @@ def test_records_carry_their_kind(small_run):
     assert {r.kind for r in errors} == {"error"} and {r.kind for r in rates} == {"rate"}
 
 
+def own_evaluators(series, cfg):
+    """{(filter, region): (evaluator, measured region in exact sigma, its physical ends)}
+    of a mesh's series: each output's own evaluator, the one-output case of the harness's
+    pass (`filter_boundary`, blended by `blend_transition` across its overlap)."""
+    mesh = series.mesh
+    interior = psiac.filter_interior(series)
+    physical = lambda s: mesh.a + float(s) * mesh.h
+    out = {}
+    for name, region, spec, span, overlap in harness._measured_regions(mesh.n, cfg):
+        if name == "dg":
+            approx = series.evaluate
+        elif name == "symmetric":
+            approx = interior
+        else:
+            approx = psiac.filter_boundary(series, spec)
+            if overlap:
+                approx = psiac.blend_transition(approx, interior, tuple(map(physical, overlap)),
+                                                harness.BLEND_RHO)
+        out[(name, region)] = approx, span, tuple(map(physical, span))
+    return out
+
+
 def field_outputs(field, cfg):
-    """{(filter, region): (evaluator, measured region in exact sigma)} of one field:
-    the harness's outputs of a stack of that field alone."""
-    regions = list(harness._measured_regions(field.mesh.n, cfg))
-    series = replace(field, coeffs=field.coeffs[None], time=np.array([field.time]))
-    return {(name, region): (lambda x, approx=approx: approx(x)[0],
-                             tuple(harness._sigma_exact(field.mesh, x) for x in span))
-            for name, region, approx, span in harness._outputs(series, regions)}
+    """{(filter, region): (evaluator, measured region in exact sigma)} of one field."""
+    return {key: (approx, span) for key, (approx, span, _) in own_evaluators(field, cfg).items()}
 
 
 @pytest.mark.parametrize("blend", (True, False), ids=("blend", "noblend"))
@@ -170,18 +187,19 @@ def test_region_partition_covers_domain(family, d, blend, monkeypatch):
     n, s = 40, 2 if blend else 0
     overlaps = []
 
-    def recording_blend(poly, interior, overlap, rho):
-        overlaps.append(overlap)
-        return blend_transition(poly, interior, overlap, rho)
+    def recording_values(polys, points, blend=None):
+        overlaps.extend(blend[1] if blend else [])
+        return boundary_values(polys, points, blend)
 
-    blend_transition = psiac.blend_transition
-    monkeypatch.setattr(psiac, "blend_transition", recording_blend)
+    boundary_values = psiac.boundary_values
+    monkeypatch.setattr(psiac, "boundary_values", recording_values)
     tp2 = dg.get_problem("tp2")
     mesh = dg.Mesh(tp2.a, tp2.b, n)
-    field = dg.l2_project(tp2.u0, mesh, d)
     cfg = RunConfig(problem="tp2", d=d, filters=("dg", "symmetric", family),
                     mesh_sizes=(n,), final_times=(0.0,), blend=blend)
-    regions = {key: span for key, (_, span) in field_outputs(field, cfg).items()}
+    time_series_experiment(cfg)  # the harness's own pass records the overlaps it blends
+    regions = {(name, region): span
+               for name, region, _, span, _ in harness._measured_regions(n, cfg)}
     lam_left = build_spec(family, d, "left").lam
     lam_right = build_spec(family, d, "right").lam
     mu = Fraction(3 * d + 1, 2)
@@ -503,9 +521,11 @@ def test_batched_records_match_per_field_evaluators(d, blend):
 
 def test_stacked_boundary_output_matches_per_field_filtering():
     """The harness filters each boundary spec once on the stacked Legendre field of the
-    mesh's times: its polynomials, and its blended outputs on the measured regions, are
-    byte for byte the stack of per-field filter_boundary outputs, and its raw and interior
-    outputs those of each field alone (tp2, d=3, N=20, blend on)."""
+    mesh's times, and evaluates all of them in one `psiac.boundary_values` call: its
+    polynomials are byte for byte the stack of per-field filter_boundary outputs, and its
+    blended values on the measured regions those of each stacked polynomial's own
+    blend_transition; the raw and interior outputs are those of each field alone
+    (tp2, d=3, N=20, blend on)."""
     cfg = RunConfig(problem="tp2", d=3,
                     filters=("dg", "symmetric", "srv", "rlkv", "np0", "rs"),
                     mesh_sizes=(20,), final_times=(0.1, 0.35, 0.6, 0.9))
@@ -521,23 +541,65 @@ def test_stacked_boundary_output_matches_per_field_filtering():
     interior = stack([psiac.filter_interior(f) for f in fields])
     physical = lambda s: mesh.a + float(s) * mesh.h
     regions = list(harness._measured_regions(20, cfg))
-    outputs = list(harness._outputs(series, regions))
-    assert {name for name, *_ in outputs} == set(cfg.filters)
-    for (name, side, spec, _, overlap), (_, _, approx, (lo, hi)) in zip(regions, outputs):
-        xs = np.linspace(lo, hi, 97)
+    layouts = harness._layouts(mesh, [region[3] for region in regions])
+    calls, boundary_values = [], psiac.boundary_values
+    record = lambda *args: calls.append((args, boundary_values(*args))) or calls[-1][1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(psiac, "boundary_values", record)
+        list(harness._mesh_norms(series, regions, layouts, lambda x: np.zeros((4, len(x)))))
+    ((polys, points, _), values), = calls
+    values = np.split(values, np.cumsum([len(x) for x in points[:-1]]), axis=-1)
+    boundary = [(region, layout) for region, layout in zip(regions, layouts) if region[2]]
+    assert len(boundary) == len(polys) == 8
+    for ((name, side, spec, _, overlap), (xs, _, _)), poly, x, got in \
+            zip(boundary, polys, points, values):
+        assert x is xs
+        per_field = stack([psiac.filter_boundary(f, spec) for f in fields])
+        assert poly.coeffs.tobytes() == per_field.coeffs.tobytes()
+        assert (poly.h, poly.anchor, poly.region) == \
+            (per_field.h, per_field.anchor, per_field.region)
+        want = psiac.blend_transition(per_field, interior, tuple(map(physical, overlap)),
+                                      harness.BLEND_RHO)(xs)
+        assert got.tobytes() == want.tobytes(), (name, side)
+    for (name, _, spec, _, _), (xs, _, _) in zip(regions, layouts):
         if name == "dg":
             want = np.stack([f.evaluate(xs) for f in fields])
+            assert series.evaluate(xs).tobytes() == want.tobytes()
         elif name == "symmetric":
-            want = interior(xs)
-        else:
-            per_field = stack([psiac.filter_boundary(f, spec) for f in fields])
-            poly = psiac.filter_boundary(series, spec)
-            assert poly.coeffs.tobytes() == per_field.coeffs.tobytes()
-            assert (poly.h, poly.anchor, poly.region) == \
-                (per_field.h, per_field.anchor, per_field.region)
-            want = psiac.blend_transition(per_field, interior, tuple(map(physical, overlap)),
-                                          harness.BLEND_RHO)(xs)
-        assert approx(xs).tobytes() == want.tobytes(), (name, side)
+            assert psiac.filter_interior(series)(xs).tobytes() == interior(xs).tobytes()
+
+
+@pytest.mark.parametrize("times", (1, 8))
+@pytest.mark.parametrize("blend", (True, False), ids=("blend", "noblend"))
+@pytest.mark.parametrize("d", (1, 2, 3, 4))
+def test_stacked_pass_is_per_output_region_norms(d, blend, times):
+    """The one sampling pass of a mesh gives, byte for byte, the (L2, Linf) per time that
+    region_norms gives for each output alone, through that output's own evaluator on the
+    same stack: every runnable family (rs included), both sides, blend on and off, a
+    1-time and an 8-time stack (the half-element regions come at even d)."""
+    final_times = tuple(np.linspace(0.0, 0.7, times)) if times > 1 else (0.4,)
+    cfg = RunConfig(problem="tp2", d=d, filters=harness.FILTER_NAMES, mesh_sizes=(24,),
+                    final_times=final_times, blend=blend)
+    tp2 = dg.get_problem("tp2")
+    mesh = dg.Mesh(tp2.a, tp2.b, 24)
+    field, coeffs = dg.l2_project(tp2.u0, mesh, d), []
+    for t in cfg.final_times:
+        field = dg.advance(field, tp2, t)
+        coeffs.append(field.coeffs)
+    series = replace(field, coeffs=np.stack(coeffs), time=np.array(cfg.final_times))
+    exact = lambda x: tp2.exact(x, series.time[:, None])
+    regions = list(harness._measured_regions(24, cfg))
+    layouts = harness._layouts(mesh, [region[3] for region in regions])
+    got = {(name, region): norms for name, region, norms
+           in harness._mesh_norms(series, regions, layouts, exact)}
+    own = own_evaluators(series, cfg)
+    assert set(got) == set(own) and len(got) == 2 + 2 * 4
+    if d % 2 == 0:
+        assert any(Fraction(span[0]).denominator == 2 for _, span, _ in own.values())
+    for key, (approx, _, span) in own.items():
+        want = region_norms(approx, exact, mesh, span)
+        assert len(want) == times
+        assert np.array(got[key]).tobytes() == np.array(want).tobytes(), key
 
 
 def test_stacked_region_norms_match_single_fields():

@@ -660,7 +660,7 @@ def test_blend_weight_values():
 
 
 def test_blend_endpoints():
-    left = lambda x: 2.0 + 0 * x
+    left = psiac.BoundaryPolynomial(coeffs=np.array([2.0]), h=1.0, anchor=0.0, region=(0.0, 1.0))
 
     def interior(x):
         raise AssertionError("interior side must not be touched at z = 0")
@@ -674,7 +674,9 @@ def test_blend_endpoints():
 
 def test_blend_empty_overlap():
     with pytest.raises(psiac.EmptyOverlapError):
-        blend_transition(lambda x: x, lambda x: x, (1.0, 1.0), rho=1)
+        blend_transition(psiac.BoundaryPolynomial(coeffs=np.array([0.0, 1.0]), h=1.0,
+                                                  anchor=0.0, region=(0.0, 1.0)),
+                         lambda x: x, (1.0, 1.0), rho=1)
 
 
 def test_blend_hermite_orders_exact():
@@ -691,6 +693,72 @@ def test_blend_hermite_orders_exact():
         for _ in range(rho):
             der = oracles.poly_derivative(der)
             assert der(F(0)) == 0 and der(F(1)) == 0
+
+
+def _horner_rows(coeffs, z):
+    """The single-polynomial rule: acc = acc * z + c from a zero acc, top coefficient first."""
+    acc = np.zeros(coeffs.shape[:-1] + z.shape)
+    for c in np.moveaxis(coeffs, -1, 0)[::-1]:
+        acc = acc * z + c[:, None]
+    return acc
+
+
+def test_boundary_values_of_unequal_lengths_are_each_polynomials_own():
+    """Boundary polynomials of different lengths over one stack of fields, zero-padded to
+    one Horner pass, give each polynomial's own values byte for byte: at negative z, at
+    z = +0 and -0, with signed-zero coefficients, and for an all-zero polynomial."""
+    rng = np.random.default_rng(11)
+    fields = 8
+
+    def signed(m):
+        c = np.where(rng.random((fields, m)) < 0.5, -0.0, 0.0)
+        c[::2, -1] = -0.0  # a top coefficient of -0 in every other row
+        return c
+
+    tables = [rng.standard_normal((fields, 9)), signed(3), np.zeros((fields, 6)),
+              rng.standard_normal((fields, 1)), signed(4), signed(5),
+              np.where(rng.random((fields, 7)) < 0.3, -0.0, rng.standard_normal((fields, 7)))]
+    # an anchor at 0 and h > 2 make z = -0 at x = -5e-324 and +0 at x = 0
+    hs, anchors = (0.3, 2.5, 3.0, 0.7, 2.25, 2.75, 0.1), (0.5, 0.0, 0.0, -1.5, 0.0, 0.0, 0.25)
+    polys = [psiac.BoundaryPolynomial(coeffs=c, h=h, anchor=a, region=(0, 1))
+             for c, h, a in zip(tables, hs, anchors)]
+    points = [np.concatenate((p.anchor + p.h * rng.uniform(-3.0, 3.0, 200),
+                              [p.anchor, p.anchor - 5e-324, p.anchor + 5e-324])) for p in polys]
+    zs = [(x - p.anchor) / p.h for p, x in zip(polys, points)]
+    for z in zs[1:3] + zs[4:6]:
+        assert (z == 0).sum() == 3 and np.signbit(z[z == 0]).sum() == 1 and (z < 0).any()
+    got = psiac.boundary_values(polys, points)
+    assert got.shape == (fields, sum(map(len, points)))
+    start = 0
+    for p, x, z in zip(polys, points, zs):
+        want = _horner_rows(p.coeffs, z)
+        assert got[:, start:start + len(x)].tobytes() == want.tobytes()
+        assert p(x).tobytes() == want.tobytes()
+        start += len(x)
+    assert not np.signbit(psiac.boundary_values(polys[2:3], points[2:3])).any()
+
+
+def test_one_output_boundary_values_is_blend_transition():
+    """A one-output stack with a blend is blend_transition of that output, and both are, byte
+    for byte, (1 - beta) p + beta i where the weight beta is positive and p elsewhere."""
+    rng = np.random.default_rng(4)
+    poly = psiac.BoundaryPolynomial(coeffs=rng.standard_normal((2, 7)), h=0.1, anchor=-0.3,
+                                    region=(0.0, 0.6))
+    interior = lambda x: np.stack((np.cos(x), np.sin(3 * x)))
+    for overlap in ((0.2, 0.4), (0.4, 0.2)):
+        xs = np.concatenate((np.linspace(0.0, 0.6, 31), rng.uniform(0.0, 0.6, 20)))
+        got = psiac.boundary_values([poly], [xs], (interior, [overlap], 2))
+        assert got.tobytes() == blend_transition(poly, interior, overlap, 2)(xs).tobytes()
+        beta = blend_weight(np.clip((xs - overlap[0]) / (overlap[1] - overlap[0]), 0.0, 1.0), 2)
+        mix = beta > 0
+        want = poly(xs)
+        want[:, mix] = (1 - beta[mix]) * want[:, mix] + beta[mix] * interior(xs[mix])
+        assert got.tobytes() == want.tobytes()
+        assert 0 < mix.sum() < len(xs)
+    with pytest.raises(psiac.EmptyOverlapError):
+        psiac.boundary_values([poly], [xs], (interior, [(0.2, 0.4), (0.3, 0.3)], 2))
+    with pytest.raises(ValueError, match="rho"):
+        blend_transition(poly, interior, (0.2, 0.4), 0)
 
 
 # ---------------------------------------------------------------------------

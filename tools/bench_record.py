@@ -12,6 +12,8 @@ side's `src/` line count and provenance come from its first run.  Under
 "first", per workload and seed: which side ran first in each pair (the
 one whose result file is older) and the number of parent-first pairs, as
 the side that runs first can read faster, so a fair record alternates.
+A workload and seed whose parent-first count is more than one away from
+half its pairs is recorded as "balanced": false, with a warning on stderr.
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ def record(parents: list[dict], changes: list[dict], ran_first: list[str]) -> di
     sides = {"parent": parents[0]["provenance"], "change": changes[0]["provenance"]}
     return {"workloads": workloads, "src_lines": {k: v["src_lines"] for k, v in sides.items()},
             "provenance": sides,
-            "first": {key: {"pairs": ran, "parent_first": ran.count("parent")}
+            "first": {key: {"pairs": ran, "parent_first": ran.count("parent"),
+                            "balanced": abs(ran.count("parent") - len(ran) / 2) <= 1}
                       for key, ran in order.items()}}
 
 
@@ -71,8 +74,12 @@ def main(argv=None) -> int:
     load = lambda paths: [json.loads(p.read_text()) for p in paths]
     ran_first = ["parent" if p.stat().st_mtime < c.stat().st_mtime else "change"
                  for p, c in zip(args.parent, args.change)]
-    args.out.write_text(json.dumps(record(load(args.parent), load(args.change), ran_first),
-                                   indent=1) + "\n")
+    bench = record(load(args.parent), load(args.change), ran_first)
+    for key, first in bench["first"].items():
+        if not first["balanced"]:
+            print(f"warning: {key}: the parent ran first in {first['parent_first']} of "
+                  f"{len(first['pairs'])} pairs; alternate the order", file=sys.stderr)
+    args.out.write_text(json.dumps(bench, indent=1) + "\n")
     return 0
 
 
