@@ -3,7 +3,7 @@
 Solves du/dt + d/dx(kappa(x,t) u) = rho(x,t) on a uniform mesh with
 periodic or Dirichlet-inflow boundary conditions, upwind flux (kappa > 0),
 and classical RK4 in time.  Elements carry Legendre modal coefficients
-internally; psiac converts them to the Bernstein element basis it filters in.
+internally; `to_bernstein` gives the Bernstein element basis the filters read.
 
 `advance` picks one of three RK4 steppers from the problem itself:
 
@@ -233,14 +233,23 @@ def l2_project(u0: Callable, mesh: Mesh, d: int) -> DGField:
     """
     if d < 0:
         raise UsageError(f"DG degree must be >= 0, got {d}")
-    gx, gw = np.polynomial.legendre.leggauss(d + 2)
+    gx, gw, p = _projection_rule(d)
     mids = mesh.a + (np.arange(mesh.n) + 0.5) * mesh.h
     x = mids[:, None] + 0.5 * mesh.h * gx[None, :]
-    p = np.polynomial.legendre.legvander(gx, d)
     vals = u0(x)
     scale = (2 * np.arange(d + 1) + 1) / 2.0
     coeffs = (vals * gw[None, :]) @ p * scale[None, :]
     return DGField(d=d, mesh=mesh, coeffs=coeffs, basis="legendre", time=0.0)
+
+
+@lru_cache(maxsize=None)
+def _projection_rule(d: int) -> tuple[np.ndarray, ...]:
+    """l2_project's d + 2 Gauss nodes and weights, and P_n at the nodes, read-only."""
+    gx, gw = np.polynomial.legendre.leggauss(d + 2)
+    rule = gx, gw, np.polynomial.legendre.legvander(gx, d)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 # ---------------------------------------------------------------------------

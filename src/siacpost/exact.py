@@ -20,6 +20,7 @@ import numpy as np
 
 RationalLike = Union[Fraction, int, str]
 SLICE_BITS = 20  # RatMatrix.apply multiplies slices below 2^20: each product is below 2^40
+WORD_SLICES = 3  # slices per int64 word of a numerator, cut from |nums| in one object pass
 
 
 class SingularMatrixError(ArithmeticError):
@@ -174,19 +175,24 @@ class RatMatrix:
     def _sliced_numerators(self) -> tuple[np.ndarray, int]:
         """(slices, count): nums = sum_b slice_b * 2^(SLICE_BITS b), b < count, each
         slice signed and below 2^SLICE_BITS, as (rows, count * cols) floats with slice b
-        of column j at b * cols + j.  Made on the first call; raises ValueError when
-        rows * count * 2^(2 SLICE_BITS) reaches 2^53, past which `apply` is not exact.
+        of column j at b * cols + j.  |nums| is cut into words of WORD_SLICES slices, one
+        object pass per word, and the words into slices on int64.  Made on the first call;
+        raises ValueError when rows * count * 2^(2 SLICE_BITS) reaches 2^53, past which
+        `apply` is not exact.
         """
         if self._slices is None:
             grid = self._grid()
-            count = max(1, -(-max(abs(v).bit_length() for v in grid.flat) // SLICE_BITS))
+            mags = np.abs(grid)
+            count = max(1, -(-max(mags.flat).bit_length() // SLICE_BITS))
             if grid.shape[0] * count << 2 * SLICE_BITS >= 1 << 53:
                 raise ValueError(f"{grid.shape[0]} rows of {count} slices each are too many "
                                  f"to sum exactly in floats")
-            mask = (1 << SLICE_BITS) - 1
-            parts = [((np.abs(grid) >> SLICE_BITS * b) & mask) * np.sign(grid)
-                     for b in range(count)]
-            self._slices = np.hstack(parts).astype(float), count
+            bits = WORD_SLICES * SLICE_BITS
+            words = np.array([mags >> bits * w & (1 << bits) - 1
+                              for w in range(-(-count // WORD_SLICES))]).astype(np.int64)
+            cuts = words[:, None] >> np.arange(0, bits, SLICE_BITS)[:, None, None]
+            parts = (cuts & (1 << SLICE_BITS) - 1).reshape(-1, *grid.shape)[:count]
+            self._slices = np.hstack(parts * np.where(grid < 0, -1, 1)).astype(float), count
         return self._slices
 
 

@@ -8,27 +8,28 @@ merged.  The sampling rule is SAMPLES_PER_ELEMENT = 6 points per element:
 an endpoint-inclusive uniform grid for the max norm, Gauss-Legendre
 points for the L2 norm.
 
-The run goes mesh by mesh.  Each region is laid out first, in exact
+The run lays out every mesh first.  Each region is laid out in exact
 element units, from the window of the output measured on it: a boundary
 region [0, lam] or [N - lam, N] grows by the strip (two elements) on its
 inner side, the interior [mu, N - mu] shrinks by it at both ends.  As
-regions depend on N alone, a mesh too coarse for one fails before it is
-stepped, and all their sample points are laid out then, in one pass.  The
-field then advances through the sorted final times into one stacked
-Legendre field of coeffs (times, n, d + 1), which every output reads as
-it is: `DGField.evaluate` and `psiac.filter_interior` once each, and
-`psiac.filter_boundary` once per boundary filter and side (only psiac
-converts to Bernstein).  Sampling is one pass per mesh: one exact call on
-all its points, and one `psiac.boundary_values` call for every boundary
-output, joined to the interior across its strip by a blend of order
-BLEND_RHO = 2.  Only the reductions are made per output, each time's row
-as `region_norms` reduces a single field's.
+regions depend on N alone, a mesh too coarse for one fails before any is
+stepped, and all their sample points are laid out then.  Each mesh's field
+then advances through the sorted final times into one stacked Legendre
+field of coeffs (times, n, d + 1), converted once to Bernstein for the
+filters.  The boundary outputs of the whole run are measured together: one
+`psiac.filter_boundary` contraction per boundary spec across every mesh,
+and one `psiac.boundary_values` call that evaluates all of them, each
+joined to its own mesh's interior output across its strip by a blend of
+order BLEND_RHO = 2.  The rest goes mesh by mesh: `DGField.evaluate` and
+`psiac.filter_interior` once each, one exact call on all the mesh's points,
+and per output only the reductions, each time's row as `region_norms`
+reduces a single field's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from fractions import Fraction
 from math import ceil, floor, log
 from typing import Iterable
@@ -96,7 +97,7 @@ class RunConfig:
         object.__setattr__(self, "final_times", tuple(sorted(self.final_times)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Record:
     """One CSV row: an error, or a rate between two meshes' errors."""
 
@@ -221,21 +222,41 @@ def _measured_regions(n: int, config: RunConfig):
                 yield name, spec.side, spec, region, overlap if config.blend else None
 
 
-def _mesh_norms(series: dg.DGField, regions: list[tuple], layouts: list[tuple], exact):
-    """(filter, region name, (L2, Linf) per time) per region of a mesh's time series, the
-    stacked field of coeffs (times, n, d + 1), sampled at the layouts in one pass."""
-    interior = cache(lambda: psiac.filter_interior(series))  # built if used
-    outputs = sorted(zip(regions, layouts), key=lambda out: out[0][2] is None)  # boundary first
-    points = [x for _, (x, _, _) in outputs]
-    values = [series.evaluate(x) if name == "dg" else interior()(x)
-              for ((name, _, spec, _, _), _), x in zip(outputs, points) if spec is None]
-    specs = [spec for (_, _, spec, _, _), _ in outputs if spec]
-    mesh = series.mesh
-    overlaps = [[mesh.a + float(s) * mesh.h for s in o] for (*_, o), _ in outputs if o]
+def _run_norms(series: list[dg.DGField], regions: list[list], layouts: list[list], exact):
+    """{(filter, region name): [(L2, Linf) per time] per mesh} of a run's time series, the
+    stacked fields of coeffs (times, n, d + 1) of its meshes, sampled at their layouts:
+    one `filter_boundary` call per boundary spec and one `boundary_values` call for every
+    boundary output of the run, then the rest mesh by mesh (`_mesh_norms`)."""
+    berns = [dg.to_bernstein(s) for s in series]  # the one copy every filter of a mesh reads
+    interiors = [cache(partial(psiac.filter_interior, b)) for b in berns]  # built if used
+    outputs = [sorted(zip(r, lay), key=lambda out: out[0][2] is None)  # boundary first
+               for r, lay in zip(regions, layouts)]
+    specs = [spec for _, _, spec, _, _ in regions[0] if spec]
+    boundary = [np.empty(series[0].time.shape + (0,))] * len(series)
     if specs:
-        blend = (interior(), overlaps, BLEND_RHO) if overlaps else None
-        values.insert(0, psiac.boundary_values([psiac.filter_boundary(series, spec)
-                                                for spec in specs], points[:len(specs)], blend))
+        polys = [poly for per_mesh in zip(*(psiac.filter_boundary(berns, spec) for spec in specs))
+                 for poly in per_mesh]
+        points, owner, overlaps = zip(*(
+            (x, i, overlap and [s.mesh.a + float(e) * s.mesh.h for e in overlap])
+            for i, (s, outs) in enumerate(zip(series, outputs))
+            for (*_, overlap), (x, _, _) in outs[:len(specs)]))
+        blend = ([interiors[i]() for i in owner], overlaps, BLEND_RHO) if overlaps[0] else None
+        sizes = [sum(len(x) for x, j in zip(points, owner) if j == i) for i in range(len(series))]
+        boundary = np.split(psiac.boundary_values(polys, points, blend), np.cumsum(sizes[:-1]),
+                            axis=-1)
+    norms: dict[tuple[str, str], list] = {}
+    for s, outs, values, interior in zip(series, outputs, boundary, interiors):
+        for name, region, pairs in _mesh_norms(s, outs, values, interior, exact):
+            norms.setdefault((name, region), []).append(pairs)
+    return norms
+
+
+def _mesh_norms(series: dg.DGField, outputs: list[tuple], boundary: np.ndarray, interior, exact):
+    """(filter, region name, (L2, Linf) per time) per output of one mesh, boundary outputs
+    first, their values given: the other outputs are sampled, and every error reduced."""
+    points = [x for _, (x, _, _) in outputs]
+    values = [boundary] + [series.evaluate(x) if name == "dg" else interior()(x)
+                           for ((name, _, spec, *_), _), x in zip(outputs, points) if spec is None]
     err = np.concatenate(values, axis=-1)
     err -= exact(np.concatenate(points))  # in place: one (times, points) array fewer at once
     parts = np.split(err, np.cumsum([len(x) for x in points[:-1]]), axis=-1)
@@ -246,42 +267,34 @@ def _mesh_norms(series: dg.DGField, regions: list[tuple], layouts: list[tuple], 
 def time_series_experiment(config: RunConfig) -> tuple[list[Record], list[Record]]:
     """Solve/filter/measure over all (N, T) pairs and compute rate series.
 
-    Each mesh's field advances through the sorted final times first, into
-    one stacked field that is then filtered and measured in one pass.
-    Output is deterministically ordered by (problem, d, filter, region,
-    norm, N, T).
+    Every mesh is laid out and stepped first, into one stacked field per mesh, and
+    the run's stacks are measured together (`_run_norms`).  Records come out in CSV
+    order, (problem, d, filter, region, norm, N, T); rates pair consecutive meshes.
     """
     problem = dg.get_problem(config.problem)
-    errors: list[Record] = []
     times = np.array(config.final_times)
     exact = lambda xs: problem.exact(xs, times[:, None])
-    for n in config.mesh_sizes:
-        regions = list(_measured_regions(n, config))
-        mesh = dg.Mesh(problem.a, problem.b, n)
-        layouts = _layouts(mesh, [region[3] for region in regions])
+    meshes = [dg.Mesh(problem.a, problem.b, n) for n in config.mesh_sizes]
+    regions = [list(_measured_regions(n, config)) for n in config.mesh_sizes]
+    layouts = [_layouts(mesh, [region[3] for region in r]) for mesh, r in zip(meshes, regions)]
+    series = []
+    for mesh in meshes:
         field = dg.l2_project(problem.u0, mesh, config.d)
-        series = replace(field, coeffs=np.empty(times.shape + field.coeffs.shape), time=times)
-        for coeffs, t_end in zip(series.coeffs, config.final_times):
+        series.append(replace(field, coeffs=np.empty(times.shape + field.coeffs.shape),
+                              time=times))
+        for coeffs, t_end in zip(series[-1].coeffs, config.final_times):
             field = dg.advance(field, problem, t_end, config.cfl)
             coeffs[...] = field.coeffs
-        for name, region, norms in _mesh_norms(series, regions, layouts, exact):
-            errors += [Record(config.problem, config.d, name, region, norm, n, t, v, "error")
-                       for t, pair in zip(times.tolist(), norms)
-                       for norm, v in zip(("L2", "Linf"), pair)]
-    rates: list[Record] = []
-    by_key: dict[tuple, dict[int, Record]] = {}
-    for rec in errors:
-        by_key.setdefault((rec.filter, rec.region, rec.norm, rec.t), {})[rec.n] = rec
-    for (name, region, norm, t), per_n in by_key.items():
-        for n_coarse, n_fine in zip(config.mesh_sizes, config.mesh_sizes[1:]):
-            if n_coarse in per_n and n_fine in per_n:
-                ec, ef = per_n[n_coarse].value, per_n[n_fine].value
-                if ec > 0 and ef > 0:
-                    rates.append(Record(config.problem, config.d, name, region, norm, n_fine, t,
-                                        convergence_rate(ec, ef), "rate"))
-    sort_key = lambda r: (r.problem, r.d, r.filter, r.region, r.norm, r.n, r.t)
-    errors.sort(key=sort_key)
-    rates.sort(key=sort_key)
+    errors, rates = [], []
+    ts, ns = times.tolist(), config.mesh_sizes
+    for (name, region), per_mesh in sorted(_run_norms(series, regions, layouts, exact).items()):
+        for k, norm in enumerate(("L2", "Linf")):
+            head = (config.problem, config.d, name, region, norm)
+            errors += [Record(*head, n, t, pair[k], "error")
+                       for n, pairs in zip(ns, per_mesh) for t, pair in zip(ts, pairs)]
+            rates += [Record(*head, n, t, convergence_rate(c[k], f[k]), "rate")
+                      for n, coarse, fine in zip(ns[1:], per_mesh, per_mesh[1:])
+                      for t, c, f in zip(ts, coarse, fine) if c[k] > 0 and f[k] > 0]
     return errors, rates
 
 

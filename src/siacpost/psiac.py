@@ -23,8 +23,9 @@ exactly once per (filter, DG degree), each as an `exact.RatMatrix`, an
 integer array over one denominator.  Fractions are made only where a value
 leaves this layer (the entries of `QMatrix.q`, the endpoint vector), and
 floats only when an operator is applied to DG data, in both cases by the
-RatMatrix's exits.  DG data comes as the solver leaves it, one field or a
-stack; only this module converts it to the element Bernstein basis.
+RatMatrix's exits.  DG data comes as the solver leaves it or already in the
+element Bernstein basis, one field or a stack; boundary filtering also takes
+a sequence of fields (of any meshes) in one contraction.
 """
 
 from __future__ import annotations
@@ -295,18 +296,25 @@ def boundary_window(field, spec: FilterSpec) -> tuple[QMatrix, np.ndarray]:
     return qm, fld.coeffs[..., first:first + qm.n_elements, :]
 
 
-def filter_boundary(field, spec: FilterSpec) -> BoundaryPolynomial:
+def filter_boundary(field, spec: FilterSpec):
     """Filter a DG field near the spec's domain end into a BoundaryPolynomial.
 
     A field whose coeffs stack fields on leading axes, (..., n, d+1), is
     contracted in one `QMatrix.contract` call into coefficients (..., m), one
-    polynomial per field.
+    polynomial per field.  A sequence of fields of one degree and stack shape, on
+    any meshes, gives a list of their BoundaryPolynomials, all of their windows
+    contracted in that one call: a row's exact product does not depend on the rest.
     """
-    qm, window = boundary_window(field, spec)
-    _, lam_g, region = window_placement(spec, field.mesh.n)
-    a, h = field.mesh.a, field.mesh.h
-    return BoundaryPolynomial(coeffs=qm.contract(window), h=h, anchor=a + float(lam_g) * h,
-                              region=tuple(a + float(s) * h for s in region))
+    fields = [field] if isinstance(field, dg.DGField) else field
+    windows = [boundary_window(f, spec) for f in fields]
+    coeffs = windows[0][0].contract(np.stack([window for _, window in windows]))
+    polys = []
+    for f, c in zip(fields, coeffs):
+        _, lam_g, region = window_placement(spec, f.mesh.n)
+        a, h = f.mesh.a, f.mesh.h
+        polys.append(BoundaryPolynomial(coeffs=c, h=h, anchor=a + float(lam_g) * h,
+                                        region=tuple(a + float(s) * h for s in region)))
+    return polys if fields is field else polys[0]
 
 
 def filter_boundary_derivative(field, spec: FilterSpec, order: int = 1) -> BoundaryPolynomial:
@@ -443,9 +451,9 @@ class PiecewiseBernstein:
         if s.size and not (s.min() >= -1e-9 and s.max() <= count + 1e-9):
             raise OutsideInteriorRegionError(f"x outside the filtered region {self.region}")
         g = np.clip(np.floor(s).astype(int), 0, count - 1)
-        coeffs = np.take(self.coeffs, g, axis=-2)
-        basis = dg.bernstein_values(coeffs.shape[-1] - 1, s - g)
-        values = sum(coeffs[..., k] * b for k, b in enumerate(basis))  # same order at any shape
+        basis = dg.bernstein_values(self.coeffs.shape[-1] - 1, s - g)
+        # same order at any shape; each column gathered as it is summed, not all at once
+        values = sum(np.take(self.coeffs[..., k], g, axis=-1) * b for k, b in enumerate(basis))
         return float(values) if values.ndim == 0 else values
 
 
@@ -637,14 +645,16 @@ def blend_weight(z, rho: int):
 
 
 def boundary_values(polys, points, blend=None) -> np.ndarray:
-    """Values of boundary polynomials of one stack of fields, each at its own points.
+    """Values of boundary polynomials of one stack shape, each at its own points.
 
     polys have coeffs (..., m) on the same leading axes, m free; points holds one
     1-D array per polynomial.  The result (..., total points) is one Horner pass over
-    the coefficients zero-padded at the top (+0 z + 0 = +0 keeps every value's bytes).
-    blend = (interior_eval, overlaps, rho) joins each output to the interior across
-    its overlap as `blend_transition` does, in one weight pass and one interior_eval
-    call on the positive-weight points of every strip.
+    the coefficients zero-padded at the top (+0 z + 0 = +0 keeps every value's bytes),
+    each coefficient row repeated out to the points as the pass reaches it.
+    blend = (interior_evals, overlaps, rho) joins each output to the interior across
+    its overlap as `blend_transition` does, in one weight pass: each distinct
+    interior_eval (one per output, for example each mesh's own) is called once, on
+    the positive-weight points of its outputs' strips.
     """
     x, counts = np.concatenate(points), [len(p) for p in points]
     coeffs = [np.moveaxis(np.asarray(p.coeffs, dtype=float), -1, 0) for p in polys]
@@ -654,21 +664,22 @@ def boundary_values(polys, points, blend=None) -> np.ndarray:
     anchor, h = np.repeat([(p.anchor, p.h) for p in polys], counts, axis=0).T
     z = (x - anchor) / h
     out = np.zeros(table.shape[1:-1] + x.shape)
-    for c in np.repeat(table[::-1], counts, axis=-1):
+    for c in table[::-1]:
         out *= z
-        out += c
+        out += np.repeat(c, counts, axis=-1)
     if blend:
-        interior_eval, overlaps, rho = blend
+        interior_evals, overlaps, rho = blend
         if any(a1 == a2 for a1, a2 in overlaps):
             raise EmptyOverlapError("overlap interval is empty")
         if rho < 1:
             raise ValueError("smoothness order rho must be >= 1")
         a1, a2 = np.repeat(np.array(overlaps, dtype=float).T, counts, axis=-1)
         beta = blend_weight(np.clip((x - a1) / (a2 - a1), 0.0, 1.0), rho)
-        mix = beta > 0.0
-        if mix.any():
-            b = beta[mix]
-            out[..., mix] = (1 - b) * out[..., mix] + b * interior_eval(x[mix])
+        for f in {id(f): f for f in interior_evals}.values():
+            mix = (beta > 0.0) & np.repeat([g is f for g in interior_evals], counts)
+            if mix.any():
+                b = beta[mix]
+                out[..., mix] = (1 - b) * out[..., mix] + b * f(x[mix])
     return out
 
 
@@ -686,6 +697,6 @@ def blend_transition(boundary_poly, interior_eval, overlap: tuple[float, float],
     boundary side (value and rho derivatives) at overlap[0], the end toward the
     boundary (the larger one on the right), and the interior side at overlap[1].
     """
-    blend = (interior_eval, [overlap], rho)
+    blend = ([interior_eval], [overlap], rho)
     boundary_values([boundary_poly], [np.empty(0)], blend)  # checks overlap and rho, at no point
     return lambda x: _one_output(boundary_poly, x, blend)

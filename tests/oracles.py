@@ -91,6 +91,17 @@ def hi_lo_reference(a: RatMatrix) -> np.ndarray:
     return np.array([his, los]).reshape((2,) + a.nums.shape)
 
 
+def sliced_numerators_reference(a: RatMatrix, slice_bits: int) -> tuple[np.ndarray, int]:
+    """The object-array form of ``RatMatrix._sliced_numerators``: slice b of every entry is
+    (|x| >> slice_bits b) & (2^slice_bits - 1) times sign(x), each an object pass; the
+    slices side by side as (rows, count * cols) floats."""
+    grid = a.nums.reshape((*a.nums.shape, 1, 1)[:2])
+    count = max(1, -(-max(abs(v).bit_length() for v in grid.flat) // slice_bits))
+    mask = (1 << slice_bits) - 1
+    parts = [((np.abs(grid) >> slice_bits * b) & mask) * np.sign(grid) for b in range(count)]
+    return np.hstack(parts).astype(float), count
+
+
 def det_reference(a: RatMatrix) -> Fraction:
     """Determinant by Fraction elimination (first-nonzero pivot per column)."""
     n = a.rows

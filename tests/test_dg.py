@@ -31,6 +31,22 @@ def test_project_constant_and_linear():
     assert np.abs(g.evaluate(xs) - xs).max() < 1e-13
 
 
+@pytest.mark.parametrize("d", (0, 1, 3, 5))
+def test_projection_rule_is_cached_and_read_only(d):
+    """l2_project reads its Gauss rule and Legendre Vandermonde from one read-only entry
+    per degree, and projects byte for byte as with a freshly solved rule."""
+    rule = dg._projection_rule(d)
+    assert dg._projection_rule(d) is rule and not any(a.flags.writeable for a in rule)
+    mesh, u0 = Mesh(-1.0, 2.0, 7), lambda x: np.exp(np.sin(3 * x))
+    gx, gw = np.polynomial.legendre.leggauss(d + 2)
+    x = mesh.a + (np.arange(mesh.n) + 0.5)[:, None] * mesh.h + 0.5 * mesh.h * gx
+    scale = (2 * np.arange(d + 1) + 1) / 2.0
+    want = (u0(x) * gw) @ np.polynomial.legendre.legvander(gx, d) * scale
+    assert l2_project(u0, mesh, d).coeffs.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        rule[1][0] = 0.0
+
+
 def test_project_sine_refinement():
     errs = []
     for n in (20, 40):

@@ -5,11 +5,12 @@ from math import gcd
 import numpy as np
 import pytest
 
-from siacpost.exact import (RatMatrix, RatPoly, SingularMatrixError, det_exact,
+from siacpost.exact import (SLICE_BITS, RatMatrix, RatPoly, SingularMatrixError, det_exact,
                             invert_exact, rat, solve_exact)
 
 from oracles import (compose_affine, det_reference, hi_lo_reference, matmul_reference,
-                     matrix_rows, poly_derivative, solve_reference)
+                     matrix_rows, poly_derivative, sliced_numerators_reference,
+                     solve_reference)
 
 
 def cramer_solve(a: RatMatrix, b):
@@ -325,6 +326,29 @@ def test_stacked_apply_matches_rows_and_fractions(bits):
         assert row.tobytes() == _applied_reference(a, window).tobytes()
     assert a.apply(windows.reshape(4, 2, 9)).tobytes() == got.tobytes()
     assert a.apply(windows[:0]).shape == (0, 4)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sliced_numerators_match_the_object_path(seed):
+    """The int64 word cut gives apply's slices and slice count bit for bit as the
+    per-slice object passes of `oracles.sliced_numerators_reference` do: random signed
+    numerators of 1 to 300 bits with zeros, all-zero and one-entry matrices, 1x1 to 9x9,
+    vectors and a scalar; apply on the cut slices stays the exact product."""
+    rng = random.Random(seed)
+    for bits in (1, 19, 20, 21, 59, 60, 61, 120, 121, 300):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        nums = [[rng.choice((-1, 0, 1)) * rng.getrandbits(rng.randint(1, bits))
+                 for _ in range(cols)] for _ in range(rows)]
+        nums[rng.randrange(rows)][rng.randrange(cols)] = rng.choice((-1, 1)) * 2 ** (bits - 1)
+        cases = [RatMatrix(nums, 3), RatMatrix(nums[0], 7), RatMatrix([[0] * cols] * rows),
+                 RatMatrix([[nums[0][0]]]), RatMatrix(-(2 ** bits) + 1)]
+        for a in cases:
+            want = sliced_numerators_reference(a, SLICE_BITS)
+            got = a._sliced_numerators()
+            assert got[1] == want[1] and got[0].tobytes() == want[0].tobytes()
+            assert got[0].shape == want[0].shape == (a.rows, want[1] * a.cols)
+        a, x = cases[0], np.array([rng.uniform(-1, 1) for _ in range(rows)])
+        assert a.apply(x).tobytes() == _applied_reference(a, x).tobytes()
 
 
 @pytest.mark.parametrize("bad", (float("nan"), float("inf"), float("-inf")))

@@ -1,5 +1,5 @@
 import csv
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -183,33 +183,37 @@ def field_outputs(field, cfg):
 def test_region_partition_covers_domain(family, d, blend, monkeypatch):
     """Each region is the old closed form, written out here, for the spec of its own side:
     [0, lam + s], [N - lam - s, N] and [mu + s, N - mu - s], s the blend strip,
-    with blend overlaps (lam, lam + 2) and (N - lam, N - lam - 2)."""
+    with blend overlaps (lam, lam + 2) and (N - lam, N - lam - 2), on both meshes of a
+    run (N = 40, 80) whose one boundary pass blends them all."""
     n, s = 40, 2 if blend else 0
-    overlaps = []
+    calls = []
 
     def recording_values(polys, points, blend=None):
-        overlaps.extend(blend[1] if blend else [])
+        calls.append(blend[1] if blend else [])
         return boundary_values(polys, points, blend)
 
     boundary_values = psiac.boundary_values
     monkeypatch.setattr(psiac, "boundary_values", recording_values)
     tp2 = dg.get_problem("tp2")
-    mesh = dg.Mesh(tp2.a, tp2.b, n)
     cfg = RunConfig(problem="tp2", d=d, filters=("dg", "symmetric", family),
-                    mesh_sizes=(n,), final_times=(0.0,), blend=blend)
+                    mesh_sizes=(n, 2 * n), final_times=(0.0,), blend=blend)
     time_series_experiment(cfg)  # the harness's own pass records the overlaps it blends
-    regions = {(name, region): span
-               for name, region, _, span, _ in harness._measured_regions(n, cfg)}
+    overlaps, = calls
     lam_left = build_spec(family, d, "left").lam
     lam_right = build_spec(family, d, "right").lam
     mu = Fraction(3 * d + 1, 2)
-    assert regions == {("dg", "full"): (0, n),
-                       ("symmetric", "interior"): (mu + s, n - mu - s),
-                       (family, "left"): (0, lam_left + s),
-                       (family, "right"): (n - lam_right - s, n)}
-    sigma = [tuple(harness._sigma_exact(mesh, x) for x in overlap) for overlap in overlaps]
-    assert sigma == ([(lam_left, lam_left + 2), (n - lam_right, n - lam_right - 2)]
-                     if blend else [])
+    sigma, want = [], []
+    for m, pair in zip((n, 2 * n), (overlaps[:2], overlaps[2:])):
+        regions = {(name, region): span
+                   for name, region, _, span, _ in harness._measured_regions(m, cfg)}
+        assert regions == {("dg", "full"): (0, m),
+                           ("symmetric", "interior"): (mu + s, m - mu - s),
+                           (family, "left"): (0, lam_left + s),
+                           (family, "right"): (m - lam_right - s, m)}
+        mesh = dg.Mesh(tp2.a, tp2.b, m)
+        sigma += [tuple(harness._sigma_exact(mesh, x) for x in overlap) for overlap in pair]
+        want += [(lam_left, lam_left + 2), (m - lam_right, m - lam_right - 2)] if blend else []
+    assert sigma == want and len(overlaps) == len(want)
 
 
 def test_rates_present_and_reasonable():
@@ -239,6 +243,21 @@ def test_csv_round_trip(tmp_path):
     path = tmp_path / "out.csv"
     write_csv(recs, path)
     assert read_csv(path) == recs
+
+
+def test_records_are_slotted_frozen_values():
+    """A Record has slots and no __dict__, and stays a frozen value: equal and hashed by
+    its fields, copied by `replace`, its fields in CSV order."""
+    rec = Record("tp2", 3, "srv", "left", "L2", 40, 0.25, 1e-9, "error")
+    assert not hasattr(rec, "__dict__") and Record.__slots__
+    with pytest.raises(FrozenInstanceError):
+        rec.value = 2.0
+    twin = Record("tp2", 3, "srv", "left", "L2", 40, 0.25, 1e-9, "error")
+    assert rec == twin and hash(rec) == hash(twin) and len({rec, twin}) == 1
+    rate = replace(rec, value=4.5, kind="rate")
+    assert (rate.value, rate.kind, rate.n) == (4.5, "rate", 40) and rate != rec
+    assert [f.name for f in fields(Record)] == \
+        ["problem", "d", "filter", "region", "norm", "n", "t", "value", "kind"]
 
 
 def test_csv_empty_and_single(tmp_path):
@@ -519,87 +538,99 @@ def test_batched_records_match_per_field_evaluators(d, blend):
     assert got == want
 
 
+def stepped(cfg, n):
+    """(the fields at each final time, their stacked series) of cfg's problem on n elements."""
+    problem = dg.get_problem(cfg.problem)
+    field, fields = dg.l2_project(problem.u0, dg.Mesh(problem.a, problem.b, n), cfg.d), []
+    for t in cfg.final_times:
+        field = dg.advance(field, problem, t)
+        fields.append(field)
+    return fields, replace(field, coeffs=np.stack([f.coeffs for f in fields]),
+                           time=np.array(cfg.final_times))
+
+
+def laid_out(cfg, series):
+    """(regions, layouts) of the harness for each series of a run."""
+    regions = [list(harness._measured_regions(s.mesh.n, cfg)) for s in series]
+    return regions, [harness._layouts(s.mesh, [region[3] for region in r])
+                     for s, r in zip(series, regions)]
+
+
 def test_stacked_boundary_output_matches_per_field_filtering():
-    """The harness filters each boundary spec once on the stacked Legendre field of the
-    mesh's times, and evaluates all of them in one `psiac.boundary_values` call: its
-    polynomials are byte for byte the stack of per-field filter_boundary outputs, and its
-    blended values on the measured regions those of each stacked polynomial's own
-    blend_transition; the raw and interior outputs are those of each field alone
-    (tp2, d=3, N=20, blend on)."""
+    """The harness filters each boundary spec once on the stacked Legendre fields of every
+    mesh's times, and evaluates all of the run's boundary outputs in one
+    `psiac.boundary_values` call: its polynomials are byte for byte the stack of per-field
+    filter_boundary outputs of their own mesh, and its blended values on the measured
+    regions those of each stacked polynomial's own blend_transition with its own mesh's
+    interior; the raw and interior outputs are those of each field alone (tp2, d=3,
+    N = 20 and 40, blend on)."""
     cfg = RunConfig(problem="tp2", d=3,
                     filters=("dg", "symmetric", "srv", "rlkv", "np0", "rs"),
-                    mesh_sizes=(20,), final_times=(0.1, 0.35, 0.6, 0.9))
-    tp2 = dg.get_problem("tp2")
-    mesh = dg.Mesh(tp2.a, tp2.b, 20)
-    field, fields = dg.l2_project(tp2.u0, mesh, 3), []
-    for t in cfg.final_times:
-        field = dg.advance(field, tp2, t)
-        fields.append(field)
-    series = replace(field, coeffs=np.stack([f.coeffs for f in fields]),
-                     time=np.array(cfg.final_times))
+                    mesh_sizes=(20, 40), final_times=(0.1, 0.35, 0.6, 0.9))
     stack = lambda outs: replace(outs[0], coeffs=np.stack([o.coeffs for o in outs]))
-    interior = stack([psiac.filter_interior(f) for f in fields])
-    physical = lambda s: mesh.a + float(s) * mesh.h
-    regions = list(harness._measured_regions(20, cfg))
-    layouts = harness._layouts(mesh, [region[3] for region in regions])
+    runs = [stepped(cfg, n) for n in cfg.mesh_sizes]
+    series = [s for _, s in runs]
+    regions, layouts = laid_out(cfg, series)
     calls, boundary_values = [], psiac.boundary_values
     record = lambda *args: calls.append((args, boundary_values(*args))) or calls[-1][1]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(psiac, "boundary_values", record)
-        list(harness._mesh_norms(series, regions, layouts, lambda x: np.zeros((4, len(x)))))
+        harness._run_norms(series, regions, layouts, lambda x: np.zeros((4, len(x))))
     ((polys, points, _), values), = calls
     values = np.split(values, np.cumsum([len(x) for x in points[:-1]]), axis=-1)
-    boundary = [(region, layout) for region, layout in zip(regions, layouts) if region[2]]
-    assert len(boundary) == len(polys) == 8
-    for ((name, side, spec, _, overlap), (xs, _, _)), poly, x, got in \
+    boundary = [(fields, region, layout) for (fields, _), r, lay in zip(runs, regions, layouts)
+                for region, layout in zip(r, lay) if region[2]]
+    assert len(boundary) == len(polys) == 16
+    for (fields, (name, side, spec, _, overlap), (xs, _, _)), poly, x, got in \
             zip(boundary, polys, points, values):
         assert x is xs
+        mesh = fields[0].mesh
         per_field = stack([psiac.filter_boundary(f, spec) for f in fields])
         assert poly.coeffs.tobytes() == per_field.coeffs.tobytes()
         assert (poly.h, poly.anchor, poly.region) == \
             (per_field.h, per_field.anchor, per_field.region)
+        interior = stack([psiac.filter_interior(f) for f in fields])
+        physical = lambda s: mesh.a + float(s) * mesh.h
         want = psiac.blend_transition(per_field, interior, tuple(map(physical, overlap)),
                                       harness.BLEND_RHO)(xs)
-        assert got.tobytes() == want.tobytes(), (name, side)
-    for (name, _, spec, _, _), (xs, _, _) in zip(regions, layouts):
-        if name == "dg":
-            want = np.stack([f.evaluate(xs) for f in fields])
-            assert series.evaluate(xs).tobytes() == want.tobytes()
-        elif name == "symmetric":
-            assert psiac.filter_interior(series)(xs).tobytes() == interior(xs).tobytes()
+        assert got.tobytes() == want.tobytes(), (name, side, mesh.n)
+    for (fields, s), r, lay in zip(runs, regions, layouts):
+        interior = stack([psiac.filter_interior(f) for f in fields])
+        for (name, _, spec, _, _), (xs, _, _) in zip(r, lay):
+            if name == "dg":
+                want = np.stack([f.evaluate(xs) for f in fields])
+                assert s.evaluate(xs).tobytes() == want.tobytes()
+            elif name == "symmetric":
+                assert psiac.filter_interior(s)(xs).tobytes() == interior(xs).tobytes()
 
 
 @pytest.mark.parametrize("times", (1, 8))
 @pytest.mark.parametrize("blend", (True, False), ids=("blend", "noblend"))
 @pytest.mark.parametrize("d", (1, 2, 3, 4))
 def test_stacked_pass_is_per_output_region_norms(d, blend, times):
-    """The one sampling pass of a mesh gives, byte for byte, the (L2, Linf) per time that
-    region_norms gives for each output alone, through that output's own evaluator on the
-    same stack: every runnable family (rs included), both sides, blend on and off, a
-    1-time and an 8-time stack (the half-element regions come at even d)."""
+    """The run's one sampling pass over several meshes (N = 20, 40, 80; 24, 48, 96 at d = 4,
+    where the srv window spans 21 elements) gives, byte for byte, the (L2, Linf) per time
+    that region_norms gives for each output of each mesh alone, through that output's own
+    evaluator on the mesh's stack: every runnable family (rs included), both sides, blend
+    on and off, a 1-time and an 8-time stack (the half-element regions come at even d)."""
     final_times = tuple(np.linspace(0.0, 0.7, times)) if times > 1 else (0.4,)
-    cfg = RunConfig(problem="tp2", d=d, filters=harness.FILTER_NAMES, mesh_sizes=(24,),
+    cfg = RunConfig(problem="tp2", d=d, filters=harness.FILTER_NAMES,
+                    mesh_sizes=(20, 40, 80) if d < 4 else (24, 48, 96),
                     final_times=final_times, blend=blend)
     tp2 = dg.get_problem("tp2")
-    mesh = dg.Mesh(tp2.a, tp2.b, 24)
-    field, coeffs = dg.l2_project(tp2.u0, mesh, d), []
-    for t in cfg.final_times:
-        field = dg.advance(field, tp2, t)
-        coeffs.append(field.coeffs)
-    series = replace(field, coeffs=np.stack(coeffs), time=np.array(cfg.final_times))
-    exact = lambda x: tp2.exact(x, series.time[:, None])
-    regions = list(harness._measured_regions(24, cfg))
-    layouts = harness._layouts(mesh, [region[3] for region in regions])
-    got = {(name, region): norms for name, region, norms
-           in harness._mesh_norms(series, regions, layouts, exact)}
-    own = own_evaluators(series, cfg)
-    assert set(got) == set(own) and len(got) == 2 + 2 * 4
-    if d % 2 == 0:
-        assert any(Fraction(span[0]).denominator == 2 for _, span, _ in own.values())
-    for key, (approx, _, span) in own.items():
-        want = region_norms(approx, exact, mesh, span)
-        assert len(want) == times
-        assert np.array(got[key]).tobytes() == np.array(want).tobytes(), key
+    series = [stepped(cfg, n)[1] for n in cfg.mesh_sizes]
+    exact = lambda x: tp2.exact(x, np.array(cfg.final_times)[:, None])
+    got = harness._run_norms(series, *laid_out(cfg, series), exact)
+    assert len(got) == 2 + 2 * 4 and all(len(per) == len(series) for per in got.values())
+    for i, s in enumerate(series):
+        own = own_evaluators(s, cfg)
+        assert set(got) == set(own)
+        if d % 2 == 0:
+            assert any(Fraction(span[0]).denominator == 2 for _, span, _ in own.values())
+        for key, (approx, _, span) in own.items():
+            want = region_norms(approx, exact, s.mesh, span)
+            assert len(want) == times
+            assert np.array(got[key][i]).tobytes() == np.array(want).tobytes(), (key, s.mesh.n)
 
 
 def test_stacked_region_norms_match_single_fields():

@@ -747,7 +747,7 @@ def test_one_output_boundary_values_is_blend_transition():
     interior = lambda x: np.stack((np.cos(x), np.sin(3 * x)))
     for overlap in ((0.2, 0.4), (0.4, 0.2)):
         xs = np.concatenate((np.linspace(0.0, 0.6, 31), rng.uniform(0.0, 0.6, 20)))
-        got = psiac.boundary_values([poly], [xs], (interior, [overlap], 2))
+        got = psiac.boundary_values([poly], [xs], ([interior], [overlap], 2))
         assert got.tobytes() == blend_transition(poly, interior, overlap, 2)(xs).tobytes()
         beta = blend_weight(np.clip((xs - overlap[0]) / (overlap[1] - overlap[0]), 0.0, 1.0), 2)
         mix = beta > 0
@@ -756,9 +756,84 @@ def test_one_output_boundary_values_is_blend_transition():
         assert got.tobytes() == want.tobytes()
         assert 0 < mix.sum() < len(xs)
     with pytest.raises(psiac.EmptyOverlapError):
-        psiac.boundary_values([poly], [xs], (interior, [(0.2, 0.4), (0.3, 0.3)], 2))
+        psiac.boundary_values([poly], [xs], ([interior], [(0.2, 0.4), (0.3, 0.3)], 2))
     with pytest.raises(ValueError, match="rho"):
         blend_transition(poly, interior, (0.2, 0.4), 0)
+
+
+def _time_stack(problem, n, d, times):
+    """One DG field of coeffs (times, n, d + 1): problem solved to each time on n elements."""
+    fields = [dg.dg_solve(problem, dg.Mesh(problem.a, problem.b, n), d, t) for t in times]
+    return replace(fields[0], coeffs=np.stack([f.coeffs for f in fields]))
+
+
+@pytest.mark.parametrize("d", (1, 2, 3, 4))
+def test_cross_mesh_contraction_is_each_meshs_own(d):
+    """filter_boundary on a sequence of stacks (N = 24, 48, 96 at three times each, and the
+    first scaled by 2^600) contracts all of their windows in one QMatrix.contract call and
+    gives, bit for bit, each stack's own filter_boundary output (coefficients, h, anchor,
+    region): every boundary family (npk with k = 1), both sides, on Legendre and on
+    Bernstein fields.  One field is still one polynomial; a sequence of one, a list."""
+    tp2 = dg.get_problem("tp2")
+    stacks = [_time_stack(tp2, n, d, (0.0, 0.2, 0.45)) for n in (24, 48, 96)]
+    stacks.append(replace(stacks[0], coeffs=stacks[0].coeffs * 2.0 ** 600))
+    calls, contract = [], psiac.QMatrix.contract
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(psiac.QMatrix, "contract",
+                   lambda self, rows: calls.append(rows.shape) or contract(self, rows))
+        for spec in (s for s in CONTRACT_SPECS if s.d == d and s.family != "symmetric"):
+            for fields in (stacks, [dg.to_bernstein(s) for s in stacks]):
+                calls.clear()
+                got = filter_boundary(fields, spec)
+                qm = q_matrix(spec, d)
+                assert calls == [(4, 3, qm.n_elements, d + 1)] and len(got) == 4
+                for poly, field in zip(got, fields):
+                    own = filter_boundary(field, spec)
+                    assert isinstance(own, psiac.BoundaryPolynomial)
+                    assert poly.coeffs.shape == own.coeffs.shape == (3, qm.q.cols)
+                    assert poly.coeffs.tobytes() == own.coeffs.tobytes()
+                    assert (poly.h, poly.anchor, poly.region) == (own.h, own.anchor, own.region)
+            one = filter_boundary(stacks[:1], spec)
+            assert isinstance(one, list) and one[0].coeffs.tobytes() == got[0].coeffs.tobytes()
+
+
+def test_boundary_values_with_per_output_interiors_is_per_mesh_calls():
+    """One boundary_values call over the blended boundary outputs of three meshes, each
+    output with its own mesh's interior evaluator, equals byte for byte the per-mesh calls
+    with one evaluator each.  Each evaluator is called once, on the positive-weight strip
+    points of its own mesh's outputs, in their order (tp2, d = 3, N = 20, 40, 80, srv, rlkv
+    and np0 on both sides, a stack of four times)."""
+    tp2, d, rng = dg.get_problem("tp2"), 3, np.random.default_rng(5)
+    meshes = []
+    for n in (20, 40, 80):
+        stack = _time_stack(tp2, n, d, (0.1, 0.3, 0.5, 0.7))
+        mesh, polys, points, overlaps = stack.mesh, [], [], []
+        for family in ("srv", "rlkv", "np0"):
+            for side in ("left", "right"):
+                spec = build_spec(family, d, side)
+                edge = spec.lam if side == "left" else n - spec.lam
+                inner = edge + 2 if side == "left" else edge - 2
+                polys.append(filter_boundary(stack, spec))
+                overlaps.append((mesh.a + float(edge) * mesh.h, mesh.a + float(inner) * mesh.h))
+                span = (0.0, float(inner)) if side == "left" else (float(inner), n)
+                points.append(mesh.a + mesh.h * rng.uniform(*span, 60))
+        meshes.append((psiac.filter_interior(stack), polys, points, overlaps))
+    seen = []
+    evals = [lambda x, k=k, f=interior: seen.append((k, x.copy())) or f(x)
+             for k, (interior, *_) in enumerate(meshes)]
+    got = psiac.boundary_values(
+        [p for _, polys, _, _ in meshes for p in polys],
+        [x for _, _, points, _ in meshes for x in points],
+        ([evals[k] for k, (_, polys, _, _) in enumerate(meshes) for _ in polys],
+         [o for *_, overlaps in meshes for o in overlaps], 2))
+    want = [psiac.boundary_values(polys, points, ([interior] * len(polys), overlaps, 2))
+            for interior, polys, points, overlaps in meshes]
+    assert got.tobytes() == np.concatenate(want, axis=-1).tobytes()
+    assert [k for k, _ in seen] == [0, 1, 2]
+    for (_, x), (_, _, points, overlaps) in zip(seen, meshes):
+        strips = [xs[blend_weight(np.clip((xs - a1) / (a2 - a1), 0.0, 1.0), 2) > 0]
+                  for xs, (a1, a2) in zip(points, overlaps)]
+        assert all(len(s) for s in strips) and x.tobytes() == np.concatenate(strips).tobytes()
 
 
 # ---------------------------------------------------------------------------
