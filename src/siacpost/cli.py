@@ -122,7 +122,7 @@ def cmd_filter(args) -> int:
     spec = filters.build_spec(args.family, args.d, args.side, k=args.k)
     problem, mesh, field = _solve_field(args)
     poly = psiac.filter_boundary(field, spec)
-    # exact contraction of the (losslessly lifted) Bernstein window coefficients
+    # exact contraction of the solver's own (losslessly lifted) Legendre window coefficients
     qm, window = psiac.boundary_window(field, spec)
     exact = qm.contract_exact([[Fraction(v) for v in row] for row in window])
     out = _outdir(args)

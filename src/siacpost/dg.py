@@ -2,8 +2,8 @@
 
 Solves du/dt + d/dx(kappa(x,t) u) = rho(x,t) on a uniform mesh with
 periodic or Dirichlet-inflow boundary conditions, upwind flux (kappa > 0),
-and classical RK4 in time.  Elements carry Legendre modal coefficients
-internally; `to_bernstein` gives the Bernstein element basis the filters read.
+and classical RK4 in time.  Elements carry Legendre modal coefficients, which
+the filters read as they are; `to_bernstein` gives the Bernstein element basis.
 
 `advance` picks one of three RK4 steppers from the problem itself:
 
@@ -49,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from fractions import Fraction
-from math import ceil, comb, factorial
+from math import ceil, comb, factorial, lcm
 from typing import Callable
 
 import numpy as np
@@ -740,21 +740,19 @@ def dg_solve(problem: TestProblem, mesh: Mesh, d: int, t_end: float,
 
 
 @lru_cache(maxsize=None)
-def _legendre_to_bernstein(d: int) -> np.ndarray:
-    """Bernstein coefficients (rows) of each shifted Legendre P_k(2u - 1) (columns).
-
-    Farouki's closed form, J. Comput. Appl. Math. 119 (2000):
-    M[j][k] = sum_i (-1)^(k+i) C(k,i)^2 C(d-k, j-i) / C(d,j), an integer
-    over an integer, so each float entry is rounded once.
-    """
-    return np.array([[sum((-1) ** (k + i) * comb(k, i) ** 2 * comb(d - k, j - i)
-                          for i in range(min(j, k) + 1)) / comb(d, j)
-                      for k in range(d + 1)] for j in range(d + 1)])
+def legendre_to_bernstein(d: int) -> RatMatrix:
+    """Bernstein coefficients (rows) of each shifted Legendre P_k(2u - 1) (columns), exactly:
+    Farouki's closed form, J. Comput. Appl. Math. 119 (2000),
+    M[j][k] = sum_i (-1)^(k+i) C(k,i)^2 C(d-k, j-i) / C(d,j), over lcm_j C(d,j)."""
+    den = lcm(*(comb(d, j) for j in range(d + 1)))
+    return RatMatrix([[sum((-1) ** (k + i) * comb(k, i) ** 2 * comb(d - k, j - i)
+                           for i in range(min(j, k) + 1)) * (den // comb(d, j))
+                       for k in range(d + 1)] for j in range(d + 1)], den)
 
 
 def to_bernstein(field: DGField) -> DGField:
     """Change of element basis to Bernstein coefficients, of one field or of a stack."""
     if field.basis == "bernstein":
         return field
-    return replace(field, coeffs=field.coeffs @ _legendre_to_bernstein(field.d).T,
+    return replace(field, coeffs=field.coeffs @ legendre_to_bernstein(field.d).floats().T,
                    basis="bernstein")

@@ -15,8 +15,8 @@ inner side, the interior [mu, N - mu] shrinks by it at both ends.  As
 regions depend on N alone, a mesh too coarse for one fails before any is
 stepped, and all their sample points are laid out then.  Each mesh's field
 then advances through the sorted final times into one stacked Legendre
-field of coeffs (times, n, d + 1), converted once to Bernstein for the
-filters.  The boundary outputs of the whole run are measured together: one
+field of coeffs (times, n, d + 1), which every filter reads as it is.  The
+boundary outputs of the whole run are measured together: one
 `psiac.filter_boundary` contraction per boundary spec across every mesh,
 and one `psiac.boundary_values` call that evaluates all of them, each
 joined to its own mesh's interior output across its strip by a blend of
@@ -140,23 +140,24 @@ def _layouts(mesh: dg.Mesh, regions) -> list[tuple[np.ndarray, int, np.ndarray]]
     split at element boundaries (the widths of its partial end pieces are computed
     exactly, then rounded); points are the pieces' uniform grids, the first `grid`,
     then their Gauss-Legendre nodes; rad holds each piece's half-width."""
-    starts, widths = [], []
+    starts, widths, bounds = [], [], [0]
     for region in regions:
         lo, hi = Fraction(region[0]), Fraction(region[1])
         if not hi > lo:
             raise EmptyRegionError(f"region {region} is empty")
-        inner = np.arange(floor(lo) + 1, ceil(hi), dtype=float)
-        starts.append(np.concatenate(([float(lo)], inner)))
-        widths.append(np.ones_like(starts[-1]))
-        widths[-1][[0, -1]] = float(min(floor(lo) + 1, hi) - lo), float(hi - max(ceil(hi) - 1, lo))
-    start, width = np.concatenate(starts), np.concatenate(widths)
+        first, last = floor(lo) + 1, ceil(hi) - 1  # the element bounds inside, once
+        starts += [float(lo), *range(first, last + 1)]
+        widths += [float(min(first, hi) - lo)] + [1.0] * max(last + 1 - first, 0)
+        widths[-1] = float(hi - max(last, lo))
+        bounds.append(len(starts))
+    start, width = np.array(starts, dtype=float), np.array(widths)
     steps = np.arange(SAMPLES_PER_ELEMENT)
     xs = mesh.a + (start[:, None] + width[:, None] * steps / (SAMPLES_PER_ELEMENT - 1)) * mesh.h
     mid = mesh.a + (2 * start + width) / 2 * mesh.h
     rad = width / 2 * mesh.h
     nodes = mid[:, None] + rad[:, None] * _gauss_rule(SAMPLES_PER_ELEMENT)[0]
-    parts = (np.split(a, np.cumsum([len(w) for w in widths[:-1]])) for a in (xs, nodes, rad))
-    return [(np.concatenate((g.ravel(), q.ravel())), g.size, r) for g, q, r in zip(*parts)]
+    return [(np.concatenate((xs[a:b].ravel(), nodes[a:b].ravel())), (b - a) * SAMPLES_PER_ELEMENT,
+             rad[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def _norms(err: np.ndarray, grid: int, rad: np.ndarray) -> list[tuple[float, float]]:
@@ -227,14 +228,13 @@ def _run_norms(series: list[dg.DGField], regions: list[list], layouts: list[list
     stacked fields of coeffs (times, n, d + 1) of its meshes, sampled at their layouts:
     one `filter_boundary` call per boundary spec and one `boundary_values` call for every
     boundary output of the run, then the rest mesh by mesh (`_mesh_norms`)."""
-    berns = [dg.to_bernstein(s) for s in series]  # the one copy every filter of a mesh reads
-    interiors = [cache(partial(psiac.filter_interior, b)) for b in berns]  # built if used
+    interiors = [cache(partial(psiac.filter_interior, s)) for s in series]  # built if used
     outputs = [sorted(zip(r, lay), key=lambda out: out[0][2] is None)  # boundary first
                for r, lay in zip(regions, layouts)]
     specs = [spec for _, _, spec, _, _ in regions[0] if spec]
     boundary = [np.empty(series[0].time.shape + (0,))] * len(series)
     if specs:
-        polys = [poly for per_mesh in zip(*(psiac.filter_boundary(berns, spec) for spec in specs))
+        polys = [poly for per_mesh in zip(*(psiac.filter_boundary(series, spec) for spec in specs))
                  for poly in per_mesh]
         points, owner, overlaps = zip(*(
             (x, i, overlap and [s.mesh.a + float(e) * s.mesh.h for e in overlap])

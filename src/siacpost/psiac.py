@@ -18,14 +18,15 @@ sigma = (x - a)/h, where elements are the unit intervals [e, e+1]):
     element (odd d) or half-element (even d), linear in the 3d+2 elements
     around it: the interior operator.
 
-Q = T . M^-1 . diag((-1)^m) and the interior operator are assembled
-exactly once per (filter, DG degree), each as an `exact.RatMatrix`, an
-integer array over one denominator.  Fractions are made only where a value
-leaves this layer (the entries of `QMatrix.q`, the endpoint vector), and
-floats only when an operator is applied to DG data, in both cases by the
-RatMatrix's exits.  DG data comes as the solver leaves it or already in the
-element Bernstein basis, one field or a stack; boundary filtering also takes
-a sequence of fields (of any meshes) in one contraction.
+Q = T . M^-1 . diag((-1)^m), composed with Farouki's integer map from element
+Legendre to the Bernstein coefficients T reads, and the interior operator, built
+on the shifted Legendre basis, are each an `exact.RatMatrix` (integers over one
+denominator) made once per (filter, DG degree).  Both read the solver's
+coefficients and write monomial pieces, sampled by one Horner pass.  Fractions
+leave this layer only as the entries of `QMatrix.q` and the (Bernstein) endpoint
+vector, and floats only when an operator is applied to DG data.  DG data is a
+Legendre field or a stack (another basis is refused); boundary filtering also
+takes a sequence of fields of any meshes.
 """
 
 from __future__ import annotations
@@ -169,10 +170,10 @@ def _t_integers(spec: FilterSpec, dg_degree: int) -> RatMatrix:
 class QMatrix:
     """Exact filtered-output operator for one spec and DG degree.
 
-    Rows are element-major DG Bernstein indices over the kernel window
+    Rows are element-major DG Legendre indices over the kernel window
     (n_elements * (dg_degree+1)); column m gives the coefficient of
-    xihat^m of the output polynomial.  Q is held exactly, over the least
-    common denominator of its entries.
+    xihat^m of the output polynomial.  q is Q_L, held exactly, over the
+    least common denominator of its entries.
     """
 
     spec: FilterSpec
@@ -183,7 +184,7 @@ class QMatrix:
     def contract_exact(self, coeff_rows) -> RatPoly:
         """Output polynomial (exact) for rational window coefficients.
 
-        coeff_rows: per-element sequences of dg_degree+1 Bernstein
+        coeff_rows: per-element sequences of dg_degree+1 Legendre
         coefficients, elements ordered left to right across the window.
         """
         window = RatMatrix(*_over_common_denominator([rat(c) for row in coeff_rows for c in row]))
@@ -192,7 +193,7 @@ class QMatrix:
     def contract(self, coeff_rows: np.ndarray) -> np.ndarray:
         """Float coefficient vectors of the output polynomials of a stack of windows.
 
-        coeff_rows: (..., n_elements, dg_degree+1) Bernstein coefficients, any
+        coeff_rows: (..., n_elements, dg_degree+1) Legendre coefficients, any
         leading axes a stack of fields; the result is (..., Q.cols).  The
         contraction is exact (`RatMatrix.apply`: one float matmul of 20-bit
         slices, every partial sum below 2^53), so each row is bit for bit the
@@ -206,12 +207,14 @@ class QMatrix:
 
 @lru_cache(maxsize=None)
 def q_matrix(spec: FilterSpec, dg_degree: int | None = None) -> QMatrix:
-    """Assemble Q = T . M^-1 . diag((-1)^m) exactly, as one integer product.
-
-    The product is then reduced to the least common denominator.
-    """
+    """Assemble Q_L = blockdiag(L2B^T) . T . M^-1 . diag((-1)^m) exactly, on integers, over
+    the least common denominator: L2B (`dg.legendre_to_bernstein`) takes an element's
+    Legendre coefficients to the Bernstein ones that T reads."""
     degree = spec.d if dg_degree is None else dg_degree
-    q = (_t_integers(spec, degree) @ shifted_coefficient_polynomials(spec).exact).reduced()
+    l2b = dg.legendre_to_bernstein(degree)
+    q = _t_integers(spec, degree) @ shifted_coefficient_polynomials(spec).exact
+    blocks = l2b.nums.T @ q.nums.reshape(-1, degree + 1, q.cols)  # one per window element
+    q = RatMatrix(blocks.reshape(q.nums.shape), l2b.den * q.den).reduced()
     return QMatrix(spec=spec, dg_degree=degree, n_elements=_local_window_elements(spec), q=q)
 
 
@@ -285,15 +288,16 @@ def window_placement(spec: FilterSpec, n_elements: int):
 
 
 def boundary_window(field, spec: FilterSpec) -> tuple[QMatrix, np.ndarray]:
-    """Q of the spec at the field's degree, and the Bernstein coefficient rows it reads.
+    """Q of the spec at the field's degree, and the Legendre coefficient rows it reads.
 
     The rows are those of the first or last Q.n_elements elements, by the spec's side;
     a field whose coeffs stack fields on leading axes gives a stack of windows.
     """
-    fld = dg.to_bernstein(field)
-    first, _, _ = window_placement(spec, fld.mesh.n)
-    qm = q_matrix(spec, fld.d)
-    return qm, fld.coeffs[..., first:first + qm.n_elements, :]
+    if field.basis != "legendre":  # every operator here reads the solver's coefficients
+        raise ValueError(f"filters read Legendre coefficients, not a {field.basis} field")
+    first, _, _ = window_placement(spec, field.mesh.n)
+    qm = q_matrix(spec, field.d)
+    return qm, field.coeffs[..., first:first + qm.n_elements, :]
 
 
 def filter_boundary(field, spec: FilterSpec):
@@ -335,7 +339,8 @@ def _element_convolutions(d: int, dg_degree: int) -> list[list[list[int]]]:
     """[k][ell]: d! n! G_ell(k + p) in monomials of p in [0, 1], n = d + dg_degree + 1.
 
     G_ell(z) = int_0^1 B(z - v) phi_ell(v) dv, with B the degree-d cardinal
-    B-spline on the knots 0..d+1 and phi_ell the element Bernstein basis.
+    B-spline on the knots 0..d+1 and phi_ell(v) = P_ell(2v - 1) the element
+    Legendre basis, sum_j (-1)^(ell+j) C(ell, j) C(ell+j, j) v^j on integers.
     From d! B(x) = sum_i (-1)^i C(d+1, i) (x - i)_+^d:
         d! G_ell(k + p) = int_0^1 A_k(p - v) phi_ell(v) dv
                           + (-1)^k C(d+1, k) int_0^p (p - v)^d phi_ell(v) dv,
@@ -344,9 +349,10 @@ def _element_convolutions(d: int, dg_degree: int) -> list[list[list[int]]]:
     """
     g, n = dg_degree, d + dg_degree + 1
     nf = factorial(n)
-    phi = [[int(b) for b in bernstein_poly(g, ell).coeffs] for ell in range(g + 1)]
-    beta, den = _bernstein_moments(g, d, 0, 1)  # int_0^1 v^m phi_ell(v) dv = beta / den
-    moments = [[beta[m][ell] * nf // den for m in range(d + 1)] for ell in range(g + 1)]
+    phi = [[(-1) ** (ell + j) * comb(ell, j) * comb(ell + j, j) for j in range(ell + 1)]
+           for ell in range(g + 1)]
+    moments = [[sum(c * nf // (m + j + 1) for j, c in enumerate(row)) for m in range(d + 1)]
+               for row in phi]  # n! int_0^1 v^m phi_ell(v) dv
     # n! d! c! / (d+c+1)! = n! int_0^p (p-v)^d v^c dv / p^(d+c+1)
     tails = [nf // factorial(d + c + 1) * factorial(d) * factorial(c) for c in range(g + 1)]
     out = []
@@ -373,9 +379,9 @@ class InteriorOperator:
 
     Element e has `pieces` output pieces (2 for even d, whose knots are
     half-integers), sigma in [e + q/pieces, e + (q+1)/pieces].  Piece q
-    reads the 3d+2 elements from e + offsets[q]; row i (element-major)
-    of exact[q] is their contribution to the output's Bernstein
-    coefficients on the piece.
+    reads the 3d+2 elements from e + offsets[q]; row i (element-major
+    Legendre index) of exact[q] is their contribution to the output's
+    monomial coefficients in t in [0, 1] along the piece.
     """
 
     d: int
@@ -397,45 +403,39 @@ def interior_operator(d: int, dg_degree: int) -> InteriorOperator:
 
     Kernel spline j (knots -mu + j ..) meets window element i of piece q
     through G at k = 3d + 1 - j - i, at p = (theta + t)/pieces with t in
-    [0, 1] along the piece; each entry is sum_j c_j G[k] in Bernstein form.
+    [0, 1] along the piece; each entry is sum_j c_j G[k] in monomials of t.
     """
     spec = build_spec("symmetric", d)
     cs, dc = _over_common_denominator(static_coefficients(spec))
     conv = _element_convolutions(d, dg_degree)
     n = d + dg_degree + 1
     pieces = 1 if d % 2 else 2
-    # monomial coefficients in t -> n! times the Bernstein coefficients on [0, 1]
-    to_bern = [[comb(kb, i) * factorial(i) * factorial(n - i) if i <= kb else 0
-                for i in range(n + 1)] for kb in range(n + 1)]
     offsets, numerators = [], []
     for q in range(pieces):
         theta = int(pieces * spec.mu + q) % pieces
-        # pieces^n p^i = pieces^(n-i) (theta + t)^i
-        change = [[sum(to_bern[kb][s] * pieces ** (n - i) * comb(i, s) * theta ** (i - s)
-                       for s in range(i + 1)) for i in range(n + 1)] for kb in range(n + 1)]
-        bern = [[[sum(map(mul, row, poly)) for row in change] for poly in piece]
+        # pieces^n p^i = pieces^(n-i) (theta + t)^i, row s the coefficients of t^s
+        change = [[pieces ** (n - i) * comb(i, s) * theta ** (i - s) if s <= i else 0
+                   for i in range(n + 1)] for s in range(n + 1)]
+        mono = [[[sum(map(mul, row, poly)) for row in change] for poly in piece]
                 for piece in conv]
         rows = []
         for i in range(3 * d + 2):
-            terms = [(c, bern[3 * d + 1 - j - i]) for j, c in enumerate(cs)
+            terms = [(c, mono[3 * d + 1 - j - i]) for j, c in enumerate(cs)
                      if 0 <= 3 * d + 1 - j - i <= d + 1]
             for ell in range(dg_degree + 1):
-                rows.append(tuple(sum(c * b[ell][kb] for c, b in terms) for kb in range(n + 1)))
+                rows.append(tuple(sum(c * b[ell][s] for c, b in terms) for s in range(n + 1)))
         offsets.append(floor(spec.mu + Fraction(q, pieces)) - 3 * d - 1)
         numerators.append(tuple(rows))
-    den = factorial(d) * factorial(n) ** 2 * pieces ** n * dc
+    den = factorial(d) * factorial(n) * pieces ** n * dc
     return InteriorOperator(d=d, dg_degree=dg_degree, degree=n, pieces=pieces,
                             offsets=tuple(offsets), exact=RatMatrix(numerators, den))
 
 
 @dataclass
-class PiecewiseBernstein:
-    """Filtered output on equal consecutive pieces, in Bernstein form.
-
-    coeffs[g] are the Bernstein coefficients on piece g, the physical
-    interval [start + g*width, start + (g+1)*width]; coefficients
-    (fields, pieces, m) give one row of values per field.
-    """
+class MonomialPieces:
+    """Filtered output on equal consecutive pieces [start + g*width, start + (g+1)*width]:
+    coeffs[g] are piece g's ascending monomial coefficients in t = (x - start)/width - g,
+    and coefficients (fields, pieces, m) give one row of values per field."""
 
     coeffs: np.ndarray
     start: float
@@ -451,9 +451,7 @@ class PiecewiseBernstein:
         if s.size and not (s.min() >= -1e-9 and s.max() <= count + 1e-9):
             raise OutsideInteriorRegionError(f"x outside the filtered region {self.region}")
         g = np.clip(np.floor(s).astype(int), 0, count - 1)
-        basis = dg.bernstein_values(self.coeffs.shape[-1] - 1, s - g)
-        # same order at any shape; each column gathered as it is summed, not all at once
-        values = sum(np.take(self.coeffs[..., k], g, axis=-1) * b for k, b in enumerate(basis))
+        values = _horner(np.moveaxis(self.coeffs, -1, 0), s - g, lambda c: np.take(c, g, axis=-1))
         return float(values) if values.ndim == 0 else values
 
 
@@ -465,7 +463,7 @@ def interior_region(d: int, n_elements: int) -> tuple[Fraction, Fraction]:
     return mu, n_elements - mu
 
 
-def filter_interior(field, filter_degree: int | None = None) -> PiecewiseBernstein:
+def filter_interior(field, filter_degree: int | None = None) -> MonomialPieces:
     """Symmetric-filter a DG field on the whole interior [a + mu h, b - mu h].
 
     Each output piece is one product of its (3d+2)-element data window
@@ -473,20 +471,21 @@ def filter_interior(field, filter_degree: int | None = None) -> PiecewiseBernste
     takes one batched matmul per piece parity, each field's windows reaching
     BLAS as its own would.  The kernel degree defaults to the field degree.
     """
-    fld = dg.to_bernstein(field)
-    mesh = fld.mesh
-    op = interior_operator(fld.d if filter_degree is None else filter_degree, fld.d)
+    if field.basis != "legendre":
+        raise ValueError(f"filters read Legendre coefficients, not a {field.basis} field")
+    mesh = field.mesh
+    op = interior_operator(field.d if filter_degree is None else filter_degree, field.d)
     per = op.pieces
     first, stop = (int(per * s) for s in interior_region(op.d, mesh.n))
     g = np.arange(first, stop)
     q = g % per
     rows = (g // per + np.array(op.offsets)[q])[:, None] + np.arange(3 * op.d + 2)
-    coeffs = np.empty(fld.coeffs.shape[:-2] + (len(g), op.degree + 1))
+    coeffs = np.empty(field.coeffs.shape[:-2] + (len(g), op.degree + 1))
     for piece in range(per):
-        windows = fld.coeffs[..., rows[q == piece], :]  # gathered once, C order
+        windows = field.coeffs[..., rows[q == piece], :]  # gathered once, C order
         coeffs[..., q == piece, :] = windows.reshape(windows.shape[:-2] + (-1,)) @ op.matrix[piece]
     width = mesh.h / per
-    return PiecewiseBernstein(coeffs=coeffs, start=mesh.a + first * width, width=width)
+    return MonomialPieces(coeffs=coeffs, start=mesh.a + first * width, width=width)
 
 
 @lru_cache(maxsize=1024)
@@ -494,14 +493,14 @@ def symmetric_filter_weights(d: int, dg_degree: int, frac) -> tuple[int, np.ndar
     """Contraction weights for one fractional position inside an element.
 
     For evaluation at sigma = e + frac the filtered value is
-    sum over (de, ell) of W[de, ell] * bernstein_coeffs[e + e0 + de, ell],
+    sum over (de, ell) of W[de, ell] * legendre_coeffs[e + e0 + de, ell],
     where (e0, W) is the return value: the interior operator's piece
     containing frac (the later one at frac = 1/2 for even d), evaluated there.
     """
     op = interior_operator(d, dg_degree)
     s = float(frac) * op.pieces
     q = min(int(s), op.pieces - 1)
-    w = op.matrix[q] @ dg.bernstein_values(op.degree, s - q)
+    w = op.matrix[q] @ (s - q) ** np.arange(op.degree + 1)
     return op.offsets[q], w.reshape(-1, dg_degree + 1)
 
 
@@ -514,16 +513,11 @@ def symmetric_filter_eval(field, x, filter_degree: int | None = None):
     return filter_interior(field, filter_degree)(x)
 
 
-def symmetric_filter_eval_local(bernstein_field, element, frac,
-                                filter_degree: int | None = None):
-    """Symmetric-filter value at sigma = element + frac.
-
-    ``element`` is an int, giving a float, or an integer array, giving one
-    value per entry.
-    """
-    mesh = bernstein_field.mesh
+def symmetric_filter_eval_local(field, element, frac, filter_degree: int | None = None):
+    """Symmetric-filter value at sigma = element + frac: a float at an int ``element``, one
+    value per entry of an integer array."""
     sigma = np.asarray(element) + float(frac)
-    return symmetric_filter_eval(bernstein_field, mesh.a + sigma * mesh.h, filter_degree)
+    return symmetric_filter_eval(field, field.mesh.a + sigma * field.mesh.h, filter_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -644,13 +638,22 @@ def blend_weight(z, rho: int):
     return acc if acc.shape else float(acc)
 
 
+def _horner(table, z, spread) -> np.ndarray:
+    """sum_k spread(table[k]) z^k by Horner's rule from a zero start: every filter output's
+    sampler.  table (m, ..., pieces); spread takes a row out to the pieces of the points z."""
+    out = np.zeros(table.shape[1:-1] + np.shape(z))
+    for c in table[::-1]:
+        out *= z
+        out += spread(c)
+    return out
+
+
 def boundary_values(polys, points, blend=None) -> np.ndarray:
     """Values of boundary polynomials of one stack shape, each at its own points.
 
     polys have coeffs (..., m) on the same leading axes, m free; points holds one
-    1-D array per polynomial.  The result (..., total points) is one Horner pass over
-    the coefficients zero-padded at the top (+0 z + 0 = +0 keeps every value's bytes),
-    each coefficient row repeated out to the points as the pass reaches it.
+    1-D array per polynomial.  The result (..., total points) is one `_horner` pass over
+    the coefficients zero-padded at the top (+0 z + 0 = +0 keeps every value's bytes).
     blend = (interior_evals, overlaps, rho) joins each output to the interior across
     its overlap as `blend_transition` does, in one weight pass: each distinct
     interior_eval (one per output, for example each mesh's own) is called once, on
@@ -662,11 +665,7 @@ def boundary_values(polys, points, blend=None) -> np.ndarray:
     for k, c in enumerate(coeffs):
         table[:len(c), ..., k] = c
     anchor, h = np.repeat([(p.anchor, p.h) for p in polys], counts, axis=0).T
-    z = (x - anchor) / h
-    out = np.zeros(table.shape[1:-1] + x.shape)
-    for c in table[::-1]:
-        out *= z
-        out += np.repeat(c, counts, axis=-1)
+    out = _horner(table, (x - anchor) / h, lambda c: np.repeat(c, counts, axis=-1))
     if blend:
         interior_evals, overlaps, rho = blend
         if any(a1 == a2 for a1, a2 in overlaps):

@@ -40,9 +40,10 @@ from operator import mul
 import numpy as np
 
 from siacpost import dg
-from siacpost.exact import RatMatrix, RatPoly, SingularMatrixError, invert_exact
+from siacpost.exact import (RatMatrix, RatPoly, SingularMatrixError, _over_common_denominator,
+                            invert_exact)
 from siacpost.filters import FilterSpec, build_spec, static_coefficients
-from siacpost.psiac import FloatKernel, _t_integers
+from siacpost.psiac import FloatKernel, _bernstein_moments, _t_integers
 from siacpost.spline import PiecewisePolynomial, as_knots, bernstein_poly, unit_bspline_piecewise
 
 
@@ -352,8 +353,8 @@ def np0_t_matrix(d: int) -> RatMatrix:
 def contract_reference(q: RatMatrix, coeff_rows) -> RatPoly:
     """Output polynomial of a boundary operator Q by Fraction multiply-adds.
 
-    coeff_rows: per-element Bernstein coefficients across the window,
-    element-major like the rows of Q.
+    coeff_rows: per-element coefficients across the window, in the basis and
+    element-major order of the rows of Q.
     """
     flat = [Fraction(c) for row in coeff_rows for c in row]
     if len(flat) != q.rows:
@@ -371,7 +372,7 @@ def symmetric_weights_reference(d: int, dg_degree: int, frac: float) -> tuple[in
     """Interior weights at sigma = e + frac by composite Gauss quadrature.
 
     The filtered value is sum over (de, ell) of W[de, ell] times the
-    Bernstein coefficient ell of element e + e0 + de; (e0, W) is returned.
+    Legendre coefficient ell of element e + e0 + de; (e0, W) is returned.
     Each element is cut at the kernel breakpoints, so the quadrature is
     exact for the polynomial integrands up to roundoff; elements the
     kernel meets over less than 1e-11 are left out.
@@ -385,8 +386,6 @@ def symmetric_weights_reference(d: int, dg_degree: int, frac: float) -> tuple[in
     e0 = floor(f - mu + snap)
     e1 = ceil(f + mu - snap)
     kernel_breaks = [f - float(b) for b in kernel.breakpoints]
-    bern = [[float(c) for c in bernstein_poly(dg_degree, ell).coeffs]
-            for ell in range(dg_degree + 1)]
     gx, gw = np.polynomial.legendre.leggauss((dg_degree + 2 * d + 2) // 2 + 1)
     weights = np.zeros((e1 - e0, dg_degree + 1))
     for de, e in enumerate(range(e0, e1)):
@@ -399,12 +398,68 @@ def symmetric_weights_reference(d: int, dg_degree: int, frac: float) -> tuple[in
             mid, rad = (lo + hi) / 2, (hi - lo) / 2
             nodes = mid + rad * gx
             kv = np.array([piecewise_value(kernel, f - s) for s in nodes])
-            for ell in range(dg_degree + 1):
-                bv = np.zeros_like(nodes)
-                for c in reversed(bern[ell]):
-                    bv = bv * (nodes - e) + c
-                weights[de, ell] += rad * np.dot(gw, kv * bv)
+            basis = np.polynomial.legendre.legvander(2 * (nodes - e) - 1, dg_degree)
+            weights[de] += rad * (gw * kv) @ basis
     return e0, weights
+
+
+def _bernstein_element_convolutions(d: int, dg_degree: int) -> list[list[list[int]]]:
+    """[k][ell]: d! n! G_ell(k + p) in monomials of p in [0, 1], n = d + dg_degree + 1, for
+    phi_ell the element Bernstein basis (`psiac._element_convolutions` reads Legendre)."""
+    g, n = dg_degree, d + dg_degree + 1
+    nf = factorial(n)
+    phi = [[int(b) for b in bernstein_poly(g, ell).coeffs] for ell in range(g + 1)]
+    beta, den = _bernstein_moments(g, d, 0, 1)  # int_0^1 v^m phi_ell(v) dv = beta / den
+    moments = [[beta[m][ell] * nf // den for m in range(d + 1)] for ell in range(g + 1)]
+    tails = [nf // factorial(d + c + 1) * factorial(d) * factorial(c) for c in range(g + 1)]
+    out = []
+    for k in range(d + 2):
+        alpha = [sum((-1) ** i * comb(d + 1, i) * comb(d, a) * (k - i) ** (d - a)
+                     for i in range(k)) for a in range(d + 1)]
+        jump = (-1) ** k * comb(d + 1, k)
+        pieces = []
+        for row, mom in zip(phi, moments):
+            poly = [0] * (n + 1)
+            for a, al in enumerate(alpha):
+                for s in range(a + 1):
+                    poly[s] += al * comb(a, s) * (-1) ** (a - s) * mom[a - s]
+            for c, f in enumerate(row):
+                poly[d + c + 1] += jump * f * tails[c]
+            pieces.append(poly)
+        out.append(pieces)
+    return out
+
+
+def bernstein_interior_operator(d: int, dg_degree: int) -> tuple[tuple[int, ...], RatMatrix]:
+    """(offsets, exact) of the interior operator from element Bernstein coefficients to
+    the output's Bernstein coefficients on each piece: the operator in the Bernstein
+    basis on both sides, assembled on integers as `psiac.interior_operator` is."""
+    spec = build_spec("symmetric", d)
+    cs, dc = _over_common_denominator(static_coefficients(spec))
+    conv = _bernstein_element_convolutions(d, dg_degree)
+    n = d + dg_degree + 1
+    pieces = 1 if d % 2 else 2
+    # monomial coefficients in t -> n! times the Bernstein coefficients on [0, 1]
+    to_bern = [[comb(kb, i) * factorial(i) * factorial(n - i) if i <= kb else 0
+                for i in range(n + 1)] for kb in range(n + 1)]
+    offsets, numerators = [], []
+    for q in range(pieces):
+        theta = int(pieces * spec.mu + q) % pieces
+        # pieces^n p^i = pieces^(n-i) (theta + t)^i
+        change = [[sum(to_bern[kb][s] * pieces ** (n - i) * comb(i, s) * theta ** (i - s)
+                       for s in range(i + 1)) for i in range(n + 1)] for kb in range(n + 1)]
+        bern = [[[sum(map(mul, row, poly)) for row in change] for poly in piece]
+                for piece in conv]
+        rows = []
+        for i in range(3 * d + 2):
+            terms = [(c, bern[3 * d + 1 - j - i]) for j, c in enumerate(cs)
+                     if 0 <= 3 * d + 1 - j - i <= d + 1]
+            for ell in range(dg_degree + 1):
+                rows.append(tuple(sum(c * b[ell][kb] for c, b in terms) for kb in range(n + 1)))
+        offsets.append(floor(spec.mu + Fraction(q, pieces)) - 3 * d - 1)
+        numerators.append(tuple(rows))
+    den = factorial(d) * factorial(n) ** 2 * pieces ** n * dc
+    return tuple(offsets), RatMatrix(numerators, den)
 
 
 def bernstein_coeffs_of_poly(poly: RatPoly, mesh_a: Fraction, h: Fraction,
@@ -423,6 +478,20 @@ def bernstein_coeffs_of_poly(poly: RatPoly, mesh_a: Fraction, h: Fraction,
         rows.append([sum((mono[p] * Fraction(comb(l, p), comb(d, p)) for p in range(l + 1)),
                          Fraction(0)) for l in range(d + 1)])
     return rows
+
+
+def legendre_coeffs_of_poly(poly: RatPoly, mesh_a: Fraction, h: Fraction,
+                            n: int, d: int) -> list[list[Fraction]]:
+    """Exact degree-d Legendre coefficients of a global polynomial on n elements.
+
+    Element i is [mesh_a + i h, mesh_a + (i+1) h]; coefficient l is (2l + 1) times the
+    integral over [0, 1] of p(mesh_a + (i + u) h) P_l(2u - 1) du.
+    """
+    if poly.degree > d:
+        raise ValueError("polynomial degree exceeds the element degree")
+    legs = _legendre_shifted_polys(d)
+    return [[(compose_affine(poly, h, mesh_a + i * h) * leg).integral(0, 1) * (2 * l + 1)
+             for l, leg in enumerate(legs)] for i in range(n)]
 
 
 def _piecewise_sum(terms) -> PiecewisePolynomial:
@@ -448,23 +517,46 @@ def _legendre_shifted_polys(d: int) -> list[RatPoly]:
     return polys[:d + 1]
 
 
-def legendre_bernstein_reference(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(Legendre -> Bernstein, Bernstein -> Legendre) as float arrays, by exact inversion.
+def _monomials(polys, d: int) -> RatMatrix:
+    """Row i, column j: the coefficient of u^i of polys[j], up to degree d."""
+    return RatMatrix.from_rows([[p.coeffs[i] if i < len(p.coeffs) else 0 for p in polys]
+                                for i in range(d + 1)])
+
+
+@lru_cache(maxsize=None)
+def legendre_bernstein_exact(d: int) -> tuple[RatMatrix, RatMatrix]:
+    """(Legendre -> Bernstein, Bernstein -> Legendre) exactly, by exact inversion.
 
     Columns of the two monomial matrices are the shifted Legendre and the
     Bernstein polynomials of degree d; each conversion is one inverse times
     the other.
     """
-    def monomials(polys):
-        return RatMatrix.from_rows([[p.coeffs[i] if i < len(p.coeffs) else 0 for p in polys]
-                                    for i in range(d + 1)])
+    leg = _monomials(_legendre_shifted_polys(d), d)
+    bern = _monomials([bernstein_poly(d, ell) for ell in range(d + 1)], d)
+    return invert_exact(bern) @ leg, invert_exact(leg) @ bern
 
-    leg = monomials(_legendre_shifted_polys(d))
-    bern = monomials([bernstein_poly(d, ell) for ell in range(d + 1)])
-    l2b = invert_exact(bern) @ leg
-    b2l = invert_exact(leg) @ bern
+
+def legendre_bernstein_reference(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """`legendre_bernstein_exact` as float arrays, each entry rounded once."""
     return tuple(np.array([float(e) for e in m.entries]).reshape(m.rows, m.cols)
-                 for m in (l2b, b2l))
+                 for m in legendre_bernstein_exact(d))
+
+
+def legendre_rows(m: RatMatrix, dg_degree: int) -> RatMatrix:
+    """blockdiag(L2B^T) . m by Fraction multiply-adds: an operator whose rows are
+    element-major Bernstein indices, made to read Legendre coefficients instead."""
+    l2b, nb = legendre_bernstein_exact(dg_degree)[0], dg_degree + 1
+    rows = matrix_rows(m)
+    return RatMatrix.from_rows([[sum(l2b.row(j)[k] * rows[e * nb + j][c] for j in range(nb))
+                                 for c in range(m.cols)]
+                                for e in range(m.rows // nb) for k in range(nb)])
+
+
+def bernstein_to_monomial(n: int) -> RatMatrix:
+    """Row k: the monomial coefficients of the degree-n Bernstein polynomial k, so that
+    Bernstein coefficients b (a row) have the monomial coefficients b . M."""
+    polys = [bernstein_poly(n, k).coeffs for k in range(n + 1)]
+    return RatMatrix.from_rows([[c[i] if i < len(c) else 0 for i in range(n + 1)] for c in polys])
 
 
 def float_kernel_reference(spec: FilterSpec, coeffs, offset: float, h: float) -> FloatKernel:

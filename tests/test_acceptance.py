@@ -23,7 +23,7 @@ from siacpost.filters import (build_spec, custom_spec,
                               shifted_coefficient_polynomials)
 from siacpost.harness import RunConfig, time_series_experiment
 
-from oracles import bernstein_coeffs_of_poly, compose_affine, np0_t_matrix, t_matrix
+from oracles import compose_affine, legendre_coeffs_of_poly, np0_t_matrix, t_matrix
 
 
 @contextmanager
@@ -97,8 +97,7 @@ def test_criterion_1b_two_indicator_filtered_output():
         assert exact == RatPoly([F(3, 2), F(-1)])
         coeffs = np.zeros((7, 1))
         coeffs[0, 0] = coeffs[3, 0] = 1.0
-        field = dg.DGField(d=0, mesh=dg.Mesh(0.0, 7.0, 7), coeffs=coeffs,
-                           basis="bernstein")
+        field = dg.DGField(d=0, mesh=dg.Mesh(0.0, 7.0, 7), coeffs=coeffs)  # P_0 = 1
         poly = psiac.filter_boundary(field, spec)
         assert poly.region == (0.0, 2.0)
         xs = np.linspace(0.0, 2.0, 11)
@@ -148,7 +147,7 @@ def test_criterion_2_reproduction_suite():
             side = "right" if spec.side == "right" else "left"
             for delta in range(spec.r + 1):
                 p = compose_affine(RatPoly([F(0)] * delta + [F(1)]), F(2), F(-1))
-                rows = bernstein_coeffs_of_poly(p, F(0), h, n, spec.r)
+                rows = legendre_coeffs_of_poly(p, F(0), h, n, spec.r)
                 if side == "left":
                     window, lam_g = rows[:qm.n_elements], spec.knots[-1]
                 else:
@@ -158,10 +157,9 @@ def test_criterion_2_reproduction_suite():
             # float path at the top degree
             p = RatPoly([F(1), F(-2), F(1, 3)] + [F(0)] * (spec.r - 3) + [F(1, 2)]
                         if spec.r >= 3 else [F(1), F(1, 2)])
-            rows = bernstein_coeffs_of_poly(p, F(0), h, n, spec.r)
+            rows = legendre_coeffs_of_poly(p, F(0), h, n, spec.r)
             field = dg.DGField(d=spec.r, mesh=dg.Mesh(0.0, 1.0, n),
-                               coeffs=np.array([[float(c) for c in r] for r in rows]),
-                               basis="bernstein")
+                               coeffs=np.array([[float(c) for c in r] for r in rows]))
             if spec.family == "symmetric":
                 mu = float(spec.mu) / n
                 pf = [float(c) for c in p.coeffs]

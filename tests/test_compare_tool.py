@@ -115,15 +115,21 @@ def test_tolerance_mode_reports_differences_and_floor_rows():
                 ("symmetric", "interior", 40, 7.6, "rate")])
     assert compare_rows(old, old, 1e-12, 1e-15) == (True, [
         "  4 error rows: max |diff| 0, max relative diff 0, 0 outside tolerance",
-        "  0 of 2 rate rows moved by more than 1e-09 (0 floor rows); largest move of another row 0"])
+        "  0 of 2 rate rows moved by more than 1e-09 (0 floor rows); largest move of another row 0",
+        "  np0 left: max |diff| 0, max relative diff 0",
+        "  symmetric interior: max |diff| 0, max relative diff 0"])
     new = old.replace(b"5e-15", b"5.3e-15").replace(b"7.6,", b"7.5,").replace(b"6.64,", b"6.65,")
+    new = new.replace(b"np0,left,L2,20,0.5,1e-08", b"np0,left,L2,20,0.5,1.0000000001e-08")
     ok, lines = compare_rows(old, new, 1e-12, 1e-15)
     assert ok
     assert lines[0].startswith("  4 error rows: max |diff| 3e-16, max relative diff 0.06")
     assert lines[1] == ("  2 of 2 rate rows moved by more than 1e-09 (1 floor rows); "
                         "largest move of another row 0.01")
-    assert lines[2].startswith("  rate moved: np0 left L2 N=40") and "[floor]" not in lines[2]
-    assert lines[3].startswith("  rate moved: symmetric interior L2 N=40") and lines[3].endswith(
+    # the largest move per (filter, region): np0's 1e-18 (1e-10 relative), symmetric's 3e-16
+    assert lines[2] == "  np0 left: max |diff| 1e-18, max relative diff 1e-10"
+    assert lines[3] == "  symmetric interior: max |diff| 3e-16, max relative diff 0.06"
+    assert lines[4].startswith("  rate moved: np0 left L2 N=40") and "[floor]" not in lines[4]
+    assert lines[5].startswith("  rate moved: symmetric interior L2 N=40") and lines[5].endswith(
         "[floor]")
     ok, lines = compare_rows(old, new, 1e-12, 1e-16)
     assert not ok

@@ -11,7 +11,7 @@ from siacpost.dg import (DGField, Mesh, TestProblem, UnstableBlowupError, advanc
 from siacpost.errors import UsageError
 
 import oracles
-from oracles import legendre_bernstein_reference
+from oracles import legendre_bernstein_exact, legendre_bernstein_reference
 
 
 def test_mesh_validation():
@@ -166,10 +166,12 @@ def test_basis_round_trip_and_values():
 
 
 def test_legendre_to_bernstein_closed_form():
-    """Farouki's integer closed form equals the conversion by exact inversion, bit for bit."""
+    """Farouki's integer closed form equals the conversion by exact inversion, exactly
+    and as floats bit for bit."""
     for d in range(11):
+        assert dg.legendre_to_bernstein(d) == legendre_bernstein_exact(d)[0]
         l2b, _ = legendre_bernstein_reference(d)
-        assert np.array_equal(dg._legendre_to_bernstein(d), l2b)
+        assert np.array_equal(dg.legendre_to_bernstein(d).floats(), l2b)
 
 
 def test_dirichlet_inflow_value():

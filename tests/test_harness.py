@@ -337,15 +337,15 @@ def _pointwise_region_norms(approx, exact, mesh, region, spe):
 
 def _pointwise_value_fn(field, cfg, name, side):
     """Scalar (element, frac) evaluator, blend included, one point per call."""
-    bern, mesh = dg.to_bernstein(field), field.mesh
+    mesh = field.mesh
 
     def symmetric(e, frac):
-        return psiac.symmetric_filter_eval_local(bern, e, frac)
+        return psiac.symmetric_filter_eval_local(field, e, frac)
 
     if name == "symmetric":
         return symmetric
     spec = build_spec(name, cfg.d, side)
-    poly = psiac.filter_boundary(bern, spec)
+    poly = psiac.filter_boundary(field, spec)
     lam, n = spec.lam, mesh.n
 
     def value(e, frac):
@@ -484,6 +484,51 @@ def test_boundary_output_matches_reference_convolution(family, d):
                 assert abs(on(x) - want) < tol, (side, depth)
 
 
+@pytest.mark.parametrize("d", (1, 2, 3, 4))
+@pytest.mark.parametrize("problem", ("tp1", "tp2"))
+def test_sampled_values_match_reference_convolution(problem, d, monkeypatch):
+    """The values the run's sampling pass takes (its error arrays, the exact solution set
+    to zero) at seeded points of every boundary region off and on its blend strip, and of
+    the interior, at two times: each is the reference convolution of its kernel, and on a
+    strip the boundary and symmetric references blended by the pass's weight, within the
+    benchmark worker's rule (1e-9 relative, 1e-11 absolute).  srv, rlkv, np0 and rs, both
+    sides, blend on."""
+    n = 20 if d < 4 else 24
+    cfg = RunConfig(problem=problem, d=d, filters=harness.FILTER_NAMES, mesh_sizes=(n,),
+                    final_times=(0.25, 0.6))
+    fields, series = stepped(cfg, n)
+    regions, layouts = laid_out(cfg, [series])
+    monkeypatch.setattr(harness, "_norms", lambda err, grid, rad: err)  # the values as taken
+    values = harness._run_norms([series], regions, layouts, lambda x: np.zeros((2, len(x))))
+    mesh, rng = series.mesh, np.random.default_rng(10 * d + len(problem))
+    sym = psiac.symmetric_kernel_at(d, mesh.h)
+    physical = lambda s: mesh.a + float(s) * mesh.h
+    strips = 0
+    for (name, region, spec, _, overlap), (xs, _, _) in zip(regions[0], layouts[0]):
+        if name == "dg":
+            continue
+        (got,) = values[(name, region)]
+        beta = np.zeros(len(xs))
+        if spec is not None:
+            a1, a2 = map(physical, overlap)
+            beta = psiac.blend_weight(np.clip((xs - a1) / (a2 - a1), 0.0, 1.0), harness.BLEND_RHO)
+        on, off = np.flatnonzero(beta > 0), np.flatnonzero(beta == 0)
+        picks = list(rng.choice(off, 3, replace=False))
+        if spec is not None:
+            picks += list(rng.choice(on, 3, replace=False))
+            strips += 3
+        for i in picks:
+            x = xs[i]
+            for field, value in zip(fields, got[:, i]):
+                ref = (psiac.reference_convolve(sym, field, x) if spec is None or beta[i] > 0
+                       else 0.0)
+                if spec is not None:
+                    own = psiac.reference_convolve(psiac.psiac_kernel_at(spec, mesh, x), field, x)
+                    ref = (1 - beta[i]) * own + beta[i] * ref if beta[i] > 0 else own
+                assert abs(value - ref) <= max(1e-11, 1e-9 * abs(ref)), (name, region, x)
+    assert strips == 3 * 8
+
+
 # ---------------------------------------------------------------------------
 # one batched pass per mesh against the per-field evaluators
 
@@ -492,7 +537,7 @@ def _per_field_norms(field, cfg, name, side):
     """(L2, Linf) of one output of one field: its own evaluators through region_norms,
     on the region written out from lam, mu and the strip."""
     mesh, strip = field.mesh, 2 if cfg.blend else 0
-    bern, n = dg.to_bernstein(field), mesh.n
+    n = mesh.n
     physical = lambda s: mesh.a + float(s) * mesh.h
     exact = lambda x: dg.get_problem(cfg.problem).exact(x, field.time)
     if name == "dg":
@@ -500,13 +545,13 @@ def _per_field_norms(field, cfg, name, side):
     mu = Fraction(3 * cfg.d + 1, 2)
     if name == "symmetric":
         span = (physical(mu + strip), physical(n - mu - strip))
-        return region_norms(psiac.filter_interior(bern), exact, mesh, span)
+        return region_norms(psiac.filter_interior(field), exact, mesh, span)
     spec = build_spec(name, cfg.d, side)
-    approx = psiac.filter_boundary(bern, spec)
+    approx = psiac.filter_boundary(field, spec)
     edge = spec.lam if side == "left" else n - spec.lam
     if cfg.blend:
         inward = 2 if side == "left" else -2
-        approx = psiac.blend_transition(approx, psiac.filter_interior(bern),
+        approx = psiac.blend_transition(approx, psiac.filter_interior(field),
                                         (physical(edge), physical(edge + inward)),
                                         harness.BLEND_RHO)
     span = (0, edge + strip) if side == "left" else (edge - strip, n)

@@ -22,11 +22,11 @@ EX27 = custom_spec([-2, -1, 0], 0, (0, 1))
 
 
 def two_indicator_field():
-    """Ex-style data: indicator of [0,1] plus indicator of [3,4] on [0,7]."""
+    """Ex-style data: indicator of [0,1] plus indicator of [3,4] on [0,7] (P_0 = 1)."""
     coeffs = np.zeros((7, 1))
     coeffs[0, 0] = 1.0
     coeffs[3, 0] = 1.0
-    return dg.DGField(d=0, mesh=dg.Mesh(0.0, 7.0, 7), coeffs=coeffs, basis="bernstein")
+    return dg.DGField(d=0, mesh=dg.Mesh(0.0, 7.0, 7), coeffs=coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +66,7 @@ def test_t_column_sums_are_one(spec):
 ], ids=lambda s: f"{s.family}-d{s.d}-{s.side}")
 def test_constant_data_reproduced(spec):
     qm = q_matrix(spec)
-    ones = [[F(1)] * (spec.d + 1) for _ in range(qm.n_elements)]
+    ones = [[F(1)] + [F(0)] * spec.d for _ in range(qm.n_elements)]  # 1 = P_0
     assert qm.contract_exact(ones) == RatPoly([1])
 
 
@@ -160,7 +160,8 @@ def test_assembly_matches_fraction_reference(spec):
     """Every exact operator equals its plain Fraction construction exactly.
 
     The reference builds M one moment at a time, inverts it by Fraction
-    Gauss-Jordan, integrates T entry by entry and forms Q = T C in full.
+    Gauss-Jordan, integrates T entry by entry, forms Q = T C in full and
+    takes its rows to Legendre ones, entry by entry.
     The custom specs have knots off the element grid, so spline pieces
     cover only part of an element.
     """
@@ -173,7 +174,7 @@ def test_assembly_matches_fraction_reference(spec):
         assert t_matrix(spec, dg_degree) == RatMatrix.from_rows(
             [[row[ncol - 1 - j] for j in range(ncol)] for row in oracles.matrix_rows(nat)])
         q = oracles.matmul_reference(nat, coeff)
-        assert q_matrix(spec, dg_degree).q == q
+        assert q_matrix(spec, dg_degree).q == oracles.legendre_rows(q, dg_degree)
         if spec.side == "interior":  # the symmetric prototype has no endpoint vector
             continue
         xi = -spec.lam if spec.side == "left" else spec.lam
@@ -189,10 +190,10 @@ def test_integer_assembly_matches_fraction_path(spec):
 
     That construction: RatPoly B-spline pieces recentred per element
     against Fraction Bernstein moments for T, C by inverting the Fraction
-    moment matrix, and RatMatrix products for Q and the endpoint vector.
-    Q's integers are over the least common denominator of its
-    entries.  DG degrees both equal to and other than the spec's are
-    checked.
+    moment matrix, RatMatrix products for Q and the endpoint vector, and Q's
+    rows taken to Legendre ones by Fraction multiply-adds.  Q_L's integers
+    are over the least common denominator of its entries.  DG degrees both equal
+    to and other than the spec's are checked.
     """
     coeff = oracles.coefficient_matrix_reference(spec)
     assert filters.shifted_coefficient_polynomials(spec).exact == coeff
@@ -201,14 +202,38 @@ def test_integer_assembly_matches_fraction_path(spec):
         assert oracles.t_matrix_natural(spec, dg_degree) == nat
         q = nat @ coeff
         qm = q_matrix(spec, dg_degree)
-        assert qm.q == q
-        nums, den = _over_common_denominator(q.entries)
+        assert qm.q == oracles.legendre_rows(q, dg_degree)
+        nums, den = _over_common_denominator(oracles.legendre_rows(q, dg_degree).entries)
         assert (qm.q.nums.ravel().tolist(), qm.q.den) == (nums, den)
         if spec.side == "interior":  # the symmetric prototype has no endpoint vector
             continue
         xi = -spec.lam if spec.side == "left" else spec.lam
         powers = RatMatrix.from_rows([[xi ** m] for m in range(q.cols)])
         assert endpoint_vector(spec, dg_degree) == (nat @ (coeff @ powers)).entries
+
+
+LEGENDRE_SPECS = [build_spec(fam, d, side, k=k)
+                  for fam, k in (("srv", None), ("rlkv", None), ("np0", None), ("rs", None),
+                                 ("npk", 1), ("npk", 2))
+                  for d in (1, 2, 3, 4) for side in ("left", "right")]
+
+
+@pytest.mark.parametrize("d", (1, 2, 3, 4))
+def test_legendre_operators_are_the_bernstein_ones_composed(d):
+    """As RatMatrix equality: Q_L = blockdiag(L2B^T) . Q for srv, rlkv, np0, rs and npk
+    (k = 1, 2), left and right, with Q = T C the Bernstein operator and L2B by exact
+    inversion; and each piece of the interior operator is blockdiag(L2B^T) times the
+    Bernstein interior operator times the exact Bernstein -> monomial map."""
+    for spec in (s for s in LEGENDRE_SPECS if s.d == d):
+        q = psiac._t_integers(spec, d) @ filters.shifted_coefficient_polynomials(spec).exact
+        assert q_matrix(spec, d).q == oracles.legendre_rows(q, d), (spec.family, spec.side)
+    op = psiac.interior_operator(d, d)
+    offsets, bern = oracles.bernstein_interior_operator(d, d)
+    to_monomial = oracles.bernstein_to_monomial(op.degree)
+    assert op.offsets == offsets and op.exact.nums.shape == bern.nums.shape
+    for q in range(op.pieces):
+        assert RatMatrix(op.exact.nums[q], op.exact.den) == \
+            oracles.legendre_rows(RatMatrix(bern.nums[q], bern.den), d) @ to_monomial
 
 
 @pytest.mark.parametrize("dg_degree", [0, 1, 2, 4])
@@ -283,10 +308,9 @@ def test_stacked_boundary_polynomial_is_per_field():
 
 
 def exact_poly_field(p: RatPoly, n: int, d: int):
-    rows = oracles.bernstein_coeffs_of_poly(p, F(0), F(1, n), n, d)
+    rows = oracles.legendre_coeffs_of_poly(p, F(0), F(1, n), n, d)
     coeffs = np.array([[float(c) for c in row] for row in rows])
-    return rows, dg.DGField(d=d, mesh=dg.Mesh(0.0, 1.0, n), coeffs=coeffs,
-                            basis="bernstein")
+    return rows, dg.DGField(d=d, mesh=dg.Mesh(0.0, 1.0, n), coeffs=coeffs)
 
 
 @pytest.mark.parametrize("spec", [
@@ -324,13 +348,13 @@ def test_mesh_too_coarse():
 
 
 def test_mirror_symmetry():
-    """Filtering mirrored data with the opposite-side filter mirrors the output."""
+    """Filtering mirrored data with the opposite-side filter mirrors the output.
+    P_l(2(1 - u) - 1) = (-1)^l P_l(2u - 1) mirrors each element."""
     rng = np.random.default_rng(7)
     mesh = dg.Mesh(0.0, 1.0, 12)
     coeffs = rng.standard_normal((12, 3))
-    fld = dg.DGField(d=2, mesh=mesh, coeffs=coeffs, basis="bernstein")
-    mirrored = dg.DGField(d=2, mesh=mesh, coeffs=coeffs[::-1, ::-1].copy(),
-                          basis="bernstein")
+    fld = dg.DGField(d=2, mesh=mesh, coeffs=coeffs)
+    mirrored = dg.DGField(d=2, mesh=mesh, coeffs=coeffs[::-1] * (-1.0) ** np.arange(3))
     for fam in ("np0", "rlkv"):
         pl = filter_boundary(fld, build_spec(fam, 2, "left"))
         pr = filter_boundary(mirrored, build_spec(fam, 2, "right"))
@@ -399,21 +423,20 @@ def test_interior_weights_match_quadrature_oracle(d):
 
 @pytest.mark.parametrize("d", (1, 2, 3, 4))
 def test_interior_operator_reproduces_polynomials_exactly(d):
-    """Exact Bernstein data of a polynomial of degree <= d maps, in rationals, to
-    the Bernstein coefficients of the same polynomial on every output piece."""
+    """Exact Legendre data of a polynomial of degree <= d maps, in rationals, to
+    the monomial coefficients in t in [0, 1] of the same polynomial on every output piece."""
     op = psiac.interior_operator(d, d)
     width = 3 * d + 2
     rng = random.Random(d)
     for degree in range(d + 1):
         p = RatPoly([F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(degree)] + [F(1)])
-        data = [c for row in oracles.bernstein_coeffs_of_poly(p, F(0), F(1), width, d) for c in row]
+        data = [c for row in oracles.legendre_coeffs_of_poly(p, F(0), F(1), width, d) for c in row]
         for q, offset in enumerate(op.offsets):
             # the window starts at element 0, so the piece lies in element -offset
-            got = [sum(num[k] * u for num, u in zip(op.exact.nums[q], data)) / op.exact.den
-                   for k in range(op.degree + 1)]
-            want = oracles.bernstein_coeffs_of_poly(p, F(-offset) + F(q, op.pieces),
-                                               F(1, op.pieces), 1, op.degree)[0]
-            assert got == want, (degree, q)
+            got = RatPoly([sum(num[k] * u for num, u in zip(op.exact.nums[q], data)) / op.exact.den
+                           for k in range(op.degree + 1)])
+            assert got == oracles.compose_affine(p, F(1, op.pieces),
+                                                 F(-offset) + F(q, op.pieces)), (degree, q)
 
 
 def test_interior_operator_fraction_view():
@@ -434,7 +457,7 @@ def test_interior_operator_fraction_view():
 def test_interior_output_continuous_across_pieces(d):
     out = psiac.filter_interior(_tp2_field(d, 24))
     assert len(out.coeffs) == (1 if d % 2 else 2) * (24 - (3 * d + 1))
-    jumps = out.coeffs[1:, 0] - out.coeffs[:-1, -1]  # end values of neighbouring pieces
+    jumps = out.coeffs[1:, 0] - out.coeffs[:-1].sum(axis=-1)  # at t = 0 and 1 of neighbours
     assert np.abs(jumps).max() <= 1e-13 * np.abs(out.coeffs).max()
 
 
@@ -490,12 +513,22 @@ def test_symmetric_constant_field():
 def test_stacked_interior_and_evaluate_match_per_field(d, basis):
     """filter_interior and DGField.evaluate of a (2, 3, n, d+1) stack of fields give each
     field's own output, byte for byte: one-piece (odd d) and two-piece (even d) interior
-    operators, on Legendre and Bernstein coefficients.  At N = 40 a stack whose windows
-    were fused into one matmul would differ in the last bits at d = 4."""
+    operators, on Legendre coefficients; a Bernstein stack evaluates so too, and the filter
+    refuses it.  At N = 40 a stack whose windows were fused into one matmul would differ
+    in the last bits at d = 4."""
     mesh = dg.Mesh(0.0, 2.0, 40)
     coeffs = np.random.default_rng(d).standard_normal((2, 3, mesh.n, d + 1))
     stack = dg.DGField(d=d, mesh=mesh, coeffs=coeffs, basis=basis, time=np.zeros((2, 3)))
     fields = [replace(stack, coeffs=c, time=0.0) for c in coeffs.reshape(6, mesh.n, d + 1)]
+    for x in (np.linspace(-0.1, 2.1, 61), np.linspace(0.5, 1.5, 35).reshape(5, 7), np.array(0.7)):
+        values = stack.evaluate(x)
+        assert values.shape == (2, 3) + x.shape
+        assert values.tobytes() == np.stack([f.evaluate(x) for f in fields]).tobytes()
+    assert isinstance(fields[0].evaluate(0.7), float)
+    if basis == "bernstein":
+        with pytest.raises(ValueError, match="Legendre"):
+            psiac.filter_interior(stack)
+        return
     out = psiac.filter_interior(stack)
     per_field = [psiac.filter_interior(f) for f in fields]
     assert out.coeffs.shape == (2, 3) + per_field[0].coeffs.shape
@@ -504,17 +537,12 @@ def test_stacked_interior_and_evaluate_match_per_field(d, basis):
     lo, hi = out.region
     xs = np.linspace(lo, hi, 35).reshape(5, 7)
     assert out(xs).tobytes() == np.stack([o(xs) for o in per_field]).tobytes()
-    for x in (np.linspace(-0.1, 2.1, 61), xs, np.array(0.7)):
-        values = stack.evaluate(x)
-        assert values.shape == (2, 3) + x.shape
-        assert values.tobytes() == np.stack([f.evaluate(x) for f in fields]).tobytes()
-    assert isinstance(fields[0].evaluate(0.7), float)
 
 
 @pytest.mark.parametrize("d", (1, 2, 3))
 def test_symmetric_eval_local_batched_matches_scalar(d):
     tp2 = dg.get_problem("tp2")
-    field = dg.to_bernstein(dg.dg_solve(tp2, dg.Mesh(tp2.a, tp2.b, 24), d, 0.3))
+    field = dg.dg_solve(tp2, dg.Mesh(tp2.a, tp2.b, 24), d, 0.3)
     mu = (3 * d + 1) // 2 + 1
     elements = np.arange(mu, 24 - mu)
     for frac in (F(0), F(1, 5), F(1, 2), 0.3, 0.9930446604745877):
@@ -525,7 +553,7 @@ def test_symmetric_eval_local_batched_matches_scalar(d):
 
 
 def test_symmetric_eval_local_window_check():
-    field = dg.to_bernstein(dg.l2_project(np.sin, dg.Mesh(0.0, 1.0, 16), 1))
+    field = dg.l2_project(np.sin, dg.Mesh(0.0, 1.0, 16), 1)
     for elements in (-10, 0, 15, np.array([1, 8]), np.array([8, 15])):
         with pytest.raises(OutsideInteriorRegionError):
             psiac.symmetric_filter_eval_local(field, elements, 0.5)
@@ -772,8 +800,8 @@ def test_cross_mesh_contraction_is_each_meshs_own(d):
     """filter_boundary on a sequence of stacks (N = 24, 48, 96 at three times each, and the
     first scaled by 2^600) contracts all of their windows in one QMatrix.contract call and
     gives, bit for bit, each stack's own filter_boundary output (coefficients, h, anchor,
-    region): every boundary family (npk with k = 1), both sides, on Legendre and on
-    Bernstein fields.  One field is still one polynomial; a sequence of one, a list."""
+    region): every boundary family (npk with k = 1), both sides.  One field is still one
+    polynomial; a sequence of one, a list.  A sequence holding a Bernstein field is refused."""
     tp2 = dg.get_problem("tp2")
     stacks = [_time_stack(tp2, n, d, (0.0, 0.2, 0.45)) for n in (24, 48, 96)]
     stacks.append(replace(stacks[0], coeffs=stacks[0].coeffs * 2.0 ** 600))
@@ -782,19 +810,20 @@ def test_cross_mesh_contraction_is_each_meshs_own(d):
         mp.setattr(psiac.QMatrix, "contract",
                    lambda self, rows: calls.append(rows.shape) or contract(self, rows))
         for spec in (s for s in CONTRACT_SPECS if s.d == d and s.family != "symmetric"):
-            for fields in (stacks, [dg.to_bernstein(s) for s in stacks]):
-                calls.clear()
-                got = filter_boundary(fields, spec)
-                qm = q_matrix(spec, d)
-                assert calls == [(4, 3, qm.n_elements, d + 1)] and len(got) == 4
-                for poly, field in zip(got, fields):
-                    own = filter_boundary(field, spec)
-                    assert isinstance(own, psiac.BoundaryPolynomial)
-                    assert poly.coeffs.shape == own.coeffs.shape == (3, qm.q.cols)
-                    assert poly.coeffs.tobytes() == own.coeffs.tobytes()
-                    assert (poly.h, poly.anchor, poly.region) == (own.h, own.anchor, own.region)
+            calls.clear()
+            got = filter_boundary(stacks, spec)
+            qm = q_matrix(spec, d)
+            assert calls == [(4, 3, qm.n_elements, d + 1)] and len(got) == 4
+            for poly, field in zip(got, stacks):
+                own = filter_boundary(field, spec)
+                assert isinstance(own, psiac.BoundaryPolynomial)
+                assert poly.coeffs.shape == own.coeffs.shape == (3, qm.q.cols)
+                assert poly.coeffs.tobytes() == own.coeffs.tobytes()
+                assert (poly.h, poly.anchor, poly.region) == (own.h, own.anchor, own.region)
             one = filter_boundary(stacks[:1], spec)
             assert isinstance(one, list) and one[0].coeffs.tobytes() == got[0].coeffs.tobytes()
+            with pytest.raises(ValueError, match="not a bernstein field"):
+                filter_boundary(stacks[:2] + [dg.to_bernstein(stacks[2])], spec)
 
 
 def test_boundary_values_with_per_output_interiors_is_per_mesh_calls():
@@ -851,7 +880,7 @@ def test_stacked_evaluation_equals_single(d):
     points and at a float: the boundary polynomial, the interior pieces and the blend."""
     tp2, n = dg.get_problem("tp2"), 28
     mesh = dg.Mesh(tp2.a, tp2.b, n)
-    fields = [dg.to_bernstein(dg.dg_solve(tp2, mesh, d, t)) for t in (0.0, 0.2, 0.45, 0.7)]
+    fields = [dg.dg_solve(tp2, mesh, d, t) for t in (0.0, 0.2, 0.45, 0.7)]
     rng = np.random.default_rng(d)
     at = lambda lo, hi: mesh.a + mesh.h * np.concatenate(
         ([lo, hi], rng.uniform(lo, hi, 40), np.arange(ceil(lo), floor(hi) + 1)))

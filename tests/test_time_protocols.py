@@ -1,7 +1,10 @@
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "time_protocols.py"
@@ -33,7 +36,7 @@ def test_repeat_writes_bench_record_shaped_json(tmp_path):
     record = json.loads(out.read_text())
     assert list(record["workloads"]) == ["tp1 d=1"]
     metrics = record["workloads"]["tp1 d=1"]
-    assert sorted(metrics) == ["advance_s", "total_s"]
+    assert sorted(metrics) == ["advance_s", "clock_advance_s", "clock_total_s", "total_s"]
     for metric in metrics.values():
         assert set(metric) == {"unit", "parent", "change", "pairs", "won"}
         assert metric["unit"] == "s" and metric["pairs"] == 2 and 0 <= metric["won"] <= 2
@@ -43,3 +46,43 @@ def test_repeat_writes_bench_record_shaped_json(tmp_path):
             assert metric[side]["median"] > 0
     assert metrics["advance_s"]["parent"]["median"] <= metrics["total_s"]["parent"]["median"]
     assert record["src_lines"]["parent"] == record["src_lines"]["change"] > 0
+    assert record["first"] == {"tp1 d=1": ["parent", "change"]}
+
+
+@pytest.fixture
+def tool(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOL.parent))
+    spec = importlib.util.spec_from_file_location("time_protocols", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_runs_are_scaled_by_the_reference_passes_around_them(tool, monkeypatch, tmp_path, capsys):
+    """Each run sits between two reference passes, whose mean scales its seconds to the
+    reference host speed (calibrate.speed_factor); clock and scaled seconds are both
+    reported, and which tree ran first in each repeat.  The passes and the protocol runs
+    are stubbed: passes of 2 REFERENCE_PASS_S give a factor of 1/2."""
+    from calibrate import REFERENCE_PASS_S  # found where the tool finds it
+    calls = []
+    monkeypatch.setattr(tool, "reference_pass",
+                        lambda: calls.append("pass") or 2 * REFERENCE_PASS_S)
+    clock = {"old": (0.8, 0.5), "new": (0.6, 0.25)}
+    monkeypatch.setattr(tool, "run_protocol", lambda src, cfg, d: calls.append(src) or {
+        "label": "tp9 d=2", "total_s": clock[src][0], "advance_s": clock[src][1]})
+    out = tmp_path / "protocols.json"
+    assert tool.main(["old", "new", "some.cfg", "--repeat", "3", "--json", str(out)]) == 0
+    assert calls == ["pass", "old", "pass", "pass", "new", "pass", "pass", "new", "pass",
+                     "pass", "old", "pass", "pass", "old", "pass", "pass", "new", "pass"]
+    record = json.loads(out.read_text())
+    assert record["first"] == {"tp9 d=2": ["parent", "change", "parent"]}
+    metrics = record["workloads"]["tp9 d=2"]
+    for side, tree in (("parent", "old"), ("change", "new")):
+        total, advance = clock[tree]
+        assert metrics["clock_total_s"][side]["median"] == total
+        assert metrics["clock_advance_s"][side]["median"] == advance
+        assert metrics["total_s"][side]["median"] == total / 2
+        assert metrics["advance_s"][side]["median"] == advance / 2
+    assert metrics["total_s"]["won"] == 3
+    row = capsys.readouterr().out.splitlines()[1].split()
+    assert row[:3] == ["tp9", "d=2", "0.4s"] and row[-2:] == ["0.8s", "0.6s"]

@@ -21,17 +21,18 @@ Every file written is compared; exits 0 when every pair is identical,
 With --rtol and/or --atol the timeseries CSVs are compared row by row
 instead: every error row must be within atol + rtol * |old value|, and
 the largest absolute and relative differences over error rows are
-reported.  Rate rows that moved by more than 1e-9 are listed, for
-information: a rate is a function of two error rows, and an error e
-that moves by delta moves it by up to delta / (e ln 2), so roundoff in
-small errors moves rates that the error tolerance does not catch.  A
-listed row whose finer- or coarser-mesh error (old tree) is below 1e-13
-is flagged as a floor row: its rate measures roundoff.  The CLI's
-`*_samples.csv` files are compared cell by cell: the header and the first
-column (the sample points) must match byte for byte, every other cell
-must be within atol + rtol * |old value|, and the largest absolute and
-relative differences are reported per file.  Other CSVs (the exact kernel
-CSVs) are still compared byte for byte.
+reported, over all of them and per (filter, region).  Rate rows that
+moved by more than 1e-9 are listed, for information: a rate is a
+function of two error rows, and an error e that moves by delta moves it
+by up to delta / (e ln 2), so roundoff in small errors moves rates that
+the error tolerance does not catch.  A listed row whose finer- or
+coarser-mesh error (old tree) is below 1e-13 is flagged as a floor row:
+its rate measures roundoff.  The CLI's `*_samples.csv` files are
+compared cell by cell: the header and the first column (the sample
+points) must match byte for byte, every other cell must be within
+atol + rtol * |old value|, and the largest absolute and relative
+differences are reported per file.  Other CSVs (the exact kernel CSVs)
+are still compared byte for byte.
 """
 
 from __future__ import annotations
@@ -112,6 +113,12 @@ def compare_rows(old: bytes, new: bytes, rtol: float, atol: float) -> tuple[bool
                f"max relative diff {max(rel, default=0):.3g}, {len(outside)} outside tolerance",
                f"  {len(moved)} of {rates} rate rows moved by more than {RATE_TOL:g} "
                f"({floor_rows} floor rows); largest move of another row {worst:.3g}"]
+    groups: dict[tuple[str, str], list[tuple[float, float]]] = {}
+    for key, v, diff in errors:
+        groups.setdefault(key[1:3], []).append((diff, diff / abs(v) if v else 0.0))
+    summary += [f"  {name} {region}: max |diff| {max(d for d, _ in moves):.3g}, "
+                f"max relative diff {max(r for _, r in moves):.3g}"
+                for (name, region), moves in sorted(groups.items())]
     return not outside, summary + outside + moved
 
 

@@ -11,11 +11,18 @@ K times (default 1), each in a fresh single-threaded process, as
 CSV; the two trees alternate which goes first from one run to the next.
 `dg.advance` is timed by the benchmark tracer's wrapper
 (perfbench/tracer.py), so its seconds mean what the benchmark's
-`dg.advance_s` means.  Prints one row per config: the median total and
-`dg.advance` seconds for each tree.  With --json, writes per config the
-medians and quartiles of `total_s` and `advance_s` for each side, the
-old tree as "parent" and the new one as "change", in the shape of
-tools/bench_record.py, with each tree's `src/` line count.
+`dg.advance_s` means.  Before and after each run this process times one
+pass of the benchmark's reference computation (perfbench/calibrate.py),
+and the run's seconds are scaled to the reference host speed by the two
+passes, as `perfbench/run.py` scales a worker's: the host's speed drifts
+between runs by more than a few milliseconds of a protocol.  Prints one
+row per config: for each tree the median scaled total and `dg.advance`
+seconds, then the median clock totals.  With --json, writes per config
+the medians and quartiles of `total_s` and `advance_s` (scaled) and of
+`clock_total_s` and `clock_advance_s` for each side, the old tree as
+"parent" and the new one as "change", in the shape of
+tools/bench_record.py, with each tree's `src/` line count and, under
+"first", the side that ran first in each repeat.
 """
 
 from __future__ import annotations
@@ -31,6 +38,9 @@ from pathlib import Path
 from bench_record import paired
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+from calibrate import reference_pass, speed_factor  # noqa: E402
+METRICS = ("total_s", "advance_s", "clock_total_s", "clock_advance_s")
 
 RUN_PROTOCOL = """\
 import json, sys, time
@@ -64,6 +74,17 @@ def run_protocol(src: str, cfg: str, d: str) -> dict:
     return json.loads(out.splitlines()[-1])
 
 
+def timed_run(src: str, cfg: str, d: str) -> dict:
+    """`run_protocol` between two reference passes: its seconds on the clock and scaled."""
+    passes = [reference_pass()]
+    run = run_protocol(src, cfg, d)
+    passes.append(reference_pass())
+    scale = speed_factor(passes)
+    return {"label": run["label"], "clock_total_s": run["total_s"],
+            "clock_advance_s": run["advance_s"], "total_s": run["total_s"] * scale,
+            "advance_s": run["advance_s"] * scale}
+
+
 def src_lines(src: str) -> int:
     """Lines of the tree's Python files, counted as perfbench/run.py counts them."""
     return sum(len(p.read_text().splitlines()) for p in sorted(Path(src).rglob("*.py")))
@@ -82,31 +103,35 @@ def main(argv=None) -> int:
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")
     print(f"{'protocol':10s} {'old total':>10s} {'old advance':>12s} "
-          f"{'new total':>10s} {'new advance':>12s}")
+          f"{'new total':>10s} {'new advance':>12s} {'old clock':>10s} {'new clock':>10s}")
     trees = [("old", args.old_src), ("new", args.new_src)]
-    workloads, run = {}, 0
+    workloads, first, run = {}, {}, 0
+    names = {"old": "parent", "new": "change"}
     for spec in args.configs:
         cfg, _, d = spec.partition("@")
-        runs = {"old": [], "new": []}
+        runs, order = {"old": [], "new": []}, []
         for _ in range(args.repeat):
-            for side, src in (trees if run % 2 == 0 else trees[::-1]):
-                runs[side].append(run_protocol(src, cfg, d))
+            ordered = trees if run % 2 == 0 else trees[::-1]
+            order.append(names[ordered[0][0]])
+            for side, src in ordered:
+                runs[side].append(timed_run(src, cfg, d))
             run += 1
         label = runs["old"][0]["label"]
-        seconds = {(side, key): [r[key] for r in runs[side]]
-                   for side in runs for key in ("total_s", "advance_s")}
+        first[label] = order
+        seconds = {(side, key): [r[key] for r in runs[side]] for side in runs for key in METRICS}
         workloads[label] = {key: paired("s", seconds["old", key], seconds["new", key], True)
-                            for key in ("total_s", "advance_s")}
+                            for key in METRICS}
         median = {k: statistics.median(v) for k, v in seconds.items()}
         # 4 significant digits: a tiny config's dg.advance takes well under 5 ms
         share = lambda side: (f"{median[side, 'advance_s']:.4g} "
                               f"({median[side, 'advance_s'] / median[side, 'total_s']:.0%})")
         print(f"{label:10s} {median['old', 'total_s']:9.4g}s {share('old'):>12s} "
-              f"{median['new', 'total_s']:9.4g}s {share('new'):>12s}")
+              f"{median['new', 'total_s']:9.4g}s {share('new'):>12s} "
+              f"{median['old', 'clock_total_s']:9.4g}s {median['new', 'clock_total_s']:9.4g}s")
     if args.json is not None:
         lines = {"parent": src_lines(args.old_src), "change": src_lines(args.new_src)}
-        args.json.write_text(json.dumps({"workloads": workloads, "src_lines": lines},
-                                        indent=1) + "\n")
+        args.json.write_text(json.dumps({"workloads": workloads, "src_lines": lines,
+                                         "first": first}, indent=1) + "\n")
     return 0
 
 
