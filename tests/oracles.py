@@ -8,7 +8,12 @@ Cox-de Boor on RatPoly pieces, T integrated entry by entry through
 Fraction Bernstein moments (the library works on integers), the closed-form T
 of the piecewise-constant filter, the boundary contraction entry by entry,
 the Legendre-Bernstein conversion by exact inversion of monomial
-matrices, the reference kernel evaluated spline by spline through
+matrices (and with it a Bernstein-row operator made to read Legendre
+coefficients, entry by entry), the interior operator assembled in the
+Bernstein basis on both sides, which the library's Legendre-to-monomial
+operator must equal once composed with the exact basis maps, element
+Legendre coefficients of a polynomial by exact integration, the
+reference kernel evaluated spline by spline through
 ``PiecewisePolynomial`` and integrated one interval at a time, the
 interior filter weights by Gauss quadrature, and RK4 of upwind DG stage by
 stage in 128-bit fixed point: unit speed, and tp3's variable speed and
