@@ -241,80 +241,93 @@ def cmd_timeseries(args) -> int:
 # argument parsing
 
 
+def _kernel_arguments(p) -> None:
+    p.add_argument("family", help="symmetric | rs | srv | rlkv | np0 | npk")
+    p.add_argument("d", type=int, help="DG polynomial degree")
+    p.add_argument("side", nargs="?", default=None,
+                   help="left | right | interior (default by family)")
+    p.add_argument("--k", type=int, default=None, help="kernel degree for npk")
+    p.add_argument("--exact", action="store_true", help="write exact coefficient CSVs")
+    p.add_argument("--samples", type=int, default=0, help="sample count for the kernel graph")
+    p.add_argument("--xi", default="0", help="shift in mesh units (decimal or p/q)")
+    p.add_argument("--dg-degree", type=int, default=None)
+    p.add_argument("--out", default=None)
+
+
+def _run_arguments(p) -> None:
+    p.add_argument("problem", help="tp1 | tp2 | tp3")
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--cfl", type=float, default=None)
+    p.add_argument("--samples", type=int, default=6)
+    p.add_argument("--out", default=None)
+
+
+def _filter_arguments(p) -> None:
+    _run_arguments(p)
+    p.add_argument("--family", required=True)
+    p.add_argument("--side", default="left")
+    p.add_argument("--k", type=int, default=None)
+
+
+def _converge_arguments(p) -> None:
+    p.add_argument("problem")
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--filters", default="dg,symmetric,np0")
+    p.add_argument("--n-list", dest="mesh_sizes", default="20,40,80")
+    p.add_argument("--t", dest="final_times", type=float, default=1.0)
+    p.add_argument("--no-blend", dest="blend", action="store_false", default=None)
+    p.add_argument("--cfl", type=float, default=None)
+    p.add_argument("--out", default=None)
+
+
+def _timeseries_arguments(p) -> None:
+    p.add_argument("config", nargs="?", default=None, help="key = value config file")
+    p.add_argument("--problem", default=None)
+    p.add_argument("--d", type=int, default=None)
+    p.add_argument("--filters", default=None)
+    p.add_argument("--mesh-sizes", dest="mesh_sizes", default=None)
+    p.add_argument("--times", dest="final_times", help="comma list or linspace:lo:hi:n")
+    p.add_argument("--blend", dest="blend", action="store_true", default=None)
+    p.add_argument("--no-blend", dest="blend", action="store_false")
+    p.add_argument("--cfl", type=float, default=None)
+    p.add_argument("--out", default=None)
+
+
+# each subcommand's help and arguments; its handler is cmd_<name>
+COMMANDS = {
+    "kernel": ("dump exact filter coefficients / sampled kernel", _kernel_arguments),
+    "solve": ("run the DG solver and dump the field", _run_arguments),
+    "filter": ("solve, then boundary-filter one side", _filter_arguments),
+    "converge": ("error/rate table over a mesh sequence", _converge_arguments),
+    "timeseries": ("full final-time series experiment", _timeseries_arguments),
+}
+
+
 @cache
-def make_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; subcommands name their handler."""
+def make_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser, built once per process and command.
+
+    Every subcommand is registered with its help and names its handler, but only
+    `command`'s arguments are added, or every one's when it is None: a command's
+    parse and help text are the full parser's, without building the others.
+    """
     parser = argparse.ArgumentParser(
         prog="siacpost",
         description="Spline-filter post-processing of 1D DG advection output")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_family(p, with_side=True):
-        p.add_argument("family", help="symmetric | rs | srv | rlkv | np0 | npk")
-        p.add_argument("d", type=int, help="DG polynomial degree")
-        if with_side:
-            p.add_argument("side", nargs="?", default=None,
-                           help="left | right | interior (default by family)")
-        p.add_argument("--k", type=int, default=None, help="kernel degree for npk")
-
-    pk = sub.add_parser("kernel", help="dump exact filter coefficients / sampled kernel")
-    add_family(pk)
-    pk.add_argument("--exact", action="store_true", help="write exact coefficient CSVs")
-    pk.add_argument("--samples", type=int, default=0, help="sample count for the kernel graph")
-    pk.add_argument("--xi", default="0", help="shift in mesh units (decimal or p/q)")
-    pk.add_argument("--dg-degree", type=int, default=None)
-    pk.add_argument("--out", default=None)
-    pk.set_defaults(fn="cmd_kernel")
-
-    def add_run(p):
-        p.add_argument("problem", help="tp1 | tp2 | tp3")
-        p.add_argument("--d", type=int, required=True)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--t", type=float, required=True)
-        p.add_argument("--cfl", type=float, default=None)
-        p.add_argument("--samples", type=int, default=6)
-        p.add_argument("--out", default=None)
-
-    ps = sub.add_parser("solve", help="run the DG solver and dump the field")
-    add_run(ps)
-    ps.set_defaults(fn="cmd_solve")
-
-    pf = sub.add_parser("filter", help="solve, then boundary-filter one side")
-    add_run(pf)
-    pf.add_argument("--family", required=True)
-    pf.add_argument("--side", default="left")
-    pf.add_argument("--k", type=int, default=None)
-    pf.set_defaults(fn="cmd_filter")
-
-    pc = sub.add_parser("converge", help="error/rate table over a mesh sequence")
-    pc.add_argument("problem")
-    pc.add_argument("--d", type=int, required=True)
-    pc.add_argument("--filters", default="dg,symmetric,np0")
-    pc.add_argument("--n-list", dest="mesh_sizes", default="20,40,80")
-    pc.add_argument("--t", dest="final_times", type=float, default=1.0)
-    pc.add_argument("--no-blend", dest="blend", action="store_false", default=None)
-    pc.add_argument("--cfl", type=float, default=None)
-    pc.add_argument("--out", default=None)
-    pc.set_defaults(fn="cmd_converge")
-
-    pt = sub.add_parser("timeseries", help="full final-time series experiment")
-    pt.add_argument("config", nargs="?", default=None, help="key = value config file")
-    pt.add_argument("--problem", default=None)
-    pt.add_argument("--d", type=int, default=None)
-    pt.add_argument("--filters", default=None)
-    pt.add_argument("--mesh-sizes", dest="mesh_sizes", default=None)
-    pt.add_argument("--times", dest="final_times", help="comma list or linspace:lo:hi:n")
-    pt.add_argument("--blend", dest="blend", action="store_true", default=None)
-    pt.add_argument("--no-blend", dest="blend", action="store_false")
-    pt.add_argument("--cfl", type=float, default=None)
-    pt.add_argument("--out", default=None)
-    pt.set_defaults(fn="cmd_timeseries")
+    for name, (text, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if command in (None, name):
+            arguments(p)
+        p.set_defaults(fn=f"cmd_{name}")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
     words = list(sys.argv[1:] if argv is None else argv)
+    parser = make_parser(words[0] if words and words[0] in COMMANDS else None)
     for i in reversed(range(1, len(words))):  # a negative shift is --xi's value, not an option
         if words[i - 1] == "--xi" and re.match(r"-\.?\d", words[i]):
             words[i - 1:i + 1] = [f"--xi={words[i]}"]

@@ -12,12 +12,12 @@ the filters read as they are; `to_bernstein` gives the Bernstein element basis.
   k = 1..4, A the upwind operator.  h A has integer Legendre blocks, so
   R - I has five block diagonals, rational in nu = dt / h; a Dirichlet
   step also adds three inflow terms on elements 0-3.  Each entry is an
-  integer over one common denominator, split into floats hi + lo by
-  `exact.RatMatrix.hi_lo`: a step is one `take` of the windows into a
+  integer over one common denominator, split into floats hi + lo
+  (`rk4`): a step is one `take` of the windows into a
   buffer, one batched matmul by hi and lo and an add, and rounds no worse
   than the stages of `dg_rhs`.
 - kappa and rho are tp3's `_tp3_kappa` and `_tp3_rho`, periodic, on a
-  mesh of length 2 pi: one harmonic increment operator per call.  In
+  mesh of length 2 pi: one harmonic increment operator per segment.  In
   element e the scheme reads kappa = 2 + sin(x + t) only at points
   x_e + delta + t, x_e the element's midpoint, so a stage is a
   trigonometric polynomial of degree 1 in the phase s = x_e + t; a
@@ -27,21 +27,23 @@ the filters read as they are; `to_bernstein` gives the Bernstein element basis.
   (1, cos s, sin s, cos 2s, ...), s_e = x_e + t_k: degree 4 in u's part,
   as each stage multiplies by kappa once, and degree 5 in the source
   cos(x - t) + sin 2x, which has degree 2 and is linear in e^(-2it_k).
-  W and G are the same for every element and step of a call.  They are
-  composed once per call in the basis e^{ijs} on integers in fixed point
-  2^-128, from the scheme's float Gauss rule, the cosines and sines of
-  the node offsets, h/2, h, dt/2 and dt, and nu = dt / h, each lifted
-  exactly, and each entry is rounded once into hi + lo.  A step is one
-  matmul of a strided window view, one batched contraction with the
+  W and G are the same for every element and step of a segment; `rk4`
+  composes them exactly, each entry rounded once into hi + lo.  A step is
+  one matmul of a strided window view, one batched contraction with the
   step's phase row and two adds; the phase and source rows are tabulated
   per block of steps by angle addition, in place, into buffers made once
-  per call, and a step only indexes its rows.
+  per segment, and a step only indexes its rows.
 - any other problem (Dirichlet tp3, custom ones): four calls of the
   plain weak form `dg_rhs` per step, kappa checked at each step's levels.
 
-Before stepping, `advance` rejects a final time that is not finite or lies
-before the field's time and a CFL number that is not positive or exceeds
-the RK4 stability limit, and it checks kappa against 0 < kappa <= kappa_max.
+`advance` takes one field to one final time, or a whole run: one field per
+mesh through the sorted final times.  It plans every (mesh, segment) first,
+then composes each distinct operator of the run once, in batched exact
+passes of at most `_PASS` operators (`rk4`), and then steps each segment
+with its operator.  Before stepping, it rejects a
+final time that is not finite or lies before the segment's start and a CFL
+number that is not positive or exceeds the RK4 stability limit, and it
+checks kappa against 0 < kappa <= kappa_max.
 """
 
 from __future__ import annotations
@@ -49,13 +51,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from fractions import Fraction
-from math import ceil, comb, factorial, lcm
+from math import ceil, comb, lcm
 from typing import Callable
 
 import numpy as np
 
 from .errors import UsageError
 from .exact import RatMatrix
+from .rk4 import _gauss_rule, _harmonic_operators, _increment_operators
 # Unused here, but perfbench/tracer.py patches dg.invert_exact, so the name must resolve.
 from .exact import invert_exact  # noqa: F401
 
@@ -256,15 +259,6 @@ def _projection_rule(d: int) -> tuple[np.ndarray, ...]:
 # semi-discrete operator
 
 
-@lru_cache(maxsize=None)
-def _gauss_rule(d: int) -> tuple[np.ndarray, ...]:
-    """The scheme's Gauss nodes and weights and P_n, P_n' at the nodes (q, d + 1)."""
-    gx, gw = np.polynomial.legendre.leggauss(max(2 * d + 2, d + 4))
-    p = np.polynomial.legendre.legvander(gx, d)
-    pd = np.polynomial.legendre.legval(gx, np.polynomial.legendre.legder(np.eye(d + 1))).T
-    return gx, gw, p, pd
-
-
 @lru_cache(maxsize=32)
 def _nodes(mesh: Mesh, d: int) -> tuple[np.ndarray, np.ndarray]:
     """The Gauss nodes of every element (n, q) and the faces (n + 1), read-only."""
@@ -382,63 +376,17 @@ def _rhs_steps(field: DGField, problem: TestProblem, dt: float, steps: int):
         yield k, u
 
 
-@lru_cache(maxsize=None)
-def _upwind_powers(d: int) -> np.ndarray:
-    """M[k, j], k, j = 0..4: the block on block sub-diagonal j of (h A)^k, in integers.
-
-    h A has the diagonal block (2n + 1)(V[l, n] - 1), V[l, n] = int P_l P_n'
-    = 2 if n > l and n + l is odd, else 0, and the sub-diagonal block
-    (2n + 1)(-1)^n (Hesthaven & Warburton, Nodal DG Methods, 2008, ch. 4).
-    """
-    n, l = np.indices((d + 1, d + 1))
-    m = np.zeros((5, 5, d + 1, d + 1), dtype=np.int64)
-    m[0, 0] = np.eye(d + 1)
-    for k in range(1, 5):
-        m[k] = (2 * n + 1) * (2 * ((n > l) & ((n + l) % 2 == 1)) - 1) @ m[k - 1]
-        m[k, 1:] += (2 * n + 1) * (-1) ** n @ m[k - 1, :-1]
-    return m.astype(object)  # Python integers: the operator's entries outgrow int64
-
-
-@lru_cache(maxsize=None)
-def _inflow_traces(d: int) -> np.ndarray:
-    """M[k, :4] b, k = 0..3, b = (2n + 1)(-1)^n: what the inflow on element 0 adds to
-    elements 0-3 through (h A)^k, as (4, 4, d + 1) integers."""
-    b = (2 * np.arange(d + 1) + 1) * (-1) ** np.arange(d + 1)
-    return _upwind_powers(d)[:4, :4] @ b
-
-
-@lru_cache(maxsize=64)  # equally spaced final times repeat nu from call to call
-def _increment_operator(d: int, nu: Fraction) -> tuple[np.ndarray, np.ndarray]:
-    """The blocks and inflow terms of an RK4 step at nu = dt / h, each entry as floats hi, lo.
-
-    Row j*m + l, column n of the blocks is entry (n, l) of
-    B_j = sum_k nu^k / k! M[k, j], k = 1..4, so a step is u_i += sum_j B_j u_(i-j).
-    A Dirichlet step also adds g(t_k) c1 + g(t_k + dt/2) c2 + g(t_k + dt) c4,
-    6 c1 = (I + a + a^2/2 + a^3/4) b, 6 c2 = (4I + 2a + a^2/2) b, 6 c4 = b,
-    with a = dt A and b = nu (2n + 1)(-1)^n on element 0.
-    """
-    m, p, q = d + 1, nu.numerator, nu.denominator
-    powers, traces = _upwind_powers(d), _inflow_traces(d)
-    blocks = np.zeros((5, m, m), dtype=object)
-    for k in range(1, 5):  # M[k, j] = 0 for j > k
-        blocks[:k + 1] += 24 // factorial(k) * p ** k * q ** (4 - k) * powers[k, :k + 1]
-    inflow = [sum(w * p ** (k + 1) * q ** (3 - k) * traces[k] for k, w in enumerate(ws))
-              for ws in ((4, 4, 2, 1), (16, 8, 2), (4,))]
-    den = 24 * q ** 4  # of every entry above
-    return (RatMatrix(blocks.transpose(0, 2, 1), den).hi_lo().reshape(2, 5 * m, m),
-            RatMatrix(inflow, den).hi_lo().reshape(2, 3, 4 * m))
-
-
-def _increment_steps(field: DGField, problem: TestProblem, dt: float, steps: int):
+def _increment_steps(field: DGField, problem: TestProblem, dt: float, steps: int, operator):
     """RK4 of a unit-speed, source-free problem, one exact increment per step; yields (step, u).
 
-    A step takes each window [u_i, ..., u_(i-4)] into one buffer and multiplies it by hi and
-    lo in one batched matmul (one BLAS call each, as two matmuls would), then adds the two.
-    Every buffer and view a step uses is made once per call.
+    operator is `_increment_operators`' pair for nu = dt / h.  A step takes each window
+    [u_i, ..., u_(i-4)] into one buffer and multiplies it by hi and lo in one batched matmul
+    (one BLAS call each, as two matmuls would), then adds the two.  Every buffer and view a
+    step uses is made once per call.
     """
     _check_kappa(problem, 1.0, 1.0)
     n, m, periodic = field.mesh.n, field.d + 1, problem.bc == "periodic"
-    blocks, inflow = _increment_operator(field.d, Fraction(dt) / Fraction(field.mesh.h))
+    blocks, inflow = operator
     pad = 0 if periodic else 4  # zero rows: the missing upwind neighbours of an inflow
     padded = np.zeros((n + pad, m))
     u = padded[:n]
@@ -461,178 +409,7 @@ def _increment_steps(field: DGField, problem: TestProblem, dt: float, steps: int
             yield start + k, u
 
 
-_ONE = 1 << 128  # the harmonic operator is composed in fixed point 2^-128, as tests/oracles.py
-
-
-def _lift(x) -> np.ndarray:
-    """Floats as integer multiples of 2^-128 (exact down to 2^-75), in an object array."""
-    x = np.asarray(x, dtype=float)
-    return np.array([int(v) for v in np.ldexp(x, 128).ravel()], dtype=object).reshape(x.shape)
-
-
-def _cprod(a, b):
-    """Product of complex fixed-point values or arrays, each a pair (re, im), rounded down."""
-    (ar, ai), (br, bi) = a, b
-    return (ar * br - ai * bi) >> 128, (ar * bi + ai * br) >> 128
-
-
-def _legendre_fixed(x: float, d: int) -> tuple[list[int], list[int]]:
-    """P_l(x) and P_l'(x), l = 0..d, exactly from the float x, then rounded to 2^-128."""
-    x = Fraction(x)
-    p, dp = [Fraction(1), x], [Fraction(0), Fraction(1)]
-    for l in range(1, d):
-        p.append(((2 * l + 1) * x * p[l] - l * p[l - 1]) / (l + 1))
-        dp.append(dp[l - 1] + (2 * l + 1) * p[l])
-    return [round(v * _ONE) for v in p[:d + 1]], [round(v * _ONE) for v in dp[:d + 1]]
-
-
-@lru_cache(maxsize=None)
-def _harmonic_tables(d: int, h: float):
-    """The dt-free parts of tp3's stage on a periodic mesh of element width h, in fixed point.
-
-    At the element phase s = x_e + t, x_e the element's midpoint, and a
-    point delta from it, kappa = 2 + e^{is} e^{i delta} / 2i + conj.
-    Returns (own, inflow, beta, shift), each a pair (re, im) of object
-    arrays, from the scheme's Gauss rule and the cosines and sines of the
-    node offsets h gx / 2, of h / 2 and of h: own (2, m, m) is h times
-    the stage's block on the element itself for kappa's harmonics
-    e^{ijs}, j = 0, 1 (volume term, minus the outflow at delta = h / 2);
-    inflow (2,) is kappa's harmonics at the inflow face, delta = -h / 2;
-    beta (2, m) is the projected source (2l + 1) / 2 sum_q gw_q rho_q
-    P_l(gx_q) of its harmonics e^{-2it_k} e^{is} (at tau = 0) and
-    e^{-2it_k} e^{2is}; shift (11, 1, 1, 1) is e^{-ijh}, j = -5..5, the
-    phase of an element's upwind neighbour.
-    """
-    m = d + 1
-    gx, gw = _gauss_rule(d)[:2]
-    p, dp = (np.array(v, dtype=object) for v in zip(*(_legendre_fixed(x, d) for x in gx.tolist())))
-    w, odd = _lift(gw), np.array([2 * l + 1 for l in range(m)], dtype=object)
-    terms = (dp[:, :, None] * p[:, None, :]) >> 128  # [q, l, n] P_l'(gx_q) P_n(gx_q)
-    c, s = _lift(np.cos(0.5 * h * gx)), _lift(np.sin(0.5 * h * gx))
-    (cf, sf, ch, sh) = _lift([np.cos(0.5 * h), np.sin(0.5 * h), np.cos(h), np.sin(h)])
-    volume = lambda f: odd[:, None] * (np.tensordot(w * f, terms, axes=1) >> 256)
-    own = (np.array([2 * (volume(np.full(len(gx), _ONE, dtype=object)) - odd[:, None] * _ONE),
-                     (volume(s) - odd[:, None] * sf) >> 1]),  # e^{i delta} / 2i
-           np.array([np.zeros((m, m), dtype=object), (odd[:, None] * cf - volume(c)) >> 1]))
-    inflow = (np.array([2 * _ONE, -sf >> 1], dtype=object), np.array([0, -cf >> 1], dtype=object))
-    # rho = Re(e^{-2it_k} e^{is} e^{i(delta - tau)}) + Im(e^{-2it_k} e^{2is} e^{2i delta})
-    c2, s2 = (c * c - s * s) >> 128, (2 * c * s) >> 128
-    project = lambda f: odd * ((p.T @ (w * f)) >> 256) >> 2
-    beta = (np.array([project(c), project(s2)]), np.array([project(s), -project(c2)]))
-    shift = [(_ONE, 0)]
-    for _ in range(5):
-        shift.append(_cprod(shift[-1], (ch, -sh)))
-    shift = [(re, -im) for re, im in shift[:0:-1]] + shift
-    return own, inflow, beta, tuple(np.array(part, dtype=object)[:, None, None, None]
-                                    for part in zip(*shift))
-
-
-def _compose(stage, x, shift, lo: int, hi: int):
-    """Harmonics lo..hi of the stage applied after the operator x.
-
-    stage: (own, inflow, v), for harmonics j2 = -1, 0, 1 of the element
-    phase: the block on the element itself, (re, im) each (3, m, m), and
-    the weight of the upwind neighbour's trace, (re, im) each (3,), which
-    enters row l times v_l.  x: (x_lo, re, im), each (J, K, m, c), for
-    harmonics x_lo .. x_lo + J - 1 and shifts 0 .. K - 1.  Harmonic j1 of
-    the neighbour gains e^{-i j1 h}.
-    """
-    (own, inflow, v), (x_lo, xr, xi) = stage, x
-    size, shifts = xr.shape[:2]
-    out = [np.zeros((hi - lo + 1, shifts + 1) + xr.shape[2:], dtype=object) for _ in range(2)]
-    phases = tuple(part[x_lo + 5:x_lo + 5 + size] for part in shift)
-    traces = xr.sum(axis=2, keepdims=True), xi.sum(axis=2, keepdims=True)
-    for j2 in (-1, 0, 1):
-        j1_lo, j1_hi = max(x_lo, lo - j2), min(x_lo + size - 1, hi - j2)
-        if j1_lo > j1_hi:
-            continue
-        rows = slice(j1_lo - x_lo, j1_hi - x_lo + 1)
-        to = slice(j1_lo + j2 - lo, j1_hi + j2 - lo + 1)
-        (ar, ai), br, bi = (own[0][j2 + 1], own[1][j2 + 1]), xr[rows], xi[rows]
-        if j2:  # three real products (Gauss)
-            t = ar @ (br + bi)
-            on_own = (t - (ar + ai) @ bi) >> 128, (t + (ai - ar) @ br) >> 128
-        else:  # kappa's constant 2: a real block
-            on_own = (ar @ br) >> 128, (ar @ bi) >> 128
-        weight = _cprod((inflow[0][j2 + 1], inflow[1][j2 + 1]), (phases[0][rows], phases[1][rows]))
-        entering = _cprod(weight, (traces[0][rows], traces[1][rows]))
-        for part, a, b in zip(out, on_own, entering):
-            part[to, :shifts] += a
-            part[to, 1:] += v * b
-    return (lo, *out)
-
-
-@lru_cache(maxsize=64)  # equally spaced final times repeat dt from call to call
-def _harmonic_operator(d: int, h: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """tp3's RK4 increment on a periodic mesh of length 2 pi, entries as floats hi + lo.
-
-    Returns (w, g).  w (5m, 18m): a step adds (phi(s_e), phi(s_e))
-    [u_(e-4) ... u_e] [w_hi | w_lo], phi = (1, cos s, sin s, ..., cos 4s,
-    sin 4s), s_e = x_e + t_k.  g (2, 22, m): the source adds (phi5(s_e),
-    phi5(s_e)) (cos 2t_k g[0] + sin 2t_k g[1]), phi5 with harmonics up to
-    5, rows 0-10 of g the hi parts and 11-21 the lo parts.  The stages
-    are composed in the basis e^{ijs}: u's operator for j >= 0 only (the
-    rest are conjugates), the source's for all j, without the factor
-    e^{-2it_k} that every term of it shares.
-    """
-    own, inflow, beta, shift = _harmonic_tables(d, h)
-    m, dt_fixed = d + 1, _lift(dt)[()]
-    nu = (dt_fixed << 128) // _lift(h)[()]
-    v = np.array([[(2 * l + 1) * (-1) ** l] for l in range(m)], dtype=object)
-
-    def harmonics(part, turn):  # nu times a stage part's harmonics -1, 0, 1, the 1 turned
-        (re, im), (re1, im1) = part, _cprod(turn, (part[0][1], part[1][1]))
-        return (nu * np.array([re1, re[0], re1], dtype=object) >> 128,
-                nu * np.array([-im1, im[0], im1], dtype=object) >> 128)
-
-    stages, sources = [], []
-    for tau in (0.0, 0.5 * dt, dt):
-        turn = tuple(_lift([np.cos(tau), np.sin(tau)]))  # e^{i tau}
-        stages.append((harmonics(own, turn), harmonics(inflow, turn), v))
-        first = _cprod((turn[0], -turn[1]), (beta[0][0], beta[1][0]))  # e^{-i tau}
-        sources.append(tuple((dt_fixed * np.array([a, b])[:, None, :, None]) >> 128
-                             for a, b in zip(first, (beta[0][1], beta[1][1]))))
-
-    def after(stage, x, halve):  # stage (I + x / 2^halve), x given for j >= 0
-        _, r, i = x
-        r, i = np.concatenate((r[:0:-1], r)) >> halve, np.concatenate((-i[:0:-1], i)) >> halve
-        r[len(x[1]) - 1, 0] += np.eye(m, dtype=object) * _ONE
-        return _compose(stage, (1 - len(x[1]), r, i), shift, 0, len(x[1]))
-
-    def source_after(stage, x, source, halve):  # stage x / 2^halve + source, shifts summed
-        lo, r, i = _compose(stage, (x[0], x[1] >> halve, x[2] >> halve), shift,
-                            x[0] - 1, x[0] + len(x[1]))
-        r, i = r.sum(axis=1, keepdims=True), i.sum(axis=1, keepdims=True)
-        r[1 - lo:3 - lo] += source[0]
-        i[1 - lo:3 - lo] += source[1]
-        return lo, r, i
-
-    p = [after(stages[0], (0, *np.zeros((2, 1, 1, m, m), dtype=object)), 0)]
-    s = [(1, *sources[0])]
-    for level, halve in ((1, 1), (1, 1), (2, 0)):  # K2 and K3 at t_k + dt/2, K4 at t_k + dt
-        p.append(after(stages[level], p[-1], halve))
-        s.append(source_after(stages[level], s[-1], sources[level], halve))
-    def slots(re, im):  # of Re sum_j C_j e^{ijs} in phi: Re C_0, then 2 Re C_j, -2 Im C_j
-        return np.concatenate((re[:1], np.stack((2 * re[1:], -2 * im[1:]), 1).reshape(
-            (-1,) + re.shape[1:])))
-
-    c = np.zeros((2, 5, 5, m, m), dtype=object)
-    for weight, (_, r, i) in zip((1, 2, 2, 1), p):
-        c[:, :len(r), :r.shape[1]] += weight * np.array([r, i])
-    w = RatMatrix(slots(*c)[:, ::-1] // 6, _ONE).hi_lo()
-    w = w.transpose(2, 4, 0, 1, 3).reshape(5 * m, 18 * m)
-    g = np.zeros((2, 8, m), dtype=object)  # harmonics -2..5 of the part with e^{-2it_k}
-    for weight, (lo, r, i) in zip((1, 2, 2, 1), s):
-        g[:, lo + 2:lo + 2 + len(r)] += weight * np.array([r[:, 0, :, 0], i[:, 0, :, 0]])
-    # e^{-2it} g_j + conj(e^{-2it} g_(-j))
-    #     = cos 2t (g_j + conj g_(-j)) - i sin 2t (g_j - conj g_(-j))
-    (pos_r, pos_i), neg = g[:, 2:], np.zeros((2, 6, m), dtype=object)
-    neg[:, :3] = g[:, 2::-1]
-    g = np.array([slots(pos_r + neg[0], pos_i - neg[1]), slots(pos_i + neg[1], neg[0] - pos_r)])
-    return w, RatMatrix(g // 6, _ONE).hi_lo().transpose(1, 0, 2, 3).reshape(2, 22, m)
-
-
-def _harmonic_steps(field: DGField, problem: TestProblem, dt: float, steps: int):
+def _harmonic_steps(field: DGField, problem: TestProblem, dt: float, steps: int, operator):
     """RK4 of periodic tp3 (mesh length 2 pi), one harmonic increment per step; yields (step, u).
 
     u sits below its last four rows, wrapped round, so that a fixed
@@ -644,10 +421,11 @@ def _harmonic_steps(field: DGField, problem: TestProblem, dt: float, steps: int)
     t_k, in place: every buffer and view is made once per call, and the
     phase tables hold their constant columns from the start, so a step
     only indexes its rows (and, on 1-3 elements, gathers the wrapped ones).
+    operator is `_harmonic_operators`' (w, g) for the mesh's h and dt.
     """
     _check_kappa(problem, 1.0, 3.0)  # 2 + sin(x + t)
     n, m = field.mesh.n, field.d + 1
-    w, g = _harmonic_operator(field.d, field.mesh.h, dt)
+    w, g = operator
     padded = np.empty((n + 4, m))
     u, head = padded[4:], padded[:4]
     u[:] = field.coeffs
@@ -663,7 +441,8 @@ def _harmonic_steps(field: DGField, problem: TestProblem, dt: float, steps: int)
     phases[..., ::11] = 1.0
     powers = phases[..., 1:11].view(complex)  # e^{ijs}, j = 1..5, s = x_e + t_k, in place
     rows = np.empty((block, n, 1, 18))  # (phi, phi) up to sin 4s, for u's part
-    rows[..., ::9] = 1.0
+    halves = rows.reshape(block, n, 2, 9)  # a view: both phi of a row
+    halves[..., 0] = 1.0
     a, b = np.empty((2, block, n))
     for start in range(0, steps, block):
         t = field.time + np.arange(start, min(start + block, steps))[:, None] * dt  # t_k
@@ -675,7 +454,7 @@ def _harmonic_steps(field: DGField, problem: TestProblem, dt: float, steps: int)
         for j in range(1, 5):
             np.multiply(p[..., j - 1], p[..., 0], out=p[..., j])
         phases[:size, :, 12:] = phases[:size, :, 1:11]
-        rows[:size, :, 0, 1:9] = rows[:size, :, 0, 10:] = phases[:size, :, 1:9]
+        halves[:size, :, :, 1:] = phases[:size, :, None, 1:9]
         turn = (ct * ct - st * st)[:, :, None] * g[0] + (2 * st * ct)[:, :, None] * g[1]
         sources = phases[:size] @ turn
         for k in range(size):
@@ -688,42 +467,87 @@ def _harmonic_steps(field: DGField, problem: TestProblem, dt: float, steps: int)
 
 
 def _stepper(problem: TestProblem, mesh: Mesh):
-    """The RK4 stepper for the problem on the mesh, chosen from the problem itself."""
+    """(stepper, key, build) for the problem on the mesh, chosen from the problem itself:
+    key(dt) names a segment's operator and build(d, keys) composes a batch of them, both
+    None on the `dg_rhs` path."""
     if problem.kappa is _unit_speed and problem.rho is _no_source:
-        return _increment_steps
+        return _increment_steps, lambda dt: Fraction(dt) / Fraction(mesh.h), _increment_operators
     # the element phase x_e + t wraps by whole turns only on a mesh of length 2 pi
     if (problem.bc == "periodic" and problem.kappa is _tp3_kappa and problem.rho is _tp3_rho
             and np.isclose(mesh.b - mesh.a, 2 * np.pi, rtol=1e-15, atol=0)):
-        return _harmonic_steps
-    return _rhs_steps
+        return _harmonic_steps, lambda dt: (mesh.h, dt), _harmonic_operators
+    return _rhs_steps, None, None
 
 
-def advance(field: DGField, problem: TestProblem, t_end: float,
-            cfl: float | None = None) -> DGField:
-    """March the field to t_end with classical RK4 (integer step count).
+# operators composed per batched pass: a pass's exact arrays grow by about 140 KB per
+# tp3 operator at d = 2, and peak RSS with them
+_PASS = 4
 
-    Step k starts at t_k = field.time + k*dt; its stages see t_k,
-    t_k + dt/2 (twice) and t_k + dt.  Unit-speed, source-free problems
-    (tp1, tp2) take the exact increment stepper, periodic tp3 on a mesh
-    of length 2 pi the harmonic one, all others `dg_rhs`.
+
+def advance(field, problem: TestProblem, t_end, cfl: float | None = None):
+    """March a field to t_end, or a run's fields through its final times, with classical RK4.
+
+    One field and one t_end give the field at t_end.  A run is a sequence of
+    fields, one per mesh, of one degree, and the sorted final times: each
+    field advances through them in turn and comes back as its stacked
+    series, coeffs (times, n, d + 1) and time the array of final times.
+    Each segment, from the field's time or the previous final time, takes
+    steps = max(1, ceil(span / dt_max)) steps of dt = span / steps; step k
+    starts at t_k = start + k*dt, and its stages see t_k, t_k + dt/2 (twice)
+    and t_k + dt.  Unit-speed, source-free problems (tp1, tp2) take the exact
+    increment stepper, periodic tp3 on a mesh of length 2 pi the harmonic
+    one, all others `dg_rhs`.  Every (mesh, segment) is planned first; then
+    each distinct operator of the run is composed once, in balanced batched
+    passes of at most `_PASS`, and every segment steps with its own.
     """
-    if not (np.isfinite(t_end) and t_end >= field.time - 1e-14):
-        raise UsageError(f"final time must be finite and not before {field.time}, got {t_end}")
-    c = check_cfl(cfl, field.d)
-    span = t_end - field.time
-    out = field.copy()
-    if span <= 0:
-        out.time = t_end
-        return out
-    dt_max = c * field.mesh.h / problem.kappa_max
-    steps = max(1, ceil(span / dt_max))
-    for k, u in _stepper(problem, field.mesh)(out, problem, span / steps, steps):
-        if k % 64 == 0:
-            _check_bounded(u)
-    _check_bounded(u)
-    out.coeffs = u
-    out.time = t_end
-    return out
+    run = not isinstance(field, DGField)
+    fields, times = (list(field), list(t_end)) if run else ([field], [t_end])
+    for f in fields:
+        start = f.time
+        for t in times:
+            if not (np.isfinite(t) and t >= start - 1e-14):
+                raise UsageError(f"final time must be finite and not before {start}, got {t}")
+            start = t
+    if len({f.d for f in fields}) != 1:
+        raise UsageError("the fields of a run must share one degree")
+    d = fields[0].d
+    c = check_cfl(cfl, d)
+    plans, wanted = [], {}  # wanted: {build: {key: None}}, the run's distinct operators
+    for f in fields:
+        stepper, key, build = _stepper(problem, f.mesh)
+        dt_max = c * f.mesh.h / problem.kappa_max
+        segments = []
+        for start, t in zip([f.time] + times, times):
+            span = t - start
+            steps = max(1, ceil(span / dt_max)) if span > 0 else 0
+            dt = span / steps if steps else 0.0
+            segments.append((start, dt, steps))
+            if steps and key:
+                wanted.setdefault(build, {})[key(dt)] = None
+        plans.append((stepper, key, segments))
+    operators = {}
+    for build, keys in wanted.items():
+        keys = list(keys)
+        size = ceil(len(keys) / ceil(len(keys) / _PASS))
+        for i in range(0, len(keys), size):
+            operators.update(zip(keys[i:i + size], build(d, keys[i:i + size])))
+    out = []
+    for f, (stepper, key, segments) in zip(fields, plans):
+        series = np.empty((len(times),) + f.coeffs.shape)
+        previous = f.coeffs
+        for coeffs, (start, dt, steps) in zip(series, segments):
+            coeffs[...] = previous  # the dg_rhs stepper steps it in place
+            if steps:
+                operator = (operators[key(dt)],) if key else ()
+                for k, u in stepper(replace(f, coeffs=coeffs, time=start), problem, dt, steps,
+                                    *operator):
+                    if k % 64 == 0:
+                        _check_bounded(u)
+                _check_bounded(u)
+                coeffs[...] = u
+            previous = coeffs
+        out.append(replace(f, coeffs=series, time=np.array(times)))
+    return out if run else replace(out[0], coeffs=out[0].coeffs[0], time=t_end)
 
 
 def dg_solve(problem: TestProblem, mesh: Mesh, d: int, t_end: float,

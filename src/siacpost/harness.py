@@ -13,9 +13,11 @@ element units, from the window of the output measured on it: a boundary
 region [0, lam] or [N - lam, N] grows by the strip (two elements) on its
 inner side, the interior [mu, N - mu] shrinks by it at both ends.  As
 regions depend on N alone, a mesh too coarse for one fails before any is
-stepped, and all their sample points are laid out then.  Each mesh's field
-then advances through the sorted final times into one stacked Legendre
-field of coeffs (times, n, d + 1), which every filter reads as it is.  The
+stepped, and all their sample points are laid out then.  One `dg.advance`
+call then steps the whole run: every mesh's projected field advances
+through the sorted final times into one stacked Legendre field of coeffs
+(times, n, d + 1), which every filter reads as it is, and each distinct
+step operator of the run is composed once, in batched passes.  The
 boundary outputs of the whole run are measured together: one
 `psiac.filter_boundary` contraction per boundary spec across every mesh,
 and one `psiac.boundary_values` call that evaluates all of them, each
@@ -28,7 +30,7 @@ reduces a single field's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 from fractions import Fraction
 from math import ceil, floor, log
@@ -267,9 +269,10 @@ def _mesh_norms(series: dg.DGField, outputs: list[tuple], boundary: np.ndarray, 
 def time_series_experiment(config: RunConfig) -> tuple[list[Record], list[Record]]:
     """Solve/filter/measure over all (N, T) pairs and compute rate series.
 
-    Every mesh is laid out and stepped first, into one stacked field per mesh, and
-    the run's stacks are measured together (`_run_norms`).  Records come out in CSV
-    order, (problem, d, filter, region, norm, N, T); rates pair consecutive meshes.
+    Every mesh is laid out first, then all are stepped by one `dg.advance` call into one
+    stacked field per mesh, and the run's stacks are measured together (`_run_norms`).
+    Records come out in CSV order, (problem, d, filter, region, norm, N, T); rates pair
+    consecutive meshes.
     """
     problem = dg.get_problem(config.problem)
     times = np.array(config.final_times)
@@ -277,14 +280,8 @@ def time_series_experiment(config: RunConfig) -> tuple[list[Record], list[Record
     meshes = [dg.Mesh(problem.a, problem.b, n) for n in config.mesh_sizes]
     regions = [list(_measured_regions(n, config)) for n in config.mesh_sizes]
     layouts = [_layouts(mesh, [region[3] for region in r]) for mesh, r in zip(meshes, regions)]
-    series = []
-    for mesh in meshes:
-        field = dg.l2_project(problem.u0, mesh, config.d)
-        series.append(replace(field, coeffs=np.empty(times.shape + field.coeffs.shape),
-                              time=times))
-        for coeffs, t_end in zip(series[-1].coeffs, config.final_times):
-            field = dg.advance(field, problem, t_end, config.cfl)
-            coeffs[...] = field.coeffs
+    series = dg.advance([dg.l2_project(problem.u0, mesh, config.d) for mesh in meshes],
+                        problem, config.final_times, config.cfl)
     errors, rates = [], []
     ts, ns = times.tolist(), config.mesh_sizes
     for (name, region), per_mesh in sorted(_run_norms(series, regions, layouts, exact).items()):

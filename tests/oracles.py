@@ -44,7 +44,7 @@ from operator import mul
 
 import numpy as np
 
-from siacpost import dg
+from siacpost import dg, rk4
 from siacpost.exact import (RatMatrix, RatPoly, SingularMatrixError, _over_common_denominator,
                             invert_exact)
 from siacpost.filters import FilterSpec, build_spec, static_coefficients
@@ -665,7 +665,8 @@ def fixed_point_error(coeffs, reference: list[list[int]]) -> float:
 
 
 def increment_operator_reference(d: int, nu: Fraction) -> tuple[np.ndarray, np.ndarray]:
-    """The plain form of dg._increment_operator: every block of every power of h A, by Fraction.
+    """The plain form of rk4._increment_operators for one nu: every block of every power of
+    h A, by Fraction.
 
     M[k, j] is the block on block sub-diagonal j of (h A)^k, k, j = 0..4,
     from `upwind_blocks_reference`.  Row j*m + l, column n of the blocks
@@ -722,12 +723,120 @@ def increment_steps_reference(field, problem, dt: float, steps: int):
             yield start + k, u
 
 
-def harmonic_steps_reference(field, problem, dt: float, steps: int):
-    """The plain form of dg._harmonic_steps: the phase and source rows of each block
-    built by `concatenate`, and the wrapped rows, the flat terms and the increment
-    row taken afresh at each step; yields (step, u)."""
+def _compose_reference(stage, x, shift, lo: int, hi: int):
+    """The single-operator form of rk4._compose: harmonics lo..hi of the stage applied after
+    the operator x.
+
+    stage: (own, inflow, v), for harmonics j2 = -1, 0, 1 of the element
+    phase: the block on the element itself, (re, im) each (3, m, m), and
+    the weight of the upwind neighbour's trace, (re, im) each (3,), which
+    enters row l times v_l.  x: (x_lo, re, im), each (J, K, m, c), for
+    harmonics x_lo .. x_lo + J - 1 and shifts 0 .. K - 1.  Harmonic j1 of
+    the neighbour gains e^{-i j1 h}.
+    """
+    (own, inflow, v), (x_lo, xr, xi) = stage, x
+    size, shifts = xr.shape[:2]
+    out = [np.zeros((hi - lo + 1, shifts + 1) + xr.shape[2:], dtype=object) for _ in range(2)]
+    phases = tuple(part[x_lo + 5:x_lo + 5 + size] for part in shift)
+    traces = xr.sum(axis=2, keepdims=True), xi.sum(axis=2, keepdims=True)
+    for j2 in (-1, 0, 1):
+        j1_lo, j1_hi = max(x_lo, lo - j2), min(x_lo + size - 1, hi - j2)
+        if j1_lo > j1_hi:
+            continue
+        rows = slice(j1_lo - x_lo, j1_hi - x_lo + 1)
+        to = slice(j1_lo + j2 - lo, j1_hi + j2 - lo + 1)
+        (ar, ai), br, bi = (own[0][j2 + 1], own[1][j2 + 1]), xr[rows], xi[rows]
+        if j2:  # three real products (Gauss)
+            t = ar @ (br + bi)
+            on_own = (t - (ar + ai) @ bi) >> 128, (t + (ai - ar) @ br) >> 128
+        else:  # kappa's constant 2: a real block
+            on_own = (ar @ br) >> 128, (ar @ bi) >> 128
+        weight = rk4._cprod((inflow[0][j2 + 1], inflow[1][j2 + 1]),
+                           (phases[0][rows], phases[1][rows]))
+        entering = rk4._cprod(weight, (traces[0][rows], traces[1][rows]))
+        for part, a, b in zip(out, on_own, entering):
+            part[to, :shifts] += a
+            part[to, 1:] += v * b
+    return (lo, *out)
+
+
+def harmonic_operator_reference(d: int, h: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """The single-pair form of rk4._harmonic_operators, composed for one (h, dt) and rounded
+    by `RatMatrix.hi_lo`: tp3's RK4 increment on a periodic mesh of length 2 pi, entries as
+    floats hi + lo.
+
+    Returns (w, g).  w (5m, 18m): a step adds (phi(s_e), phi(s_e))
+    [u_(e-4) ... u_e] [w_hi | w_lo], phi = (1, cos s, sin s, ..., cos 4s,
+    sin 4s), s_e = x_e + t_k.  g (2, 22, m): the source adds (phi5(s_e),
+    phi5(s_e)) (cos 2t_k g[0] + sin 2t_k g[1]), phi5 with harmonics up to
+    5, rows 0-10 of g the hi parts and 11-21 the lo parts.  The stages
+    are composed in the basis e^{ijs}: u's operator for j >= 0 only (the
+    rest are conjugates), the source's for all j, without the factor
+    e^{-2it_k} that every term of it shares.
+    """
+    own, inflow, beta, shift = rk4._harmonic_tables(d, h)
+    m, dt_fixed = d + 1, rk4._lift(dt)[()]
+    nu = (dt_fixed << 128) // rk4._lift(h)[()]
+    v = np.array([[(2 * l + 1) * (-1) ** l] for l in range(m)], dtype=object)
+
+    def harmonics(part, turn):  # nu times a stage part's harmonics -1, 0, 1, the 1 turned
+        (re, im), (re1, im1) = part, rk4._cprod(turn, (part[0][1], part[1][1]))
+        return (nu * np.array([re1, re[0], re1], dtype=object) >> 128,
+                nu * np.array([-im1, im[0], im1], dtype=object) >> 128)
+
+    stages, sources = [], []
+    for tau in (0.0, 0.5 * dt, dt):
+        turn = tuple(rk4._lift([np.cos(tau), np.sin(tau)]))  # e^{i tau}
+        stages.append((harmonics(own, turn), harmonics(inflow, turn), v))
+        first = rk4._cprod((turn[0], -turn[1]), (beta[0][0], beta[1][0]))  # e^{-i tau}
+        sources.append(tuple((dt_fixed * np.array([a, b])[:, None, :, None]) >> 128
+                             for a, b in zip(first, (beta[0][1], beta[1][1]))))
+
+    def after(stage, x, halve):  # stage (I + x / 2^halve), x given for j >= 0
+        _, r, i = x
+        r, i = np.concatenate((r[:0:-1], r)) >> halve, np.concatenate((-i[:0:-1], i)) >> halve
+        r[len(x[1]) - 1, 0] += np.eye(m, dtype=object) * rk4._ONE
+        return _compose_reference(stage, (1 - len(x[1]), r, i), shift, 0, len(x[1]))
+
+    def source_after(stage, x, source, halve):  # stage x / 2^halve + source, shifts summed
+        lo, r, i = _compose_reference(stage, (x[0], x[1] >> halve, x[2] >> halve), shift,
+                                      x[0] - 1, x[0] + len(x[1]))
+        r, i = r.sum(axis=1, keepdims=True), i.sum(axis=1, keepdims=True)
+        r[1 - lo:3 - lo] += source[0]
+        i[1 - lo:3 - lo] += source[1]
+        return lo, r, i
+
+    p = [after(stages[0], (0, *np.zeros((2, 1, 1, m, m), dtype=object)), 0)]
+    s = [(1, *sources[0])]
+    for level, halve in ((1, 1), (1, 1), (2, 0)):  # K2 and K3 at t_k + dt/2, K4 at t_k + dt
+        p.append(after(stages[level], p[-1], halve))
+        s.append(source_after(stages[level], s[-1], sources[level], halve))
+    def slots(re, im):  # of Re sum_j C_j e^{ijs} in phi: Re C_0, then 2 Re C_j, -2 Im C_j
+        return np.concatenate((re[:1], np.stack((2 * re[1:], -2 * im[1:]), 1).reshape(
+            (-1,) + re.shape[1:])))
+
+    c = np.zeros((2, 5, 5, m, m), dtype=object)
+    for weight, (_, r, i) in zip((1, 2, 2, 1), p):
+        c[:, :len(r), :r.shape[1]] += weight * np.array([r, i])
+    w = RatMatrix(slots(*c)[:, ::-1] // 6, rk4._ONE).hi_lo()
+    w = w.transpose(2, 4, 0, 1, 3).reshape(5 * m, 18 * m)
+    g = np.zeros((2, 8, m), dtype=object)  # harmonics -2..5 of the part with e^{-2it_k}
+    for weight, (lo, r, i) in zip((1, 2, 2, 1), s):
+        g[:, lo + 2:lo + 2 + len(r)] += weight * np.array([r[:, 0, :, 0], i[:, 0, :, 0]])
+    # e^{-2it} g_j + conj(e^{-2it} g_(-j))
+    #     = cos 2t (g_j + conj g_(-j)) - i sin 2t (g_j - conj g_(-j))
+    (pos_r, pos_i), neg = g[:, 2:], np.zeros((2, 6, m), dtype=object)
+    neg[:, :3] = g[:, 2::-1]
+    g = np.array([slots(pos_r + neg[0], pos_i - neg[1]), slots(pos_i + neg[1], neg[0] - pos_r)])
+    return w, RatMatrix(g // 6, rk4._ONE).hi_lo().transpose(1, 0, 2, 3).reshape(2, 22, m)
+
+
+def harmonic_steps_reference(field, problem, dt: float, steps: int, operator):
+    """The plain form of dg._harmonic_steps with the operator (w, g) given: the phase and
+    source rows of each block built by `concatenate`, and the wrapped rows, the flat terms
+    and the increment row taken afresh at each step; yields (step, u)."""
     n, m = field.mesh.n, field.d + 1
-    w, g = dg._harmonic_operator(field.d, field.mesh.h, dt)
+    w, g = operator
     padded = np.empty((n + 4, m))
     u = padded[4:]
     u[:] = field.coeffs

@@ -17,6 +17,22 @@ def test_help_exits_zero(cmd, capsys):
     assert "--" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("cmd", SUBCOMMANDS)
+def test_command_parser_prints_the_full_parsers_text(cmd, capsys):
+    """The parser `main` builds for one command, with only that command's arguments, prints
+    the full parser's top-level help, command help and argument errors byte for byte."""
+    from siacpost import cli
+    assert tuple(cli.COMMANDS) == SUBCOMMANDS
+    for argv in (["--help"], [cmd, "--help"], [cmd, "--bogus"], ["bogus"]):
+        texts = []
+        for parser in (cli.make_parser(cmd), cli.make_parser()):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+            texts.append(capsys.readouterr())
+        assert texts[0] == texts[1]
+        assert texts[0].out or texts[0].err
+
+
 def test_unknown_flag_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "tp1", "--d", "1", "--n", "20", "--t", "0", "--bogus"])

@@ -1,14 +1,16 @@
 from dataclasses import replace
 from fractions import Fraction
+from math import ceil
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from siacpost import dg
+from siacpost import dg, rk4
 from siacpost.dg import (DGField, Mesh, TestProblem, UnstableBlowupError, advance,
                          dg_rhs, dg_solve, get_problem, l2_project, to_bernstein)
 from siacpost.errors import UsageError
+from siacpost.exact import RatMatrix
 
 import oracles
 from oracles import legendre_bernstein_exact, legendre_bernstein_reference
@@ -288,9 +290,18 @@ def _oracle_case(problem, d, n, steps):
                            dt_max=dt_max)
 
 
+def _operator(stepper, field, dt):
+    """The operator arguments a stepper takes at dt: the exact steppers' one, built alone."""
+    if stepper is dg._harmonic_steps:
+        return rk4._harmonic_operators(field.d, [(field.mesh.h, dt)])
+    if stepper is dg._increment_steps:
+        return rk4._increment_operators(field.d, [Fraction(dt) / Fraction(field.mesh.h)])
+    return []
+
+
 def _stepped(stepper, field, problem, dt, steps):
     """The coefficients after `steps` RK4 steps of one stepper, from a copy of the field."""
-    for _, u in stepper(field.copy(), problem, dt, steps):
+    for _, u in stepper(field.copy(), problem, dt, steps, *_operator(stepper, field, dt)):
         pass
     return u
 
@@ -371,9 +382,50 @@ def test_harmonic_steps_match_reference_bytes(d, n):
     field.time = 0.3
     dt = 0.97 * dg.default_cfl(d) * field.mesh.h / tp3.kappa_max
     steps = 2 * dg._TABLE_FLOATS // (18 * n) + 7 if n >= 12 else 40
-    got, want = ([(k, u.tobytes()) for k, u in stepper(field.copy(), tp3, dt, steps)]
+    operator, = _operator(dg._harmonic_steps, field, dt)
+    got, want = ([(k, u.tobytes()) for k, u in stepper(field.copy(), tp3, dt, steps, operator)]
                  for stepper in (dg._harmonic_steps, oracles.harmonic_steps_reference))
     assert got == want
+
+
+@pytest.mark.parametrize("d", (0, 1, 2, 3))
+@pytest.mark.parametrize("n", (1, 2, 3, 5, 12, 48))
+def test_harmonic_operators_match_reference_bytes(d, n):
+    """One batched pass gives each pair the bytes of the single-pair composition.
+
+    The batch mixes the mesh's h with a finer one, and repeats a dt next to
+    distinct ones, so an entry taken from a neighbour in the batch would show.
+    """
+    h, fine = 2 * np.pi / n, 2 * np.pi / (2 * n)
+    dt = dg.default_cfl(d) * h / 3.0
+    pairs = [(h, dt), (fine, 0.5 * dt), (h, 0.7 * dt), (h, dt), (fine, 0.31 * dt)]
+    for (h, dt), got in zip(pairs, rk4._harmonic_operators(d, pairs)):
+        want = oracles.harmonic_operator_reference(d, h, dt)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+def test_fixed_hi_lo_matches_rat_matrix():
+    """Fixed point 2^-128 to hi + lo by float(x) gives RatMatrix's correctly rounded pair.
+
+    Cases: random numerators of both signs and many sizes, zero, and
+    numerators whose hi or whose rest sits exactly halfway between two
+    floats, where rounding goes to even.
+    """
+    rng = np.random.default_rng(5)
+    nums = [int(rng.integers(1, 2 ** 62)) << int(rng.integers(0, 140))
+            | int(rng.integers(0, 2 ** 40)) for _ in range(300)]
+    nums = [x if k % 2 else -x for k, x in enumerate(nums)] + [0]
+    for top in (60, 128, 181):
+        for half in ((2 ** 53 + 1) << (top - 53), (2 ** 53 + 3) << (top - 53)):  # hi ties
+            nums += [half, -half, half + 1, half - 1]
+        for rest in ((2 ** 53 + 1) << 3, (2 ** 53 + 3) << 3, 1 << 40):  # the rest ties
+            nums += [(1 << top) + rest, -(1 << top) - rest, (1 << top) - rest]
+    nums = np.array(nums, dtype=object).reshape(-1, 2)
+    got, want = rk4._fixed_hi_lo(nums), RatMatrix(nums, 2 ** 128).hi_lo()
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", ("tp3-dirichlet", "custom", "tp3-length-pi"))
@@ -503,18 +555,48 @@ def test_increment_stepper_accuracy(name, d, monkeypatch):
     assert increment <= 1.5 * per_stage
 
 
-def test_increment_operator_is_built_once_per_nu():
-    """Advancing by the same dt again reuses the operator and gives the same bytes."""
+def test_increment_operator_is_built_once_per_nu(monkeypatch):
+    """A run builds each distinct nu once: 2 meshes and 3 equal spans, 2 nus in one pass.
+
+    The stepped series are the bytes of the per-time loop.
+    """
     problem = get_problem("tp2")
-    field = l2_project(problem.u0, Mesh(problem.a, problem.b, 20), 3)
-    dg._increment_operator.cache_clear()
-    first = advance(advance(field, problem, 0.25), problem, 0.5)
-    info = dg._increment_operator.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    dg._increment_operator.cache_clear()
-    again = advance(field, problem, 0.25)
-    dg._increment_operator.cache_clear()
-    assert advance(again, problem, 0.5).coeffs.tobytes() == first.coeffs.tobytes()
+    fields = [l2_project(problem.u0, Mesh(problem.a, problem.b, n), 3) for n in (20, 28)]
+    build, built = dg._increment_operators, []
+    monkeypatch.setattr(dg, "_increment_operators",
+                        lambda d, nus: built.append(list(nus)) or build(d, nus))
+    times = [0.25, 0.5, 0.75]
+    series = advance(fields, problem, times)
+    nus = [Fraction(0.25 / ceil(0.25 / (dg.default_cfl(3) * f.mesh.h))) / Fraction(f.mesh.h)
+           for f in fields]
+    assert built == [nus]
+    for field, stack in zip(fields, series):
+        for t, coeffs in zip(times, stack.coeffs):
+            field = advance(field, problem, t)
+            assert coeffs.tobytes() == field.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("name", ("tp1", "tp2", "tp3", "tp3-dirichlet"))
+def test_run_matches_per_time_advance_bytes(name):
+    """A run's stacked series are the bytes of advancing each field one final time per call.
+
+    Two meshes, unequal spans and a first final time of 0, which steps
+    nothing; each problem takes its own stepper (Dirichlet tp3: dg_rhs).
+    Fields of two degrees are no run.
+    """
+    problem = _problem(name)
+    fields = [l2_project(problem.u0, Mesh(problem.a, problem.b, n), 2) for n in (6, 12)]
+    times = [0.0, 0.05, 0.13, 0.3]
+    series = advance(fields, problem, times)
+    for field, stack in zip(fields, series):
+        assert stack.time.tolist() == times
+        assert stack.coeffs.shape == (len(times),) + field.coeffs.shape
+        for t, coeffs in zip(times, stack.coeffs):
+            field = advance(field, problem, t)
+            assert field.time == t
+            assert coeffs.tobytes() == field.coeffs.tobytes()
+    with pytest.raises(UsageError, match="one degree"):
+        advance([fields[0], l2_project(problem.u0, fields[1].mesh, 1)], problem, times)
 
 
 _NUS = (Fraction(1, 3), Fraction(7, 10), Fraction(1),
@@ -524,10 +606,9 @@ _NUS = (Fraction(1, 3), Fraction(7, 10), Fraction(1),
 
 @pytest.mark.parametrize("d", range(7))
 def test_increment_operator_matches_reference_bytes(d):
-    """The cached, zero-skipping assembly rounds the same integers to the same hi and lo."""
-    for nu in _NUS:
-        got, want = dg._increment_operator(d, nu), oracles.increment_operator_reference(d, nu)
-        for a, b in zip(got, want):
+    """The batched, zero-skipping assembly rounds the same integers to the same hi and lo."""
+    for nu, got in zip(_NUS, rk4._increment_operators(d, _NUS)):
+        for a, b in zip(got, oracles.increment_operator_reference(d, nu)):
             assert a.shape == b.shape
             assert a.tobytes() == b.tobytes()
 
@@ -546,8 +627,10 @@ def test_increment_steps_match_reference_bytes(name, d, n):
     field = l2_project(problem.u0, Mesh(problem.a, problem.b, n), d)
     field.time = 0.3
     dt = 0.97 * dg.default_cfl(d) * field.mesh.h
-    got, want = ([(k, u.tobytes()) for k, u in stepper(field.copy(), problem, dt, 40)]
-                 for stepper in (dg._increment_steps, oracles.increment_steps_reference))
+    operator = _operator(dg._increment_steps, field, dt)
+    got, want = ([(k, u.tobytes()) for k, u in stepper(field.copy(), problem, dt, 40, *args)]
+                 for stepper, args in ((dg._increment_steps, operator),
+                                       (oracles.increment_steps_reference, ())))
     assert got == want
 
 
@@ -558,8 +641,10 @@ def test_increment_steps_match_reference_bytes_past_a_block_edge(name):
     field = l2_project(problem.u0, Mesh(problem.a, problem.b, 24), 3)
     dt, steps = 0.97 * dg.default_cfl(3) * field.mesh.h, 1100
     assert dg._TABLE_FLOATS // (4 * 4) < steps
-    got, want = ([(k, u.tobytes()) for k, u in stepper(field.copy(), problem, dt, steps)]
-                 for stepper in (dg._increment_steps, oracles.increment_steps_reference))
+    operator = _operator(dg._increment_steps, field, dt)
+    got, want = ([(k, u.tobytes()) for k, u in stepper(field.copy(), problem, dt, steps, *args)]
+                 for stepper, args in ((dg._increment_steps, operator),
+                                       (oracles.increment_steps_reference, ())))
     assert got == want
 
 
