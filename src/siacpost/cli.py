@@ -70,6 +70,10 @@ def cmd_kernel(args) -> int:
         raise UsageError("--samples must be >= 0")
     if not args.exact and not args.samples:
         raise UsageError("pass --exact and/or --samples N")
+    boundary = spec.side in ("left", "right")  # only a boundary filter has an endpoint vector
+    if args.dg_degree is not None and not (args.exact and boundary):
+        raise UsageError("--dg-degree sets the endpoint vector's degree: it needs --exact "
+                         "and a boundary family")
     cp = filters.shifted_coefficient_polynomials(spec)
     xi = _parse(Fraction, args.xi, "--xi")
     if args.samples:
@@ -78,7 +82,6 @@ def cmd_kernel(args) -> int:
                                            *cp.evaluate(xi)))
         except OverflowError:
             raise UsageError(f"bad --xi {args.xi!r}: the shifted kernel overflows a float") from None
-    boundary = spec.side in ("left", "right")  # only a boundary filter has an endpoint vector
     vec = psiac.endpoint_vector(spec, args.dg_degree) if args.exact and boundary else None
     out = _outdir(args)
     tag = f"{spec.family}_d{spec.d}_{spec.side}"
@@ -250,7 +253,8 @@ def _kernel_arguments(p) -> None:
     p.add_argument("--exact", action="store_true", help="write exact coefficient CSVs")
     p.add_argument("--samples", type=int, default=0, help="sample count for the kernel graph")
     p.add_argument("--xi", default="0", help="shift in mesh units (decimal or p/q)")
-    p.add_argument("--dg-degree", type=int, default=None)
+    p.add_argument("--dg-degree", type=int, default=None,
+                   help="DG degree of the endpoint vector (boundary family, --exact)")
     p.add_argument("--out", default=None)
 
 

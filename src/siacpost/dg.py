@@ -58,7 +58,7 @@ import numpy as np
 
 from .errors import UsageError
 from .exact import RatMatrix
-from .rk4 import _gauss_rule, _harmonic_operators, _increment_operators
+from .rk4 import _harmonic_operators, _increment_operators, gauss_rule, scheme_rule
 # Unused here, but perfbench/tracer.py patches dg.invert_exact, so the name must resolve.
 from .exact import invert_exact  # noqa: F401
 
@@ -108,9 +108,6 @@ class DGField:
     coeffs: np.ndarray
     basis: str = "legendre"
     time: float = 0.0
-
-    def copy(self) -> "DGField":
-        return replace(self, coeffs=self.coeffs.copy())
 
     def evaluate(self, x) -> np.ndarray:
         """Field values at physical points (clamped into the domain), shape (..., *x.shape).
@@ -236,23 +233,13 @@ def l2_project(u0: Callable, mesh: Mesh, d: int) -> DGField:
     """
     if d < 0:
         raise UsageError(f"DG degree must be >= 0, got {d}")
-    gx, gw, p = _projection_rule(d)
+    gx, gw, p, _ = gauss_rule(d + 2, d)
     mids = mesh.a + (np.arange(mesh.n) + 0.5) * mesh.h
     x = mids[:, None] + 0.5 * mesh.h * gx[None, :]
     vals = u0(x)
     scale = (2 * np.arange(d + 1) + 1) / 2.0
     coeffs = (vals * gw[None, :]) @ p * scale[None, :]
     return DGField(d=d, mesh=mesh, coeffs=coeffs, basis="legendre", time=0.0)
-
-
-@lru_cache(maxsize=None)
-def _projection_rule(d: int) -> tuple[np.ndarray, ...]:
-    """l2_project's d + 2 Gauss nodes and weights, and P_n at the nodes, read-only."""
-    gx, gw = np.polynomial.legendre.leggauss(d + 2)
-    rule = gx, gw, np.polynomial.legendre.legvander(gx, d)
-    for a in rule:
-        a.flags.writeable = False
-    return rule
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +250,7 @@ def _projection_rule(d: int) -> tuple[np.ndarray, ...]:
 def _nodes(mesh: Mesh, d: int) -> tuple[np.ndarray, np.ndarray]:
     """The Gauss nodes of every element (n, q) and the faces (n + 1), read-only."""
     mids = mesh.a + (np.arange(mesh.n) + 0.5) * mesh.h
-    out = mids[:, None] + 0.5 * mesh.h * _gauss_rule(d)[0][None, :], mesh.breakpoints()
+    out = mids[:, None] + 0.5 * mesh.h * scheme_rule(d)[0][None, :], mesh.breakpoints()
     for a in out:
         a.flags.writeable = False
     return out
@@ -278,7 +265,7 @@ def dg_rhs(field: DGField, t: float, problem: TestProblem) -> np.ndarray:
     boundary value; periodic wraps the last trace around.
     """
     mesh, c = field.mesh, field.coeffs
-    _, gw, p, pd = _gauss_rule(field.d)
+    _, gw, p, pd = scheme_rule(field.d)
     xq, faces = _nodes(mesh, field.d)
     volume = (problem.kappa(xq, t) * (c @ p.T) * gw) @ pd  # dxi/dx and h/2 cancel
     source = (problem.rho(xq, t) * gw) @ p * (0.5 * mesh.h)

@@ -73,16 +73,12 @@ class FilterSpec:
     degrees: tuple[int, ...]
     windows: tuple[tuple[Fraction, ...], ...]
     knots: tuple[Fraction, ...]
-    index_set: tuple[int, ...]
-    r: int
     mu: Fraction
     lam: Fraction
 
     def __post_init__(self):
-        if len(self.windows) != self.r + 1:
-            raise ValueError("coefficient count must equal r + 1")
-        if len(self.index_set) != self.r + 1:
-            raise ValueError("index set size must equal r + 1")
+        if len(self.degrees) != len(self.windows):
+            raise ValueError("need one degree per window")
         for w, k in zip(self.windows, self.degrees):
             if len(w) != k + 2:
                 raise ValueError("window size inconsistent with degree")
@@ -96,7 +92,12 @@ class FilterSpec:
     def _hash(self) -> int:
         # specs key the operator caches; hashing their Fractions once keeps lookups cheap
         return hash((self.family, self.d, self.side, self.degrees, self.windows, self.knots,
-                     self.index_set, self.r, self.mu, self.lam))
+                     self.mu, self.lam))
+
+    @property
+    def r(self) -> int:
+        """Reproduction degree: the kernel reproduces polynomials up to degree r."""
+        return len(self.windows) - 1
 
     @property
     def support_width(self) -> Fraction:
@@ -155,7 +156,6 @@ def build_spec(family: str, d: int, side: str = "interior", k: int | None = None
         windows = _consecutive(knots, k, r + 1)
         degrees = (k,) * (r + 1)
     else:  # rlkv
-        r = 2 * d + 1
         mu = Fraction(3 * d + 1, 2)
         base = tuple(_steps(-mu, 3 * d + 2))
         windows = list(_consecutive(base, d, 2 * d + 1))
@@ -170,7 +170,7 @@ def build_spec(family: str, d: int, side: str = "interior", k: int | None = None
         degrees = (d,) * (2 * d + 1) + (2 * d + 1,)
 
     spec = FilterSpec(family=fam, d=d, side=sd, degrees=degrees, windows=windows,
-                      knots=knots, index_set=tuple(range(r + 1)), r=r, mu=mu, lam=mu)
+                      knots=knots, mu=mu, lam=mu)
     _check_symmetry(spec)
     return spec
 
@@ -189,13 +189,11 @@ def custom_spec(knots, k: int, index_set, side: str = "left",
     is the full knot span.
     """
     ks = as_knots(knots)
-    idx = tuple(index_set)
-    windows = tuple(tuple(ks[j:j + k + 2]) for j in idx)
-    r = len(idx) - 1
+    windows = tuple(tuple(ks[j:j + k + 2]) for j in index_set)
     width = ks[-1] - ks[0]
-    return FilterSpec(family=family, d=max(k, 1), side=side, degrees=(k,) * (r + 1),
-                      windows=windows, knots=ks, index_set=idx, r=r,
-                      mu=width / 2, lam=width if lam is None else rat(lam))
+    return FilterSpec(family=family, d=max(k, 1), side=side, degrees=(k,) * len(windows),
+                      windows=windows, knots=ks, mu=width / 2,
+                      lam=width if lam is None else rat(lam))
 
 
 def reproduction_matrix(spec: FilterSpec) -> RatMatrix:

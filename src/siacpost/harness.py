@@ -31,7 +31,7 @@ reduces a single field's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import cache, partial
 from fractions import Fraction
 from math import ceil, floor, log
 from typing import Iterable
@@ -41,6 +41,7 @@ import numpy as np
 from . import dg, psiac
 from .errors import UsageError
 from .filters import build_spec, family_name
+from .rk4 import gauss_rule
 
 SAMPLES_PER_ELEMENT = 6  # sample points per element, for each norm
 BLEND_RHO = 2  # order of the transition blend
@@ -134,9 +135,6 @@ def _sigma_exact(mesh: dg.Mesh, x: float) -> Fraction:
     return Fraction(s).limit_denominator(10 ** 9)
 
 
-_gauss_rule = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
-
-
 def _layouts(mesh: dg.Mesh, regions) -> list[tuple[np.ndarray, int, np.ndarray]]:
     """(points, grid, rad) per sigma-interval, all laid out in one pass: the interval is
     split at element boundaries (the widths of its partial end pieces are computed
@@ -157,7 +155,7 @@ def _layouts(mesh: dg.Mesh, regions) -> list[tuple[np.ndarray, int, np.ndarray]]
     xs = mesh.a + (start[:, None] + width[:, None] * steps / (SAMPLES_PER_ELEMENT - 1)) * mesh.h
     mid = mesh.a + (2 * start + width) / 2 * mesh.h
     rad = width / 2 * mesh.h
-    nodes = mid[:, None] + rad[:, None] * _gauss_rule(SAMPLES_PER_ELEMENT)[0]
+    nodes = mid[:, None] + rad[:, None] * gauss_rule(SAMPLES_PER_ELEMENT, 0)[0]
     return [(np.concatenate((xs[a:b].ravel(), nodes[a:b].ravel())), (b - a) * SAMPLES_PER_ELEMENT,
              rad[a:b]) for a, b in zip(bounds, bounds[1:])]
 
@@ -167,7 +165,7 @@ def _norms(err: np.ndarray, grid: int, rad: np.ndarray) -> list[tuple[float, flo
     each row's squares reach BLAS as one C-order (pieces, nodes) block, as a single row's."""
     sq = err[..., grid:].reshape(-1, len(rad), SAMPLES_PER_ELEMENT) ** 2
     linf = np.max(np.abs(err[..., :grid]).reshape(len(sq), -1), axis=1)
-    l2 = np.sqrt([np.dot(rad, s) for s in sq @ _gauss_rule(SAMPLES_PER_ELEMENT)[1]])
+    l2 = np.sqrt([np.dot(rad, s) for s in sq @ gauss_rule(SAMPLES_PER_ELEMENT, 0)[1]])
     return list(zip(l2.tolist(), linf.tolist()))
 
 

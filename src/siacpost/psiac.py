@@ -23,10 +23,11 @@ Legendre to the Bernstein coefficients T reads, and the interior operator, built
 on the shifted Legendre basis, are each an `exact.RatMatrix` (integers over one
 denominator) made once per (filter, DG degree).  Both read the solver's
 coefficients and write monomial pieces, sampled by one Horner pass.  Fractions
-leave this layer only as the entries of `QMatrix.q` and the (Bernstein) endpoint
-vector, and floats only when an operator is applied to DG data.  DG data is a
-Legendre field or a stack (another basis is refused); boundary filtering also
-takes a sequence of fields of any meshes.
+leave this layer only as the entries of `QMatrix.q`, of the (Bernstein) endpoint
+vector and of the `RatPoly` that `QMatrix.contract_exact` returns, and floats
+only when an operator is applied to DG data.  DG data is a Legendre field or a
+stack (another basis is refused); boundary filtering also takes a sequence of
+fields of any meshes.
 """
 
 from __future__ import annotations
@@ -176,8 +177,6 @@ class QMatrix:
     least common denominator of its entries.
     """
 
-    spec: FilterSpec
-    dg_degree: int
     n_elements: int
     q: RatMatrix
 
@@ -215,7 +214,7 @@ def q_matrix(spec: FilterSpec, dg_degree: int | None = None) -> QMatrix:
     q = _t_integers(spec, degree) @ shifted_coefficient_polynomials(spec).exact
     blocks = l2b.nums.T @ q.nums.reshape(-1, degree + 1, q.cols)  # one per window element
     q = RatMatrix(blocks.reshape(q.nums.shape), l2b.den * q.den).reduced()
-    return QMatrix(spec=spec, dg_degree=degree, n_elements=_local_window_elements(spec), q=q)
+    return QMatrix(n_elements=_local_window_elements(spec), q=q)
 
 
 def endpoint_vector(spec: FilterSpec, dg_degree: int | None = None) -> list[Fraction]:
@@ -385,7 +384,6 @@ class InteriorOperator:
     """
 
     d: int
-    dg_degree: int
     degree: int  # of the output polynomials, d + dg_degree + 1
     pieces: int
     offsets: tuple[int, ...]
@@ -427,8 +425,8 @@ def interior_operator(d: int, dg_degree: int) -> InteriorOperator:
         offsets.append(floor(spec.mu + Fraction(q, pieces)) - 3 * d - 1)
         numerators.append(tuple(rows))
     den = factorial(d) * factorial(n) * pieces ** n * dc
-    return InteriorOperator(d=d, dg_degree=dg_degree, degree=n, pieces=pieces,
-                            offsets=tuple(offsets), exact=RatMatrix(numerators, den))
+    return InteriorOperator(d=d, degree=n, pieces=pieces, offsets=tuple(offsets),
+                            exact=RatMatrix(numerators, den))
 
 
 @dataclass

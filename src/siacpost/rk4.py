@@ -2,8 +2,8 @@
 
 `dg.advance` composes every distinct operator of a run here, in batched passes: every
 exact array has a leading batch axis, so a pass of B operators makes the numpy calls of
-one.  The scheme's Gauss rule lives here too, as both the operators and `dg.dg_rhs`
-are built on it.
+one.  The package's one Gauss-Legendre rule, `gauss_rule`, lives here too, as both
+the operators and `dg.dg_rhs` are built on the scheme's rule (`scheme_rule`).
 
 - `_increment_operators(d, nus)`, for tp1 and tp2: R - I = sum_k (dt A)^k / k!,
   k = 1..4, A the upwind operator.  h A has integer Legendre blocks, so R - I has
@@ -28,12 +28,21 @@ from .exact import RatMatrix
 
 
 @lru_cache(maxsize=None)
-def _gauss_rule(d: int) -> tuple[np.ndarray, ...]:
-    """The scheme's Gauss nodes and weights and P_n, P_n' at the nodes (q, d + 1)."""
-    gx, gw = np.polynomial.legendre.leggauss(max(2 * d + 2, d + 4))
+def gauss_rule(points: int, d: int) -> tuple[np.ndarray, ...]:
+    """Gauss-Legendre nodes and weights on [-1, 1], and P_n, P_n' at the nodes (points, d + 1),
+    n = 0..d; read-only, as every caller shares them."""
+    gx, gw = np.polynomial.legendre.leggauss(points)
     p = np.polynomial.legendre.legvander(gx, d)
     pd = np.polynomial.legendre.legval(gx, np.polynomial.legendre.legder(np.eye(d + 1))).T
-    return gx, gw, p, pd
+    rule = gx, gw, p, pd
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+def scheme_rule(d: int) -> tuple[np.ndarray, ...]:
+    """The DG scheme's `gauss_rule` at degree d: max(2d + 2, d + 4) points."""
+    return gauss_rule(max(2 * d + 2, d + 4), d)
 
 
 @lru_cache(maxsize=None)
@@ -130,7 +139,7 @@ def _harmonic_tables(d: int, h: float):
     phase of an element's upwind neighbour.
     """
     m = d + 1
-    gx, gw = _gauss_rule(d)[:2]
+    gx, gw = scheme_rule(d)[:2]
     p, dp = (np.array(v, dtype=object) for v in zip(*(_legendre_fixed(x, d) for x in gx.tolist())))
     w, odd = _lift(gw), np.array([2 * l + 1 for l in range(m)], dtype=object)
     terms = (dp[:, :, None] * p[:, None, :]) >> 128  # [q, l, n] P_l'(gx_q) P_n(gx_q)

@@ -467,24 +467,6 @@ def bernstein_interior_operator(d: int, dg_degree: int) -> tuple[tuple[int, ...]
     return tuple(offsets), RatMatrix(numerators, den)
 
 
-def bernstein_coeffs_of_poly(poly: RatPoly, mesh_a: Fraction, h: Fraction,
-                             n: int, d: int) -> list[list[Fraction]]:
-    """Exact degree-d Bernstein coefficients of a global polynomial on n elements.
-
-    Element i is [mesh_a + i h, mesh_a + (i+1) h]; the polynomial degree
-    must not exceed d.
-    """
-    if poly.degree > d:
-        raise ValueError("polynomial degree exceeds the element degree")
-    rows = []
-    for i in range(n):
-        mono = list(compose_affine(poly, h, mesh_a + i * h).coeffs)  # p(a + (i+u)h)
-        mono += [Fraction(0)] * (d + 1 - len(mono))
-        rows.append([sum((mono[p] * Fraction(comb(l, p), comb(d, p)) for p in range(l + 1)),
-                         Fraction(0)) for l in range(d + 1)])
-    return rows
-
-
 def legendre_coeffs_of_poly(poly: RatPoly, mesh_a: Fraction, h: Fraction,
                             n: int, d: int) -> list[list[Fraction]]:
     """Exact degree-d Legendre coefficients of a global polynomial on n elements.

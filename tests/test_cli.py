@@ -286,6 +286,9 @@ class Config(str):
     ["filter", "tp1", "--d", "2", "--n", "20", "--t", "0.1", "--family", "symmetric",
      "--side", "interior"],
     ["kernel", "np0", "2", "left", "--exact", "--xi", "foo"],
+    # --dg-degree sets only a boundary filter's endpoint vector, which --exact writes
+    ["kernel", "symmetric", "2", "--exact", "--dg-degree", "3"],
+    ["kernel", "srv", "2", "left", "--samples", "5", "--dg-degree", "3"],
 ])
 def test_bad_option_is_usage_error(argv, tmp_path, capsys):
     out = tmp_path / "out"

@@ -35,10 +35,12 @@ def test_project_constant_and_linear():
 
 @pytest.mark.parametrize("d", (0, 1, 3, 5))
 def test_projection_rule_is_cached_and_read_only(d):
-    """l2_project reads its Gauss rule and Legendre Vandermonde from one read-only entry
-    per degree, and projects byte for byte as with a freshly solved rule."""
-    rule = dg._projection_rule(d)
-    assert dg._projection_rule(d) is rule and not any(a.flags.writeable for a in rule)
+    """l2_project reads its Gauss rule and Legendre Vandermonde from the one read-only
+    `rk4.gauss_rule` entry of d + 2 points, and projects byte for byte as with a freshly
+    solved rule; the scheme's rule is an entry of the same cache."""
+    rule = rk4.gauss_rule(d + 2, d)
+    assert rk4.gauss_rule(d + 2, d) is rule and not any(a.flags.writeable for a in rule)
+    assert rk4.scheme_rule(d) is rk4.gauss_rule(max(2 * d + 2, d + 4), d)
     mesh, u0 = Mesh(-1.0, 2.0, 7), lambda x: np.exp(np.sin(3 * x))
     gx, gw = np.polynomial.legendre.leggauss(d + 2)
     x = mesh.a + (np.arange(mesh.n) + 0.5)[:, None] * mesh.h + 0.5 * mesh.h * gx
@@ -243,7 +245,7 @@ def _rhs_per_stage(field, t, problem, ws):
 
 def _advance_per_stage(field, problem, t_end):
     span = t_end - field.time
-    out = field.copy()
+    out = replace(field, coeffs=field.coeffs.copy())
     if span <= 0:
         out.time = t_end
         return out
@@ -301,7 +303,8 @@ def _operator(stepper, field, dt):
 
 def _stepped(stepper, field, problem, dt, steps):
     """The coefficients after `steps` RK4 steps of one stepper, from a copy of the field."""
-    for _, u in stepper(field.copy(), problem, dt, steps, *_operator(stepper, field, dt)):
+    operator = _operator(stepper, field, dt)
+    for _, u in stepper(replace(field, coeffs=field.coeffs.copy()), problem, dt, steps, *operator):
         pass
     return u
 
@@ -383,7 +386,8 @@ def test_harmonic_steps_match_reference_bytes(d, n):
     dt = 0.97 * dg.default_cfl(d) * field.mesh.h / tp3.kappa_max
     steps = 2 * dg._TABLE_FLOATS // (18 * n) + 7 if n >= 12 else 40
     operator, = _operator(dg._harmonic_steps, field, dt)
-    got, want = ([(k, u.tobytes()) for k, u in stepper(field.copy(), tp3, dt, steps, operator)]
+    got, want = ([(k, u.tobytes()) for k, u in
+                  stepper(replace(field, coeffs=field.coeffs.copy()), tp3, dt, steps, operator)]
                  for stepper in (dg._harmonic_steps, oracles.harmonic_steps_reference))
     assert got == want
 
@@ -628,7 +632,8 @@ def test_increment_steps_match_reference_bytes(name, d, n):
     field.time = 0.3
     dt = 0.97 * dg.default_cfl(d) * field.mesh.h
     operator = _operator(dg._increment_steps, field, dt)
-    got, want = ([(k, u.tobytes()) for k, u in stepper(field.copy(), problem, dt, 40, *args)]
+    got, want = ([(k, u.tobytes()) for k, u in
+                  stepper(replace(field, coeffs=field.coeffs.copy()), problem, dt, 40, *args)]
                  for stepper, args in ((dg._increment_steps, operator),
                                        (oracles.increment_steps_reference, ())))
     assert got == want
@@ -642,7 +647,8 @@ def test_increment_steps_match_reference_bytes_past_a_block_edge(name):
     dt, steps = 0.97 * dg.default_cfl(3) * field.mesh.h, 1100
     assert dg._TABLE_FLOATS // (4 * 4) < steps
     operator = _operator(dg._increment_steps, field, dt)
-    got, want = ([(k, u.tobytes()) for k, u in stepper(field.copy(), problem, dt, steps, *args)]
+    got, want = ([(k, u.tobytes()) for k, u in
+                  stepper(replace(field, coeffs=field.coeffs.copy()), problem, dt, steps, *args)]
                  for stepper, args in ((dg._increment_steps, operator),
                                        (oracles.increment_steps_reference, ())))
     assert got == want

@@ -60,7 +60,6 @@ def test_build_symmetric_d1():
     s = build_spec("symmetric", 1)
     assert s.r == 2 and s.mu == 2
     assert s.knots == tuple(F(t) for t in (-2, -1, 0, 1, 2))
-    assert s.index_set == (0, 1, 2)
 
 
 def test_build_np0_d3_left():
@@ -109,7 +108,7 @@ def test_build_spec_validation():
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.family}-d{s.d}-{s.side}")
 def test_spec_invariants(spec):
-    assert len(spec.windows) == spec.r + 1 == len(spec.index_set)
+    assert len(spec.windows) == spec.r + 1
     for w in spec.windows:
         assert w[-1] > w[0]
     if spec.family in ("symmetric", "rs", "srv", "np0"):
@@ -220,13 +219,20 @@ def test_symmetric_coefficients_palindromic():
         assert c == tuple(reversed(c))
 
 
+def test_spec_needs_one_degree_per_window():
+    """r is len(windows) - 1, so a degree list of another length is refused, not zipped short."""
+    with pytest.raises(ValueError, match="one degree per window"):
+        filters.FilterSpec(family="custom", d=1, side="left", degrees=(0,),
+                           windows=((F(0), F(1)), (F(1), F(2))),
+                           knots=(F(0), F(1), F(2)), mu=F(1), lam=F(2))
+
+
 def test_singular_reproduction_detected():
     # two k=0 windows with the same mean make the 2x2 moment matrix singular
     bad = filters.FilterSpec(
         family="custom", d=1, side="left", degrees=(0, 0),
         windows=((F(0), F(2)), (F(1, 2), F(3, 2))),
-        knots=(F(0), F(1, 2), F(3, 2), F(2)), index_set=(0, 1), r=1,
-        mu=F(1), lam=F(2))
+        knots=(F(0), F(1, 2), F(3, 2), F(2)), mu=F(1), lam=F(2))
     with pytest.raises(SingularReproductionError):
         reproduction_matrix(bad)
     # the builders eliminate M themselves and must map the singular case too
