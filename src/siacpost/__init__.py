@@ -12,8 +12,7 @@ from .filters import (FilterSpec, build_spec, custom_spec, reproduction_matrix,
                       shifted_coefficient_polynomials, static_coefficients)
 from .spline import bspline_moment, unit_bspline_piecewise
 from .dg import DGField, Mesh, dg_solve, get_problem, l2_project, to_bernstein
-from .psiac import (BoundaryPolynomial, blend_transition, filter_boundary,
-                    filter_boundary_derivative, q_matrix, reference_convolve,
+from .psiac import (MonomialPieces, filter_boundary, q_matrix, reference_convolve, sample,
                     symmetric_filter_eval)
 from .harness import (Record, RunConfig, convergence_rate, region_norms,
                       time_series_experiment, write_csv)

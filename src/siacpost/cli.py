@@ -131,9 +131,9 @@ def cmd_filter(args) -> int:
     out = _outdir(args)
     tag = f"{problem.name}_{spec.family}_d{args.d}_n{args.n}_{spec.side}"
     ppath = out / f"filter_{tag}_poly.csv"
-    exact_cs = list(exact.coeffs) + [Fraction(0)] * (len(poly.coeffs) - len(exact.coeffs))
-    _write(ppath, "power,coefficient_scaled,coefficient_physical,coefficient_exact",
-           zip(range(len(exact_cs)), poly.coeffs, poly.physical_coefficients(), exact_cs))
+    exact_cs = list(exact.coeffs) + [Fraction(0)] * (poly.coeffs.shape[-1] - len(exact.coeffs))
+    _write(ppath, "power,coefficient_scaled,coefficient_physical,coefficient_exact",  # one piece
+           zip(range(len(exact_cs)), poly.coeffs[0], poly.physical_coefficients()[0], exact_cs))
     lo, hi = poly.region
     xs = np.linspace(lo, hi, args.samples * max(1, round((hi - lo) / mesh.h)) + 1)
     samples = zip(xs, poly(xs), problem.exact(xs, args.t))

@@ -20,7 +20,7 @@ through the sorted final times into one stacked Legendre field of coeffs
 step operator of the run is composed once, in batched passes.  The
 boundary outputs of the whole run are measured together: one
 `psiac.filter_boundary` contraction per boundary spec across every mesh,
-and one `psiac.boundary_values` call that evaluates all of them, each
+and one `psiac.sample` call that evaluates all of them, each
 joined to its own mesh's interior output across its strip by a blend of
 order BLEND_RHO = 2.  The rest goes mesh by mesh: `DGField.evaluate` and
 `psiac.filter_interior` once each, one exact call on all the mesh's points,
@@ -226,7 +226,7 @@ def _measured_regions(n: int, config: RunConfig):
 def _run_norms(series: list[dg.DGField], regions: list[list], layouts: list[list], exact):
     """{(filter, region name): [(L2, Linf) per time] per mesh} of a run's time series, the
     stacked fields of coeffs (times, n, d + 1) of its meshes, sampled at their layouts:
-    one `filter_boundary` call per boundary spec and one `boundary_values` call for every
+    one `filter_boundary` call per boundary spec and one `sample` call for every
     boundary output of the run, then the rest mesh by mesh (`_mesh_norms`)."""
     interiors = [cache(partial(psiac.filter_interior, s)) for s in series]  # built if used
     outputs = [sorted(zip(r, lay), key=lambda out: out[0][2] is None)  # boundary first
@@ -242,8 +242,7 @@ def _run_norms(series: list[dg.DGField], regions: list[list], layouts: list[list
             for (*_, overlap), (x, _, _) in outs[:len(specs)]))
         blend = ([interiors[i]() for i in owner], overlaps, BLEND_RHO) if overlaps[0] else None
         sizes = [sum(len(x) for x, j in zip(points, owner) if j == i) for i in range(len(series))]
-        boundary = np.split(psiac.boundary_values(polys, points, blend), np.cumsum(sizes[:-1]),
-                            axis=-1)
+        boundary = np.split(psiac.sample(polys, points, blend), np.cumsum(sizes[:-1]), axis=-1)
     norms: dict[tuple[str, str], list] = {}
     for s, outs, values, interior in zip(series, outputs, boundary, interiors):
         for name, region, pairs in _mesh_norms(s, outs, values, interior, exact):

@@ -22,7 +22,8 @@ Q = T . M^-1 . diag((-1)^m), composed with Farouki's integer map from element
 Legendre to the Bernstein coefficients T reads, and the interior operator, built
 on the shifted Legendre basis, are each an `exact.RatMatrix` (integers over one
 denominator) made once per (filter, DG degree).  Both read the solver's
-coefficients and write monomial pieces, sampled by one Horner pass.  Fractions
+coefficients and write one output type, `MonomialPieces` (the boundary output is its
+one-piece case, in xihat), which one sampler, `sample`, evaluates with the blend.  Fractions
 leave this layer only as the entries of `QMatrix.q`, of the (Bernstein) endpoint
 vector and of the `RatPoly` that `QMatrix.contract_exact` returns, and floats
 only when an operator is applied to DG data.  DG data is a Legendre field or a
@@ -32,7 +33,7 @@ fields of any meshes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, factorial, floor, lcm
@@ -59,7 +60,7 @@ class MeshTooCoarseError(WindowOutOfDomainError, UsageError):
 
 
 class OutsideInteriorRegionError(ValueError):
-    """Symmetric filtering requested outside [a + mu h, b - mu h]."""
+    """An output sampled outside its checked range: the interior [a + mu h, b - mu h]."""
 
 
 class EmptyOverlapError(ValueError):
@@ -169,13 +170,10 @@ def _t_integers(spec: FilterSpec, dg_degree: int) -> RatMatrix:
 
 @dataclass(frozen=True)
 class QMatrix:
-    """Exact filtered-output operator for one spec and DG degree.
-
-    Rows are element-major DG Legendre indices over the kernel window
-    (n_elements * (dg_degree+1)); column m gives the coefficient of
-    xihat^m of the output polynomial.  q is Q_L, held exactly, over the
-    least common denominator of its entries.
-    """
+    """Exact filtered-output operator for one spec and DG degree: q is Q_L, exact over the
+    least common denominator of its entries.  Rows are element-major DG Legendre indices
+    over the kernel window (n_elements * (dg_degree+1)); column m gives the coefficient of
+    xihat^m of the output polynomial, the one piece of `filter_boundary`'s output."""
 
     n_elements: int
     q: RatMatrix
@@ -190,15 +188,11 @@ class QMatrix:
         return RatPoly((window @ self.q).entries)
 
     def contract(self, coeff_rows: np.ndarray) -> np.ndarray:
-        """Float coefficient vectors of the output polynomials of a stack of windows.
-
-        coeff_rows: (..., n_elements, dg_degree+1) Legendre coefficients, any
-        leading axes a stack of fields; the result is (..., Q.cols).  The
-        contraction is exact (`RatMatrix.apply`: one float matmul of 20-bit
-        slices, every partial sum below 2^53), so each row is bit for bit the
-        float of each coefficient of ``contract_exact``, zero-padded to the
-        column count.  Large-coefficient kernels stay stable; only the final
-        coefficients are rounded.
+        """Float coefficients (..., Q.cols) of the output polynomials of windows (...,
+        n_elements, dg_degree+1), any leading axes a stack of fields.  The contraction is
+        exact (`RatMatrix.apply`: one float matmul of 20-bit slices, every partial sum below
+        2^53), so each row is bit for bit the float of ``contract_exact``'s coefficients,
+        zero-padded: large-coefficient kernels stay stable, as only the results are rounded.
         """
         window = np.asarray(coeff_rows, dtype=float)
         return self.q.apply(window.reshape(window.shape[:-2] + (-1,)))
@@ -236,39 +230,105 @@ def endpoint_vector(spec: FilterSpec, dg_degree: int | None = None) -> list[Frac
 
 
 # ---------------------------------------------------------------------------
-# boundary filtering of DG fields
+# filter outputs: one type, one sampler, one blend
 
 
 @dataclass
-class BoundaryPolynomial:
-    """Filtered DG output over a boundary region: a single polynomial.
-
-    Coefficients are ascending in the scaled variable (x - anchor)/h;
-    anchor is the physical position where the variable vanishes.
+class MonomialPieces:
+    """Filtered output on equal pieces [start + g*width, start + (g+1)*width]: coeffs (...,
+    pieces, m) are piece g's ascending monomial coefficients in t = (x - start)/width - g,
+    leading axes a stack of fields.  It is measured on region and sampled only in
+    `checked` (to 1e-9 of a width): the interior on its pieces, a boundary output anywhere.
     """
 
     coeffs: np.ndarray
-    h: float
-    anchor: float
+    start: float
+    width: float
     region: tuple[float, float]
+    checked: tuple[float, float]
 
-    def __call__(self, x):
-        """Values at x; coefficients (fields, m) give one row of values per field."""
-        return _one_output(self, x)
+    def __call__(self, x, blend=None):
+        """`sample` of this output at x of any shape: (..., *x.shape), or a float at a float;
+        blend = ([interior_eval], [overlap], rho) joins it to the interior across overlap."""
+        x = np.asarray(x, dtype=float)
+        out = sample([self], [x.ravel()], blend).reshape(self.coeffs.shape[:-2] + x.shape)
+        return out if out.ndim else float(out)
 
-    def derivative(self, order: int = 1) -> "BoundaryPolynomial":
-        """The derivative in x of each field's polynomial (along the last axis)."""
+    def derivative(self, order: int = 1) -> "MonomialPieces":
+        """The order-th derivative in x of every piece (along the last axis)."""
+        if order < 0:
+            raise ValueError("derivative order must be >= 0")
         cs = np.asarray(self.coeffs, dtype=float)
-        for _ in range(order):
-            cs = cs[..., 1:] * np.arange(1, cs.shape[-1]) / self.h
-            if cs.shape[-1] == 0:
-                cs = np.zeros(cs.shape[:-1] + (1,))
-        return BoundaryPolynomial(coeffs=cs, h=self.h, anchor=self.anchor, region=self.region)
+        for _ in range(order):  # past the degree no coefficient is left, and sample gives 0
+            cs = cs[..., 1:] * np.arange(1, cs.shape[-1]) / self.width
+        return replace(self, coeffs=cs)
 
     def physical_coefficients(self) -> np.ndarray:
-        """Coefficients a_k of sum a_k (x - anchor)^k, along the last axis."""
+        """Coefficients a_k of each piece's sum a_k (x - start - g*width)^k, along the last axis."""
         cs = np.asarray(self.coeffs, dtype=float)
-        return cs / np.array([self.h ** k for k in range(cs.shape[-1])])
+        return cs / np.array([self.width ** k for k in range(cs.shape[-1])])
+
+
+def blend_weight(z, rho: int):
+    """Transition weight: Bernstein coefficients 0 (i <= rho), 1 above.
+
+    Degree 2*rho+1 makes the blend Hermite-interpolate *both* sides up to
+    order rho (value and first rho derivatives at z = 0 and z = 1).
+    """
+    acc = dg.bernstein_values(2 * rho + 1, z)[rho + 1:].sum(axis=0)
+    return acc if acc.shape else float(acc)
+
+
+def sample(outputs, points, blend=None) -> np.ndarray:
+    """Values (..., total points) of outputs of one stack shape (..., pieces, m), pieces and m
+    free, each at its own 1-D array of points, each in its `checked` range.
+
+    A point reads piece g = floor(s), clipped to its output's pieces, at t = s - g, s = (x -
+    start)/width: one Horner pass from a zero start over every output's pieces, zero-padded
+    at the top (+0 t + 0 = +0 keeps every value's bytes).  blend = (interior_evals, overlaps,
+    rho) makes each output (1 - beta) p + beta i across its overlap, beta = blend_weight(z,
+    rho) at z the clipped place in it: p (value and rho derivatives) at overlap[0], the end
+    toward the boundary, and i at overlap[1].  Each distinct interior_eval (say, each
+    mesh's own) is called once, on the positive-weight points of its outputs' strips.
+    """
+    x, counts = np.concatenate(points), [len(p) for p in points]
+    start, width, lo, hi = np.repeat([(o.start, o.width, *o.checked) for o in outputs], counts,
+                                     axis=0).T
+    inside = (x >= lo - 1e-9 * width) & (x <= hi + 1e-9 * width)
+    if not inside.all():
+        k = np.searchsorted(np.cumsum(counts), np.argmin(inside), side="right")
+        raise OutsideInteriorRegionError(f"x outside the filtered region {outputs[k].region}")
+    sizes = [o.coeffs.shape[-2] for o in outputs]
+    first = np.cumsum([0] + sizes[:-1])
+    s = (x - start) / width
+    g = np.clip(np.floor(s).astype(int), 0, np.repeat(np.array(sizes) - 1, counts))
+    piece, t = np.repeat(first, counts) + g, s - g
+    coeffs = [np.moveaxis(np.asarray(o.coeffs, dtype=float), -1, 0) for o in outputs]
+    table = np.zeros((max(map(len, coeffs)),) + coeffs[0].shape[1:-1] + (sum(sizes),))
+    for c, a in zip(coeffs, first):
+        table[:len(c), ..., a:a + c.shape[-1]] = c
+    out = np.zeros(table.shape[1:-1] + t.shape)
+    for c in table[::-1]:
+        out *= t
+        out += np.take(c, piece, axis=-1)
+    if blend:
+        interior_evals, overlaps, rho = blend
+        if any(a1 == a2 for a1, a2 in overlaps):
+            raise EmptyOverlapError("overlap interval is empty")
+        if rho < 1:
+            raise ValueError("smoothness order rho must be >= 1")
+        a1, a2 = np.repeat(np.array(overlaps, dtype=float).T, counts, axis=-1)
+        beta = blend_weight(np.clip((x - a1) / (a2 - a1), 0.0, 1.0), rho)
+        for f in {id(f): f for f in interior_evals}.values():
+            mix = (beta > 0.0) & np.repeat([e is f for e in interior_evals], counts)
+            if mix.any():
+                b = beta[mix]
+                out[..., mix] = (1 - b) * out[..., mix] + b * f(x[mix])
+    return out
+
+
+# ---------------------------------------------------------------------------
+# boundary filtering of DG fields
 
 
 def window_placement(spec: FilterSpec, n_elements: int):
@@ -287,11 +347,8 @@ def window_placement(spec: FilterSpec, n_elements: int):
 
 
 def boundary_window(field, spec: FilterSpec) -> tuple[QMatrix, np.ndarray]:
-    """Q of the spec at the field's degree, and the Legendre coefficient rows it reads.
-
-    The rows are those of the first or last Q.n_elements elements, by the spec's side;
-    a field whose coeffs stack fields on leading axes gives a stack of windows.
-    """
+    """Q of the spec at the field's degree, and the Legendre coefficient rows it reads: those
+    of the first or last Q.n_elements elements, by side; a stack of fields gives a stack."""
     if field.basis != "legendre":  # every operator here reads the solver's coefficients
         raise ValueError(f"filters read Legendre coefficients, not a {field.basis} field")
     first, _, _ = window_placement(spec, field.mesh.n)
@@ -300,34 +357,24 @@ def boundary_window(field, spec: FilterSpec) -> tuple[QMatrix, np.ndarray]:
 
 
 def filter_boundary(field, spec: FilterSpec):
-    """Filter a DG field near the spec's domain end into a BoundaryPolynomial.
+    """Filter a DG field near the spec's domain end: one piece in t = (x - a)/h - lam_g.
 
-    A field whose coeffs stack fields on leading axes, (..., n, d+1), is
-    contracted in one `QMatrix.contract` call into coefficients (..., m), one
-    polynomial per field.  A sequence of fields of one degree and stack shape, on
-    any meshes, gives a list of their BoundaryPolynomials, all of their windows
-    contracted in that one call: a row's exact product does not depend on the rest.
+    A stack of fields, coeffs (..., n, d+1), gives coefficients (..., 1, m); a sequence
+    of fields of one degree and stack shape, on any meshes, a list of their outputs.  All
+    windows are contracted in one `QMatrix.contract` call: a row's exact product does not
+    depend on the rest.
     """
     fields = [field] if isinstance(field, dg.DGField) else field
     windows = [boundary_window(f, spec) for f in fields]
     coeffs = windows[0][0].contract(np.stack([window for _, window in windows]))
-    polys = []
+    outputs = []
     for f, c in zip(fields, coeffs):
         _, lam_g, region = window_placement(spec, f.mesh.n)
         a, h = f.mesh.a, f.mesh.h
-        polys.append(BoundaryPolynomial(coeffs=c, h=h, anchor=a + float(lam_g) * h,
-                                        region=tuple(a + float(s) * h for s in region)))
-    return polys if fields is field else polys[0]
-
-
-def filter_boundary_derivative(field, spec: FilterSpec, order: int = 1) -> BoundaryPolynomial:
-    """Derivative of the filtered polynomial, via the explicit coefficients."""
-    if order < 0:
-        raise ValueError("derivative order must be >= 0")
-    if order > spec.r:
-        raise ValueError("derivative order exceeds the polynomial degree")
-    poly = filter_boundary(field, spec)
-    return poly.derivative(order) if order else poly
+        outputs.append(MonomialPieces(coeffs=c[..., None, :], start=a + float(lam_g) * h, width=h,
+                                      region=tuple(a + float(s) * h for s in region),
+                                      checked=(-np.inf, np.inf)))
+    return outputs if fields is field else outputs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -429,30 +476,6 @@ def interior_operator(d: int, dg_degree: int) -> InteriorOperator:
                             exact=RatMatrix(numerators, den))
 
 
-@dataclass
-class MonomialPieces:
-    """Filtered output on equal consecutive pieces [start + g*width, start + (g+1)*width]:
-    coeffs[g] are piece g's ascending monomial coefficients in t = (x - start)/width - g,
-    and coefficients (fields, pieces, m) give one row of values per field."""
-
-    coeffs: np.ndarray
-    start: float
-    width: float
-
-    @property
-    def region(self) -> tuple[float, float]:
-        return self.start, self.start + self.coeffs.shape[-2] * self.width
-
-    def __call__(self, x):
-        s = (np.asarray(x, dtype=float) - self.start) / self.width
-        count = self.coeffs.shape[-2]
-        if s.size and not (s.min() >= -1e-9 and s.max() <= count + 1e-9):
-            raise OutsideInteriorRegionError(f"x outside the filtered region {self.region}")
-        g = np.clip(np.floor(s).astype(int), 0, count - 1)
-        values = _horner(np.moveaxis(self.coeffs, -1, 0), s - g, lambda c: np.take(c, g, axis=-1))
-        return float(values) if values.ndim == 0 else values
-
-
 def interior_region(d: int, n_elements: int) -> tuple[Fraction, Fraction]:
     """[mu, N - mu] in sigma units, mu = (3d+1)/2: where the degree-d symmetric filter applies."""
     mu = Fraction(3 * d + 1, 2)
@@ -483,7 +506,9 @@ def filter_interior(field, filter_degree: int | None = None) -> MonomialPieces:
         windows = field.coeffs[..., rows[q == piece], :]  # gathered once, C order
         coeffs[..., q == piece, :] = windows.reshape(windows.shape[:-2] + (-1,)) @ op.matrix[piece]
     width = mesh.h / per
-    return MonomialPieces(coeffs=coeffs, start=mesh.a + first * width, width=width)
+    start = mesh.a + first * width
+    region = (start, start + len(g) * width)
+    return MonomialPieces(coeffs=coeffs, start=start, width=width, region=region, checked=region)
 
 
 @lru_cache(maxsize=1024)
@@ -620,80 +645,3 @@ def reference_convolve(kernel: FloatKernel, field, x: float) -> float:
     for r, v in zip(rad.tolist(), vals):
         total += r * np.dot(gw, v)
     return float(total)
-
-
-# ---------------------------------------------------------------------------
-# boundary/interior transition
-
-
-def blend_weight(z, rho: int):
-    """Transition weight: Bernstein coefficients 0 (i <= rho), 1 above.
-
-    Degree 2*rho+1 makes the blend Hermite-interpolate *both* sides up to
-    order rho (value and first rho derivatives at z = 0 and z = 1).
-    """
-    acc = dg.bernstein_values(2 * rho + 1, z)[rho + 1:].sum(axis=0)
-    return acc if acc.shape else float(acc)
-
-
-def _horner(table, z, spread) -> np.ndarray:
-    """sum_k spread(table[k]) z^k by Horner's rule from a zero start: every filter output's
-    sampler.  table (m, ..., pieces); spread takes a row out to the pieces of the points z."""
-    out = np.zeros(table.shape[1:-1] + np.shape(z))
-    for c in table[::-1]:
-        out *= z
-        out += spread(c)
-    return out
-
-
-def boundary_values(polys, points, blend=None) -> np.ndarray:
-    """Values of boundary polynomials of one stack shape, each at its own points.
-
-    polys have coeffs (..., m) on the same leading axes, m free; points holds one
-    1-D array per polynomial.  The result (..., total points) is one `_horner` pass over
-    the coefficients zero-padded at the top (+0 z + 0 = +0 keeps every value's bytes).
-    blend = (interior_evals, overlaps, rho) joins each output to the interior across
-    its overlap as `blend_transition` does, in one weight pass: each distinct
-    interior_eval (one per output, for example each mesh's own) is called once, on
-    the positive-weight points of its outputs' strips.
-    """
-    x, counts = np.concatenate(points), [len(p) for p in points]
-    coeffs = [np.moveaxis(np.asarray(p.coeffs, dtype=float), -1, 0) for p in polys]
-    table = np.zeros((max(map(len, coeffs)),) + coeffs[0].shape[1:] + (len(polys),))
-    for k, c in enumerate(coeffs):
-        table[:len(c), ..., k] = c
-    anchor, h = np.repeat([(p.anchor, p.h) for p in polys], counts, axis=0).T
-    out = _horner(table, (x - anchor) / h, lambda c: np.repeat(c, counts, axis=-1))
-    if blend:
-        interior_evals, overlaps, rho = blend
-        if any(a1 == a2 for a1, a2 in overlaps):
-            raise EmptyOverlapError("overlap interval is empty")
-        if rho < 1:
-            raise ValueError("smoothness order rho must be >= 1")
-        a1, a2 = np.repeat(np.array(overlaps, dtype=float).T, counts, axis=-1)
-        beta = blend_weight(np.clip((x - a1) / (a2 - a1), 0.0, 1.0), rho)
-        for f in {id(f): f for f in interior_evals}.values():
-            mix = (beta > 0.0) & np.repeat([g is f for g in interior_evals], counts)
-            if mix.any():
-                b = beta[mix]
-                out[..., mix] = (1 - b) * out[..., mix] + b * f(x[mix])
-    return out
-
-
-def _one_output(poly: BoundaryPolynomial, x, blend=None):
-    """`boundary_values` of one output at x of any shape: (..., *x.shape), or a float."""
-    x = np.asarray(x, dtype=float)
-    out = boundary_values([poly], [x.ravel()], blend).reshape(np.shape(poly.coeffs)[:-1] + x.shape)
-    return out if out.ndim else float(out)
-
-
-def blend_transition(boundary_poly, interior_eval, overlap: tuple[float, float], rho: int):
-    """Evaluator (of a float or an array) joining boundary and interior output.
-
-    `boundary_values` of one output, for each field of a stack: it matches the
-    boundary side (value and rho derivatives) at overlap[0], the end toward the
-    boundary (the larger one on the right), and the interior side at overlap[1].
-    """
-    blend = ([interior_eval], [overlap], rho)
-    boundary_values([boundary_poly], [np.empty(0)], blend)  # checks overlap and rho, at no point
-    return lambda x: _one_output(boundary_poly, x, blend)

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, comb, factorial, floor, isfinite
+from math import ceil, comb, factorial, floor, isfinite, lcm
 from operator import mul
 
 import numpy as np
@@ -467,18 +467,42 @@ def bernstein_interior_operator(d: int, dg_degree: int) -> tuple[tuple[int, ...]
     return tuple(offsets), RatMatrix(numerators, den)
 
 
+@lru_cache(maxsize=None)
+def _element_legendre_map(mesh_a: Fraction, h: Fraction, n: int, d: int
+                          ) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], int]:
+    """(nums, den): nums[i][l][k] / den is the l-th Legendre coefficient, on element i, of x^k.
+
+    On element i, x = x0 + h u with x0 = mesh_a + i h, so x^k = sum_j C(k, j) x0^(k-j) h^j u^j,
+    and (2l + 1) int_0^1 u^j P_l(2u - 1) du = (2l + 1) j!^2 / ((j + l + 1)! (j - l)!), zero for
+    j < l.  With mesh_a = A / D and h = H / D, D^d (2d + 1)! clears every denominator.
+    """
+    scale = lcm(mesh_a.denominator, h.denominator)
+    a, step = int(mesh_a * scale), int(h * scale)
+    top = factorial(2 * d + 1)
+    moment = [[(2 * l + 1) * top * factorial(j) ** 2 // (factorial(j + l + 1) * factorial(j - l))
+               if j >= l else 0 for l in range(d + 1)] for j in range(d + 1)]
+    nums = tuple(tuple(tuple(sum(comb(k, j) * (a + i * step) ** (k - j) * step ** j
+                                 * scale ** (d - k) * moment[j][l] for j in range(k + 1))
+                             for k in range(d + 1)) for l in range(d + 1)) for i in range(n))
+    return nums, scale ** d * top
+
+
 def legendre_coeffs_of_poly(poly: RatPoly, mesh_a: Fraction, h: Fraction,
                             n: int, d: int) -> list[list[Fraction]]:
     """Exact degree-d Legendre coefficients of a global polynomial on n elements.
 
     Element i is [mesh_a + i h, mesh_a + (i+1) h]; coefficient l is (2l + 1) times the
-    integral over [0, 1] of p(mesh_a + (i + u) h) P_l(2u - 1) du.
+    integral over [0, 1] of p(mesh_a + (i + u) h) P_l(2u - 1) du, one integer map per
+    mesh and degree applied to the polynomial's coefficients over their common denominator.
     """
     if poly.degree > d:
         raise ValueError("polynomial degree exceeds the element degree")
-    legs = _legendre_shifted_polys(d)
-    return [[(compose_affine(poly, h, mesh_a + i * h) * leg).integral(0, 1) * (2 * l + 1)
-             for l, leg in enumerate(legs)] for i in range(n)]
+    nums, den = _element_legendre_map(Fraction(mesh_a), Fraction(h), n, d)
+    cs = [Fraction(c) for c in poly.coeffs] + [Fraction(0)] * (d + 1 - len(poly.coeffs))
+    cden = lcm(*(c.denominator for c in cs))
+    ints = [int(c * cden) for c in cs]
+    return [[Fraction(sum(map(mul, ints, row)), den * cden) for row in element]
+            for element in nums]
 
 
 def _piecewise_sum(terms) -> PiecewisePolynomial:

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -37,6 +38,7 @@ def test_pairs_are_counted_by_each_metric_direction(tmp_path):
     assert wall["unit"] == "s" and wall["pairs"] == 3 and wall["won"] == 2
     assert wall["parent"]["median"] == 0.70 and wall["change"]["median"] == 0.35
     assert wall["change"]["q1"] <= 0.35 <= wall["change"]["q3"]
+    assert wall["parent"]["min"] == 0.68 and wall["change"]["min"] == 0.34
     items = bench["workloads"]["tp3-d2-long seed 0"]["items_per_s"]
     assert items["won"] == 0  # higher is better: 0, 1, 2 against 10
     assert bench["src_lines"] == {"parent": 2558, "change": 2680}
@@ -81,3 +83,47 @@ def test_unalternated_pairs_are_flagged(tmp_path, parent_first, balanced):
     first = json.loads(out.read_text())["first"]["tp3-d2-long seed 0"]
     assert first["parent_first"] == parent_first and first["balanced"] is balanced
     assert ("warning: tp3-d2-long seed 0" in proc.stderr) is not balanced
+
+
+@pytest.fixture
+def tool():
+    spec = importlib.util.spec_from_file_location("bench_record", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.00, 1.03, 0.97, 1.00, 1.01]  # q3 - q1 about 0.03
+SKEWED = [1.00, 1.01, 1.02, 1.03, 1.04, 1.60, 1.70, 1.80, 1.90, 2.00]  # q3 - q1 about 0.7
+
+
+@pytest.mark.parametrize("old, new, lower, want", [
+    (PARENT, [1.05] + [v - 0.2 for v in PARENT[1:]], True, "gain"),  # 9 of 10 won
+    (PARENT, [1.05, 1.05] + [v - 0.2 for v in PARENT[2:]], True, "flat"),  # 8 of 10
+    (PARENT, [v - 0.01 for v in PARENT], True, "flat"),  # every pair, within q3 - q1
+    (PARENT, [v * 1.2 for v in PARENT], True, "flat"),  # worse within the 0.25 bound
+    (PARENT, [v * 1.3 for v in PARENT], True, "worse"),
+    (SKEWED, SKEWED[::-1], True, "unresolved"),
+    (SKEWED, [0.99] * 10, True, "flat"),  # every change run beats every parent run
+    (SKEWED, [v * 1.5 for v in SKEWED], True, "worse"),  # worse outranks unresolved
+    ([10 * v for v in PARENT], [10 * v + 2 for v in PARENT], False, "gain"),
+    ([10 * v for v in PARENT], [7 * v for v in PARENT], False, "worse"),
+], ids=["gain", "eight-wins", "inside-iqr", "within-bound", "worse", "unresolved",
+        "separated", "worse-and-wide", "higher-gain", "higher-worse"])
+def test_verdict_of_synthetic_runs(tool, old, new, lower, want):
+    """A verdict per end-to-end metric, its bound 0.25 of the parent's median: gain needs
+    9 of 10 pairs and a median gain above the parent's q3 - q1."""
+    assert tool.verdict(old, new, lower, 0.25) == want
+
+
+def test_only_end_to_end_metrics_get_a_verdict(tool):
+    """The record gives wall_s (end to end) a verdict and dg.self_s (per layer) none."""
+    run = lambda wall: {"job": {"workload": "tp3-d2-long", "seed": 0},
+                        "provenance": {"git_revision": "abc", "src_lines": 1},
+                        "result": {"metrics": {"wall_s": {"value": wall, "unit": "s"},
+                                               "dg.self_s": {"value": wall, "unit": "s"}}}}
+    bench = tool.record([run(v) for v in PARENT], [run(v * 1.3) for v in PARENT],
+                        ["parent", "change"] * 5)
+    metrics = bench["workloads"]["tp3-d2-long seed 0"]
+    assert metrics["wall_s"]["verdict"] == "worse" and "verdict" not in metrics["dg.self_s"]
+    assert metrics["dg.self_s"]["change"]["min"] == min(PARENT) * 1.3

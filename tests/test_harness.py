@@ -150,10 +150,16 @@ def test_records_carry_their_kind(small_run):
     assert {r.kind for r in errors} == {"error"} and {r.kind for r in rates} == {"rate"}
 
 
+def blended(output, interior, overlap):
+    """The output joined to the interior across overlap by its own `sample` blend, of the
+    harness's order."""
+    return lambda x: output(x, ([interior], [overlap], harness.BLEND_RHO))
+
+
 def own_evaluators(series, cfg):
     """{(filter, region): (evaluator, measured region in exact sigma, its physical ends)}
     of a mesh's series: each output's own evaluator, the one-output case of the harness's
-    pass (`filter_boundary`, blended by `blend_transition` across its overlap)."""
+    pass (`filter_boundary`, blended by its own `sample` blend across its overlap)."""
     mesh = series.mesh
     interior = psiac.filter_interior(series)
     physical = lambda s: mesh.a + float(s) * mesh.h
@@ -166,8 +172,7 @@ def own_evaluators(series, cfg):
         else:
             approx = psiac.filter_boundary(series, spec)
             if overlap:
-                approx = psiac.blend_transition(approx, interior, tuple(map(physical, overlap)),
-                                                harness.BLEND_RHO)
+                approx = blended(approx, interior, tuple(map(physical, overlap)))
         out[(name, region)] = approx, span, tuple(map(physical, span))
     return out
 
@@ -189,11 +194,12 @@ def test_region_partition_covers_domain(family, d, blend, monkeypatch):
     calls = []
 
     def recording_values(polys, points, blend=None):
-        calls.append(blend[1] if blend else [])
-        return boundary_values(polys, points, blend)
+        if len(polys) > 1:  # the boundary pass; one output is an interior's own call
+            calls.append(blend[1] if blend else [])
+        return sample(polys, points, blend)
 
-    boundary_values = psiac.boundary_values
-    monkeypatch.setattr(psiac, "boundary_values", recording_values)
+    sample = psiac.sample
+    monkeypatch.setattr(psiac, "sample", recording_values)
     tp2 = dg.get_problem("tp2")
     cfg = RunConfig(problem="tp2", d=d, filters=("dg", "symmetric", family),
                     mesh_sizes=(n, 2 * n), final_times=(0.0,), blend=blend)
@@ -551,9 +557,8 @@ def _per_field_norms(field, cfg, name, side):
     edge = spec.lam if side == "left" else n - spec.lam
     if cfg.blend:
         inward = 2 if side == "left" else -2
-        approx = psiac.blend_transition(approx, psiac.filter_interior(field),
-                                        (physical(edge), physical(edge + inward)),
-                                        harness.BLEND_RHO)
+        approx = blended(approx, psiac.filter_interior(field),
+                         (physical(edge), physical(edge + inward)))
     span = (0, edge + strip) if side == "left" else (edge - strip, n)
     return region_norms(approx, exact, mesh, tuple(map(physical, span)))
 
@@ -604,9 +609,9 @@ def laid_out(cfg, series):
 def test_stacked_boundary_output_matches_per_field_filtering():
     """The harness filters each boundary spec once on the stacked Legendre fields of every
     mesh's times, and evaluates all of the run's boundary outputs in one
-    `psiac.boundary_values` call: its polynomials are byte for byte the stack of per-field
+    `psiac.sample` call: its polynomials are byte for byte the stack of per-field
     filter_boundary outputs of their own mesh, and its blended values on the measured
-    regions those of each stacked polynomial's own blend_transition with its own mesh's
+    regions those of each stacked polynomial's own blend with its own mesh's
     interior; the raw and interior outputs are those of each field alone (tp2, d=3,
     N = 20 and 40, blend on)."""
     cfg = RunConfig(problem="tp2", d=3,
@@ -616,10 +621,16 @@ def test_stacked_boundary_output_matches_per_field_filtering():
     runs = [stepped(cfg, n) for n in cfg.mesh_sizes]
     series = [s for _, s in runs]
     regions, layouts = laid_out(cfg, series)
-    calls, boundary_values = [], psiac.boundary_values
-    record = lambda *args: calls.append((args, boundary_values(*args))) or calls[-1][1]
+    calls, sample = [], psiac.sample
+
+    def record(*args):  # the boundary pass; one output is an interior's own call
+        values = sample(*args)
+        if len(args[0]) > 1:
+            calls.append((args, values))
+        return values
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(psiac, "boundary_values", record)
+        mp.setattr(psiac, "sample", record)
         harness._run_norms(series, regions, layouts, lambda x: np.zeros((4, len(x))))
     ((polys, points, _), values), = calls
     values = np.split(values, np.cumsum([len(x) for x in points[:-1]]), axis=-1)
@@ -632,12 +643,11 @@ def test_stacked_boundary_output_matches_per_field_filtering():
         mesh = fields[0].mesh
         per_field = stack([psiac.filter_boundary(f, spec) for f in fields])
         assert poly.coeffs.tobytes() == per_field.coeffs.tobytes()
-        assert (poly.h, poly.anchor, poly.region) == \
-            (per_field.h, per_field.anchor, per_field.region)
+        assert (poly.start, poly.width, poly.region, poly.checked) == \
+            (per_field.start, per_field.width, per_field.region, per_field.checked)
         interior = stack([psiac.filter_interior(f) for f in fields])
         physical = lambda s: mesh.a + float(s) * mesh.h
-        want = psiac.blend_transition(per_field, interior, tuple(map(physical, overlap)),
-                                      harness.BLEND_RHO)(xs)
+        want = blended(per_field, interior, tuple(map(physical, overlap)))(xs)
         assert got.tobytes() == want.tobytes(), (name, side, mesh.n)
     for (fields, s), r, lay in zip(runs, regions, layouts):
         interior = stack([psiac.filter_interior(f) for f in fields])

@@ -9,10 +9,8 @@ import pytest
 from siacpost import dg, filters, psiac
 from siacpost.exact import RatMatrix, RatPoly, _over_common_denominator
 from siacpost.filters import build_spec, custom_spec
-from siacpost.psiac import (MeshTooCoarseError, OutsideInteriorRegionError,
-                            blend_transition, blend_weight, endpoint_vector,
-                            filter_boundary, filter_boundary_derivative,
-                            q_matrix, reference_convolve,
+from siacpost.psiac import (MeshTooCoarseError, OutsideInteriorRegionError, blend_weight,
+                            endpoint_vector, filter_boundary, q_matrix, reference_convolve,
                             symmetric_filter_eval)
 
 import oracles
@@ -27,6 +25,18 @@ def two_indicator_field():
     coeffs[0, 0] = 1.0
     coeffs[3, 0] = 1.0
     return dg.DGField(d=0, mesh=dg.Mesh(0.0, 7.0, 7), coeffs=coeffs)
+
+
+def one_piece(coeffs, width, start, region=(0.0, 1.0)):
+    """An output as filter_boundary makes one: coeffs (..., m) the one piece in
+    (x - start)/width, sampled anywhere."""
+    return psiac.MonomialPieces(coeffs=np.asarray(coeffs)[..., None, :], start=start,
+                                width=width, region=region, checked=(-np.inf, np.inf))
+
+
+def blended(output, interior, overlap, rho=2):
+    """The output joined to the interior across overlap: its own `sample` blend."""
+    return lambda x: output(x, ([interior], [overlap], rho))
 
 
 # ---------------------------------------------------------------------------
@@ -284,22 +294,24 @@ def test_ex210_filtered_polynomial():
 
 
 def test_ex210_derivatives():
-    field = two_indicator_field()
-    d1 = filter_boundary_derivative(field, EX27, order=1)
+    poly = filter_boundary(two_indicator_field(), EX27)
+    d1 = poly.derivative(1)
     xs = np.linspace(0.0, 2.0, 5)
     assert np.allclose(d1(xs), -1.0, atol=1e-15)
-    d2 = filter_boundary_derivative(field, EX27, order=0)
+    d2 = poly.derivative(0)
     assert np.allclose(d2(xs), (3 - 2 * xs) / 2, atol=1e-15)
-    dd = filter_boundary_derivative(field, EX27, order=EX27.r)
+    dd = poly.derivative(EX27.r)
     assert np.allclose(dd(xs), -1.0, atol=1e-15)  # r = 1 here
+    assert np.allclose(poly.derivative(EX27.r + 1)(xs), 0.0)
+    with pytest.raises(ValueError, match="order"):
+        poly.derivative(-1)
 
 
 def test_stacked_boundary_polynomial_is_per_field():
-    """Derivatives and physical coefficients of a (fields, m) stack are those of each field."""
-    stack = psiac.BoundaryPolynomial(coeffs=np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
-                                     h=0.5, anchor=0.25, region=(0.0, 1.0))
+    """Derivatives and physical coefficients of a (fields, 1, m) stack are those of each field."""
+    stack = one_piece([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], 0.5, 0.25)
     fields = [replace(stack, coeffs=row) for row in stack.coeffs]
-    assert stack.derivative(1).coeffs.tolist() == [[4.0, 12.0], [10.0, 24.0]]
+    assert stack.derivative(1).coeffs.tolist() == [[[4.0, 12.0]], [[10.0, 24.0]]]
     for order in (0, 1, 2, 3, 4):
         got = stack.derivative(order)
         assert got.coeffs.tolist() == [f.derivative(order).coeffs.tolist() for f in fields]
@@ -361,7 +373,7 @@ def test_mirror_symmetry():
         for y in np.linspace(0.0, pl.region[1], 9):
             assert pl(y) == pytest.approx(pr(1.0 - y), abs=1e-12)
         # coefficient sign rule for plain mirroring: a_k -> (-1)^k a_k
-        al, ar = pl.physical_coefficients(), pr.physical_coefficients()
+        (al,), (ar,) = pl.physical_coefficients(), pr.physical_coefficients()
         signs = np.array([(-1.0) ** k for k in range(len(al))])
         assert np.allclose(ar, signs * al, atol=1e-9 * np.abs(al).max())
 
@@ -688,23 +700,20 @@ def test_blend_weight_values():
 
 
 def test_blend_endpoints():
-    left = psiac.BoundaryPolynomial(coeffs=np.array([2.0]), h=1.0, anchor=0.0, region=(0.0, 1.0))
+    left = one_piece([2.0], 1.0, 0.0)
 
     def interior(x):
         raise AssertionError("interior side must not be touched at z = 0")
 
-    blended = blend_transition(left, interior, (0.0, 1.0), rho=1)
-    assert blended(0.0) == 2.0
-    blended2 = blend_transition(left, lambda x: -1.0, (0.0, 1.0), rho=1)
+    assert blended(left, interior, (0.0, 1.0), rho=1)(0.0) == 2.0
+    blended2 = blended(left, lambda x: -1.0, (0.0, 1.0), rho=1)
     assert blended2(1.0) == -1.0
     assert blended2(0.5) == pytest.approx(0.5 * 2.0 + 0.5 * (-1.0))
 
 
 def test_blend_empty_overlap():
     with pytest.raises(psiac.EmptyOverlapError):
-        blend_transition(psiac.BoundaryPolynomial(coeffs=np.array([0.0, 1.0]), h=1.0,
-                                                  anchor=0.0, region=(0.0, 1.0)),
-                         lambda x: x, (1.0, 1.0), rho=1)
+        blended(one_piece([0.0, 1.0], 1.0, 0.0), lambda x: x, (1.0, 1.0), rho=1)(0.5)
 
 
 def test_blend_hermite_orders_exact():
@@ -748,45 +757,61 @@ def test_boundary_values_of_unequal_lengths_are_each_polynomials_own():
               np.where(rng.random((fields, 7)) < 0.3, -0.0, rng.standard_normal((fields, 7)))]
     # an anchor at 0 and h > 2 make z = -0 at x = -5e-324 and +0 at x = 0
     hs, anchors = (0.3, 2.5, 3.0, 0.7, 2.25, 2.75, 0.1), (0.5, 0.0, 0.0, -1.5, 0.0, 0.0, 0.25)
-    polys = [psiac.BoundaryPolynomial(coeffs=c, h=h, anchor=a, region=(0, 1))
-             for c, h, a in zip(tables, hs, anchors)]
-    points = [np.concatenate((p.anchor + p.h * rng.uniform(-3.0, 3.0, 200),
-                              [p.anchor, p.anchor - 5e-324, p.anchor + 5e-324])) for p in polys]
-    zs = [(x - p.anchor) / p.h for p, x in zip(polys, points)]
+    polys = [one_piece(c, h, a) for c, h, a in zip(tables, hs, anchors)]
+    points = [np.concatenate((p.start + p.width * rng.uniform(-3.0, 3.0, 200),
+                              [p.start, p.start - 5e-324, p.start + 5e-324])) for p in polys]
+    zs = [(x - p.start) / p.width for p, x in zip(polys, points)]
     for z in zs[1:3] + zs[4:6]:
         assert (z == 0).sum() == 3 and np.signbit(z[z == 0]).sum() == 1 and (z < 0).any()
-    got = psiac.boundary_values(polys, points)
+    got = psiac.sample(polys, points)
     assert got.shape == (fields, sum(map(len, points)))
     start = 0
-    for p, x, z in zip(polys, points, zs):
-        want = _horner_rows(p.coeffs, z)
+    for c, p, x, z in zip(tables, polys, points, zs):
+        want = _horner_rows(c, z)
         assert got[:, start:start + len(x)].tobytes() == want.tobytes()
         assert p(x).tobytes() == want.tobytes()
         start += len(x)
-    assert not np.signbit(psiac.boundary_values(polys[2:3], points[2:3])).any()
+    assert not np.signbit(psiac.sample(polys[2:3], points[2:3])).any()
 
 
 def test_one_output_boundary_values_is_blend_transition():
-    """A one-output stack with a blend is blend_transition of that output, and both are, byte
-    for byte, (1 - beta) p + beta i where the weight beta is positive and p elsewhere."""
+    """A boundary output (one piece, sampled past its region) and an interior output (the
+    pieces of a two-field stack, tp2 d = 2, N = 16), in one run-level `sample` call, give
+    each output's own __call__ byte for byte, unblended and blended across an overlap in
+    either direction; blended, both are (1 - beta) p + beta i where the weight beta is
+    positive and p elsewhere."""
     rng = np.random.default_rng(4)
-    poly = psiac.BoundaryPolynomial(coeffs=rng.standard_normal((2, 7)), h=0.1, anchor=-0.3,
-                                    region=(0.0, 0.6))
+    poly = one_piece(rng.standard_normal((2, 7)), 0.1, -0.3, region=(0.0, 0.6))
+    inner = psiac.filter_interior(_time_stack(dg.get_problem("tp2"), 16, 2, (0.1, 0.4)))
+    lo, hi = inner.region
     interior = lambda x: np.stack((np.cos(x), np.sin(3 * x)))
-    for overlap in ((0.2, 0.4), (0.4, 0.2)):
-        xs = np.concatenate((np.linspace(0.0, 0.6, 31), rng.uniform(0.0, 0.6, 20)))
-        got = psiac.boundary_values([poly], [xs], ([interior], [overlap], 2))
-        assert got.tobytes() == blend_transition(poly, interior, overlap, 2)(xs).tobytes()
-        beta = blend_weight(np.clip((xs - overlap[0]) / (overlap[1] - overlap[0]), 0.0, 1.0), 2)
-        mix = beta > 0
-        want = poly(xs)
-        want[:, mix] = (1 - beta[mix]) * want[:, mix] + beta[mix] * interior(xs[mix])
-        assert got.tobytes() == want.tobytes()
-        assert 0 < mix.sum() < len(xs)
+    cases = [(poly, (0.0, 0.6), (0.2, 0.4)), (inner, (lo, hi), (lo + 1.0, lo + 2.0))]
+    outputs = [out for out, _, _ in cases]
+    points = [np.concatenate((np.linspace(a, b, 31), rng.uniform(a, b, 20)))
+              for _, (a, b), _ in cases]
+    for flip in (1, -1):
+        overlaps = [overlap[::flip] for _, _, overlap in cases]
+        for blend in (None, ([interior] * 2, overlaps, 2)):
+            got = np.split(psiac.sample(outputs, points, blend), [len(points[0])], axis=-1)
+            for k, (out, xs, overlap) in enumerate(zip(outputs, points, overlaps)):
+                own = out(xs, blend and ([interior], [overlap], 2))
+                assert own.shape == (2, len(xs)) and got[k].tobytes() == own.tobytes()
+                if not blend:
+                    continue
+                beta = blend_weight(np.clip((xs - overlap[0]) / (overlap[1] - overlap[0]),
+                                            0.0, 1.0), 2)
+                mix = beta > 0
+                want = out(xs)
+                want[:, mix] = (1 - beta[mix]) * want[:, mix] + beta[mix] * interior(xs[mix])
+                assert own.tobytes() == want.tobytes()
+                assert 0 < mix.sum() < len(xs)
+    xs = points[0]
     with pytest.raises(psiac.EmptyOverlapError):
-        psiac.boundary_values([poly], [xs], ([interior], [(0.2, 0.4), (0.3, 0.3)], 2))
+        psiac.sample([poly], [xs], ([interior], [(0.2, 0.4), (0.3, 0.3)], 2))
     with pytest.raises(ValueError, match="rho"):
-        blend_transition(poly, interior, (0.2, 0.4), 0)
+        poly(xs, ([interior], [(0.2, 0.4)], 0))
+    with pytest.raises(OutsideInteriorRegionError):
+        psiac.sample(outputs, [points[0], points[0]])
 
 
 def _time_stack(problem, n, d, times):
@@ -799,9 +824,10 @@ def _time_stack(problem, n, d, times):
 def test_cross_mesh_contraction_is_each_meshs_own(d):
     """filter_boundary on a sequence of stacks (N = 24, 48, 96 at three times each, and the
     first scaled by 2^600) contracts all of their windows in one QMatrix.contract call and
-    gives, bit for bit, each stack's own filter_boundary output (coefficients, h, anchor,
-    region): every boundary family (npk with k = 1), both sides.  One field is still one
-    polynomial; a sequence of one, a list.  A sequence holding a Bernstein field is refused."""
+    gives, bit for bit, each stack's own filter_boundary output (coefficients, start, width,
+    region, checked range): every boundary family (npk with k = 1), both sides.  One field
+    is still one output; a sequence of one, a list.  A sequence holding a Bernstein field is
+    refused."""
     tp2 = dg.get_problem("tp2")
     stacks = [_time_stack(tp2, n, d, (0.0, 0.2, 0.45)) for n in (24, 48, 96)]
     stacks.append(replace(stacks[0], coeffs=stacks[0].coeffs * 2.0 ** 600))
@@ -816,10 +842,11 @@ def test_cross_mesh_contraction_is_each_meshs_own(d):
             assert calls == [(4, 3, qm.n_elements, d + 1)] and len(got) == 4
             for poly, field in zip(got, stacks):
                 own = filter_boundary(field, spec)
-                assert isinstance(own, psiac.BoundaryPolynomial)
-                assert poly.coeffs.shape == own.coeffs.shape == (3, qm.q.cols)
+                assert isinstance(own, psiac.MonomialPieces)
+                assert poly.coeffs.shape == own.coeffs.shape == (3, 1, qm.q.cols)
                 assert poly.coeffs.tobytes() == own.coeffs.tobytes()
-                assert (poly.h, poly.anchor, poly.region) == (own.h, own.anchor, own.region)
+                assert (poly.start, poly.width, poly.region, poly.checked) == \
+                    (own.start, own.width, own.region, own.checked)
             one = filter_boundary(stacks[:1], spec)
             assert isinstance(one, list) and one[0].coeffs.tobytes() == got[0].coeffs.tobytes()
             with pytest.raises(ValueError, match="not a bernstein field"):
@@ -827,7 +854,7 @@ def test_cross_mesh_contraction_is_each_meshs_own(d):
 
 
 def test_boundary_values_with_per_output_interiors_is_per_mesh_calls():
-    """One boundary_values call over the blended boundary outputs of three meshes, each
+    """One sample call over the blended boundary outputs of three meshes, each
     output with its own mesh's interior evaluator, equals byte for byte the per-mesh calls
     with one evaluator each.  Each evaluator is called once, on the positive-weight strip
     points of its own mesh's outputs, in their order (tp2, d = 3, N = 20, 40, 80, srv, rlkv
@@ -850,12 +877,12 @@ def test_boundary_values_with_per_output_interiors_is_per_mesh_calls():
     seen = []
     evals = [lambda x, k=k, f=interior: seen.append((k, x.copy())) or f(x)
              for k, (interior, *_) in enumerate(meshes)]
-    got = psiac.boundary_values(
+    got = psiac.sample(
         [p for _, polys, _, _ in meshes for p in polys],
         [x for _, _, points, _ in meshes for x in points],
         ([evals[k] for k, (_, polys, _, _) in enumerate(meshes) for _ in polys],
          [o for *_, overlaps in meshes for o in overlaps], 2))
-    want = [psiac.boundary_values(polys, points, ([interior] * len(polys), overlaps, 2))
+    want = [psiac.sample(polys, points, ([interior] * len(polys), overlaps, 2))
             for interior, polys, points, overlaps in meshes]
     assert got.tobytes() == np.concatenate(want, axis=-1).tobytes()
     assert [k for k, _ in seen] == [0, 1, 2]
@@ -892,10 +919,10 @@ def test_stacked_evaluation_equals_single(d):
         edge = spec.lam if side == "left" else n - spec.lam
         overlap = tuple(mesh.a + float(s) * mesh.h
                         for s in (edge, edge + (2 if side == "left" else -2)))
-        blends = [blend_transition(p, i, overlap, 2) for p, i in zip(polys, interiors)]
+        blends = [blended(p, i, overlap) for p, i in zip(polys, interiors)]
         cases = [(_stack(polys), polys, at(0, n)),
                  (_stack(interiors), interiors, at(float(mu), float(n - mu))),
-                 (blend_transition(_stack(polys), _stack(interiors), overlap, 2), blends,
+                 (blended(_stack(polys), _stack(interiors), overlap), blends,
                   at(*sorted(map(float, (edge - 3, edge + 3)))))]
         for stacked, singles, xs in cases:
             got = stacked(xs)

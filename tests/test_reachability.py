@@ -78,7 +78,6 @@ BENCH = "perfbench/tracer.py patches it or perfbench/worker.py calls it"
 WEAK_FORM = "on the weak-form path that test_tracer_contract.py steps with Dirichlet tp3"
 ACCEPTANCE = "an acceptance criterion names it"
 ORACLE = "RatPoly arithmetic of tests/oracles.py's Fraction references, or value semantics"
-ERROR_PATH = "reached only on an error path"
 
 UNCALLED = {
     "dg.Mesh.breakpoints": (WEAK_FORM, "the element faces of dg_rhs"),
@@ -113,9 +112,7 @@ UNCALLED = {
     "filters.CoefficientPolynomials.poly": (ACCEPTANCE, "criterion 1a's coefficient polynomials"),
     "harness.region_norms": (BENCH, "the worker's check mode measures the raw DG error"),
     "harness._sigma_exact": (BENCH, "region_norms' region ends in exact element units"),
-    "psiac.filter_boundary_derivative": (ACCEPTANCE, "criterion 7's derivatives"),
-    "psiac.BoundaryPolynomial.derivative": (ACCEPTANCE, "criterion 7's derivatives"),
-    "psiac.blend_transition": (ACCEPTANCE, "criterion 8's blend of one output"),
+    "psiac.MonomialPieces.derivative": (ACCEPTANCE, "criterion 7's derivatives"),
     "psiac.symmetric_filter_weights": (BENCH, "the tracer reads its cache_info"),
     "psiac.symmetric_filter_eval": (BENCH, "the worker warms and checks the interior with it"),
     "psiac.symmetric_filter_eval_local": (BENCH, "the tracer patches it"),
@@ -127,7 +124,6 @@ UNCALLED = {
     "psiac.psiac_kernel_at": (BENCH, "the worker's boundary reference kernel"),
     "psiac.symmetric_kernel_at": (BENCH, "the worker's interior reference kernel"),
     "psiac.reference_convolve": (BENCH, "the worker's check-mode oracle"),
-    "psiac.MonomialPieces.region": (ERROR_PATH, "the out-of-region message"),
     "spline.unit_bspline_piecewise": (BENCH, "the tracer patches psiac.unit_bspline_piecewise"),
     "spline.PiecewisePolynomial.__init__": (BENCH, "unit_bspline_piecewise's result"),
     "spline.PiecewisePolynomial.integrate_against": (BENCH, "the tracer patches it"),

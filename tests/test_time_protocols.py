@@ -24,7 +24,8 @@ def test_one_row_per_config_with_degree_override(tmp_path):
 
 
 def test_repeat_writes_bench_record_shaped_json(tmp_path):
-    """--repeat 2 --json: per config and metric, each side's median and quartiles over 2 runs."""
+    """--repeat 2 --json: per config and metric, each side's median, quartiles and minimum
+    over 2 runs."""
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text("problem = tp1\nd = 1\nfilters = dg\nmesh_sizes = 8,16\nfinal_times = 0.2\n")
     src = str(ROOT / "src")
@@ -41,8 +42,9 @@ def test_repeat_writes_bench_record_shaped_json(tmp_path):
         assert set(metric) == {"unit", "parent", "change", "pairs", "won"}
         assert metric["unit"] == "s" and metric["pairs"] == 2 and 0 <= metric["won"] <= 2
         for side in ("parent", "change"):
-            assert set(metric[side]) == {"median", "q1", "q3"}
-            assert metric[side]["q1"] <= metric[side]["median"] <= metric[side]["q3"]
+            assert set(metric[side]) == {"median", "q1", "q3", "min"}
+            assert metric[side]["min"] <= metric[side]["median"] <= metric[side]["q3"]
+            assert metric[side]["q1"] <= metric[side]["median"]
             assert metric[side]["median"] > 0
     assert metrics["advance_s"]["parent"]["median"] <= metrics["total_s"]["parent"]["median"]
     assert record["src_lines"]["parent"] == record["src_lines"]["change"] > 0

@@ -18,7 +18,7 @@ passes, as `perfbench/run.py` scales a worker's: the host's speed drifts
 between runs by more than a few milliseconds of a protocol.  Prints one
 row per config: for each tree the median scaled total and `dg.advance`
 seconds, then the median clock totals.  With --json, writes per config
-the medians and quartiles of `total_s` and `advance_s` (scaled) and of
+the medians, quartiles and minima of `total_s` and `advance_s` (scaled) and of
 `clock_total_s` and `clock_advance_s` for each side, the old tree as
 "parent" and the new one as "change", in the shape of
 tools/bench_record.py, with each tree's `src/` line count and, under
@@ -98,7 +98,7 @@ def main(argv=None) -> int:
     ap.add_argument("--repeat", type=int, default=1, metavar="K",
                     help="runs per config and tree, alternating which tree goes first")
     ap.add_argument("--json", type=Path, default=None, metavar="PATH",
-                    help="write medians and quartiles per config and tree to PATH")
+                    help="write medians, quartiles and minima per config and tree to PATH")
     args = ap.parse_args(argv)
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")
