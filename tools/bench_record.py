@@ -70,6 +70,13 @@ def paired(unit: str, old: list[float], new: list[float], lower: bool,
     return out
 
 
+def run_order(ran: list[str]) -> dict:
+    """A "first" entry of a BENCH record: ran[i] names the side that ran first in pair i."""
+    parent_first = ran.count("parent")
+    return {"pairs": ran, "parent_first": parent_first,
+            "balanced": abs(parent_first - len(ran) / 2) <= 1}
+
+
 def record(parents: list[dict], changes: list[dict], ran_first: list[str]) -> dict:
     """The BENCH record of paired runs; ran_first[i] names the side that ran first in pair i."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -92,9 +99,7 @@ def record(parents: list[dict], changes: list[dict], ran_first: list[str]) -> di
     sides = {"parent": parents[0]["provenance"], "change": changes[0]["provenance"]}
     return {"workloads": workloads, "src_lines": {k: v["src_lines"] for k, v in sides.items()},
             "provenance": sides,
-            "first": {key: {"pairs": ran, "parent_first": ran.count("parent"),
-                            "balanced": abs(ran.count("parent") - len(ran) / 2) <= 1}
-                      for key, ran in order.items()}}
+            "first": {key: run_order(ran) for key, ran in order.items()}}
 
 
 def main(argv=None) -> int:

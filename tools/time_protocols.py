@@ -17,12 +17,13 @@ and the run's seconds are scaled to the reference host speed by the two
 passes, as `perfbench/run.py` scales a worker's: the host's speed drifts
 between runs by more than a few milliseconds of a protocol.  Prints one
 row per config: for each tree the median scaled total and `dg.advance`
-seconds, then the median clock totals.  With --json, writes per config
-the medians, quartiles and minima of `total_s` and `advance_s` (scaled) and of
-`clock_total_s` and `clock_advance_s` for each side, the old tree as
-"parent" and the new one as "change", in the shape of
-tools/bench_record.py, with each tree's `src/` line count and, under
-"first", the side that ran first in each repeat.
+seconds, then each tree's median and minimum clock totals.  With --json,
+writes per config the medians, quartiles and minima of `total_s` and
+`advance_s` (scaled) and of `clock_total_s` and `clock_advance_s` for
+each side, the old tree as "parent" and the new one as "change", in the
+shape of tools/bench_record.py, with each tree's `src/` line count and,
+under "first", the run order of the repeats as bench_record.py records
+it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from bench_record import paired
+from bench_record import paired, run_order
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -103,7 +104,8 @@ def main(argv=None) -> int:
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")
     print(f"{'protocol':10s} {'old total':>10s} {'old advance':>12s} "
-          f"{'new total':>10s} {'new advance':>12s} {'old clock':>10s} {'new clock':>10s}")
+          f"{'new total':>10s} {'new advance':>12s} {'old clock':>10s} {'old min':>9s} "
+          f"{'new clock':>10s} {'new min':>9s}")
     trees = [("old", args.old_src), ("new", args.new_src)]
     workloads, first, run = {}, {}, 0
     names = {"old": "parent", "new": "change"}
@@ -117,17 +119,19 @@ def main(argv=None) -> int:
                 runs[side].append(timed_run(src, cfg, d))
             run += 1
         label = runs["old"][0]["label"]
-        first[label] = order
+        first[label] = run_order(order)
         seconds = {(side, key): [r[key] for r in runs[side]] for side in runs for key in METRICS}
         workloads[label] = {key: paired("s", seconds["old", key], seconds["new", key], True)
                             for key in METRICS}
         median = {k: statistics.median(v) for k, v in seconds.items()}
+        clock = workloads[label]["clock_total_s"]
         # 4 significant digits: a tiny config's dg.advance takes well under 5 ms
         share = lambda side: (f"{median[side, 'advance_s']:.4g} "
                               f"({median[side, 'advance_s'] / median[side, 'total_s']:.0%})")
         print(f"{label:10s} {median['old', 'total_s']:9.4g}s {share('old'):>12s} "
               f"{median['new', 'total_s']:9.4g}s {share('new'):>12s} "
-              f"{median['old', 'clock_total_s']:9.4g}s {median['new', 'clock_total_s']:9.4g}s")
+              f"{clock['parent']['median']:9.4g}s {clock['parent']['min']:8.4g}s "
+              f"{clock['change']['median']:9.4g}s {clock['change']['min']:8.4g}s")
     if args.json is not None:
         lines = {"parent": src_lines(args.old_src), "change": src_lines(args.new_src)}
         args.json.write_text(json.dumps({"workloads": workloads, "src_lines": lines,
